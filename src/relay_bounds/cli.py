@@ -176,15 +176,8 @@ def cmd_dmc(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.c0 < 0.0:
         parser.error("--c0 must be nonnegative")
     tol = _tolerance_from(args, parser)
-    seed = _resolve_seed(args)
     rep = dmc_relay.capacity_ub_cor2(
-        channel,
-        args.c0,
-        tol,
-        alpha_override=args.alpha_override,
-        seed=seed,
-        n_starts=args.starts,
-        grid_check=True if args.grid_check else None,
+        channel, args.c0, tol, alpha_override=args.alpha_override
     )
     scale = _unit_scale(args)
     payload = {
@@ -250,11 +243,11 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         elif suite == "borell-exp":
             records += rhc_verify.borell_suite(n, seed, t_factor=t_factor)
         elif suite == "ou-q0":
-            records += rhc_verify.ou_q0_suite(min(n, 200), seed)
+            records += rhc_verify.ou_q0_suite(n, seed)
         elif suite == "lemma4":
             records += rhc_verify.relay_oracle_suite(n, seed)
         elif suite == "quantizer":
-            records += rhc_verify.quantizer_oracle_suite(min(n, 500), seed)
+            records += rhc_verify.quantizer_oracle_suite(n, seed)
         elif suite == "semigroup":
             records += rhc_verify.semigroup_suite(n, seed)
     lines = []
@@ -308,9 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--channel", required=True, help="CSV file, one row per input symbol")
     d.add_argument("--c0", type=float, required=True, help="relay rate in nats")
     d.add_argument("--alpha-override", type=float, default=None, dest="alpha_override")
-    d.add_argument("--seed", type=int, default=None)
-    d.add_argument("--starts", type=int, default=16, help="optimizer multistarts")
-    d.add_argument("--grid-check", action="store_true", help="force the simplex-grid check")
     add_common(d)
     d.set_defaults(func=cmd_dmc)
 

@@ -8,21 +8,23 @@ relay rate C0 satisfies
 
 where the outer maximum runs over input distributions p and c_alpha is the
 bounded-density entropy-gap bound from scalar_bounds.  The cutset analogue
-drops the penalty term.  Both objectives are concave in p (mutual information
-is concave in the input law and a min of concave functions stays concave), so
-projected gradient ascent with multistarts finds the global maximum; a
-Frank-Wolfe-style stationarity gap provides a suboptimality certificate and a
-dense simplex grid cross-checks small alphabets.
+drops the penalty term.  By Sion's minimax theorem the max-min equals the
+minimum over lam in [0, 1] of a weighted Blahut-Arimoto problem
+max_p [lam I(X;Y,Z) + (1 - lam)(I(X;Y) + penalty)], and the output laws of any
+input law give a closed-form upper bound on it.  Both bounds are reported as
+that dual certificate, an upper value, with the gap to the objective at the
+returned input law.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionError, DomainError
+from .errors import DimensionError, DomainError
 from .scalar_bounds import DEFAULT_TOL, Tolerance, bdd_gap_inverse, require_rate
 
 _ROW_SUM_TOL = 1e-12
@@ -98,8 +100,10 @@ class DmcBoundReport:
 
     penalty = C0 - c_alpha^{-1}(C0) is the residual relay contribution that
     replaces C0 in the cutset expression, so the improvement over the cutset
-    bound is c_alpha^{-1}(C0).  suboptimality_gap certifies how far cor2_bound
-    can be below the true maximum (certified means gap <= 1e-8).
+    bound is c_alpha^{-1}(C0).  cor2_bound and cutset are dual certificates,
+    never below the true maxima.  suboptimality_gap = cor2_bound minus the
+    objective at argmax_input, so it bounds how far cor2_bound can sit above
+    the true maximum; certified means the gap is at most GAP_TOL = 1e-10.
     """
 
     alpha: float
@@ -130,31 +134,6 @@ def alpha_of_channel(w: DiscreteChannel) -> float:
 def i_infinity(w: DiscreteChannel) -> float:
     """Order-infinity mutual information ln(alpha) of the channel."""
     return math.log(alpha_of_channel(w))
-
-
-def i_infinity_minimax_oracle(w: DiscreteChannel, grid_steps: int | None = None) -> float:
-    """Independent minimax evaluation of I_inf.
-
-    Minimizes over reference output laws Q the essential-sup ratio
-    max_{x,y: W(y|x)>0} W(y|x)/Q(y), scanning a dense simplex grid plus the
-    analytic optimum Q*(y) proportional to max_x W(y|x).
-    """
-    m = w.matrix
-    peak = m.max(axis=0)
-    candidates = [peak / peak.sum()]
-    ny = w.n_outputs
-    if grid_steps is None:
-        grid_steps = {2: 4000, 3: 400, 4: 100}.get(ny, 40)
-    grid = simplex_grid(ny, grid_steps)
-    best = math.inf
-    support = m > 0.0
-    for q in candidates + [grid[i] for i in range(grid.shape[0])]:
-        qmat = np.broadcast_to(q, m.shape)
-        if np.any(qmat[support] <= 0.0):
-            continue  # ratio is infinite off the support of Q
-        ratio = float((m[support] / qmat[support]).max())
-        best = min(best, ratio)
-    return math.log(best)
 
 
 def _xlogx_rows(m: np.ndarray) -> np.ndarray:
@@ -198,263 +177,211 @@ def mutual_info_product(p: InputDistribution, w: DiscreteChannel) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Concave maximization over the input simplex
+# Dual Blahut-Arimoto solver
 # ---------------------------------------------------------------------------
 
-
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sort-based)."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, v.shape[0] + 1)
-    rho = np.nonzero(u * idx > (css - 1.0))[0][-1]
-    theta = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def simplex_grid(k: int, steps: int) -> np.ndarray:
-    """All probability vectors with denominators `steps` on the k-simplex."""
-    if k < 1 or steps < 1:
-        raise DomainError("simplex_grid needs k >= 1 and steps >= 1")
-    if k == 1:
-        return np.ones((1, 1))
-    if k == 2:
-        i = np.arange(steps + 1)
-        return np.stack([i, steps - i], axis=1) / steps
-    if k == 3:
-        i, j = np.meshgrid(np.arange(steps + 1), np.arange(steps + 1), indexing="ij")
-        mask = i + j <= steps
-        i, j = i[mask], j[mask]
-        return np.stack([i, j, steps - i - j], axis=1) / steps
-    if k == 4:
-        rng_ = np.arange(steps + 1, dtype=np.int32)
-        i, j, l = np.meshgrid(rng_, rng_, rng_, indexing="ij")
-        mask = (i.astype(np.int64) + j + l) <= steps
-        i, j, l = i[mask], j[mask], l[mask]
-        return np.stack([i, j, l, steps - i - j - l], axis=1).astype(float) / steps
-    raise DomainError("simplex_grid supports up to 4 symbols")
+GAP_TOL = 1e-10  # a report is certified when certificate - objective <= GAP_TOL
+_INNER_TOL = 1e-11  # stopping gap of the weighted problem at one multiplier
+_MAX_STEP = 4.0  # cap on the Blahut-Arimoto step; larger ones mostly overshoot
+_BACKTRACKS = 24  # halvings of the Newton step before it gives way
+_ROUNDING = 1e-14  # values closer than this are equal to rounding
+# Every input keeps at least this mass: one dropped by mistake revives in a
+# few dozen steps, and the mass left on an idle one is far below the gap.
+_FLOOR = 1e-20
+_BUDGET = 20000  # iterations per solver; past it the report stays uncertified
 
 
-class _RelayObjective:
-    """min{ I(X;Y,Z), I(X;Y) + penalty } with supergradient and certificate."""
+def _certificate(d1: np.ndarray, d2: np.ndarray, penalty: float) -> float:
+    """min over lam in [0, 1] of max_x [lam*d2_x + (1 - lam)*(d1_x + penalty)].
 
-    _KINK_TOL = 1e-12
+    With d1, d2 the divergences D(W_x || q) at any output laws q, each line
+    bounds lam*I(X;Y,Z) + (1 - lam)*(I(X;Y) + penalty) from above at every
+    input law, so the minimum bounds the max-min objective.  The envelope is
+    convex and piecewise linear: its minimum is at an end or a crossing.
+    """
+    b = d1 + penalty
+    slope = d2 - b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cross = (b[None, :] - b[:, None]) / (slope[:, None] - slope[None, :])
+    lams = np.concatenate(([0.0, 1.0], cross[(cross > 0.0) & (cross < 1.0)]))
+    return float((b[None, :] + lams[:, None] * slope[None, :]).max(axis=1).min())
 
-    def __init__(self, w: DiscreteChannel, penalty: float):
+
+def _law(p: np.ndarray) -> np.ndarray:
+    p = np.maximum(p, _FLOOR)
+    return p / p.sum()
+
+
+def _illinois(fn, f_a: float, f_b: float, max_iter: int) -> float:
+    """Root of fn on [0, 1] by false position with Illinois halving.
+
+    Needs fn(0) = f_a < 0 <= f_b = fn(1).  Stops after max_iter steps, at a
+    root, when the bracket collapses or when fn returns None.
+    """
+    a, b, side, t = 0.0, 1.0, 0, 0.0
+    for _ in range(max_iter):
+        t = (a * f_b - b * f_a) / (f_b - f_a)
+        f = fn(t)
+        if f is None or abs(f) <= 1e-15 or b - a <= 1e-15:
+            break
+        if f < 0.0:
+            a, f_a = t, f
+            f_b *= 0.5 if side < 0 else 1.0
+            side = -1
+        else:
+            b, f_b = t, f
+            f_a *= 0.5 if side > 0 else 1.0
+            side = 1
+    return t
+
+
+class _State(NamedTuple):
+    """Input law p, d = lam*D2 + (1 - lam)*D1 and the weighted value p.d."""
+
+    p: np.ndarray
+    d: np.ndarray
+    value: float
+
+    @property
+    def gap(self) -> float:
+        return float(self.d.max()) - self.value
+
+    def improves(self, other: "_State") -> bool:
+        """A higher value, or a smaller gap at a value equal to rounding: near
+        the optimum a step gains in value only the square of its gain in gap."""
+        if abs(self.value - other.value) > _ROUNDING:
+            return self.value > other.value
+        return self.gap < other.gap
+
+
+class _DualSolver:
+    """max_p min{I(X;Y,Z), I(X;Y) + penalty} through its Lagrange dual.
+
+    By Sion's minimax theorem the maximum equals
+        min over lam in [0, 1] of max_p [lam*I(X;Y,Z) + (1 - lam)*(I(X;Y) + penalty)],
+    whose inner maximum is a weighted Blahut-Arimoto problem.  The slope of
+    the outer function is I(X;Y,Z) - I(X;Y) - penalty at the inner maximizer,
+    so a bracket on its sign localizes the optimal multiplier, and the witness
+    is the mixture of the two bracketing maximizers on which both cuts agree.
+    The maximizers at lam = 0 and 1 do not depend on the penalty, so one
+    solver serves the bound and its cutset analogue.
+    """
+
+    def __init__(self, w: DiscreteChannel):
         self.w1 = w.matrix
         self.w2 = product_channel(w).matrix
         self.rowh1 = _xlogx_rows(self.w1)
         self.rowh2 = _xlogx_rows(self.w2)
-        self.penalty = float(penalty)
+        self.steps_left = _BUDGET
+        self._endpoints: dict[float, np.ndarray] = {}
 
-    def _branch_data(self, p: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
-        q1 = p @ self.w1
-        q2 = p @ self.w2
-        kl1 = self.rowh1 - self.w1 @ np.log(np.maximum(q1, _TINY))
-        kl2 = self.rowh2 - self.w2 @ np.log(np.maximum(q2, _TINY))
-        joint = float(p @ kl2)
-        direct = float(p @ kl1) + self.penalty
-        return joint, direct, kl2, kl1
+    def divergences(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows D(W1_x || pW1) and D(W2_x || pW2)."""
+        q1, q2 = np.maximum(p @ self.w1, _TINY), np.maximum(p @ self.w2, _TINY)
+        return self.rowh1 - self.w1 @ np.log(q1), self.rowh2 - self.w2 @ np.log(q2)
 
-    def value(self, p: np.ndarray) -> float:
-        joint, direct, _, _ = self._branch_data(p)
-        return min(joint, direct)
+    def _state(self, lam: float, p: np.ndarray) -> _State:
+        d1, d2 = self.divergences(p)
+        d = lam * d2 + (1.0 - lam) * d1
+        return _State(p, d, float(p @ d))
 
-    def evaluate(self, p: np.ndarray) -> tuple[float, np.ndarray, float]:
-        """Return (value, ascent supergradient, stationarity gap).
+    def _newton_point(self, lam: float, x: _State) -> np.ndarray:
+        """Newton maximizer of the weighted value on the face of near-optimal inputs.
 
-        The gap is min over supergradients g in the hull of the two branch
-        gradients of max_i g_i - g.p; for a concave objective any supergradient
-        makes that a valid suboptimality bound, and at a kink the minimizing
-        mixture is also the best ascent direction.
+        Inputs whose divergence trails the value by more than the gap leave
+        the face.  The quadratic model is solved under sum(p) = 1 by least
+        squares, since its Hessian -sum_i lam_i W_i diag(1/q_i) W_i^T is
+        singular once the face has more inputs than independent rows.
         """
-        joint, direct, g_joint, g_direct = self._branch_data(p)
-        if joint < direct - self._KINK_TOL:
-            g = g_joint
-            return joint, g, float(g.max() - g @ p)
-        if direct < joint - self._KINK_TOL:
-            g = g_direct
-            return direct, g, float(g.max() - g @ p)
-        g, gap = _best_mixture_direction(p, g_joint, g_direct)
-        return min(joint, direct), g, gap
+        face = x.d > x.value - x.gap
+        at = self._state(lam, _law(np.where(face, x.p, 0.0)))
+        w1, w2, n = self.w1[face], self.w2[face], int(face.sum())
+        kkt = np.ones((n + 1, n + 1))
+        kkt[n, n] = 0.0
+        kkt[:n, :n] = lam * (w2 / np.maximum(at.p @ self.w2, _TINY)) @ w2.T
+        kkt[:n, :n] += (1.0 - lam) * (w1 / np.maximum(at.p @ self.w1, _TINY)) @ w1.T
+        step = np.linalg.lstsq(kkt, np.append(at.d[face], 0.0), rcond=None)[0][:n]
+        p = at.p.copy()
+        p[face] = np.maximum(p[face] + step, 0.0)
+        return _law(p)
 
+    def weighted_argmax(self, lam: float, p: np.ndarray) -> np.ndarray:
+        """Maximize lam*I(X;Y,Z) + (1 - lam)*I(X;Y) from the input law p.
 
-def _best_mixture_direction(
-    p: np.ndarray, g_joint: np.ndarray, g_direct: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Mixture of the branch gradients with the smallest Frank-Wolfe gap.
+        Each iteration keeps the better of a Blahut-Arimoto step
+        p <- p*exp(s*d)/Z, which never lowers the value at s = 1, and a Newton
+        step backtracked toward the Newton point.  Blahut-Arimoto alone crawls
+        when rows nearly coincide or an optimal input has little mass; Newton
+        alone can settle on a wrong face.  max_x d_x bounds the weighted
+        maximum, which gives the stopping gap.
+        """
+        x, step = self._state(lam, p), 1.0
+        while self.steps_left > 0 and x.gap > _INNER_TOL:
+            self.steps_left -= 1
+            best = self._state(lam, _law(x.p * np.exp(step * (x.d - x.d.max()))))
+            newton, t = self._newton_point(lam, x), 1.0
+            for _ in range(_BACKTRACKS):
+                trial = self._state(lam, (1.0 - t) * x.p + t * newton)
+                # a shortened step must raise the value; the full step may
+                # narrow the gap instead, which is all it can do at the end
+                if trial.value > x.value or (t == 1.0 and trial.improves(x)):
+                    best = trial if trial.improves(best) else best
+                    break
+                t *= 0.5
+            if best.value < x.value and step > 1.0:
+                step = 1.0
+                continue
+            x, step = best, min(2.0 * step, _MAX_STEP)
+        return x.p
 
-    gap(lam) = max_i g(lam)_i - g(lam).p is convex piecewise-linear in lam;
-    a coarse scan plus golden-section refinement localizes its minimum.
-    """
+    def _endpoint(self, lam: float) -> np.ndarray:
+        if lam not in self._endpoints:
+            k = self.w1.shape[0]
+            self._endpoints[lam] = self.weighted_argmax(lam, np.full(k, 1.0 / k))
+        return self._endpoints[lam]
 
-    def gap_at(lam: float) -> float:
-        g = lam * g_joint + (1.0 - lam) * g_direct
-        return float(g.max() - g @ p)
+    def solve(self, penalty: float) -> tuple[float, float, np.ndarray]:
+        """(certificate, objective, input law) of the witness with the smallest gap."""
+        best = (math.inf, 0.0, np.empty(0))
 
-    lams = np.linspace(0.0, 1.0, 21)
-    gaps = [gap_at(lam) for lam in lams]
-    j = int(np.argmin(gaps))
-    lo = lams[max(j - 1, 0)]
-    hi = lams[min(j + 1, len(lams) - 1)]
-    inv_golden = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_golden * (hi - lo)
-    x2 = lo + inv_golden * (hi - lo)
-    f1, f2 = gap_at(x1), gap_at(x2)
-    for _ in range(60):
-        if hi - lo <= 1e-13:
-            break
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_golden * (hi - lo)
-            f1 = gap_at(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_golden * (hi - lo)
-            f2 = gap_at(x2)
-    best_lam = x1 if f1 <= f2 else x2
-    candidates = [lams[j], best_lam]
-    best_lam = min(candidates, key=gap_at)
-    g = best_lam * g_joint + (1.0 - best_lam) * g_direct
-    return g, gap_at(best_lam)
+        def consider(p: np.ndarray) -> float:
+            nonlocal best
+            d1, d2 = self.divergences(p)
+            joint, direct = float(p @ d2), float(p @ d1) + penalty
+            cert = _certificate(d1, d2, penalty)
+            if cert - min(joint, direct) < best[0] - best[1]:
+                best = (cert, min(joint, direct), p)
+            return joint - direct
 
+        lo = self._endpoint(0.0)
+        s_lo = consider(lo)
+        if s_lo >= 0.0:  # the direct cut binds alone at the I(X;Y) maximizer
+            return best
+        hi = self._endpoint(1.0)
+        s_hi = consider(hi)
+        if s_hi <= 0.0:  # the joint cut binds alone at the I(X;Y,Z) maximizer
+            return best
+        bracket = {False: (lo, s_lo), True: (hi, s_hi)}
 
-def _ascend(
-    objective, p0: np.ndarray, gap_tol: float, max_iter: int
-) -> tuple[float, np.ndarray, float]:
-    """Projected gradient ascent with step halving from a single start."""
-    p = p0
-    value, grad, gap = objective(p)
-    step = 0.25
-    for _ in range(max_iter):
-        if gap <= gap_tol:
-            break
-        moved = False
-        s = step
-        while s >= 1e-16:
-            cand = project_to_simplex(p + s * grad)
-            v_cand, g_cand, gap_cand = objective(cand)
-            if v_cand > value + 1e-15:
-                p, value, grad, gap = cand, v_cand, g_cand, gap_cand
-                step = min(2.0 * s, 64.0)
-                moved = True
-                break
-            s *= 0.5
-        if not moved:
-            break  # no ascent along the chosen supergradient; gap is the certificate
-    return value, p, gap
+        def kink_mixture() -> np.ndarray:
+            (lo, s_lo), (hi, s_hi) = bracket[False], bracket[True]
+            t = _illinois(lambda t: consider((1.0 - t) * lo + t * hi), s_lo, s_hi, 60)
+            return (1.0 - t) * lo + t * hi
 
+        mix = kink_mixture()
 
-def _polish(
-    obj: _RelayObjective,
-    p: np.ndarray,
-    target_gap: float = 1e-10,
-    max_rounds: int = 1000,
-) -> tuple[float, np.ndarray, float]:
-    """Multiplicative (Blahut-Arimoto style) balance steps p <- p*e^g / Z.
+        def slope_at(lam: float) -> float | None:
+            nonlocal mix
+            if best[0] - best[1] <= GAP_TOL or self.steps_left <= 0:
+                return None
+            p = self.weighted_argmax(lam, mix)
+            s = consider(p)
+            bracket[s >= 0.0] = (p, s)
+            mix = kink_mixture()
+            return s
 
-    Gradient ascent leaves the support gradient slightly unbalanced, which a
-    first-order certificate cannot distinguish from true suboptimality; the
-    multiplicative fixed point equalizes it geometrically.  Steps are guarded
-    so the true objective never decreases; the returned gap is the best
-    certificate min_visited(value + fw_gap) minus the best value seen.
-    """
-    value, grad, gap = obj.evaluate(p)
-    best_value, best_p = value, p
-    upper = value + gap
-    for _ in range(max_rounds):
-        if upper - best_value <= target_gap:
-            break
-        z = p * np.exp(grad - grad.max())
-        total = z.sum()
-        if not np.isfinite(total) or total <= 0.0:
-            break
-        p_next = z / total
-        v_next, g_next, gap_next = obj.evaluate(p_next)
-        if v_next < value - 1e-13:
-            break
-        p, value, grad, gap = p_next, v_next, g_next, gap_next
-        upper = min(upper, value + gap)
-        if value > best_value:
-            best_value, best_p = value, p
-    return best_value, best_p, max(upper - best_value, 0.0)
-
-
-def _maximize_relay_objective(
-    obj: _RelayObjective,
-    k: int,
-    seed: int,
-    n_starts: int,
-    gap_tol: float = 1e-8,
-    max_iter: int = 500,
-) -> tuple[float, np.ndarray, float]:
-    """Multistart ascent plus balance polish; returns (value, argmax, gap)."""
-    rng = np.random.default_rng(seed)
-    starts = [np.full(k, 1.0 / k)]
-    starts += [rng.dirichlet(np.full(k, 0.35)) for _ in range(max(n_starts - 1, 0))]
-    best_value, best_p, best_gap = -math.inf, starts[0], math.inf
-    for p0 in starts:
-        value, p, gap = _ascend(obj.evaluate, p0, gap_tol, max_iter)
-        if value > best_value + 1e-15 or (abs(value - best_value) <= 1e-15 and gap < best_gap):
-            best_value, best_p, best_gap = value, p, gap
-    if best_gap > gap_tol:
-        best_value, best_p, best_gap = _polish(obj, best_p)
-    return best_value, best_p, best_gap
-
-
-def _grid_refine(
-    obj: _RelayObjective, k: int, value: float, steps: int = 200
-) -> tuple[float, np.ndarray | None]:
-    """Best objective value over the dense simplex grid (belt-and-suspenders)."""
-    grid = simplex_grid(k, steps)
-    best_value, best_p = value, None
-    chunk = 65536
-    for start in range(0, grid.shape[0], chunk):
-        block = grid[start : start + chunk]
-        q1 = block @ obj.w1
-        q2 = block @ obj.w2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lq1 = np.log(np.maximum(q1, _TINY))
-            lq2 = np.log(np.maximum(q2, _TINY))
-        direct = block @ obj.rowh1 - (q1 * lq1).sum(axis=1) + obj.penalty
-        joint = block @ obj.rowh2 - (q2 * lq2).sum(axis=1)
-        values = np.minimum(joint, direct)
-        i = int(values.argmax())
-        if values[i] > best_value:
-            best_value = float(values[i])
-            best_p = block[i].copy()
-    return best_value, best_p
-
-
-def _optimize(
-    w: DiscreteChannel,
-    penalty: float,
-    seed: int,
-    n_starts: int,
-    grid_check: bool | None,
-) -> tuple[float, np.ndarray, float]:
-    obj = _RelayObjective(w, penalty)
-    k = w.n_inputs
-    value, p, gap = _maximize_relay_objective(obj, k, seed, n_starts)
-    if grid_check is None:
-        grid_check = k <= 3  # mesh-200 grid is cheap below 4 symbols
-    if grid_check:
-        if k > 4:
-            raise DomainError("grid validation is only available for up to 4 input symbols")
-        grid_value, grid_p = _grid_refine(obj, k, value)
-        if grid_value > value + 2e-3:
-            raise ConvergenceError(
-                f"simplex grid found {grid_value}, multistart ascent only {value}"
-            )
-        if grid_p is not None and grid_value > value:
-            refined, p2, gap2 = _ascend(obj.evaluate, grid_p, 1e-8, 2000)
-            if refined > value:
-                value, p, gap = refined, p2, gap2
-    if gap > 1e-6:
-        raise ConvergenceError(
-            f"optimizer stalled: best value {value} with suboptimality gap {gap}"
-        )
-    return value, p, gap
+        _illinois(slope_at, s_lo, s_hi, _BUDGET)
+        return best
 
 
 def capacity_ub_cor2(
@@ -464,14 +391,13 @@ def capacity_ub_cor2(
     *,
     alpha_override: float | None = None,
     seed: int = 0,
-    n_starts: int = 16,
-    grid_check: bool | None = None,
 ) -> DmcBoundReport:
     """Bounded-density capacity bound max_p min{I(X;YZ), I(X;Y) + C0 - c_a^{-1}(C0)}.
 
     alpha defaults to the channel's own peak ratio; pass alpha_override when
-    the channel is only known through a density bound.  The report carries the
-    cutset analogue computed on the same multistart set.
+    the channel is only known through a density bound.  Both the bound and
+    its cutset analogue are dual certificates, upper values on the true
+    maxima.  The solver is deterministic; `seed` is accepted and ignored.
     """
     c0 = require_rate(c0, "c0")
     alpha = alpha_of_channel(w) if alpha_override is None else float(alpha_override)
@@ -480,19 +406,18 @@ def capacity_ub_cor2(
             f"alpha override {alpha} is below the channel's own peak ratio"
         )
     penalty = c0 - bdd_gap_inverse(c0, alpha, tol)
-    value, p, gap = _optimize(w, penalty, seed, n_starts, grid_check)
-    cutset_value, _, _ = _optimize(w, c0, seed, n_starts, grid_check)
-    # the cor2 argmax is feasible for the cutset objective and dominates it
-    # pointwise, which keeps the report internally consistent
-    cutset_value = max(cutset_value, _RelayObjective(w, c0).value(p))
+    solver = _DualSolver(w)
+    cert, value, p = solver.solve(penalty)
+    cutset, _, _ = solver.solve(c0)
+    gap = max(cert - value, 0.0)
     return DmcBoundReport(
         alpha=alpha,
         penalty=penalty,
-        cutset=cutset_value,
-        cor2_bound=value,
+        cutset=cutset,
+        cor2_bound=cert,
         argmax_input=InputDistribution(p),
         suboptimality_gap=gap,
-        certified=bool(gap <= 1e-8),
+        certified=bool(gap <= GAP_TOL),
     )
 
 
@@ -502,10 +427,11 @@ def cutset_dmc(
     tol: Tolerance = DEFAULT_TOL,
     *,
     seed: int = 0,
-    n_starts: int = 16,
-    grid_check: bool | None = None,
 ) -> float:
-    """Cutset analogue max_p min{I(X;YZ), I(X;Y) + C0}."""
+    """Cutset analogue max_p min{I(X;YZ), I(X;Y) + C0}, as a dual certificate.
+
+    The solver is deterministic; `seed` is accepted and ignored.
+    """
     c0 = require_rate(c0, "c0")
-    value, _, _ = _optimize(w, c0, seed, n_starts, grid_check)
-    return value
+    cert, _, _ = _DualSolver(w).solve(c0)
+    return cert

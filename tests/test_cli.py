@@ -115,6 +115,12 @@ class TestDmcCommand:
             main(["dmc", "--channel", bsc_file, "--c0", "0.1", "--tol", "-1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--starts", "4"], ["--grid-check"]])
+    def test_solver_knobs_gone(self, bsc_file, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["dmc", "--channel", bsc_file, "--c0", "0.1"] + flag)
+        assert exc.value.code == 2
+
 
 class TestCurvesCommand:
     def test_fig2_headers_and_values(self, tmp_path):
@@ -180,6 +186,13 @@ class TestVerifyCommand:
         assert all(r["pass"] for r in records)
         assert all(r["margin"] >= -1e-12 for r in records)
 
+    def test_instances_not_capped(self, tmp_path):
+        code, blob = run_to_file(
+            tmp_path, ["verify", "--suite", "ou-q0", "--instances", "250"], "rep.jsonl"
+        )
+        assert code == 0
+        assert len(blob.decode().splitlines()) == 250
+
     def test_borell_critical(self, tmp_path):
         code, blob = run_to_file(
             tmp_path,
@@ -234,7 +247,7 @@ class TestDeterminismAndRoundTrip:
         assert first == second
 
     def test_byte_identical_dmc(self, tmp_path, bsc_file):
-        argv = ["dmc", "--channel", bsc_file, "--c0", "0.05", "--seed", "3"]
+        argv = ["dmc", "--channel", bsc_file, "--c0", "0.05"]
         _, first = run_to_file(tmp_path, argv, "a.json")
         _, second = run_to_file(tmp_path, argv, "b.json")
         assert first == second
