@@ -20,7 +20,6 @@ import numpy as np
 from . import dmc_relay, gaussian_relay, rhc_verify
 from .errors import BoundsError, DomainError
 from .gaussian_relay import CurveTable, GaussianRelayParams
-from .scalar_bounds import Tolerance
 
 DEFAULT_SEED = 12345
 SEED_ENV_VAR = "RELAY_BOUNDS_SEED"
@@ -55,13 +54,6 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 def _unit_scale(args: argparse.Namespace) -> float:
     return 1.0 / _LN2 if getattr(args, "bits", False) else 1.0
-
-
-def _tolerance_from(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Tolerance:
-    try:
-        return Tolerance(abs_tol=args.tol)
-    except DomainError as exc:
-        parser.error(str(exc))
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -148,8 +140,7 @@ def cmd_gaussian(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
         params = GaussianRelayParams(power=power, noise=noise, relay_rate=args.c0)
     except DomainError as exc:
         parser.error(str(exc))
-    tol = _tolerance_from(args, parser)
-    rep = gaussian_relay.report(params, tol)
+    rep = gaussian_relay.report(params)
     scale = _unit_scale(args)
     payload = {
         "power": params.power,
@@ -175,10 +166,7 @@ def cmd_dmc(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         return 2
     if args.c0 < 0.0:
         parser.error("--c0 must be nonnegative")
-    tol = _tolerance_from(args, parser)
-    rep = dmc_relay.capacity_ub_cor2(
-        channel, args.c0, tol, alpha_override=args.alpha_override
-    )
+    rep = dmc_relay.capacity_ub_cor2(channel, args.c0, alpha_override=args.alpha_override)
     scale = _unit_scale(args)
     payload = {
         "alpha": rep.alpha,
@@ -197,12 +185,11 @@ def cmd_dmc(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def cmd_curves(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    tol = _tolerance_from(args, parser)
     try:
         if args.figure == 1:
-            table = gaussian_relay.emit_fig1_curves(args.h1_max, args.points, tol)
+            table = gaussian_relay.emit_fig1_curves(args.h1_max, args.points)
         else:
-            table = gaussian_relay.emit_fig2_curves(args.snr, args.c0_max, args.points, tol)
+            table = gaussian_relay.emit_fig2_curves(args.snr, args.c0_max, args.points)
     except DomainError as exc:
         parser.error(str(exc))
     text = _table_text(table, args.format, _unit_scale(args))
@@ -284,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tol", type=float, default=1e-10, help="solver absolute tolerance")
         p.add_argument("--bits", action="store_true", help="display rates in bits")
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--output", default=None, help="write to this path instead of stdout")

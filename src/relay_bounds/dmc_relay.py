@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .scalar_bounds import DEFAULT_TOL, Tolerance, bdd_gap_inverse, require_rate
+from .scalar_bounds import bdd_gap_inverse, require_rate
 
 _ROW_SUM_TOL = 1e-12
 _TINY = 1e-300
@@ -387,7 +387,6 @@ class _DualSolver:
 def capacity_ub_cor2(
     w: DiscreteChannel,
     c0: float,
-    tol: Tolerance = DEFAULT_TOL,
     *,
     alpha_override: float | None = None,
     seed: int = 0,
@@ -405,7 +404,7 @@ def capacity_ub_cor2(
         raise DomainError(
             f"alpha override {alpha} is below the channel's own peak ratio"
         )
-    penalty = c0 - bdd_gap_inverse(c0, alpha, tol)
+    penalty = c0 - bdd_gap_inverse(c0, alpha)
     solver = _DualSolver(w)
     cert, value, p = solver.solve(penalty)
     cutset, _, _ = solver.solve(c0)
@@ -421,13 +420,7 @@ def capacity_ub_cor2(
     )
 
 
-def cutset_dmc(
-    w: DiscreteChannel,
-    c0: float,
-    tol: Tolerance = DEFAULT_TOL,
-    *,
-    seed: int = 0,
-) -> float:
+def cutset_dmc(w: DiscreteChannel, c0: float, *, seed: int = 0) -> float:
     """Cutset analogue max_p min{I(X;YZ), I(X;Y) + C0}, as a dual certificate.
 
     The solver is deterministic; `seed` is accepted and ignored.

@@ -20,10 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 from .scalar_bounds import (
-    DEFAULT_TOL,
-    Tolerance,
     gauss_gap_inverse,
     lemma3_gap,
     lemma3_h2max,
@@ -96,11 +96,11 @@ def cutset_bound(params: GaussianRelayParams) -> float:
     return min(_broadcast_cut(g), _direct_link(g) + params.relay_rate)
 
 
-def capacity_ub_lemma2(params: GaussianRelayParams, tol: Tolerance = DEFAULT_TOL) -> float:
+def capacity_ub_lemma2(params: GaussianRelayParams) -> float:
     """Bound with the variational entropy-gap penalty: C0 - c^{-1}(C0)."""
     g = params.snr
     c0 = params.relay_rate
-    return min(_broadcast_cut(g), _direct_link(g) + c0 - gauss_gap_inverse(c0, tol))
+    return min(_broadcast_cut(g), _direct_link(g) + c0 - gauss_gap_inverse(c0))
 
 
 def capacity_ub_lemma3(params: GaussianRelayParams) -> float:
@@ -116,11 +116,11 @@ def capacity_ub_relaxed(params: GaussianRelayParams) -> float:
     return min(_broadcast_cut(g), _direct_link(g) + c0 - relaxed_gap_inverse(c0))
 
 
-def report(params: GaussianRelayParams, tol: Tolerance = DEFAULT_TOL) -> GaussianBoundReport:
+def report(params: GaussianRelayParams) -> GaussianBoundReport:
     """Evaluate all four bounds and their minimum."""
     values = (
         cutset_bound(params),
-        capacity_ub_lemma2(params, tol),
+        capacity_ub_lemma2(params),
         capacity_ub_lemma3(params),
         capacity_ub_relaxed(params),
     )
@@ -147,9 +147,12 @@ def baseline_curve_inverse(c0: float) -> float:
     return 0.5 * s * s
 
 
-def emit_fig1_curves(
-    h1_max: float, n_points: int, tol: Tolerance = DEFAULT_TOL
-) -> CurveTable:
+def _table(columns: tuple[str, ...], *values) -> CurveTable:
+    rows = np.column_stack(values).tolist()
+    return CurveTable(columns=columns, rows=tuple(map(tuple, rows)))
+
+
+def emit_fig1_curves(h1_max: float, n_points: int) -> CurveTable:
     """Gap-tradeoff table: columns h1, h2_relaxed, h2_lemma3.
 
     h2_relaxed follows the reference thin curve 2*h1 + sqrt(2*h1); h2_lemma3
@@ -160,24 +163,19 @@ def emit_fig1_curves(
         raise DomainError("h1_max must be positive")
     if n_points < 2:
         raise DomainError("n_points must be at least 2")
-    rows = []
-    for i in range(n_points):
-        h1 = h1_max * i / (n_points - 1)
-        thin = 2.0 * h1 + math.sqrt(2.0 * h1)
-        thick = lemma3_h2max(h1, tol)
-        rows.append((h1, thin, thick))
-    return CurveTable(columns=("h1", "h2_relaxed", "h2_lemma3"), rows=tuple(rows))
+    h1 = h1_max * np.arange(n_points) / (n_points - 1)
+    thin = 2.0 * h1 + np.sqrt(2.0 * h1)
+    return _table(("h1", "h2_relaxed", "h2_lemma3"), h1, thin, lemma3_h2max(h1))
 
 
-def emit_fig2_curves(
-    snr: float, c0_max: float, n_points: int, tol: Tolerance = DEFAULT_TOL
-) -> CurveTable:
+def emit_fig2_curves(snr: float, c0_max: float, n_points: int) -> CurveTable:
     """Capacity-bound table over a uniform C0 grid.
 
     Columns: c0, cutset, relaxed, lemma2, lemma3, lemma3_unclipped.  The
     `relaxed` column reproduces the reference baseline curve exactly (the
     parametric map C0 = 2r + sqrt(2r) |-> C0 - r + 0.5*ln(1+snr), unclipped);
     `lemma3` is clipped at the broadcast cut while `lemma3_unclipped` is not.
+    Each `lemma2` entry is `capacity_ub_lemma2` at its row's C0.
     """
     if not (math.isfinite(snr) and snr > 0.0):
         raise DomainError(f"snr must be positive and finite, got {snr!r}")
@@ -189,17 +187,17 @@ def emit_fig2_curves(
 
     cut_cap = _broadcast_cut(snr)
     direct = _direct_link(snr)
-    rows = []
-    for i in range(n_points):
-        c0 = c0_max * i / (n_points - 1)
-        params = GaussianRelayParams(power=snr, noise=1.0, relay_rate=c0)
-        cutset = cutset_bound(params)
-        relaxed_curve = direct + c0 - baseline_curve_inverse(c0)
-        lemma2 = capacity_ub_lemma2(params, tol)
-        unclipped = direct + lemma3_gap(c0)
-        lemma3 = min(cut_cap, unclipped)
-        rows.append((c0, cutset, relaxed_curve, lemma2, lemma3, unclipped))
-    return CurveTable(
-        columns=("c0", "cutset", "relaxed", "lemma2", "lemma3", "lemma3_unclipped"),
-        rows=tuple(rows),
+    c0 = c0_max * np.arange(n_points) / (n_points - 1)
+    s = 2.0 * c0 / (1.0 + np.sqrt(1.0 + 4.0 * c0))  # baseline_curve_inverse is s^2/2
+    # capacity_ub_lemma2 inlined: a GaussianRelayParams per row would more than double the cost
+    lemma2 = [min(cut_cap, direct + c - gauss_gap_inverse(c)) for c in c0.tolist()]
+    unclipped = direct + 0.5 * np.log1p(2.0 * c0)
+    return _table(
+        ("c0", "cutset", "relaxed", "lemma2", "lemma3", "lemma3_unclipped"),
+        c0,
+        np.minimum(cut_cap, direct + c0),
+        direct + c0 - 0.5 * s * s,
+        lemma2,
+        np.minimum(cut_cap, unclipped),
+        unclipped,
     )

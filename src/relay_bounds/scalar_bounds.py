@@ -10,13 +10,17 @@ of the source-side rate ``h1``:
            = 0.5*ln(1 + h + sqrt(h^2 + 2h)) + 0.5*(h + sqrt(h^2 + 2h))
 * relaxed Gaussian baseline:   h2 <= h1 + sqrt(2*h1)
 * implicit Gaussian bound:     h2 - h1 <= 0.5*ln(1 + 2*h2)
-* bounded-density channels:    h2 <= c_alpha(h1) where
-      c_alpha(h) = min_{t>0} { (alpha-1)*t + h / (1 - e^{-t}) }
-  and alpha >= 1 is the peak output-density ratio of the channel.
+* bounded-density channels:    h2 <= c_alpha(h1) = 2*(alpha-1) * c(h1 / (2*(alpha-1)))
+  where c_alpha(h) = min_{t>0} { (alpha-1)*t + h / (1 - e^{-t}) } and
+  alpha >= 1 is the peak output-density ratio of the channel.
 
 Each closed form is paired with an independent numerical oracle (golden-
-section minimization of the variational objective), and each bound has an
-inverse used by the capacity-bound modules.  Everything here is a pure
+section minimization of the variational objective).  The inverses are closed
+forms through the Wright omega function and the W_{-1} branch of Lambert W
+(Corless et al. 1996): c^{-1}(c0) = u^2/(2(1+u)) with 1+u = omega(1 + 2*c0),
+and the implicit bound's largest h2 is v/2 with 1+v = -W_{-1}(-e^{-1-2*h1}).
+A few Halley steps take each root to double precision, so the inverses are
+accurate in relative terms at every rate.  Everything here is a pure
 function; there is no shared mutable state.
 """
 
@@ -24,6 +28,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
@@ -34,10 +40,14 @@ RATE_CAP = 1e15
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# A Halley step cubes the relative error, so one this small (relative to the
+# root) lands within rounding; a one-ulp stop could cycle between neighbours.
+_STEP_STOP = 1e-6
+
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute tolerance and iteration budget for the iterative solvers."""
+    """Absolute tolerance and iteration budget for the golden-section oracles."""
 
     abs_tol: float = 1e-10
     max_iter: int = 200
@@ -115,16 +125,17 @@ def gauss_gap_relaxed(h: float) -> float:
     return h + math.sqrt(2.0 * h)
 
 
-def gauss_gap_inverse(c0: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Solve c(h) = c0 for h by bisection on [0, c0].
+def gauss_gap_inverse(c0: float) -> float:
+    """Solve c(h) = c0 for h in closed form: h = u^2 / (2(1+u)).
 
-    The bracket is valid because c(h) >= h; the residual stopping rule
-    |c(h) - c0| <= abs_tol also pins h to abs_tol since c' > 1 everywhere.
+    With 1+u = 1 + h + sqrt(h^2 + 2h), c(h) = (u + ln(1+u))/2, so u solves
+    u + ln(1+u) = 2*c0; h is accurate to a few ulps in relative terms.
     """
     c0 = require_rate(c0, "c0")
     if c0 == 0.0:
         return 0.0
-    return _bisect_residual(gauss_gap_closed, c0, 0.0, c0, tol)
+    u = _solve_plus_log1p(2.0 * c0)
+    return u * u / (2.0 * (1.0 + u))
 
 
 def relaxed_gap_inverse(c0: float) -> float:
@@ -147,45 +158,23 @@ def lemma3_gap(h2: float) -> float:
     return 0.5 * math.log1p(2.0 * h2)
 
 
-def lemma3_h2max(h1: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def lemma3_h2max(h1: float | np.ndarray) -> float | np.ndarray:
     """Largest h2 compatible with source rate h1 under the implicit bound.
 
-    Inverts g(h2) = h2 - 0.5*ln(1 + 2*h2), which is strictly increasing with
-    g(0) = 0, by bisection; the bracket is expanded geometrically from a seed
-    interval that provably contains the root.
+    Inverts g(h2) = h2 - 0.5*ln(1 + 2*h2): h2 = v/2 where v >= 0 solves
+    v - ln(1+v) = 2*h1.  A float gives a float; an array gives an array of
+    its shape, each entry exactly as its float call would give it.
     """
-    h1 = require_rate(h1, "h1")
-    if h1 == 0.0:
-        return 0.0
-
-    def g(h2: float) -> float:
-        return h2 - 0.5 * math.log1p(2.0 * h2)
-
-    lo = h1  # g(h) <= h, so the root is >= h1
-    width = 0.5 * math.log1p(2.0 * (h1 + 2.0)) + 1.0
-    hi = h1 + width
-    for _ in range(tol.max_iter):
-        if g(hi) >= h1:
-            break
-        lo = hi
-        width *= 2.0
-        hi = h1 + width
-    else:
-        raise ConvergenceError(f"could not bracket the implicit-bound inverse for h1={h1}")
-
-    for _ in range(tol.max_iter):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # bracket exhausted at double precision
-            return mid
-        if g(mid) < h1:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol.abs_tol:
-            return 0.5 * (lo + hi)
-    raise ConvergenceError(
-        f"implicit-bound inverse did not reach width {tol.abs_tol} in {tol.max_iter} iterations"
-    )
+    x = np.asarray(h1, dtype=float)
+    bad = ~((x >= 0.0) & (x <= RATE_CAP))  # NaN fails both comparisons
+    if bad.any():
+        require_rate(x[bad].flat[0], "h1")
+    y = 2.0 * x.ravel()
+    v = np.zeros_like(y)
+    pos = y > 0.0
+    v[pos] = _solve_minus_log1p(y[pos])
+    h2 = 0.5 * v.reshape(x.shape)
+    return float(h2) if h2.ndim == 0 else h2
 
 
 # ---------------------------------------------------------------------------
@@ -196,25 +185,20 @@ def lemma3_h2max(h1: float, tol: Tolerance = DEFAULT_TOL) -> float:
 def bdd_gap_closed(h: float, alpha: float) -> float:
     """Closed-form bounded-density entropy-gap bound c_alpha(h).
 
-    With beta = h/(alpha-1):
-        c_alpha(h) = (alpha-1) * [ ln(1 + beta/2 + sqrt(beta + beta^2/4))
-                                   + beta/2 + sqrt(beta + beta^2/4) ].
-    alpha = 1 is the exact limit c_1(h) = h.
+    With eps = alpha-1, t -> 2t in the variational form gives the exact
+    identity c_alpha(h) = 2*eps * c(h/(2*eps)); where h/(2*eps) exceeds the
+    range of c, h + eps*(1 + ln(h/eps)) is exact to double precision (the
+    error is O(eps^2/h)).  alpha = 1 is the exact limit c_1(h) = h.
     """
     h = require_rate(h)
     alpha = require_alpha(alpha)
-    if h == 0.0:
-        return 0.0
     eps = alpha - 1.0
-    if eps == 0.0:
+    if h == 0.0 or eps == 0.0:
         return h
-    beta = h / eps
-    if eps < 1e-12 and beta > 1e4:
-        # large-beta expansion: c_alpha(h) = h + eps*(1 + ln(beta)) + O(eps/beta^2);
-        # below beta ~ 1e4 the direct form is already cancellation-free
-        return h + eps * (1.0 + math.log(beta))
-    root = math.sqrt(beta) * math.sqrt(1.0 + 0.25 * beta)  # sqrt(beta + beta^2/4)
-    return eps * (math.log1p(0.5 * beta + root) + 0.5 * beta + root)
+    half_beta = h / (2.0 * eps)
+    if half_beta > RATE_CAP:
+        return h + eps * (1.0 + math.log(h / eps))
+    return 2.0 * eps * gauss_gap_closed(half_beta)
 
 
 def bdd_gap_variational(h: float, alpha: float, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -233,20 +217,75 @@ def bdd_gap_variational(h: float, alpha: float, tol: Tolerance = DEFAULT_TOL) ->
     return _minimize_unimodal(objective, tol)
 
 
-def bdd_gap_inverse(c0: float, alpha: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Solve c_alpha(h) = c0 for h by bisection on [0, c0] (valid: c_alpha(h) >= h)."""
+def bdd_gap_inverse(c0: float, alpha: float) -> float:
+    """Solve c_alpha(h) = c0 for h in closed form: h = eps * v^2 / (1+v).
+
+    From c_alpha(h) = 2*eps * c(h/(2*eps)) with eps = alpha-1, v solves
+    v + ln(1+v) = c0/eps, as u does in `gauss_gap_inverse`.
+    """
     c0 = require_rate(c0, "c0")
     alpha = require_alpha(alpha)
     if c0 == 0.0:
         return 0.0
-    if alpha == 1.0:
+    eps = alpha - 1.0
+    if eps == 0.0:
         return c0  # c_1 is the identity
-    return _bisect_residual(lambda x: bdd_gap_closed(x, alpha), c0, 0.0, c0, tol)
+    v = _solve_plus_log1p(c0 / eps)
+    return eps * (v * v / (1.0 + v))
 
 
 # ---------------------------------------------------------------------------
 # Solver internals
 # ---------------------------------------------------------------------------
+
+
+def _solve_plus_log1p(y: float) -> float:
+    """The root u > 0 of u + log1p(u) = y > 0, so that 1+u = omega(1+y).
+
+    Halley steps on the concave u + log1p(u) - y from y/2 (y < 1) or from
+    y - log1p(y - log1p(y)); at most three anywhere in double range.
+    """
+    u = 0.5 * y if y < 1.0 else y - math.log1p(y - math.log1p(y))
+    for _ in range(8):
+        f = u + math.log1p(u) - y
+        d1 = 1.0 + 1.0 / (1.0 + u)
+        step = f / (d1 + 0.5 * f / (d1 * (1.0 + u) * (1.0 + u)))
+        u -= step
+        if abs(step) <= _STEP_STOP * u:
+            break
+    return u
+
+
+def _log1p_excess(v: np.ndarray) -> np.ndarray:
+    """v - log1p(v) for v >= 0; below 0.1 by a series that does not cancel.
+
+    With z = v/(2+v), log1p(v) = 2*atanh(z), so v - log1p(v) = v*z - 2*(z^3/3 + z^5/5 + ...).
+    """
+    z = v / (2.0 + v)
+    z2 = z * z
+    tail = 1 / 3 + z2 * (1 / 5 + z2 * (1 / 7 + z2 * (1 / 9 + z2 * (1 / 11 + z2 / 13))))
+    return np.where(v < 0.1, v * z - 2.0 * z * z2 * tail, v - np.log1p(v))
+
+
+def _solve_minus_log1p(y: np.ndarray) -> np.ndarray:
+    """The roots v > 0 of v - log1p(v) = y > 0, entry by entry.
+
+    Halley steps on the convex v - log1p(v) - y from q + q^2/3 + q^3/36 with
+    q = sqrt(2y) (y < 2) or from y + log1p(y + log1p(y)).  A stopped entry is
+    not stepped again, so no entry depends on the others.
+    """
+    q = np.sqrt(2.0 * y)
+    v = np.where(y < 2.0, q + q * q * (1 / 3 + q / 36), y + np.log1p(y + np.log1p(y)))
+    active = np.ones(y.shape, dtype=bool)
+    for _ in range(8):
+        f = _log1p_excess(v) - y
+        d1 = v / (1.0 + v)
+        step = np.where(active, f / (d1 - 0.5 * f / (d1 * (1.0 + v) * (1.0 + v))), 0.0)
+        v = v - step
+        active &= np.abs(step) > _STEP_STOP * v
+        if not active.any():
+            break
+    return v
 
 
 def _bracket_minimum(f, t0: float, max_expand: int) -> tuple[float, float]:
@@ -292,23 +331,4 @@ def _minimize_unimodal(f, tol: Tolerance, t0: float = 1e-6) -> float:
     raise ConvergenceError(
         f"golden-section search did not reach bracket width {width_goal} "
         f"within {max(tol.max_iter, 100)} iterations"
-    )
-
-
-def _bisect_residual(f, target: float, lo: float, hi: float, tol: Tolerance) -> float:
-    """Bisect an increasing f to |f(x) - target| <= abs_tol on [lo, hi]."""
-    for _ in range(tol.max_iter):
-        mid = 0.5 * (lo + hi)
-        resid = f(mid) - target
-        if abs(resid) <= tol.abs_tol:
-            return mid
-        if mid <= lo or mid >= hi:  # adjacent doubles and still above tolerance
-            break
-        if resid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise ConvergenceError(
-        f"bisection did not reach residual {tol.abs_tol} for target {target} "
-        f"within {tol.max_iter} iterations"
     )

@@ -111,9 +111,15 @@ class TestDmcCommand:
         assert exc.value.code == 2
 
     def test_bad_tol_exit_2(self, bsc_file):
-        with pytest.raises(SystemExit) as exc:
-            main(["dmc", "--channel", bsc_file, "--c0", "0.1", "--tol", "-1"])
-        assert exc.value.code == 2
+        # no subcommand takes --tol: the scalar inverses are closed forms
+        for argv in (
+            ["gaussian", "--snr", "0.5", "--c0", "0.1"],
+            ["dmc", "--channel", bsc_file, "--c0", "0.1"],
+            ["curves", "--figure", "2"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--tol", "1e-10"])
+            assert exc.value.code == 2
 
     @pytest.mark.parametrize("flag", [["--seed", "3"], ["--starts", "4"], ["--grid-check"]])
     def test_solver_knobs_gone(self, bsc_file, flag):

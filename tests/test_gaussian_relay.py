@@ -18,6 +18,7 @@ from relay_bounds.gaussian_relay import (
     emit_fig2_curves,
     report,
 )
+from relay_bounds.scalar_bounds import lemma3_gap, lemma3_h2max
 
 HALF_LN_2 = 0.5 * math.log(2.0)  # 0.346574...
 HALF_LN_15 = 0.5 * math.log(1.5)  # 0.202733...
@@ -25,6 +26,10 @@ HALF_LN_15 = 0.5 * math.log(1.5)  # 0.202733...
 
 def params(snr: float, c0: float) -> GaussianRelayParams:
     return GaussianRelayParams(power=snr, noise=1.0, relay_rate=c0)
+
+
+def within_ulps(got: float, want: float, n: int) -> bool:
+    return abs(got - want) <= n * math.ulp(want)
 
 
 class TestParams:
@@ -181,6 +186,17 @@ class TestFig1Curves:
         assert len(tbl.rows) == 2
         assert tbl.rows[0][0] == 0.0 and tbl.rows[1][0] == 3.0
 
+    @pytest.mark.parametrize("h1_max,n", [(3.0, 512), (2.5, 97)])
+    def test_lemma3_column_equals_float_calls(self, h1_max, n):
+        tbl = emit_fig1_curves(h1_max, n)
+        for h1, _, thick in tbl.rows:
+            assert type(thick) is float and thick == lemma3_h2max(h1)
+
+    def test_relaxed_column_matches_per_point_formula(self):
+        for i, (h1, thin, _) in enumerate(emit_fig1_curves(3.0, 512).rows):
+            assert h1 == 3.0 * i / 511
+            assert within_ulps(thin, 2.0 * h1 + math.sqrt(2.0 * h1), 2)
+
     def test_invalid_grid(self):
         with pytest.raises(DomainError):
             emit_fig1_curves(3.0, 1)
@@ -215,3 +231,21 @@ class TestFig2Curves:
         for col in range(1, 6):
             values = [row[col] for row in tbl.rows]
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("snr,c0_max,n", [(0.5, 0.27, 512), (0.4, 0.3, 512), (3.0, 2.0, 65)])
+    def test_lemma2_column_equals_scalar_bound(self, snr, c0_max, n):
+        for row in emit_fig2_curves(snr, c0_max, n).rows:
+            assert row[3] == capacity_ub_lemma2(params(snr, row[0]))
+
+    @pytest.mark.parametrize("snr,c0_max,n", [(0.5, 0.27, 512), (0.4, 0.3, 512), (3.0, 2.0, 65)])
+    def test_columns_match_per_point_formulas(self, snr, c0_max, n):
+        direct = 0.5 * math.log1p(snr)
+        for i, row in enumerate(emit_fig2_curves(snr, c0_max, n).rows):
+            c0 = row[0]
+            assert c0 == c0_max * i / (n - 1)
+            assert all(type(value) is float for value in row)
+            p = params(snr, c0)
+            assert within_ulps(row[1], cutset_bound(p), 2)
+            assert within_ulps(row[2], direct + c0 - baseline_curve_inverse(c0), 2)
+            assert within_ulps(row[4], capacity_ub_lemma3(p), 2)
+            assert within_ulps(row[5], direct + lemma3_gap(c0), 2)

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relay_bounds.errors import ConvergenceError, DomainError
+from relay_bounds.errors import DomainError
 from relay_bounds.scalar_bounds import (
     DEFAULT_TOL,
     Tolerance,
     bdd_gap_closed,
     bdd_gap_inverse,
+    RATE_CAP,
     bdd_gap_variational,
     gauss_gap_closed,
     gauss_gap_inverse,
@@ -107,7 +108,7 @@ class TestGaussGapInverse:
 
     def test_round_trip_point(self):
         c = gauss_gap_closed(0.3)
-        assert gauss_gap_inverse(c) == pytest.approx(0.3, abs=DEFAULT_TOL.abs_tol * 10)
+        assert gauss_gap_inverse(c) == pytest.approx(0.3, rel=1e-14)
 
     def test_residual_at_one(self):
         h = gauss_gap_inverse(1.0)
@@ -116,10 +117,6 @@ class TestGaussGapInverse:
     def test_round_trips_on_grid(self):
         for h in LOG_GRID:
             assert abs(gauss_gap_inverse(gauss_gap_closed(h)) - h) <= 1e-9
-
-    def test_max_iter_exhaustion(self):
-        with pytest.raises(ConvergenceError):
-            gauss_gap_inverse(1.0, Tolerance(abs_tol=1e-10, max_iter=3))
 
 
 class TestImplicitBound:
@@ -135,7 +132,7 @@ class TestImplicitBound:
 
     def test_h2max_round_trip(self):
         h1 = 1.0 - 0.5 * math.log(3.0)  # g(1.0)
-        assert lemma3_h2max(h1) == pytest.approx(1.0, abs=DEFAULT_TOL.abs_tol * 10)
+        assert lemma3_h2max(h1) == pytest.approx(1.0, rel=1e-14)
 
     def test_h2max_round_trips_on_grid(self):
         for h2 in np.logspace(-6, 3, 31):
@@ -171,6 +168,15 @@ class TestBddGap:
         for h in LOG_GRID:
             assert abs(bdd_gap_closed(h, alpha) - bdd_gap_variational(h, alpha)) <= 1e-8
 
+    @pytest.mark.parametrize("h", [1e-3, 1.0, 1e6])
+    def test_expansion_continuous_at_rate_cap(self, h):
+        # the expansion takes over where h/(2(alpha-1)) leaves the range of c
+        eps = h / (2.0 * RATE_CAP)
+        direct = bdd_gap_closed(h, 1.0 + eps * 1.001)
+        expanded = bdd_gap_closed(h, 1.0 + eps * 0.999)
+        assert expanded == pytest.approx(direct, rel=1e-15)
+        assert expanded <= direct
+
     def test_tiny_alpha_minus_one_expansion(self):
         # the expansion branch must stay continuous with the direct formula
         direct = bdd_gap_closed(0.3, 1.0 + 1e-11)
@@ -201,13 +207,83 @@ class TestBddGapInverse:
 
     def test_round_trip_point(self):
         c = bdd_gap_closed(0.2, 3.0)
-        assert bdd_gap_inverse(c, 3.0) == pytest.approx(0.2, abs=DEFAULT_TOL.abs_tol * 10)
+        assert bdd_gap_inverse(c, 3.0) == pytest.approx(0.2, rel=1e-14)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_round_trips_on_grid(self, alpha):
         for h in np.logspace(-6, 2, 17):
             c = bdd_gap_closed(h, alpha)
             assert abs(bdd_gap_inverse(c, alpha) - h) <= 1e-9
+
+
+class TestInverseAccuracy:
+    """Relative error of the inverses against 50-digit roots of their defining equations."""
+
+    GRID = np.logspace(-12, 12, 49)
+    REL = 4 * 4e-16
+
+    @staticmethod
+    def root(f, lo, hi):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            return mp.findroot(f, (mp.mpf(lo), mp.mpf(hi)), solver="anderson")
+
+    @staticmethod
+    def c_mp(h):
+        import mpmath as mp
+
+        s = mp.sqrt(h * h + 2 * h)
+        return mp.log1p(h + s) / 2 + (h + s) / 2
+
+    def assert_close(self, got, want):
+        assert abs(got - want) <= self.REL * abs(want), (got, want)
+
+    def test_gauss_gap_inverse(self):
+        for c0 in self.GRID:
+            c0 = float(c0)
+            want = self.root(lambda h: self.c_mp(h) - c0, 0.0, c0)  # c(h) >= h
+            self.assert_close(gauss_gap_inverse(c0), want)
+
+    @pytest.mark.parametrize("alpha", ALPHAS + (1.0 + 1e-13,))
+    def test_bdd_gap_inverse(self, alpha):
+        import mpmath as mp
+
+        for c0 in self.GRID:
+            c0 = float(c0)
+            with mp.workdps(50):
+                eps = mp.mpf(alpha) - 1
+                want = self.root(lambda h: 2 * eps * self.c_mp(h / (2 * eps)) - c0, 0.0, c0)
+            self.assert_close(bdd_gap_inverse(c0, alpha), want)
+
+    def test_lemma3_h2max_float_and_array(self):
+        import mpmath as mp
+
+        got = lemma3_h2max(self.GRID)
+        assert isinstance(got, np.ndarray) and got.shape == self.GRID.shape
+        for h1, h2 in zip(self.GRID.tolist(), got.tolist()):
+            lo = max(h1, math.sqrt(h1))  # g(h2) = h2 - ln(1+2h2)/2 <= min(h2, h2^2)
+            hi = 2.0 * h1 + 2.0 * math.sqrt(h1) + 1.0  # g(hi) >= h1
+            want = self.root(lambda x: x - mp.log1p(2 * x) / 2 - h1, lo, hi)
+            self.assert_close(h2, want)
+            scalar = lemma3_h2max(h1)
+            assert isinstance(scalar, float) and scalar == h2
+
+    def test_lemma3_h2max_near_series_switch(self):
+        import mpmath as mp
+
+        # v = 2*h2 crosses the series threshold 0.1 of the residual here
+        for v in np.linspace(0.02, 0.5, 97).tolist():
+            h1 = 0.5 * (v - math.log1p(v))
+            want = self.root(lambda x: x - mp.log1p(2 * x) / 2 - h1, math.sqrt(h1), 1.0)
+            self.assert_close(lemma3_h2max(h1), want)
+
+    def test_lemma3_h2max_keeps_shape_and_validates(self):
+        grid = np.array([[0.0, 0.5], [1.0, 2.0]])
+        assert lemma3_h2max(grid).shape == (2, 2)
+        assert lemma3_h2max(grid)[0, 0] == 0.0
+        for bad in (-1e-3, float("nan"), 2e15):
+            with pytest.raises(DomainError):
+                lemma3_h2max(np.array([0.1, bad]))
 
 
 class TestAsymptotics:
