@@ -13,9 +13,9 @@ quadrature, the inequalities that power the capacity bounds:
 * the entropy-gap bounds themselves, via exact relay-instance enumeration
   (discrete channels) and quantizer instances (Gaussian links at n = 1).
 
-Random suites derive one RNG stream per instance from (seed, index), so
-results do not depend on execution order and any failure can be replayed
-from its record.
+`SUITES` names the seven randomized suites.  Each derives one RNG stream
+per instance from (seed, index), so results do not depend on execution order
+and any failure can be replayed from its record.
 """
 
 from __future__ import annotations
@@ -470,13 +470,27 @@ class SuiteRecord:
     passed: bool
 
 
-def _instance_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng((seed, index))
+def _run(
+    suite: str,
+    tol: float,
+    n_instances: int,
+    seed: int,
+    draw: Callable[[np.random.Generator], tuple[dict, float]],
+) -> list[SuiteRecord]:
+    """Records of `draw(rng) -> (instance, margin)`, drawn from the stream (seed, index).
+
+    An instance passes when its margin is at least -tol.
+    """
+    records = []
+    for idx in range(n_instances):
+        instance, margin = draw(np.random.default_rng((seed, idx)))
+        records.append(SuiteRecord(suite, idx, instance, float(margin), bool(margin >= -tol)))
+    return records
 
 
-def _random_semigroup(rng, n=None, k=None, t=None, p=None, q=None):
+def _random_semigroup(rng, n=None, t=None, p=None, q=None):
     n = int(rng.integers(1, 4)) if n is None else int(n)
-    k = int(rng.integers(2, 5)) if k is None else int(k)
+    k = int(rng.integers(2, 5))
     factors = tuple(rng.dirichlet(np.ones(k)) for _ in range(n))
     if p is None or q is None:
         if rng.random() < 0.1:
@@ -491,8 +505,9 @@ def _random_semigroup(rng, n=None, k=None, t=None, p=None, q=None):
         extra = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 2.0))
         # 20% of draws sit exactly at the critical time (0 for the p = q baseline)
         t = critical * (1.0 + extra) if critical > 0.0 else extra
-    t = float(t)
-    sg = SemiSimpleSemigroup(factors, t)
+    elif t == "critical":
+        t = critical
+    sg = SemiSimpleSemigroup(factors, float(t))
     vals = rng.random(sg.shape)
     if rng.random() < 0.25:
         vals = np.where(rng.random(sg.shape) < 0.3, 0.0, vals)
@@ -506,42 +521,35 @@ def mossel_suite(
     seed: int,
     *,
     n: int | None = None,
-    k: int | None = None,
-    t: float | None = None,
+    t: float | str | None = None,
     p: float | None = None,
     q: float | None = None,
-    tol: float = 1e-12,
 ) -> list[SuiteRecord]:
-    """Randomized reverse-hypercontractivity margins for semi-simple semigroups."""
-    records = []
-    for idx in range(n_instances):
-        rng = _instance_rng(seed, idx)
-        sg, f, pp, qq, critical = _random_semigroup(rng, n=n, k=k, t=t, p=p, q=q)
-        margin = check_mossel(sg, f, pp, qq)
-        records.append(
-            SuiteRecord(
-                suite="mossel",
-                index=idx,
-                instance={
-                    "n": len(sg.factors),
-                    "alphabet": sg.shape[0],
-                    "p": pp,
-                    "q": qq,
-                    "t": sg.time,
-                    "critical": critical,
-                },
-                margin=float(margin),
-                passed=bool(margin >= -tol),
-            )
-        )
-    return records
+    """Randomized reverse-hypercontractivity margins for semi-simple semigroups.
+
+    n, t and the pair (p, q) are drawn per instance unless given;
+    t="critical" puts every instance at its critical time ln((1-q)/(1-p)).
+    """
+
+    def draw(rng):
+        sg, f, pp, qq, critical = _random_semigroup(rng, n=n, t=t, p=p, q=q)
+        instance = {
+            "n": len(sg.factors),
+            "alphabet": sg.shape[0],
+            "p": pp,
+            "q": qq,
+            "t": sg.time,
+            "critical": critical,
+        }
+        return instance, check_mossel(sg, f, pp, qq)
+
+    return _run("mossel", 1e-12, n_instances, seed, draw)
 
 
-def mossel_q0_suite(n_instances: int, seed: int, *, tol: float = 1e-12) -> list[SuiteRecord]:
+def mossel_q0_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
     """q = 0 specialization margins E[ln T_t f] - (1 + 1/t) ln E[f] on [0,1] tables."""
-    records = []
-    for idx in range(n_instances):
-        rng = _instance_rng(seed, idx)
+
+    def draw(rng):
         n = int(rng.integers(1, 4))
         k = int(rng.integers(2, 5))
         factors = tuple(rng.dirichlet(np.ones(k)) for _ in range(n))
@@ -552,81 +560,44 @@ def mossel_q0_suite(n_instances: int, seed: int, *, tol: float = 1e-12) -> list[
             vals = np.where(rng.random(sg.shape) < 0.3, 0.0, vals)
         if not vals.any():
             vals[(0,) * n] = 0.5
-        f = ProductFunction(vals)
-        margin = mossel_q0_margin(sg, f)
-        records.append(
-            SuiteRecord(
-                suite="mossel-q0",
-                index=idx,
-                instance={"n": n, "alphabet": k, "t": t},
-                margin=float(margin),
-                passed=bool(margin >= -tol),
-            )
-        )
-    return records
+        return {"n": n, "alphabet": k, "t": t}, mossel_q0_margin(sg, ProductFunction(vals))
+
+    return _run("mossel-q0", 1e-12, n_instances, seed, draw)
 
 
-def borell_suite(
-    n_instances: int,
-    seed: int,
-    *,
-    t_factor: float = 1.0,
-    tol: float = 1e-12,
-) -> list[SuiteRecord]:
+def borell_suite(n_instances: int, seed: int, *, t_factor: float = 1.0) -> list[SuiteRecord]:
     """Closed-form Borell margins for exponential functions at t_factor * critical."""
-    records = []
-    for idx in range(n_instances):
-        rng = _instance_rng(seed, idx)
+
+    def draw(rng):
         lam = float(rng.uniform(0.1, 2.0)) * (1.0 if rng.random() < 0.5 else -1.0)
         x = float(rng.uniform(-3.0, 3.0))
         q = float(rng.uniform(-2.0, 0.8))
         p = float(rng.uniform(q + 0.05, min(q + 2.0, 0.999)))
         critical = borell_critical_time(p, q)
         t = t_factor * critical
-        margin = check_borell_exponential(lam, x, p, q, t)
-        records.append(
-            SuiteRecord(
-                suite="borell-exp",
-                index=idx,
-                instance={"lam": lam, "x": x, "p": p, "q": q, "t": t, "critical": critical},
-                margin=float(margin),
-                passed=bool(margin >= -tol),
-            )
-        )
-    return records
+        instance = {"lam": lam, "x": x, "p": p, "q": q, "t": t, "critical": critical}
+        return instance, check_borell_exponential(lam, x, p, q, t)
+
+    return _run("borell-exp", 1e-12, n_instances, seed, draw)
 
 
-def ou_q0_suite(
-    n_instances: int,
-    seed: int,
-    *,
-    rule: QuadratureRule = DEFAULT_RULE,
-    tol: float = 1e-9,
-) -> list[SuiteRecord]:
+def ou_q0_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
     """Quadrature margins for the OU q = 0 inequality on squashed test functions."""
-    records = []
-    for idx in range(n_instances):
-        rng = _instance_rng(seed, idx)
+
+    def draw(rng):
         a = float(rng.uniform(0.3, 3.0))
         b = float(rng.uniform(-2.0, 2.0))
         floor = float(rng.uniform(0.0, 0.2))
 
-        def f(u, a=a, b=b, floor=floor):
+        def f(u):
             return floor + (1.0 - floor) / (1.0 + np.exp(-a * (u - b)))
 
         x = float(rng.uniform(-2.0, 2.0))
         t = float(rng.uniform(0.05, 2.5))
-        margin = check_ou_q0(f, x, t, rule)
-        records.append(
-            SuiteRecord(
-                suite="ou-q0",
-                index=idx,
-                instance={"x": x, "t": t, "slope": a, "shift": b, "floor": floor},
-                margin=float(margin),
-                passed=bool(margin >= -tol),
-            )
-        )
-    return records
+        instance = {"x": x, "t": t, "slope": a, "shift": b, "floor": floor}
+        return instance, check_ou_q0(f, x, t)
+
+    return _run("ou-q0", 1e-9, n_instances, seed, draw)
 
 
 def _random_relay_instance(rng) -> RelayInstance:
@@ -647,46 +618,31 @@ def _random_relay_instance(rng) -> RelayInstance:
     return RelayInstance(channel, codebook, partition)
 
 
-def relay_oracle_suite(n_instances: int, seed: int, *, tol: float = 1e-9) -> list[SuiteRecord]:
+def relay_oracle_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
     """End-to-end check h2 <= c_alpha(h1) on exactly enumerated relay instances."""
-    records = []
-    for idx in range(n_instances):
-        rng = _instance_rng(seed, idx)
+
+    def draw(rng):
         inst = _random_relay_instance(rng)
         h1, h2 = brute_force_entropy_gap(inst)
         alpha = alpha_of_channel(inst.channel)
-        margin = bdd_gap_closed(h1, alpha) - h2
-        records.append(
-            SuiteRecord(
-                suite="lemma4",
-                index=idx,
-                instance={
-                    "channel": inst.channel.matrix.tolist(),
-                    "codebook": [list(w) for w in inst.codebook],
-                    "cells": int(inst.relay_partition.max()) + 1,
-                    "n": inst.blocklength,
-                    "alpha": alpha,
-                    "h1": h1,
-                    "h2": h2,
-                },
-                margin=float(margin),
-                passed=bool(margin >= -tol),
-            )
-        )
-    return records
+        instance = {
+            "channel": inst.channel.matrix.tolist(),
+            "codebook": [list(w) for w in inst.codebook],
+            "cells": int(inst.relay_partition.max()) + 1,
+            "n": inst.blocklength,
+            "alpha": alpha,
+            "h1": h1,
+            "h2": h2,
+        }
+        return instance, bdd_gap_closed(h1, alpha) - h2
+
+    return _run("lemma4", 1e-9, n_instances, seed, draw)
 
 
-def quantizer_oracle_suite(
-    n_instances: int,
-    seed: int,
-    *,
-    rule: QuadratureRule = DEFAULT_RULE,
-    tol: float = 1e-6,
-) -> list[SuiteRecord]:
+def quantizer_oracle_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
     """Gaussian quantizer margins against both scalar entropy-gap bounds."""
-    records = []
-    for idx in range(n_instances):
-        rng = _instance_rng(seed, idx)
+
+    def draw(rng):
         k = int(rng.integers(2, 5))
         xs = np.sort(rng.uniform(-3.0, 3.0, size=k))
         while np.any(np.diff(xs) < 1e-3):
@@ -695,34 +651,26 @@ def quantizer_oracle_suite(
         taus = np.sort(rng.uniform(-3.0, 3.0, size=n_taus))
         while np.any(np.diff(taus) < 1e-3):
             taus = np.sort(rng.uniform(-3.0, 3.0, size=n_taus))
-        h1, h2 = gaussian_quantizer_gap(xs, taus, rule)
+        h1, h2 = gaussian_quantizer_gap(xs, taus)
         margin_gap = gauss_gap_closed(h1) - h2
         margin_log = 0.5 * math.log1p(2.0 * h2) - (h2 - h1)
-        margin = min(margin_gap, margin_log)
-        records.append(
-            SuiteRecord(
-                suite="quantizer",
-                index=idx,
-                instance={
-                    "constellation": xs.tolist(),
-                    "thresholds": taus.tolist(),
-                    "h1": h1,
-                    "h2": h2,
-                    "margin_gap": margin_gap,
-                    "margin_log": margin_log,
-                },
-                margin=float(margin),
-                passed=bool(margin >= -tol),
-            )
-        )
-    return records
+        instance = {
+            "constellation": xs.tolist(),
+            "thresholds": taus.tolist(),
+            "h1": h1,
+            "h2": h2,
+            "margin_gap": margin_gap,
+            "margin_log": margin_log,
+        }
+        return instance, min(margin_gap, margin_log)
+
+    return _run("quantizer", 1e-6, n_instances, seed, draw)
 
 
-def semigroup_suite(n_instances: int, seed: int, *, tol: float = 1e-12) -> list[SuiteRecord]:
+def semigroup_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
     """Structural margins: semigroup law, stationarity, unitality, positivity."""
-    records = []
-    for idx in range(n_instances):
-        rng = _instance_rng(seed, idx)
+
+    def draw(rng):
         sg, f, _, _, _ = _random_semigroup(rng, p=0.5, q=0.5, t=0.0)
         t1 = float(rng.uniform(0.0, 2.0))
         t2 = float(rng.uniform(0.0, 2.0))
@@ -734,14 +682,20 @@ def semigroup_suite(n_instances: int, seed: int, *, tol: float = 1e-12) -> list[
         ones = ProductFunction(np.ones(sg.shape))
         dev_unit = float(np.max(np.abs(apply_semisimple(sg.at_time(t1), ones).values - 1.0)))
         positivity = float(one_step.values.min())
-        margin = -max(dev_law, dev_stat, dev_unit, -positivity)
-        records.append(
-            SuiteRecord(
-                suite="semigroup",
-                index=idx,
-                instance={"n": len(sg.factors), "alphabet": sg.shape[0], "t1": t1, "t2": t2},
-                margin=float(margin),
-                passed=bool(margin >= -tol),
-            )
-        )
-    return records
+        instance = {"n": len(sg.factors), "alphabet": sg.shape[0], "t1": t1, "t2": t2}
+        return instance, -max(dev_law, dev_stat, dev_unit, -positivity)
+
+    return _run("semigroup", 1e-12, n_instances, seed, draw)
+
+
+# Every suite by its `relay-bounds verify --suite` name, in the order
+# `--suite all` runs them.
+SUITES: dict[str, Callable[..., list[SuiteRecord]]] = {
+    "mossel": mossel_suite,
+    "mossel-q0": mossel_q0_suite,
+    "borell-exp": borell_suite,
+    "ou-q0": ou_q0_suite,
+    "lemma4": relay_oracle_suite,
+    "quantizer": quantizer_oracle_suite,
+    "semigroup": semigroup_suite,
+}

@@ -1,12 +1,15 @@
 """CLI tests: flags, exit codes, deterministic output, CSV round trips."""
 
+import argparse
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from relay_bounds.cli import main, read_channel_csv, write_channel_csv
+from relay_bounds import rhc_verify
+from relay_bounds.cli import build_parser, main, read_channel_csv, write_channel_csv
 from relay_bounds.dmc_relay import DiscreteChannel
 
 
@@ -229,6 +232,100 @@ class TestVerifyCommand:
         assert code == 0
         records = [json.loads(line) for line in blob.decode().splitlines()]
         assert all(r["instance"]["t"] == 0.0 for r in records)
+
+    def test_mossel_t_critical(self, tmp_path):
+        code, blob = run_to_file(
+            tmp_path,
+            ["verify", "--suite", "mossel", "--instances", "200", "--t", "critical"],
+            "rep.jsonl",
+        )
+        assert code == 0
+        records = [json.loads(line) for line in blob.decode().splitlines()]
+        assert len(records) == 200
+        assert all(r["instance"]["t"] == r["instance"]["critical"] for r in records)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--suite", "borell-exp", "--t", "0.01"],
+            ["--suite", "borell-exp", "--t", "critical", "--t-factor", "0.9"],
+            ["--suite", "lemma4", "--p", "0.5"],
+            ["--suite", "mossel", "--t-factor", "0.9"],
+            ["--suite", "mossel", "--p", "0.5"],
+            ["--t", "critical", "--t-factor", "0.9"],
+        ],
+    )
+    def test_unread_flag_exit_2(self, tmp_path, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *flags, "--instances", "3", "--output", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "suite, flags",
+        [
+            ("mossel", ["--n", "1", "--t", "0", "--p", "0.5", "--q", "0.5"]),
+            ("mossel", ["--t", "critical"]),
+            ("borell-exp", ["--t-factor", "1.1"]),
+        ],
+    )
+    def test_all_passes_flags_to_their_suite(self, tmp_path, suite, flags):
+        n = ["--instances", "4"]
+        _, alone = run_to_file(tmp_path, ["verify", "--suite", suite, *n, *flags], "a.jsonl")
+        _, every = run_to_file(tmp_path, ["verify", *n, *flags], "b.jsonl")
+        mine = [line for line in every.splitlines() if json.loads(line)["suite"] == suite]
+        assert mine == alone.splitlines()
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_instances_below_one_exit_2(self, tmp_path, count):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--instances", count, "--output", str(tmp_path / "r")])
+        assert exc.value.code == 2
+
+    def test_suite_choices_are_the_registry(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        verify = sub.choices["verify"]
+        suite = next(a for a in verify._actions if a.dest == "suite")
+        assert list(suite.choices) == ["all", *rhc_verify.SUITES]
+
+    def test_all_runs_registry_in_order(self, tmp_path):
+        code, blob = run_to_file(tmp_path, ["verify", "--instances", "2"], "rep.jsonl")
+        assert code == 0
+        records = [json.loads(line) for line in blob.decode().splitlines()]
+        assert [(r["suite"], r["index"]) for r in records] == [
+            (name, i) for name in rhc_verify.SUITES for i in range(2)
+        ]
+
+    def test_summary_matches_report(self, tmp_path, capsys):
+        code, blob = run_to_file(tmp_path, ["verify", "--instances", "30"], "rep.jsonl")
+        assert code == 0
+        records = [json.loads(line) for line in blob.decode().splitlines()]
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == len(rhc_verify.SUITES) + 1
+        pattern = re.compile(
+            r"(\S+): (\d+) instances, (\d+) failures, min margin (\S+) at index (\d+), "
+            r"\d+\.\d{3} s"
+        )
+        for name, line in zip(rhc_verify.SUITES, lines):
+            got = pattern.fullmatch(line)
+            assert got is not None, line
+            mine = [r for r in records if r["suite"] == name]
+            worst = min(mine, key=lambda r: r["margin"])
+            assert got.group(1) == name
+            assert int(got.group(2)) == len(mine) == 30
+            assert int(got.group(3)) == sum(not r["pass"] for r in mine)
+            assert float(got.group(4)) == worst["margin"]
+            assert int(got.group(5)) == worst["index"]
+        assert lines[-1] == f"{len(records)} instances, 0 failures"
+
+    def test_summary_counts_failures(self, tmp_path, capsys):
+        argv = ["verify", "--suite", "borell-exp", "--instances", "10", "--t-factor", "0.9"]
+        code, _ = run_to_file(tmp_path, argv, "rep.jsonl")
+        assert code == 3
+        first, last = capsys.readouterr().err.splitlines()
+        assert first.startswith("borell-exp: 10 instances, 10 failures, min margin ")
+        assert last == "10 instances, 10 failures"
 
     def test_seed_determinism(self, tmp_path):
         argv = ["verify", "--suite", "lemma4", "--instances", "25", "--seed", "7"]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from relay_bounds.dmc_relay import DiscreteChannel
 from relay_bounds.errors import DimensionError, DomainError
 from relay_bounds.rhc_verify import (
+    SUITES,
     ProductFunction,
     QuadratureRule,
     RelayInstance,
@@ -348,6 +349,19 @@ class TestQuantizerGap:
 class TestStructuralSuite:
     def test_semigroup_suite(self):
         records = semigroup_suite(150, 5)
+        assert all(r.passed for r in records)
+
+
+class TestSuiteRegistry:
+    @pytest.mark.parametrize("name", list(SUITES))
+    def test_records_carry_registry_name(self, name):
+        records = SUITES[name](3, 1)
+        assert [r.suite for r in records] == [name] * 3
+        assert [r.index for r in records] == [0, 1, 2]
+
+    def test_mossel_at_critical_time(self):
+        records = mossel_suite(200, 12345, t="critical")
+        assert all(r.instance["t"] == r.instance["critical"] for r in records)
         assert all(r.passed for r in records)
 
 
