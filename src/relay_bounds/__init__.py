@@ -15,10 +15,8 @@ from .dmc_relay import (
     capacity_ub_cor2,
     cutset_dmc,
     i_infinity,
-    mutual_info,
-    mutual_info_product,
 )
-from .errors import BoundsError, ConvergenceError, DimensionError, DomainError
+from .errors import BoundsError, DimensionError, DomainError
 from .gaussian_relay import (
     CurveTable,
     GaussianBoundReport,
@@ -46,15 +44,10 @@ from .rhc_verify import (
     ou_apply,
 )
 from .scalar_bounds import (
-    DEFAULT_TOL,
-    Tolerance,
     bdd_gap_closed,
     bdd_gap_inverse,
-    bdd_gap_variational,
     gauss_gap_closed,
     gauss_gap_inverse,
-    gauss_gap_relaxed,
-    gauss_gap_variational,
     lemma3_gap,
     lemma3_h2max,
     relaxed_gap_inverse,
@@ -64,9 +57,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundsError",
-    "ConvergenceError",
     "CurveTable",
-    "DEFAULT_TOL",
     "DimensionError",
     "DiscreteChannel",
     "DmcBoundReport",
@@ -78,12 +69,10 @@ __all__ = [
     "QuadratureRule",
     "RelayInstance",
     "SemiSimpleSemigroup",
-    "Tolerance",
     "alpha_of_channel",
     "apply_semisimple",
     "bdd_gap_closed",
     "bdd_gap_inverse",
-    "bdd_gap_variational",
     "brute_force_entropy_gap",
     "capacity_ub_cor2",
     "capacity_ub_lemma2",
@@ -98,15 +87,11 @@ __all__ = [
     "emit_fig2_curves",
     "gauss_gap_closed",
     "gauss_gap_inverse",
-    "gauss_gap_relaxed",
-    "gauss_gap_variational",
     "gaussian_quantizer_gap",
     "i_infinity",
     "lemma3_gap",
     "lemma3_h2max",
     "lp_norm",
-    "mutual_info",
-    "mutual_info_product",
     "ou_apply",
     "relaxed_gap_inverse",
     "report",

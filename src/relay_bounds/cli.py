@@ -21,6 +21,7 @@ import numpy as np
 from . import dmc_relay, gaussian_relay, rhc_verify
 from .errors import BoundsError, DomainError
 from .gaussian_relay import CurveTable, GaussianRelayParams
+from .scalar_bounds import require_rate
 
 DEFAULT_SEED = 12345
 SEED_ENV_VAR = "RELAY_BOUNDS_SEED"
@@ -107,12 +108,6 @@ def read_channel_csv(path: str) -> dmc_relay.DiscreteChannel:
     return dmc_relay.DiscreteChannel(np.array(rows))
 
 
-def write_channel_csv(path: str, channel: dmc_relay.DiscreteChannel) -> None:
-    lines = [",".join(_fmt(v) for v in row) for row in channel.matrix]
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -155,8 +150,11 @@ def cmd_dmc(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     except (OSError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.c0 < 0.0:
-        parser.error("--c0 must be nonnegative")
+    try:
+        require_rate(args.c0, "--c0")
+        dmc_relay.bound_alpha(channel, args.alpha_override)
+    except DomainError as exc:
+        parser.error(str(exc))
     rep = dmc_relay.capacity_ub_cor2(channel, args.c0, alpha_override=args.alpha_override)
     scale = _unit_scale(args)
     payload = {
@@ -223,6 +221,15 @@ def _suite_kwargs(
         parser.error("--t critical already puts borell-exp at its critical time; drop --t-factor")
     if (args.p is None) != (args.q is None):
         parser.error("--p and --q fix the mossel norm indices together; give both or neither")
+    if isinstance(t, float) and args.p is None:
+        parser.error("a numeric --t needs --p and --q: each drawn pair has its own critical time")
+    if args.p is not None:
+        try:
+            critical = rhc_verify.mossel_critical_time(args.p, args.q)
+        except DomainError as exc:
+            parser.error(str(exc))
+        if isinstance(t, float) and not t >= critical:
+            parser.error(f"--t {t!r} is below the critical time ln((1-q)/(1-p)) = {critical!r}")
     return {
         "mossel": {"n": args.n, "t": t, "p": args.p, "q": args.q},
         "borell-exp": {"t_factor": 1.0 if args.t_factor is None else args.t_factor},
@@ -295,14 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--noise", type=float, default=None, help="per-link noise variance N")
     g.add_argument("--c0", type=float, required=True, help="relay rate in nats")
     add_common(g)
-    g.set_defaults(func=cmd_gaussian)
+    g.set_defaults(func=cmd_gaussian, command_parser=g)
 
     d = sub.add_parser("dmc", help="discrete channel bound report")
     d.add_argument("--channel", required=True, help="CSV file, one row per input symbol")
     d.add_argument("--c0", type=float, required=True, help="relay rate in nats")
     d.add_argument("--alpha-override", type=float, default=None, dest="alpha_override")
     add_common(d)
-    d.set_defaults(func=cmd_dmc)
+    d.set_defaults(func=cmd_dmc, command_parser=d)
 
     c = sub.add_parser("curves", help="emit reference curve tables")
     c.add_argument("--figure", type=int, choices=(1, 2), required=True)
@@ -311,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--c0-max", type=float, default=0.27, dest="c0_max")
     c.add_argument("--points", type=int, default=512, help="grid resolution")
     add_common(c)
-    c.set_defaults(func=cmd_curves, format="csv")
+    c.set_defaults(func=cmd_curves, command_parser=c, format="csv")
 
     v = sub.add_parser("verify", help="run the numerical verification suites")
     v.add_argument("--suite", choices=("all", *rhc_verify.SUITES), default="all")
@@ -326,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--p", type=float, default=None, help="fixed norm index p (mossel)")
     v.add_argument("--q", type=float, default=None, help="fixed norm index q (mossel)")
     v.add_argument("--output", default=None, help="JSON-lines report path")
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=cmd_verify, command_parser=v)
 
     return parser
 
@@ -335,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args, args.command_parser)
     except BoundsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

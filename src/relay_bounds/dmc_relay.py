@@ -24,8 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
-from .scalar_bounds import bdd_gap_inverse, require_rate
+from .errors import DomainError
+from .scalar_bounds import bdd_gap_inverse, require_alpha, require_rate
 
 _ROW_SUM_TOL = 1e-12
 _TINY = 1e-300
@@ -89,10 +89,6 @@ class InputDistribution:
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
-    @staticmethod
-    def uniform(k: int) -> "InputDistribution":
-        return InputDistribution(np.full(k, 1.0 / k))
-
 
 @dataclass(frozen=True)
 class DmcBoundReport:
@@ -122,13 +118,22 @@ class DmcBoundReport:
 
 
 # ---------------------------------------------------------------------------
-# alpha, I_inf, and mutual informations
+# alpha, I_inf, and the product channel
 # ---------------------------------------------------------------------------
 
 
 def alpha_of_channel(w: DiscreteChannel) -> float:
     """Peak density ratio alpha = sum_y max_x W(y|x); equals 1 iff all rows agree."""
     return float(w.matrix.max(axis=0).sum())
+
+
+def bound_alpha(w: DiscreteChannel, alpha_override: float | None = None) -> float:
+    """The alpha of the bound: the channel's own peak ratio, or an override no smaller."""
+    own = alpha_of_channel(w)
+    alpha = own if alpha_override is None else require_alpha(alpha_override, "alpha_override")
+    if alpha < own - 1e-12:
+        raise DomainError(f"alpha override {alpha} is below the channel's own peak ratio {own}")
+    return alpha
 
 
 def i_infinity(w: DiscreteChannel) -> float:
@@ -143,25 +148,6 @@ def _xlogx_rows(m: np.ndarray) -> np.ndarray:
     return terms.sum(axis=1)
 
 
-def _entropy(p: np.ndarray) -> float:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, p * np.log(np.maximum(p, _TINY)), 0.0)
-    return float(-terms.sum())
-
-
-def mutual_info(p: InputDistribution, w: DiscreteChannel) -> float:
-    """Single-letter mutual information I(X;Y) in nats, 0*ln(0) = 0."""
-    probs = p.probs
-    if probs.shape[0] != w.n_inputs:
-        raise DimensionError(
-            f"input distribution has {probs.shape[0]} entries, channel expects {w.n_inputs}"
-        )
-    m = w.matrix
-    q = probs @ m
-    value = float(probs @ _xlogx_rows(m)) + _entropy(q)
-    return max(value, 0.0)  # clamp -0.0 / rounding at independence
-
-
 def product_channel(w: DiscreteChannel) -> DiscreteChannel:
     """Two independent uses of W fed the same input: W2((y,z)|x) = W(y|x)W(z|x)."""
     m = w.matrix
@@ -169,11 +155,6 @@ def product_channel(w: DiscreteChannel) -> DiscreteChannel:
     # rows sum to (row sum)^2; renormalize away the squared rounding residue
     rows = rows / rows.sum(axis=1, keepdims=True)
     return DiscreteChannel(rows)
-
-
-def mutual_info_product(p: InputDistribution, w: DiscreteChannel) -> float:
-    """I(X;Y,Z) for the product observation (Y,Z) conditionally iid given X."""
-    return mutual_info(p, product_channel(w))
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +380,7 @@ def capacity_ub_cor2(
     maxima.  The solver is deterministic; `seed` is accepted and ignored.
     """
     c0 = require_rate(c0, "c0")
-    alpha = alpha_of_channel(w) if alpha_override is None else float(alpha_override)
-    if alpha_override is not None and alpha < alpha_of_channel(w) - 1e-12:
-        raise DomainError(
-            f"alpha override {alpha} is below the channel's own peak ratio"
-        )
+    alpha = bound_alpha(w, alpha_override)
     penalty = c0 - bdd_gap_inverse(c0, alpha)
     solver = _DualSolver(w)
     cert, value, p = solver.solve(penalty)

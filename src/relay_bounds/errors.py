@@ -12,6 +12,3 @@ class DomainError(BoundsError, ValueError):
 class DimensionError(DomainError):
     """Array shapes or alphabet sizes do not agree."""
 
-
-class ConvergenceError(BoundsError, RuntimeError):
-    """An iterative solver exhausted its budget before reaching tolerance."""

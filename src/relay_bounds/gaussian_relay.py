@@ -77,10 +77,6 @@ class CurveTable:
     columns: tuple[str, ...]
     rows: tuple[tuple[float, ...], ...]
 
-    def column(self, name: str) -> tuple[float, ...]:
-        idx = self.columns.index(name)
-        return tuple(row[idx] for row in self.rows)
-
 
 def _broadcast_cut(snr: float) -> float:
     return 0.5 * math.log1p(2.0 * snr)
@@ -133,20 +129,6 @@ def report(params: GaussianRelayParams) -> GaussianBoundReport:
     )
 
 
-def baseline_curve_inverse(c0: float) -> float:
-    """Inverse of r -> 2r + sqrt(2r), the map used by the emitted baseline curve.
-
-    Note this is NOT the inverse of the relaxed bound h + sqrt(2h): the
-    reference baseline curves (thin lines of the emitted tables) parametrize
-    the relay rate as C0 = 2r + sqrt(2r) and the capacity value as
-    C0 - r + 0.5*ln(1+snr).  Solved in closed form: with s = sqrt(2r),
-    s^2 + s = C0.
-    """
-    c0 = require_rate(c0, "c0")
-    s = 2.0 * c0 / (1.0 + math.sqrt(1.0 + 4.0 * c0))  # stable quadratic root
-    return 0.5 * s * s
-
-
 def _table(columns: tuple[str, ...], *values) -> CurveTable:
     rows = np.column_stack(values).tolist()
     return CurveTable(columns=columns, rows=tuple(map(tuple, rows)))
@@ -188,7 +170,7 @@ def emit_fig2_curves(snr: float, c0_max: float, n_points: int) -> CurveTable:
     cut_cap = _broadcast_cut(snr)
     direct = _direct_link(snr)
     c0 = c0_max * np.arange(n_points) / (n_points - 1)
-    s = 2.0 * c0 / (1.0 + np.sqrt(1.0 + 4.0 * c0))  # baseline_curve_inverse is s^2/2
+    s = 2.0 * c0 / (1.0 + np.sqrt(1.0 + 4.0 * c0))  # 2r + sqrt(2r) = c0 at r = s^2/2
     # capacity_ub_lemma2 inlined: a GaussianRelayParams per row would more than double the cost
     lemma2 = [min(cut_cap, direct + c - gauss_gap_inverse(c)) for c in c0.tolist()]
     unclipped = direct + 0.5 * np.log1p(2.0 * c0)

@@ -239,6 +239,13 @@ def lp_norm(f: ProductFunction | np.ndarray, measure: np.ndarray, p: float) -> f
     return moment ** (1.0 / p)
 
 
+def mossel_critical_time(p: float, q: float) -> float:
+    """Critical semigroup time ln((1-q)/(1-p)) for norm indices q <= p < 1."""
+    if not (q <= p < 1.0):
+        raise DomainError(f"need q <= p < 1, got p={p}, q={q}")
+    return math.log((1.0 - q) / (1.0 - p))
+
+
 def check_mossel(sg: SemiSimpleSemigroup, f: ProductFunction, p: float, q: float) -> float:
     """Margin ||T_t f||_q - ||f||_p for the semi-simple semigroup.
 
@@ -246,9 +253,7 @@ def check_mossel(sg: SemiSimpleSemigroup, f: ProductFunction, p: float, q: float
     hypercontractivity estimate makes the margin nonnegative (p = q is the
     Jensen baseline with critical time 0).
     """
-    if not (q <= p < 1.0):
-        raise DomainError(f"need q <= p < 1, got p={p}, q={q}")
-    critical = math.log((1.0 - q) / (1.0 - p))
+    critical = mossel_critical_time(p, q)
     if sg.time < critical:
         raise DomainError(f"time {sg.time} is below the critical time {critical}")
     mu = stationary_measure(sg)
@@ -500,7 +505,7 @@ def _random_semigroup(rng, n=None, t=None, p=None, q=None):
             while abs(draws[0] - draws[1]) < 1e-6:
                 draws = rng.uniform(-2.0, 1.0, size=2)
             p, q = float(draws.max()), float(draws.min())
-    critical = math.log((1.0 - q) / (1.0 - p))
+    critical = mossel_critical_time(p, q)
     if t is None:
         extra = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 2.0))
         # 20% of draws sit exactly at the critical time (0 for the p = q baseline)

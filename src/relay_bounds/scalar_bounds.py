@@ -1,9 +1,9 @@
 """Entropy-gap bound functions for relay-style side information.
 
 All quantities are entropy rates in nats per channel use.  The module
-evaluates, in closed and in variational form, the functions that bound the
-destination-side conditional entropy rate ``h2`` of a relay message in terms
-of the source-side rate ``h1``:
+evaluates, in closed form, the functions that bound the destination-side
+conditional entropy rate ``h2`` of a relay message in terms of the
+source-side rate ``h1``:
 
 * Gaussian observation pair:   h2 <= c(h1) where
       c(h) = min_{t>0} { t + h / (1 - e^{-2t}) }
@@ -14,11 +14,12 @@ of the source-side rate ``h1``:
   where c_alpha(h) = min_{t>0} { (alpha-1)*t + h / (1 - e^{-t}) } and
   alpha >= 1 is the peak output-density ratio of the channel.
 
-Each closed form is paired with an independent numerical oracle (golden-
-section minimization of the variational objective).  The inverses are closed
-forms through the Wright omega function and the W_{-1} branch of Lambert W
-(Corless et al. 1996): c^{-1}(c0) = u^2/(2(1+u)) with 1+u = omega(1 + 2*c0),
-and the implicit bound's largest h2 is v/2 with 1+v = -W_{-1}(-e^{-1-2*h1}).
+The closed forms are checked against golden-section minimizations of the
+variational objectives, which are test code (tests/oracles.py).  The
+inverses are closed forms through the Wright omega function and the W_{-1}
+branch of Lambert W (Corless et al. 1996): c^{-1}(c0) = u^2/(2(1+u)) with
+1+u = omega(1 + 2*c0), and the implicit bound's largest h2 is v/2 with
+1+v = -W_{-1}(-e^{-1-2*h1}).
 A few Halley steps take each root to double precision, so the inverses are
 accurate in relative terms at every rate.  Everything here is a pure
 function; there is no shared mutable state.
@@ -27,39 +28,19 @@ function; there is no shared mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
 # Entropy rates above this are rejected: the closed forms are still finite
 # there, but the bounds stop being meaningful long before and capping keeps
 # every intermediate quantity comfortably inside IEEE double range.
 RATE_CAP = 1e15
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 # A Halley step cubes the relative error, so one this small (relative to the
 # root) lands within rounding; a one-ulp stop could cycle between neighbours.
 _STEP_STOP = 1e-6
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute tolerance and iteration budget for the golden-section oracles."""
-
-    abs_tol: float = 1e-10
-    max_iter: int = 200
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.abs_tol) or self.abs_tol <= 0.0:
-            raise DomainError(f"abs_tol must be a positive finite number, got {self.abs_tol!r}")
-        if int(self.max_iter) != self.max_iter or self.max_iter < 1:
-            raise DomainError(f"max_iter must be a positive integer, got {self.max_iter!r}")
-
-
-DEFAULT_TOL = Tolerance()
 
 
 def require_rate(value: float, name: str = "h") -> float:
@@ -101,28 +82,6 @@ def gauss_gap_closed(h: float) -> float:
         return 0.0
     s = math.sqrt(h) * math.sqrt(h + 2.0)  # sqrt(h^2 + 2h) without underflow at small h
     return 0.5 * math.log1p(h + s) + 0.5 * (h + s)
-
-
-def gauss_gap_variational(h: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Numerical oracle for c(h): minimize t + h/(1 - e^{-2t}) over t > 0.
-
-    Uses golden-section search on a bracket found by geometric expansion; it
-    never consults the closed form.
-    """
-    h = require_rate(h)
-    if h == 0.0:
-        return 0.0
-
-    def objective(t: float) -> float:
-        return t + h / -math.expm1(-2.0 * t)
-
-    return _minimize_unimodal(objective, tol)
-
-
-def gauss_gap_relaxed(h: float) -> float:
-    """Relaxed Gaussian baseline h + sqrt(2h) (weaker than gauss_gap_closed)."""
-    h = require_rate(h)
-    return h + math.sqrt(2.0 * h)
 
 
 def gauss_gap_inverse(c0: float) -> float:
@@ -201,22 +160,6 @@ def bdd_gap_closed(h: float, alpha: float) -> float:
     return 2.0 * eps * gauss_gap_closed(half_beta)
 
 
-def bdd_gap_variational(h: float, alpha: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Numerical oracle for c_alpha(h): minimize (alpha-1)*t + h/(1 - e^{-t})."""
-    h = require_rate(h)
-    alpha = require_alpha(alpha)
-    if h == 0.0:
-        return 0.0
-    if alpha == 1.0:
-        return h  # infimum as t -> infinity
-    eps = alpha - 1.0
-
-    def objective(t: float) -> float:
-        return eps * t + h / -math.expm1(-t)
-
-    return _minimize_unimodal(objective, tol)
-
-
 def bdd_gap_inverse(c0: float, alpha: float) -> float:
     """Solve c_alpha(h) = c0 for h in closed form: h = eps * v^2 / (1+v).
 
@@ -286,49 +229,3 @@ def _solve_minus_log1p(y: np.ndarray) -> np.ndarray:
         if not active.any():
             break
     return v
-
-
-def _bracket_minimum(f, t0: float, max_expand: int) -> tuple[float, float]:
-    """Bracket the minimizer of a unimodal f on (0, inf) by geometric expansion."""
-    t1, f1 = t0, f(t0)
-    t2 = 2.0 * t1
-    f2 = f(t2)
-    if f2 < f1:
-        for _ in range(max_expand):
-            t3 = 2.0 * t2
-            f3 = f(t3)
-            if f3 >= f2:
-                return t1, t3
-            t1, t2, f2 = t2, t3, f3
-        raise ConvergenceError("bracket expansion failed while walking up")
-    for _ in range(max_expand):
-        t_low = 0.5 * t1
-        f_low = f(t_low)
-        if f_low >= f1:
-            return t_low, t2
-        t2, t1, f1 = t1, t_low, f_low
-    raise ConvergenceError("bracket expansion failed while walking down")
-
-
-def _minimize_unimodal(f, tol: Tolerance, t0: float = 1e-6) -> float:
-    """Golden-section minimum value of a unimodal f on (0, inf)."""
-    lo, hi = _bracket_minimum(f, t0, max_expand=400)
-    width_goal = tol.abs_tol * max(1.0, hi)
-    x1 = hi - _INV_GOLDEN * (hi - lo)
-    x2 = lo + _INV_GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max(tol.max_iter, 100)):
-        if hi - lo <= width_goal:
-            return min(f1, f2)
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_GOLDEN * (hi - lo)
-            f2 = f(x2)
-    raise ConvergenceError(
-        f"golden-section search did not reach bracket width {width_goal} "
-        f"within {max(tol.max_iter, 100)} iterations"
-    )

@@ -1,10 +1,163 @@
-"""Test-only oracles for the discrete-channel bounds: a simplex grid and I_inf by minimax."""
+"""Test-only oracles, written apart from the closed forms and solvers they check.
+
+* golden-section minimizations of the variational definitions of c(h) and
+  c_alpha(h), and the relaxed baseline h + sqrt(2h);
+* the inverse of the baseline curve map r -> 2r + sqrt(2r);
+* the mutual informations I(X;Y) and I(X;Y,Z) of an input law;
+* a simplex grid and I_inf by minimax over output laws;
+* a channel CSV writer, the inverse of `cli.read_channel_csv`.
+
+They import only public names from relay_bounds.
+"""
 
 import math
 
 import numpy as np
 
-from relay_bounds.dmc_relay import DiscreteChannel
+from relay_bounds.dmc_relay import DiscreteChannel, InputDistribution, product_channel
+from relay_bounds.errors import DimensionError
+from relay_bounds.scalar_bounds import require_alpha, require_rate
+
+# Bracket width, relative to max(1, bracket end), and iteration budget of the
+# golden-section search.
+ABS_TOL = 1e-10
+MAX_ITER = 200
+
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+class ConvergenceError(RuntimeError):
+    """The golden-section search exhausted its budget before reaching ABS_TOL."""
+
+
+# ---------------------------------------------------------------------------
+# Scalar entropy-gap oracles
+# ---------------------------------------------------------------------------
+
+
+def gauss_gap_variational(h: float) -> float:
+    """Numerical oracle for c(h): minimize t + h/(1 - e^{-2t}) over t > 0.
+
+    Uses golden-section search on a bracket found by geometric expansion; it
+    never consults the closed form.
+    """
+    h = require_rate(h)
+    if h == 0.0:
+        return 0.0
+
+    def objective(t: float) -> float:
+        return t + h / -math.expm1(-2.0 * t)
+
+    return _minimize_unimodal(objective)
+
+
+def bdd_gap_variational(h: float, alpha: float) -> float:
+    """Numerical oracle for c_alpha(h): minimize (alpha-1)*t + h/(1 - e^{-t})."""
+    h = require_rate(h)
+    alpha = require_alpha(alpha)
+    if h == 0.0:
+        return 0.0
+    if alpha == 1.0:
+        return h  # infimum as t -> infinity
+    eps = alpha - 1.0
+
+    def objective(t: float) -> float:
+        return eps * t + h / -math.expm1(-t)
+
+    return _minimize_unimodal(objective)
+
+
+def gauss_gap_relaxed(h: float) -> float:
+    """Relaxed Gaussian baseline h + sqrt(2h) (weaker than gauss_gap_closed)."""
+    h = require_rate(h)
+    return h + math.sqrt(2.0 * h)
+
+
+def baseline_curve_inverse(c0: float) -> float:
+    """Inverse of r -> 2r + sqrt(2r), the map of the fig2 `relaxed` column.
+
+    This is NOT the inverse of the relaxed bound h + sqrt(2h): the baseline
+    curve parametrizes the relay rate as C0 = 2r + sqrt(2r) and the capacity
+    value as C0 - r + 0.5*ln(1+snr).  With s = sqrt(2r), s^2 + s = C0.
+    """
+    c0 = require_rate(c0, "c0")
+    s = 2.0 * c0 / (1.0 + math.sqrt(1.0 + 4.0 * c0))  # stable quadratic root
+    return 0.5 * s * s
+
+
+def _bracket_minimum(f, t0: float, max_expand: int) -> tuple[float, float]:
+    """Bracket the minimizer of a unimodal f on (0, inf) by geometric expansion."""
+    t1, f1 = t0, f(t0)
+    t2 = 2.0 * t1
+    f2 = f(t2)
+    if f2 < f1:
+        for _ in range(max_expand):
+            t3 = 2.0 * t2
+            f3 = f(t3)
+            if f3 >= f2:
+                return t1, t3
+            t1, t2, f2 = t2, t3, f3
+        raise ConvergenceError("bracket expansion failed while walking up")
+    for _ in range(max_expand):
+        t_low = 0.5 * t1
+        f_low = f(t_low)
+        if f_low >= f1:
+            return t_low, t2
+        t2, t1, f1 = t1, t_low, f_low
+    raise ConvergenceError("bracket expansion failed while walking down")
+
+
+def _minimize_unimodal(f, t0: float = 1e-6) -> float:
+    """Golden-section minimum value of a unimodal f on (0, inf)."""
+    lo, hi = _bracket_minimum(f, t0, max_expand=400)
+    width_goal = ABS_TOL * max(1.0, hi)
+    x1 = hi - _INV_GOLDEN * (hi - lo)
+    x2 = lo + _INV_GOLDEN * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(MAX_ITER):
+        if hi - lo <= width_goal:
+            return min(f1, f2)
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INV_GOLDEN * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INV_GOLDEN * (hi - lo)
+            f2 = f(x2)
+    raise ConvergenceError(
+        f"golden-section search did not reach bracket width {width_goal} "
+        f"within {MAX_ITER} iterations"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Discrete-channel oracles
+# ---------------------------------------------------------------------------
+
+
+def _xlogx_sum(m: np.ndarray) -> np.ndarray:
+    """Sums of m*ln(m) along the last axis with the 0*ln(0) = 0 convention."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(m > 0.0, m * np.log(np.maximum(m, 1e-300)), 0.0)
+    return terms.sum(axis=-1)
+
+
+def mutual_info(p: InputDistribution, w: DiscreteChannel) -> float:
+    """Single-letter mutual information I(X;Y) = H(Y) - H(Y|X) in nats, 0*ln(0) = 0."""
+    probs = p.probs
+    if probs.shape[0] != w.n_inputs:
+        raise DimensionError(
+            f"input distribution has {probs.shape[0]} entries, channel expects {w.n_inputs}"
+        )
+    q = probs @ w.matrix
+    value = float(probs @ _xlogx_sum(w.matrix)) - float(_xlogx_sum(q))
+    return max(value, 0.0)  # clamp -0.0 / rounding at independence
+
+
+def mutual_info_product(p: InputDistribution, w: DiscreteChannel) -> float:
+    """I(X;Y,Z) for the product observation (Y,Z) conditionally iid given X."""
+    return mutual_info(p, product_channel(w))
 
 
 def simplex_grid(k: int, steps: int) -> np.ndarray:
@@ -48,3 +201,10 @@ def i_infinity_minimax_oracle(w: DiscreteChannel, grid_steps: int | None = None)
     qs = qs[np.all(qs[:, reached] > 0.0, axis=1)][:, reached]
     # max over x of W(y|x)/Q(y) is peak(y)/Q(y), rounded the same way
     return math.log(float((peak[reached] / qs).max(axis=1).min()))
+
+
+def write_channel_csv(path: str, channel: DiscreteChannel) -> None:
+    """One CSV row of shortest round-trip output probabilities per input symbol."""
+    lines = [",".join(repr(float(v)) for v in row) for row in channel.matrix]
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")

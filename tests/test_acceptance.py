@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 
+from oracles import bdd_gap_variational, gauss_gap_relaxed, gauss_gap_variational
 from relay_bounds.dmc_relay import (
     DiscreteChannel,
     capacity_ub_cor2,
@@ -35,14 +36,7 @@ from relay_bounds.rhc_verify import (
     mossel_suite,
     relay_oracle_suite,
 )
-from relay_bounds.scalar_bounds import (
-    bdd_gap_closed,
-    bdd_gap_variational,
-    gauss_gap_closed,
-    gauss_gap_relaxed,
-    gauss_gap_variational,
-    lemma3_h2max,
-)
+from relay_bounds.scalar_bounds import bdd_gap_closed, gauss_gap_closed, lemma3_h2max
 
 HALF_LN_15 = 0.5 * math.log(1.5)
 HALF_LN_2 = 0.5 * math.log(2.0)

@@ -8,8 +8,9 @@ import re
 import numpy as np
 import pytest
 
+from oracles import write_channel_csv
 from relay_bounds import rhc_verify
-from relay_bounds.cli import build_parser, main, read_channel_csv, write_channel_csv
+from relay_bounds.cli import build_parser, main, read_channel_csv
 from relay_bounds.dmc_relay import DiscreteChannel
 
 
@@ -123,6 +124,21 @@ class TestDmcCommand:
             with pytest.raises(SystemExit) as exc:
                 main(argv + ["--tol", "1e-10"])
             assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--c0", "nan"],
+            ["--c0", "1e16"],
+            ["--c0", "0.1", "--alpha-override", "0.5"],
+            ["--c0", "0.1", "--alpha-override", "1.5"],  # the BSC(0.1) has alpha 1.8
+        ],
+    )
+    def test_bad_rate_or_alpha_exit_2(self, bsc_file, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dmc", "--channel", bsc_file, *flags])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: relay-bounds dmc ")
 
     @pytest.mark.parametrize("flag", [["--seed", "3"], ["--starts", "4"], ["--grid-check"]])
     def test_solver_knobs_gone(self, bsc_file, flag):
@@ -261,6 +277,35 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("suite", [["--suite", "mossel"], []])
+    def test_fixed_t_needs_p_and_q(self, tmp_path, capsys, suite):
+        # each drawn (p, q) has its own critical time, so a fixed t fails some draw
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *suite, "--t", "0.5", "--instances", "50",
+                  "--output", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        assert "--t needs --p and --q" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("suite", [["--suite", "mossel"], []])
+    def test_t_below_critical_exit_2(self, tmp_path, capsys, suite):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *suite, "--t", "0.5", "--p", "0.5", "--q", "0.0",
+                  "--instances", "5", "--output", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"critical time ln((1-q)/(1-p)) = {math.log(2.0)!r}" in err
+        assert "failures" not in err  # no suite summary: nothing ran
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("p, q", [("1", "0.5"), ("0.3", "0.5"), ("nan", "0.5")])
+    def test_bad_norm_indices_exit_2(self, tmp_path, p, q):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "mossel", "--p", p, "--q", q, "--instances", "5",
+                  "--output", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize(
         "suite, flags",
         [
@@ -340,6 +385,23 @@ class TestVerifyCommand:
         monkeypatch.delenv("RELAY_BOUNDS_SEED")
         _, via_flag = run_to_file(tmp_path, argv + ["--seed", "99"], "flag.jsonl")
         assert via_env == via_flag
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gaussian", "--snr", "0.5", "--power", "1", "--noise", "1", "--c0", "0.1"],
+        ["dmc", "--channel", "{bsc}", "--c0", "-0.5"],
+        ["curves", "--figure", "1", "--points", "1"],
+        ["verify", "--suite", "lemma4", "--p", "0.5"],
+    ],
+)
+def test_flag_errors_print_the_subcommand_usage(bsc_file, capsys, argv):
+    argv = [a.format(bsc=bsc_file) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: relay-bounds {argv[0]} ")
 
 
 class TestDeterminismAndRoundTrip:

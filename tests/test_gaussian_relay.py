@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import baseline_curve_inverse
 from relay_bounds.errors import DomainError
 from relay_bounds.gaussian_relay import (
     GaussianBoundReport,
     GaussianRelayParams,
-    baseline_curve_inverse,
     capacity_ub_lemma2,
     capacity_ub_lemma3,
     capacity_ub_relaxed,

@@ -7,18 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import bdd_gap_variational, gauss_gap_relaxed, gauss_gap_variational
 from relay_bounds.errors import DomainError
 from relay_bounds.scalar_bounds import (
-    DEFAULT_TOL,
-    Tolerance,
+    RATE_CAP,
     bdd_gap_closed,
     bdd_gap_inverse,
-    RATE_CAP,
-    bdd_gap_variational,
     gauss_gap_closed,
     gauss_gap_inverse,
-    gauss_gap_relaxed,
-    gauss_gap_variational,
     lemma3_gap,
     lemma3_h2max,
     relaxed_gap_inverse,
@@ -299,13 +295,3 @@ class TestAsymptotics:
     def test_implicit_large_h1(self):
         assert lemma3_h2max(1e6) / 1e6 == pytest.approx(1.0, rel=1e-2)
 
-
-class TestTolerance:
-    def test_defaults(self):
-        assert DEFAULT_TOL.abs_tol == 1e-10
-        assert DEFAULT_TOL.max_iter == 200
-
-    @pytest.mark.parametrize("kwargs", [{"abs_tol": 0.0}, {"abs_tol": -1.0}, {"max_iter": 0}])
-    def test_invalid(self, kwargs):
-        with pytest.raises(DomainError):
-            Tolerance(**kwargs)
