@@ -30,7 +30,6 @@ from .gaussian_relay import (
     report,
 )
 from .rhc_verify import (
-    ProductFunction,
     QuadratureRule,
     RelayInstance,
     SemiSimpleSemigroup,
@@ -65,7 +64,6 @@ __all__ = [
     "GaussianBoundReport",
     "GaussianRelayParams",
     "InputDistribution",
-    "ProductFunction",
     "QuadratureRule",
     "RelayInstance",
     "SemiSimpleSemigroup",

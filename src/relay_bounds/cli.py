@@ -217,6 +217,8 @@ def _suite_kwargs(
     for flag, value, suites in readers:
         if value is not None and not suites.intersection(names):
             parser.error(f"{flag} is read only by --suite {' or '.join(sorted(suites))}")
+    if args.n is not None and not 1 <= args.n <= rhc_verify.MAX_FACTORS:
+        parser.error(f"--n must lie in 1..{rhc_verify.MAX_FACTORS}, got {args.n}")
     if t == "critical" and args.t_factor is not None:
         parser.error("--t critical already puts borell-exp at its critical time; drop --t-factor")
     if (args.p is None) != (args.q is None):
@@ -329,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--t", default=None,
                    help="fixed mossel semigroup time, or 'critical': each mossel instance "
                         "at ln((1-q)/(1-p)) and borell-exp at 0.5*ln((1-q)/(1-p))")
-    v.add_argument("--n", type=int, default=None, help="fixed tensor dimension (mossel)")
+    v.add_argument("--n", type=int, default=None,
+                   help=f"fixed tensor dimension, 1..{rhc_verify.MAX_FACTORS} (mossel)")
     v.add_argument("--p", type=float, default=None, help="fixed norm index p (mossel)")
     v.add_argument("--q", type=float, default=None, help="fixed norm index q (mossel)")
     v.add_argument("--output", default=None, help="JSON-lines report path")

@@ -13,9 +13,10 @@ quadrature, the inequalities that power the capacity bounds:
 * the entropy-gap bounds themselves, via exact relay-instance enumeration
   (discrete channels) and quantizer instances (Gaussian links at n = 1).
 
-`SUITES` names the seven randomized suites.  Each derives one RNG stream
-per instance from (seed, index), so results do not depend on execution order
-and any failure can be replayed from its record.
+Function tables are plain float arrays; `apply_semisimple` checks its table
+where it enters.  `SUITES` names the seven randomized suites.  Each derives
+one RNG stream per instance from (seed, index), so results do not depend on
+execution order and any failure can be replayed from its record.
 """
 
 from __future__ import annotations
@@ -26,12 +27,12 @@ from typing import Callable
 
 import numpy as np
 
-from .dmc_relay import DiscreteChannel, alpha_of_channel
+from .dmc_relay import DiscreteChannel, _xlogx_rows, alpha_of_channel
 from .errors import DimensionError, DomainError
 from .scalar_bounds import bdd_gap_closed, gauss_gap_closed
 
 _SUM_TOL = 1e-12
-_MAX_AXES = 4
+MAX_FACTORS = 4  # tensor factors of a semigroup (the `verify --n` range)
 _MAX_ALPHABET = 6
 _MAX_BLOCKLENGTH = 3
 _MAX_MESSAGES = 8
@@ -52,8 +53,8 @@ class SemiSimpleSemigroup:
     def __post_init__(self) -> None:
         if not self.factors:
             raise DomainError("semigroup needs at least one factor")
-        if len(self.factors) > _MAX_AXES:
-            raise DomainError(f"at most {_MAX_AXES} tensor factors are supported")
+        if len(self.factors) > MAX_FACTORS:
+            raise DomainError(f"at most {MAX_FACTORS} tensor factors are supported")
         frozen = []
         for i, dist in enumerate(self.factors):
             d = np.asarray(dist, dtype=float)
@@ -80,23 +81,6 @@ class SemiSimpleSemigroup:
 
     def at_time(self, t: float) -> "SemiSimpleSemigroup":
         return SemiSimpleSemigroup(self.factors, t)
-
-
-@dataclass(frozen=True)
-class ProductFunction:
-    """Dense nonnegative table over the product alphabet."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim < 1 or v.ndim > _MAX_AXES:
-            raise DomainError(f"table must have 1..{_MAX_AXES} axes, got {v.ndim}")
-        if not np.all(np.isfinite(v)) or np.any(v < 0.0):
-            raise DomainError("table entries must be finite and nonnegative")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
 
 @dataclass(frozen=True)
@@ -184,21 +168,24 @@ class RelayInstance:
 # ---------------------------------------------------------------------------
 
 
-def apply_semisimple(sg: SemiSimpleSemigroup, f: ProductFunction) -> ProductFunction:
+def apply_semisimple(sg: SemiSimpleSemigroup, f: np.ndarray) -> np.ndarray:
     """Apply e^{-t} Id + (1-e^{-t}) P_i along every tensor axis.
 
-    Linear, positivity preserving, and unital (the all-ones table is fixed).
+    f must be a finite nonnegative table of shape `sg.shape`; it is left
+    unchanged and a new table is returned.  Linear, positivity preserving,
+    and unital (the all-ones table is fixed).
     """
-    if f.values.shape != sg.shape:
-        raise DimensionError(f"table shape {f.values.shape} does not match {sg.shape}")
+    out = np.asarray(f, dtype=float)
+    if out.shape != sg.shape:
+        raise DimensionError(f"table shape {out.shape} does not match {sg.shape}")
+    if not np.all(np.isfinite(out)) or np.any(out < 0.0):
+        raise DomainError("table entries must be finite and nonnegative")
     keep = math.exp(-sg.time)
     mix = -math.expm1(-sg.time)
-    out = f.values
     for axis, dist in enumerate(sg.factors):
         avg = np.tensordot(dist, out, axes=([0], [axis]))
-        avg = np.expand_dims(avg, axis)
-        out = keep * out + mix * avg
-    return ProductFunction(out)
+        out = keep * out + mix * np.expand_dims(avg, axis)
+    return out
 
 
 def stationary_measure(sg: SemiSimpleSemigroup) -> np.ndarray:
@@ -209,13 +196,13 @@ def stationary_measure(sg: SemiSimpleSemigroup) -> np.ndarray:
     return table
 
 
-def lp_norm(f: ProductFunction | np.ndarray, measure: np.ndarray, p: float) -> float:
+def lp_norm(f: np.ndarray, measure: np.ndarray, p: float) -> float:
     """L^p(Q) norm for p <= 1, with the p = 0 geometric-mean convention.
 
     For p <= 0 a zero of f on the support of the measure gives norm 0 (the
     correct limit); the p = 0 case is evaluated in the log domain.
     """
-    values = f.values if isinstance(f, ProductFunction) else np.asarray(f, dtype=float)
+    values = np.asarray(f, dtype=float)
     q = np.asarray(measure, dtype=float)
     if values.shape != q.shape:
         raise DimensionError(f"function shape {values.shape} != measure shape {q.shape}")
@@ -246,7 +233,7 @@ def mossel_critical_time(p: float, q: float) -> float:
     return math.log((1.0 - q) / (1.0 - p))
 
 
-def check_mossel(sg: SemiSimpleSemigroup, f: ProductFunction, p: float, q: float) -> float:
+def check_mossel(sg: SemiSimpleSemigroup, f: np.ndarray, p: float, q: float) -> float:
     """Margin ||T_t f||_q - ||f||_p for the semi-simple semigroup.
 
     Requires q <= p < 1 and t >= ln((1-q)/(1-p)); the reverse
@@ -261,17 +248,18 @@ def check_mossel(sg: SemiSimpleSemigroup, f: ProductFunction, p: float, q: float
     return lp_norm(smoothed, mu, q) - lp_norm(f, mu, p)
 
 
-def mossel_q0_margin(sg: SemiSimpleSemigroup, f: ProductFunction) -> float:
+def mossel_q0_margin(sg: SemiSimpleSemigroup, f: np.ndarray) -> float:
     """Margin E[ln T_t f] - (1 + 1/t) ln E[f] for f in [0,1]^n, t > 0."""
     if sg.time <= 0.0:
         raise DomainError("the q=0 inequality needs t > 0")
-    if np.any(f.values > 1.0 + 1e-12):
+    smoothed = apply_semisimple(sg, f)
+    f = np.asarray(f, dtype=float)
+    if np.any(f > 1.0 + 1e-12):
         raise DomainError("the q=0 inequality needs f taking values in [0, 1]")
     mu = stationary_measure(sg)
-    mean = float((mu * f.values).sum())
+    mean = float((mu * f).sum())
     if mean <= 0.0:
         raise DomainError("f must have positive mass under the stationary measure")
-    smoothed = apply_semisimple(sg, f).values
     support = mu > 0.0
     if np.any(smoothed[support] <= 0.0):
         return math.inf  # ln E[f] finite while lhs is -inf cannot happen for t>0
@@ -287,21 +275,25 @@ def mossel_q0_margin(sg: SemiSimpleSemigroup, f: ProductFunction) -> float:
 def ou_apply(
     f: Callable[[np.ndarray], np.ndarray],
     x: float,
-    y: float,
+    y: float | np.ndarray,
     t: float,
     rule: QuadratureRule = DEFAULT_RULE,
-) -> float:
+) -> float | np.ndarray:
     """Quadrature value of T_{x,t} f(y) = E[f(e^{-t}y + (1-e^{-t})x + sd*V)].
 
-    f must accept a numpy array of evaluation points; sd = sqrt(1 - e^{-2t}).
+    f must act entrywise on a numpy array of points; sd = sqrt(1 - e^{-2t}).
+    A float y gives a float; an array gives an array of its shape, each entry
+    exactly as its float call gives it (one dot per y: a matrix-vector
+    product may sum in another order).
     """
     if t < 0.0 or math.isnan(t):
         raise DomainError(f"time must be >= 0, got {t!r}")
-    mean = math.exp(-t) * y + -math.expm1(-t) * x
+    mean = math.exp(-t) * np.asarray(y, dtype=float) + -math.expm1(-t) * x
     sd = math.sqrt(-math.expm1(-2.0 * t))
-    points = mean + sd * rule.nodes
-    vals = np.asarray(f(points), dtype=float)
-    return float(np.dot(rule.weights, vals))
+    vals = np.asarray(f(mean[..., None] + sd * rule.nodes), dtype=float)
+    rows = vals.reshape(-1, rule.nodes.shape[0])
+    out = np.array([np.dot(rule.weights, row) for row in rows]).reshape(mean.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def check_ou_q0(
@@ -317,13 +309,14 @@ def check_ou_q0(
     if t <= 0.0:
         raise DomainError("the q=0 inequality needs t > 0")
     ys = x + rule.nodes
-    smoothed = np.array([ou_apply(f, x, float(y), t, rule) for y in ys])
+    vals = np.asarray(f(ys), dtype=float)
+    mean = float(np.dot(rule.weights, vals))
+    if not (np.all((vals >= 0.0) & (vals <= 1.0 + 1e-12)) and mean > 0.0):
+        raise DomainError("f must map the quadrature nodes into [0, 1] with positive mass")
+    smoothed = ou_apply(f, x, ys, t, rule)
     if np.any(smoothed <= 0.0):
         raise DomainError("T_t f vanished at a quadrature node; use f with positive mass")
     lhs = float(np.dot(rule.weights, np.log(smoothed)))
-    mean = float(np.dot(rule.weights, np.asarray(f(ys), dtype=float)))
-    if not (0.0 < mean <= 1.0 + 1e-12):
-        raise DomainError("f must map into [0, 1] with positive mass")
     return lhs - (1.0 + 0.5 / t) * math.log(min(mean, 1.0))
 
 
@@ -437,7 +430,7 @@ def gaussian_quantizer_gap(
     cell_given_x = np.clip(upper - lower, 0.0, 1.0)
 
     k = xs.shape[0]
-    h1 = float(np.mean([_entropy_flat(row) for row in cell_given_x]))
+    h1 = float(np.mean(-_xlogx_rows(cell_given_x)))
 
     # h2: for Y = x_c + v, the posterior over inputs is a softmax of -(y-x)^2/2
     ys = (xs[:, None] + rule.nodes[None, :]).reshape(-1)
@@ -446,12 +439,8 @@ def gaussian_quantizer_gap(
     post = np.exp(log_post)
     post /= post.sum(axis=1, keepdims=True)
     cell_given_y = post @ cell_given_x
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ent = -np.where(
-            cell_given_y > 0.0, cell_given_y * np.log(np.maximum(cell_given_y, 1e-300)), 0.0
-        ).sum(axis=1)
     weights = (np.full((k, 1), 1.0 / k) * rule.weights[None, :]).reshape(-1)
-    h2 = float(np.dot(weights, ent))
+    h2 = float(np.dot(weights, -_xlogx_rows(cell_given_y)))
     return h1, h2
 
 
@@ -493,10 +482,15 @@ def _run(
     return records
 
 
-def _random_semigroup(rng, n=None, t=None, p=None, q=None):
+def _random_factors(rng, n=None) -> tuple[np.ndarray, ...]:
+    """n factors (1..3 drawn unless given), each a Dirichlet law over one drawn 2..4 symbols."""
     n = int(rng.integers(1, 4)) if n is None else int(n)
     k = int(rng.integers(2, 5))
-    factors = tuple(rng.dirichlet(np.ones(k)) for _ in range(n))
+    return tuple(rng.dirichlet(np.ones(k)) for _ in range(n))
+
+
+def _random_semigroup(rng, n=None, t=None, p=None, q=None):
+    factors = _random_factors(rng, n)
     if p is None or q is None:
         if rng.random() < 0.1:
             p = q = float(rng.uniform(0.05, 0.95))  # Jensen baseline
@@ -518,7 +512,7 @@ def _random_semigroup(rng, n=None, t=None, p=None, q=None):
         vals = np.where(rng.random(sg.shape) < 0.3, 0.0, vals)
     if rng.random() < 0.25:
         vals = vals * float(rng.uniform(0.5, 2.0))
-    return sg, ProductFunction(vals), float(p), float(q), critical
+    return sg, vals, float(p), float(q), critical
 
 
 def mossel_suite(
@@ -555,17 +549,16 @@ def mossel_q0_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
     """q = 0 specialization margins E[ln T_t f] - (1 + 1/t) ln E[f] on [0,1] tables."""
 
     def draw(rng):
-        n = int(rng.integers(1, 4))
-        k = int(rng.integers(2, 5))
-        factors = tuple(rng.dirichlet(np.ones(k)) for _ in range(n))
+        factors = _random_factors(rng)
         t = float(rng.uniform(0.05, 3.0))
         sg = SemiSimpleSemigroup(factors, t)
         vals = rng.random(sg.shape)
         if rng.random() < 0.3:
             vals = np.where(rng.random(sg.shape) < 0.3, 0.0, vals)
         if not vals.any():
-            vals[(0,) * n] = 0.5
-        return {"n": n, "alphabet": k, "t": t}, mossel_q0_margin(sg, ProductFunction(vals))
+            vals[(0,) * len(factors)] = 0.5
+        instance = {"n": len(factors), "alphabet": sg.shape[0], "t": t}
+        return instance, mossel_q0_margin(sg, vals)
 
     return _run("mossel-q0", 1e-12, n_instances, seed, draw)
 
@@ -682,11 +675,11 @@ def semigroup_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
         mu = stationary_measure(sg)
         two_step = apply_semisimple(sg.at_time(t1), apply_semisimple(sg.at_time(t2), f))
         one_step = apply_semisimple(sg.at_time(t1 + t2), f)
-        dev_law = float(np.max(np.abs(two_step.values - one_step.values)))
-        dev_stat = abs(float((mu * one_step.values).sum()) - float((mu * f.values).sum()))
-        ones = ProductFunction(np.ones(sg.shape))
-        dev_unit = float(np.max(np.abs(apply_semisimple(sg.at_time(t1), ones).values - 1.0)))
-        positivity = float(one_step.values.min())
+        dev_law = float(np.max(np.abs(two_step - one_step)))
+        dev_stat = abs(float((mu * one_step).sum()) - float((mu * f).sum()))
+        ones = np.ones(sg.shape)
+        dev_unit = float(np.max(np.abs(apply_semisimple(sg.at_time(t1), ones) - 1.0)))
+        positivity = float(one_step.min())
         instance = {"n": len(sg.factors), "alphabet": sg.shape[0], "t1": t1, "t2": t2}
         return instance, -max(dev_law, dev_stat, dev_unit, -positivity)
 

@@ -298,6 +298,28 @@ class TestVerifyCommand:
         assert "failures" not in err  # no suite summary: nothing ran
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("suite", [["--suite", "mossel"], []])
+    @pytest.mark.parametrize("n", ["0", "-1", "5"])
+    def test_n_out_of_range_exit_2(self, tmp_path, capsys, suite, n):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *suite, "--n", n, "--instances", "3",
+                  "--output", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: relay-bounds verify ")
+        assert f"--n must lie in 1..{rhc_verify.MAX_FACTORS}, got {n}" in err
+        assert "failures" not in err  # no suite summary: nothing ran
+        assert not (tmp_path / "r").exists()
+
+    def test_n_at_the_factor_limit_runs(self, tmp_path):
+        n = str(rhc_verify.MAX_FACTORS)
+        code, blob = run_to_file(
+            tmp_path, ["verify", "--suite", "mossel", "--n", n, "--instances", "5"], "rep.jsonl"
+        )
+        assert code == 0
+        records = [json.loads(line) for line in blob.decode().splitlines()]
+        assert [r["instance"]["n"] for r in records] == [rhc_verify.MAX_FACTORS] * 5
+
     @pytest.mark.parametrize("p, q", [("1", "0.5"), ("0.3", "0.5"), ("nan", "0.5")])
     def test_bad_norm_indices_exit_2(self, tmp_path, p, q):
         with pytest.raises(SystemExit) as exc:

@@ -11,7 +11,6 @@ from relay_bounds.dmc_relay import DiscreteChannel
 from relay_bounds.errors import DimensionError, DomainError
 from relay_bounds.rhc_verify import (
     SUITES,
-    ProductFunction,
     QuadratureRule,
     RelayInstance,
     SemiSimpleSemigroup,
@@ -55,12 +54,6 @@ class TestTypes:
         with pytest.raises(DomainError):
             SemiSimpleSemigroup(tuple(np.full(2, 0.5) for _ in range(5)), 1.0)
 
-    def test_product_function_validation(self):
-        with pytest.raises(DomainError):
-            ProductFunction(np.array([1.0, -0.5]))
-        with pytest.raises(DomainError):
-            ProductFunction(np.array([1.0, math.nan]))
-
     def test_quadrature_rule(self):
         rule = QuadratureRule.gauss_hermite(32)
         assert rule.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -82,53 +75,70 @@ class TestTypes:
 
 class TestSemigroupAction:
     def test_identity_at_time_zero(self):
-        f = ProductFunction(np.array([1.0, 0.0]))
+        f = np.array([1.0, 0.0])
         out = apply_semisimple(FAIR_COIN.at_time(0.0), f)
-        assert np.array_equal(out.values, f.values)
+        assert np.array_equal(out, f)
 
     def test_full_averaging_limit(self):
-        f = ProductFunction(np.array([1.0, 0.0]))
+        f = np.array([1.0, 0.0])
         out = apply_semisimple(FAIR_COIN.at_time(1e3), f)
-        assert np.allclose(out.values, 0.5, atol=1e-12)
+        assert np.allclose(out, 0.5, atol=1e-12)
 
     def test_half_mix_example(self):
         # e^{-t} = 1/2 mixes (1, 0) into (3/4, 1/4) under the fair coin
-        f = ProductFunction(np.array([1.0, 0.0]))
+        f = np.array([1.0, 0.0])
         out = apply_semisimple(FAIR_COIN, f)
-        assert np.allclose(out.values, [0.75, 0.25], atol=1e-15)
+        assert np.allclose(out, [0.75, 0.25], atol=1e-15)
 
     def test_unital_and_positive(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
             sg = random_semigroup(rng)
-            ones = ProductFunction(np.ones(sg.shape))
-            assert np.allclose(apply_semisimple(sg, ones).values, 1.0, atol=1e-12)
-            f = ProductFunction(rng.random(sg.shape))
-            assert np.all(apply_semisimple(sg, f).values >= 0.0)
+            ones = np.ones(sg.shape)
+            assert np.allclose(apply_semisimple(sg, ones), 1.0, atol=1e-12)
+            f = rng.random(sg.shape)
+            assert np.all(apply_semisimple(sg, f) >= 0.0)
 
     def test_semigroup_law(self):
         rng = np.random.default_rng(6)
         for _ in range(25):
             sg = random_semigroup(rng)
             t1, t2 = rng.uniform(0.0, 2.0, size=2)
-            f = ProductFunction(rng.random(sg.shape))
+            f = rng.random(sg.shape)
             two = apply_semisimple(sg.at_time(t1), apply_semisimple(sg.at_time(t2), f))
             one = apply_semisimple(sg.at_time(t1 + t2), f)
-            assert np.allclose(two.values, one.values, atol=1e-12)
+            assert np.allclose(two, one, atol=1e-12)
 
     def test_stationarity(self):
         rng = np.random.default_rng(8)
         for _ in range(25):
             sg = random_semigroup(rng)
             mu = stationary_measure(sg)
-            f = ProductFunction(rng.random(sg.shape))
-            before = float((mu * f.values).sum())
-            after = float((mu * apply_semisimple(sg, f).values).sum())
+            f = rng.random(sg.shape)
+            before = float((mu * f).sum())
+            after = float((mu * apply_semisimple(sg, f)).sum())
             assert after == pytest.approx(before, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            apply_semisimple(FAIR_COIN, ProductFunction(np.ones(3)))
+            apply_semisimple(FAIR_COIN, np.ones(3))
+
+    def test_rejects_bad_tables(self):
+        for table in ([1.0, -0.5], [1.0, math.nan], [1.0, math.inf]):
+            with pytest.raises(DomainError):
+                apply_semisimple(FAIR_COIN, np.array(table))
+        with pytest.raises(DimensionError):
+            apply_semisimple(FAIR_COIN, np.ones((2, 2)))
+
+    def test_leaves_argument_unchanged(self):
+        rng = np.random.default_rng(9)
+        for t in (0.0, 0.7):
+            sg = random_semigroup(rng, n=3, t=t)
+            f = rng.random(sg.shape)
+            before = f.copy()
+            out = apply_semisimple(sg, f)
+            assert out is not f
+            assert np.array_equal(f, before)
 
 
 class TestLpNorm:
@@ -136,45 +146,45 @@ class TestLpNorm:
 
     @pytest.mark.parametrize("p", [1.0, 0.5, 0.0, -1.0, -2.0])
     def test_constants(self, p):
-        f = ProductFunction(np.full(2, 0.7))
+        f = np.full(2, 0.7)
         assert lp_norm(f, self.MU, p) == pytest.approx(0.7, rel=1e-12)
 
     def test_p1_is_expectation(self):
-        f = ProductFunction(np.array([0.2, 0.8]))
+        f = np.array([0.2, 0.8])
         assert lp_norm(f, self.MU, 1.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_geometric_mean(self):
-        f = ProductFunction(np.array([math.e, math.e**3]))
+        f = np.array([math.e, math.e**3])
         assert lp_norm(f, self.MU, 0.0) == pytest.approx(math.e**2, rel=1e-12)
 
     def test_zero_conventions(self):
-        f = ProductFunction(np.array([0.0, 1.0]))
+        f = np.array([0.0, 1.0])
         assert lp_norm(f, self.MU, 0.0) == 0.0
         assert lp_norm(f, self.MU, -0.5) == 0.0
         assert lp_norm(f, self.MU, 0.5) == pytest.approx(0.25, abs=1e-15)
 
     def test_zero_off_support_ignored(self):
-        f = ProductFunction(np.array([0.0, 2.0]))
+        f = np.array([0.0, 2.0])
         mu = np.array([0.0, 1.0])
         assert lp_norm(f, mu, 0.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_rejects_p_above_one(self):
         with pytest.raises(DomainError):
-            lp_norm(ProductFunction(np.ones(2)), self.MU, 1.5)
+            lp_norm(np.ones(2), self.MU, 1.5)
 
     def test_rejects_bad_measure(self):
         with pytest.raises(DomainError):
-            lp_norm(ProductFunction(np.ones(2)), np.array([0.5, 0.6]), 0.5)
+            lp_norm(np.ones(2), np.array([0.5, 0.6]), 0.5)
 
 
 class TestMossel:
     def test_constant_margin_zero(self):
         sg = FAIR_COIN.at_time(math.log(3.0))  # critical time for (p, q) = (0.5, -0.5)
-        f = ProductFunction(np.full(sg.shape, 0.3))
+        f = np.full(sg.shape, 0.3)
         assert check_mossel(sg, f, 0.5, -0.5) == pytest.approx(0.0, abs=1e-14)
 
     def test_precondition_violation(self):
-        f = ProductFunction(np.ones(FAIR_COIN.shape))
+        f = np.ones(FAIR_COIN.shape)
         with pytest.raises(DomainError):
             check_mossel(FAIR_COIN.at_time(0.01), f, 0.5, -0.5)  # below critical time
         with pytest.raises(DomainError):
@@ -195,7 +205,7 @@ class TestMossel:
         rng = np.random.default_rng(13)
         for _ in range(50):
             sg = random_semigroup(rng)
-            f = ProductFunction(rng.random(sg.shape))
+            f = rng.random(sg.shape)
             p = float(rng.uniform(0.05, 0.95))
             assert check_mossel(sg, f, p, p) >= -1e-12
 
@@ -204,7 +214,7 @@ class TestMossel:
         rng = np.random.default_rng(14)
         for _ in range(25):
             sg = random_semigroup(rng, t=50.0)
-            f = ProductFunction(rng.random(sg.shape))
+            f = rng.random(sg.shape)
             p = float(rng.uniform(0.05, 0.95))
             assert check_mossel(sg, f, p, p) >= -1e-12
 
@@ -214,7 +224,7 @@ class TestMossel:
 
     def test_q0_all_ones_is_tight(self):
         sg = FAIR_COIN
-        f = ProductFunction(np.ones(sg.shape))
+        f = np.ones(sg.shape)
         assert mossel_q0_margin(sg, f) == pytest.approx(0.0, abs=1e-12)
 
     def test_determinism(self):
@@ -244,9 +254,27 @@ class TestOuAction:
         records = ou_q0_suite(30, 12)
         assert all(r.passed for r in records)
 
+    @pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
+    def test_array_y_matches_float_calls(self, shape):
+        def f(u):
+            return 0.1 + 0.9 / (1.0 + np.exp(-1.7 * (u - 0.2)))
+
+        ys = np.random.default_rng(3).uniform(-3.0, 3.0, size=shape)
+        got = ou_apply(f, 0.4, ys, 0.8)
+        assert np.shape(got) == shape
+        for idx in np.ndindex(shape):
+            assert np.asarray(got)[idx] == ou_apply(f, 0.4, float(ys[idx]), 0.8)
+        assert type(ou_apply(f, 0.4, 0.5, 0.8)) is float
+
     def test_ou_q0_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
             check_ou_q0(lambda u: np.minimum(np.abs(u), 1.0), 0.0, 0.0)
+
+    @pytest.mark.parametrize("low, high", [(0.5, 1.5), (-0.2, 0.9), (0.5, math.nan)])
+    def test_ou_q0_rejects_f_outside_unit_interval(self, low, high):
+        # the mean of np.where(u > 0, 1.5, 0.5) lies in [0, 1]; its values do not
+        with pytest.raises(DomainError):
+            check_ou_q0(lambda u: np.where(u > 0.0, high, low), 0.0, 0.5)
 
 
 class TestBorell:
