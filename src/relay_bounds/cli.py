@@ -181,12 +181,7 @@ def cmd_curves(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             table = gaussian_relay.emit_fig2_curves(args.snr, args.c0_max, args.points)
     except DomainError as exc:
         parser.error(str(exc))
-    text = _table_text(table, args.format, _unit_scale(args))
-    try:
-        _write_text(args.output, text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _write_text(args.output, _table_text(table, args.format, _unit_scale(args)))
     return 0
 
 
@@ -346,10 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, args.command_parser)
-    except BoundsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (BoundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

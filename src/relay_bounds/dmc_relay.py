@@ -13,7 +13,9 @@ minimum over lam in [0, 1] of a weighted Blahut-Arimoto problem
 max_p [lam I(X;Y,Z) + (1 - lam)(I(X;Y) + penalty)], and the output laws of any
 input law give a closed-form upper bound on it.  Both bounds are reported as
 that dual certificate, an upper value, with the gap to the objective at the
-returned input law.
+returned input law.  Since the penalty is at most C0, the cutset certificate
+also bounds the corollary's maximum; the reported bound is the smaller one.
+Channel rows and input laws are checked by `scalar_bounds.require_law`.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .scalar_bounds import bdd_gap_inverse, require_alpha, require_rate
+from .scalar_bounds import bdd_gap_inverse, require_alpha, require_law, require_rate
 
-_ROW_SUM_TOL = 1e-12
 _TINY = 1e-300
 
 
@@ -38,21 +39,10 @@ class DiscreteChannel:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2:
-            raise DomainError(f"channel matrix must be 2-d, got shape {m.shape}")
-        if m.shape[0] < 2 or m.shape[1] < 2:
-            raise DomainError(f"channel needs at least 2 inputs and 2 outputs, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise DomainError("channel matrix contains non-finite entries")
-        if np.any(m < 0.0) or np.any(m > 1.0):
-            raise DomainError("channel entries must lie in [0, 1]")
-        sums = m.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > _ROW_SUM_TOL):
-            raise DomainError(f"channel rows must sum to 1 within {_ROW_SUM_TOL}, got {sums}")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        shape = np.shape(self.matrix)
+        if len(shape) != 2 or shape[0] < 2 or shape[1] < 2:
+            raise DomainError(f"channel needs a 2-d matrix of at least 2x2, got shape {shape}")
+        object.__setattr__(self, "matrix", require_law(self.matrix, "channel rows"))
 
     @property
     def n_inputs(self) -> int:
@@ -78,16 +68,9 @@ class InputDistribution:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.probs, dtype=float)
-        if p.ndim != 1:
-            raise DomainError(f"input distribution must be 1-d, got shape {p.shape}")
-        if not np.all(np.isfinite(p)) or np.any(p < 0.0):
-            raise DomainError("input probabilities must be finite and nonnegative")
-        if abs(p.sum() - 1.0) > _ROW_SUM_TOL:
-            raise DomainError(f"input probabilities must sum to 1 within {_ROW_SUM_TOL}")
-        p = p.copy()
-        p.setflags(write=False)
-        object.__setattr__(self, "probs", p)
+        if np.ndim(self.probs) != 1:
+            raise DomainError(f"input distribution must be 1-d, got shape {np.shape(self.probs)}")
+        object.__setattr__(self, "probs", require_law(self.probs, "input distribution"))
 
 
 @dataclass(frozen=True)
@@ -97,7 +80,8 @@ class DmcBoundReport:
     penalty = C0 - c_alpha^{-1}(C0) is the residual relay contribution that
     replaces C0 in the cutset expression, so the improvement over the cutset
     bound is c_alpha^{-1}(C0).  cor2_bound and cutset are dual certificates,
-    never below the true maxima.  suboptimality_gap = cor2_bound minus the
+    never below the true maxima, and cor2_bound is at most cutset, which
+    bounds its maximum too.  suboptimality_gap = cor2_bound minus the
     objective at argmax_input, so it bounds how far cor2_bound can sit above
     the true maximum; certified means the gap is at most GAP_TOL = 1e-10.
     """
@@ -385,6 +369,9 @@ def capacity_ub_cor2(
     solver = _DualSolver(w)
     cert, value, p = solver.solve(penalty)
     cutset, _, _ = solver.solve(c0)
+    # The cor2 objective never exceeds the cutset one (the penalty is at most
+    # C0), so the cutset certificate bounds it too when the solver stalls.
+    cert = min(cert, cutset)
     gap = max(cert - value, 0.0)
     return DmcBoundReport(
         alpha=alpha,

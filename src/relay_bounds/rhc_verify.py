@@ -13,10 +13,12 @@ quadrature, the inequalities that power the capacity bounds:
 * the entropy-gap bounds themselves, via exact relay-instance enumeration
   (discrete channels) and quantizer instances (Gaussian links at n = 1).
 
-Function tables are plain float arrays; `apply_semisimple` checks its table
-where it enters.  `SUITES` names the seven randomized suites.  Each derives
-one RNG stream per instance from (seed, index), so results do not depend on
-execution order and any failure can be replayed from its record.
+Function tables are plain float arrays.  Semigroup factors and quadrature
+weights are checked by `scalar_bounds.require_law`, and tables by
+`require_table` where they enter `apply_semisimple` and `lp_norm`.  `SUITES`
+names the seven randomized suites.  Each derives one RNG stream per instance
+from (seed, index), so results do not depend on execution order and any
+failure can be replayed from its record.
 """
 
 from __future__ import annotations
@@ -29,9 +31,8 @@ import numpy as np
 
 from .dmc_relay import DiscreteChannel, _xlogx_rows, alpha_of_channel
 from .errors import DimensionError, DomainError
-from .scalar_bounds import bdd_gap_closed, gauss_gap_closed
+from .scalar_bounds import bdd_gap_closed, gauss_gap_closed, require_law, require_table
 
-_SUM_TOL = 1e-12
 MAX_FACTORS = 4  # tensor factors of a semigroup (the `verify --n` range)
 _MAX_ALPHABET = 6
 _MAX_BLOCKLENGTH = 3
@@ -55,21 +56,13 @@ class SemiSimpleSemigroup:
             raise DomainError("semigroup needs at least one factor")
         if len(self.factors) > MAX_FACTORS:
             raise DomainError(f"at most {MAX_FACTORS} tensor factors are supported")
-        frozen = []
-        for i, dist in enumerate(self.factors):
-            d = np.asarray(dist, dtype=float)
-            if d.ndim != 1 or not (2 <= d.shape[0] <= _MAX_ALPHABET):
-                raise DomainError(
-                    f"factor {i} must be a vector over 2..{_MAX_ALPHABET} symbols, got shape {d.shape}"
-                )
-            if not np.all(np.isfinite(d)) or np.any(d < 0.0):
-                raise DomainError(f"factor {i} must be a nonnegative finite vector")
-            if abs(d.sum() - 1.0) > _SUM_TOL:
-                raise DomainError(f"factor {i} must sum to 1 within {_SUM_TOL}")
-            d = d.copy()
-            d.setflags(write=False)
-            frozen.append(d)
-        object.__setattr__(self, "factors", tuple(frozen))
+        frozen = tuple(require_law(d, f"factor {i}") for i, d in enumerate(self.factors))
+        if any(d.ndim != 1 or not 2 <= d.size <= _MAX_ALPHABET for d in frozen):
+            raise DomainError(
+                f"factors must be vectors over 2..{_MAX_ALPHABET} symbols, "
+                f"got shapes {[d.shape for d in frozen]}"
+            )
+        object.__setattr__(self, "factors", frozen)
         t = float(self.time)
         if math.isnan(t) or t < 0.0:
             raise DomainError(f"time must be >= 0, got {self.time!r}")
@@ -91,22 +84,12 @@ class QuadratureRule:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        n = np.asarray(self.nodes, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        if n.ndim != 1 or w.ndim != 1 or n.shape != w.shape or n.shape[0] < 1:
-            raise DomainError("nodes and weights must be matching nonempty vectors")
-        if not (np.all(np.isfinite(n)) and np.all(np.isfinite(w))):
-            raise DomainError("nodes and weights must be finite")
-        if np.any(w < 0.0):
-            raise DomainError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > _SUM_TOL:
-            raise DomainError(f"weights must sum to 1 within {_SUM_TOL} (normalize first)")
-        n = n.copy()
-        w = w.copy()
+        n = np.array(self.nodes, dtype=float)
+        if n.ndim != 1 or np.shape(self.weights) != n.shape or not np.all(np.isfinite(n)):
+            raise DomainError("nodes must be a finite vector matching the weights")
         n.setflags(write=False)
-        w.setflags(write=False)
         object.__setattr__(self, "nodes", n)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", require_law(self.weights, "weights"))
 
     @staticmethod
     def gauss_hermite(order: int = 64) -> "QuadratureRule":
@@ -175,11 +158,9 @@ def apply_semisimple(sg: SemiSimpleSemigroup, f: np.ndarray) -> np.ndarray:
     unchanged and a new table is returned.  Linear, positivity preserving,
     and unital (the all-ones table is fixed).
     """
-    out = np.asarray(f, dtype=float)
+    out = require_table(f)
     if out.shape != sg.shape:
         raise DimensionError(f"table shape {out.shape} does not match {sg.shape}")
-    if not np.all(np.isfinite(out)) or np.any(out < 0.0):
-        raise DomainError("table entries must be finite and nonnegative")
     keep = math.exp(-sg.time)
     mix = -math.expm1(-sg.time)
     for axis, dist in enumerate(sg.factors):
@@ -202,12 +183,13 @@ def lp_norm(f: np.ndarray, measure: np.ndarray, p: float) -> float:
     For p <= 0 a zero of f on the support of the measure gives norm 0 (the
     correct limit); the p = 0 case is evaluated in the log domain.
     """
-    values = np.asarray(f, dtype=float)
-    q = np.asarray(measure, dtype=float)
+    values = require_table(f, "f")
+    q = require_table(measure, "measure")
     if values.shape != q.shape:
         raise DimensionError(f"function shape {values.shape} != measure shape {q.shape}")
-    if not np.all(np.isfinite(q)) or np.any(q < 0.0) or abs(q.sum() - 1.0) > 1e-9:
-        raise DomainError("measure must be a probability table")
+    # looser than LAW_TOL: the measure is a product of up to MAX_FACTORS laws
+    if abs(q.sum() - 1.0) > 1e-9:
+        raise DomainError("measure must sum to 1")
     if not math.isfinite(p) or p > 1.0:
         raise DomainError(f"norm index must be <= 1, got {p!r}")
     support = q > 0.0

@@ -21,8 +21,10 @@ branch of Lambert W (Corless et al. 1996): c^{-1}(c0) = u^2/(2(1+u)) with
 1+u = omega(1 + 2*c0), and the implicit bound's largest h2 is v/2 with
 1+v = -W_{-1}(-e^{-1-2*h1}).
 A few Halley steps take each root to double precision, so the inverses are
-accurate in relative terms at every rate.  Everything here is a pure
-function; there is no shared mutable state.
+accurate in relative terms at every rate.  The require_* functions check
+the inputs of every layer: rates, density ratios, probability laws and
+nonnegative tables.  Everything here is a pure function; there is no shared
+mutable state.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ from .errors import DomainError
 # there, but the bounds stop being meaningful long before and capping keeps
 # every intermediate quantity comfortably inside IEEE double range.
 RATE_CAP = 1e15
+
+# A probability law may miss a total of 1 by this much: rounding, not mass.
+LAW_TOL = 1e-12
 
 # A Halley step cubes the relative error, so one this small (relative to the
 # root) lands within rounding; a one-ulp stop could cycle between neighbours.
@@ -63,6 +68,30 @@ def require_alpha(value: float, name: str = "alpha") -> float:
     if a < 1.0:
         raise DomainError(f"{name} must be >= 1 (density peak over a probability measure), got {a}")
     return a
+
+
+def require_law(values, name: str = "law") -> np.ndarray:
+    """A read-only float copy of a probability law, or of a stack of laws.
+
+    Every entry must be finite and in [0, 1], and every slice along the last
+    axis must sum to 1 within LAW_TOL.
+    """
+    x = np.array(values, dtype=float)
+    # NaN fails both comparisons, and an infinity fails one
+    if not (x.ndim and x.size and 0.0 <= x.min() and x.max() <= 1.0):
+        raise DomainError(f"{name} must be a nonempty table of finite entries in [0, 1]")
+    if np.abs(x.sum(axis=-1) - 1.0).max() > LAW_TOL:
+        raise DomainError(f"{name} must sum to 1 within {LAW_TOL} along its last axis")
+    x.setflags(write=False)
+    return x
+
+
+def require_table(values, name: str = "table") -> np.ndarray:
+    """The values as a float array, after checking that they are finite and nonnegative."""
+    x = np.asarray(values, dtype=float)
+    if not (x.size and 0.0 <= x.min() and x.max() < math.inf):
+        raise DomainError(f"{name} must be a nonempty table of finite nonnegative entries")
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -190,10 +190,6 @@ class TestCurvesCommand:
         assert payload["columns"] == ["h1", "h2_relaxed", "h2_lemma3"]
         assert len(payload["rows"]) == 3
 
-    def test_unwritable_output_exit_1(self, tmp_path):
-        target = str(tmp_path / "no" / "such" / "dir" / "f.csv")
-        assert main(["curves", "--figure", "1", "--output", target]) == 1
-
     def test_bad_grid_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["curves", "--figure", "1", "--points", "1"])
@@ -424,6 +420,40 @@ def test_flag_errors_print_the_subcommand_usage(bsc_file, capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith(f"usage: relay-bounds {argv[0]} ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gaussian", "--snr", "0.5", "--c0", "0.1"],
+        ["dmc", "--channel", "{bsc}", "--c0", "0.05"],
+        ["curves", "--figure", "1", "--points", "3"],
+        ["verify", "--suite", "borell-exp", "--instances", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_output_exit_1(bsc_file, tmp_path, capsys, argv):
+    target = tmp_path / "no" / "such" / "dir" / "f.out"
+    assert main([a.format(bsc=bsc_file) for a in argv] + ["--output", str(target)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"error: [Errno 2] No such file or directory: '{target}'"
+
+
+def test_package_root_holds_only_the_error_types():
+    import types
+
+    import relay_bounds
+    from relay_bounds import errors
+
+    assert relay_bounds.BoundsError is errors.BoundsError
+    assert relay_bounds.DomainError is errors.DomainError
+    assert relay_bounds.DimensionError is errors.DimensionError
+    public = {
+        name
+        for name, value in vars(relay_bounds).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == {"BoundsError", "DomainError", "DimensionError"}
 
 
 class TestDeterminismAndRoundTrip:

@@ -1,11 +1,19 @@
 """Tests for the discrete-channel bound: alpha, mutual informations, optimizer."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from oracles import i_infinity_minimax_oracle, mutual_info, mutual_info_product, simplex_grid
+from oracles import (
+    i_infinity_minimax_oracle,
+    mutual_info,
+    mutual_info_product,
+    simplex_grid,
+    write_channel_csv,
+)
+from relay_bounds import cli, dmc_relay
 from relay_bounds.dmc_relay import (
     DiscreteChannel,
     InputDistribution,
@@ -266,6 +274,32 @@ class TestRegressionChannels:
         laws = np.random.default_rng(seed).dirichlet(np.ones(w.n_inputs), size=2000)
         assert rep.cor2_bound >= relay_objective_rows(laws, w.matrix, rep.penalty).max()
         assert rep.cor2_bound <= rep.cutset
+
+
+class TestStalledSolver:
+    """Near-duplicate rows stall the solver at lam = 0 (a gap near 7e-11), so
+    the bracket search gets no budget; a budget of 50 steps shows it fast."""
+
+    ROWS = [[1 - 1e-13, 1e-13], [1 - 8e-12, 8e-12], [1.0, 0.0], [0.04, 0.96], [0.0, 1.0]]
+    C0 = 0.32628245749178686
+
+    def test_report_stays_below_its_cutset(self, monkeypatch):
+        monkeypatch.setattr(dmc_relay, "_BUDGET", 50)
+        w = DiscreteChannel(np.array(self.ROWS))
+        rep = capacity_ub_cor2(w, self.C0)
+        assert rep.cor2_bound <= rep.cutset
+        assert not rep.certified
+        value = relay_objective(rep.argmax_input.probs, w, rep.penalty)
+        assert rep.suboptimality_gap == pytest.approx(rep.cor2_bound - value, abs=1e-12)
+
+    def test_cli_exits_0(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(dmc_relay, "_BUDGET", 50)
+        path = str(tmp_path / "stalled.csv")
+        write_channel_csv(path, DiscreteChannel(np.array(self.ROWS)))
+        assert cli.main(["dmc", "--channel", path, "--c0", repr(self.C0)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["cor2_bound"] <= payload["cutset"]
+        assert payload["certified"] is False
 
 
 class TestCutsetDmc:

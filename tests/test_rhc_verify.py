@@ -175,6 +175,14 @@ class TestLpNorm:
     def test_rejects_bad_measure(self):
         with pytest.raises(DomainError):
             lp_norm(np.ones(2), np.array([0.5, 0.6]), 0.5)
+        with pytest.raises(DomainError):
+            lp_norm(np.ones(2), np.array([-0.5, 1.5]), 0.5)
+
+    @pytest.mark.parametrize("p", [0.5, 0.0, -1.0])
+    def test_rejects_negative_or_non_finite_function(self, p):
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                lp_norm(np.array([bad, 1.0]), self.MU, p)
 
 
 class TestMossel:

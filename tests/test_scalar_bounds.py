@@ -8,7 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import bdd_gap_variational, gauss_gap_relaxed, gauss_gap_variational
+from relay_bounds.dmc_relay import DiscreteChannel, InputDistribution
 from relay_bounds.errors import DomainError
+from relay_bounds.rhc_verify import QuadratureRule, SemiSimpleSemigroup
 from relay_bounds.scalar_bounds import (
     RATE_CAP,
     bdd_gap_closed,
@@ -18,6 +20,8 @@ from relay_bounds.scalar_bounds import (
     lemma3_gap,
     lemma3_h2max,
     relaxed_gap_inverse,
+    require_law,
+    require_table,
 )
 
 # golden-section value of min_t {t + 0.5/(1 - e^{-2t})}, frozen from the
@@ -295,3 +299,51 @@ class TestAsymptotics:
     def test_implicit_large_h1(self):
         assert lemma3_h2max(1e6) / 1e6 == pytest.approx(1.0, rel=1e-2)
 
+
+# Each law-taking constructor, as a map from a 3-symbol law to the stored copy.
+LAW_TAKERS = {
+    "channel rows": lambda law: DiscreteChannel(np.array([law, np.full(3, 1 / 3)])).matrix[0],
+    "input law": lambda law: InputDistribution(law).probs,
+    "semigroup factor": lambda law: SemiSimpleSemigroup((law,), 1.0).factors[0],
+    "quadrature weights": lambda law: QuadratureRule(np.arange(3.0), law).weights,
+}
+
+
+class TestLawAndTableChecks:
+    @pytest.mark.parametrize("take", LAW_TAKERS.values(), ids=LAW_TAKERS.keys())
+    def test_constructors_share_the_law_rule(self, take):
+        bad_laws = (
+            [math.nan, 0.5, 0.5],
+            [-0.25, 0.5, 0.75],
+            [1.0 + 5e-13, 0.0, 0.0],  # sums to 1 within 1e-12, but an entry exceeds 1
+            [0.25, 0.25, 0.5 + 2e-12],
+        )
+        for law in bad_laws:
+            with pytest.raises(DomainError):
+                take(np.array(law))
+        law = np.array([0.25, 0.25, 0.5 + 5e-13])
+        stored = take(law)
+        assert np.array_equal(stored, law)
+        law[0] = 0.0
+        assert stored[0] == 0.25
+        assert not stored.flags.writeable
+
+    @pytest.mark.parametrize("check", [require_law, require_table])
+    def test_empty_or_scalar_raise_domain_error(self, check):
+        for values in (np.empty(0), np.empty((2, 0)), []):
+            with pytest.raises(DomainError):
+                check(values)
+        with pytest.raises(DomainError):
+            require_law(1.0)
+
+    def test_law_checks_every_last_axis_slice(self):
+        assert require_law([[0.5, 0.5], [0.0, 1.0]]).shape == (2, 2)
+        with pytest.raises(DomainError):
+            require_law([[0.5, 0.5], [0.5, 0.6]])
+
+    def test_table_rejects_negative_or_non_finite(self):
+        table = np.array([[0.0, 2.5], [1e300, 0.1]])
+        assert require_table(table) is table
+        for bad in (-1e-300, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                require_table(np.array([1.0, bad]))
