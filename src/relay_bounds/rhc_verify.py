@@ -134,8 +134,10 @@ class RelayInstance:
             raise DomainError(
                 f"partition must assign a cell to each of the {n_z} relay observations"
             )
-        if np.any(part < 0):
-            raise DomainError("partition cells must be nonnegative integers")
+        # a cell per observation at most; a larger label would size the
+        # enumeration tables of brute_force_entropy_gap
+        if part.min() < 0 or part.max() >= n_z:
+            raise DomainError(f"partition cells must be integers in 0..{n_z - 1}")
         part = part.copy()
         part.setflags(write=False)
         object.__setattr__(self, "codebook", book)
@@ -163,10 +165,18 @@ def apply_semisimple(sg: SemiSimpleSemigroup, f: np.ndarray) -> np.ndarray:
         raise DimensionError(f"table shape {out.shape} does not match {sg.shape}")
     keep = math.exp(-sg.time)
     mix = -math.expm1(-sg.time)
-    for axis, dist in enumerate(sg.factors):
-        avg = np.tensordot(dist, out, axes=([0], [axis]))
-        out = keep * out + mix * np.expand_dims(avg, axis)
-    return out
+    pre, post = 1, out.size
+    for dist in sg.factors:
+        k = dist.shape[0]
+        post //= k
+        # The table as (axes before, this axis, axes after), averaged over this
+        # axis by one dot on the (k, pre*post) transpose.  A matmul batched over
+        # `pre` sums some entries in another order and moves margins by an ulp.
+        view = out.reshape(pre, k, post)
+        avg = np.dot(dist, view.transpose(1, 0, 2).reshape(k, pre * post))
+        out = keep * view + mix * avg.reshape(pre, 1, post)
+        pre *= k
+    return out.reshape(sg.shape)
 
 
 def stationary_measure(sg: SemiSimpleSemigroup) -> np.ndarray:
@@ -265,16 +275,19 @@ def ou_apply(
 
     f must act entrywise on a numpy array of points; sd = sqrt(1 - e^{-2t}).
     A float y gives a float; an array gives an array of its shape, each entry
-    exactly as its float call gives it (one dot per y: a matrix-vector
-    product may sum in another order).
+    exactly as its float call gives it.  The quadrature sums are one stacked
+    matmul of 1 x m rows by the m x 1 weight column: numpy hands each such
+    product to the BLAS dot that np.dot(rule.weights, row) calls, so every
+    entry is summed in the order of its own dot.  A matrix-vector product
+    would use a BLAS kernel that may sum in another order.
     """
     if t < 0.0 or math.isnan(t):
         raise DomainError(f"time must be >= 0, got {t!r}")
     mean = math.exp(-t) * np.asarray(y, dtype=float) + -math.expm1(-t) * x
     sd = math.sqrt(-math.expm1(-2.0 * t))
+    m = rule.nodes.shape[0]
     vals = np.asarray(f(mean[..., None] + sd * rule.nodes), dtype=float)
-    rows = vals.reshape(-1, rule.nodes.shape[0])
-    out = np.array([np.dot(rule.weights, row) for row in rows]).reshape(mean.shape)
+    out = np.matmul(vals.reshape(-1, 1, m), rule.weights[:, None]).reshape(mean.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -380,6 +393,10 @@ def brute_force_entropy_gap(inst: RelayInstance) -> tuple[float, float]:
     return h1 / n, h_iy / n
 
 
+# math.erfc entrywise; the result is an object array, cast it to float
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
+
 def gaussian_quantizer_gap(
     constellation,
     thresholds,
@@ -406,10 +423,8 @@ def gaussian_quantizer_gap(
 
     edges = np.concatenate(([-math.inf], taus, [math.inf]))
     # P(I = i | X = x) via Phi differences, columns are quantizer cells
-    cdf_at = lambda u: 0.5 * _erfc_vec(-u / math.sqrt(2.0))
-    upper = cdf_at(edges[None, 1:] - xs[:, None])
-    lower = cdf_at(edges[None, :-1] - xs[:, None])
-    cell_given_x = np.clip(upper - lower, 0.0, 1.0)
+    cdf = 0.5 * _erfc(-(edges[None, :] - xs[:, None]) / math.sqrt(2.0)).astype(float)
+    cell_given_x = np.clip(cdf[:, 1:] - cdf[:, :-1], 0.0, 1.0)
 
     k = xs.shape[0]
     h1 = float(np.mean(-_xlogx_rows(cell_given_x)))
@@ -424,10 +439,6 @@ def gaussian_quantizer_gap(
     weights = (np.full((k, 1), 1.0 / k) * rule.weights[None, :]).reshape(-1)
     h2 = float(np.dot(weights, -_xlogx_rows(cell_given_y)))
     return h1, h2
-
-
-def _erfc_vec(u: np.ndarray) -> np.ndarray:
-    return np.vectorize(math.erfc)(u)
 
 
 # ---------------------------------------------------------------------------
@@ -655,12 +666,12 @@ def semigroup_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
         t1 = float(rng.uniform(0.0, 2.0))
         t2 = float(rng.uniform(0.0, 2.0))
         mu = stationary_measure(sg)
-        two_step = apply_semisimple(sg.at_time(t1), apply_semisimple(sg.at_time(t2), f))
+        sg1 = sg.at_time(t1)
+        two_step = apply_semisimple(sg1, apply_semisimple(sg.at_time(t2), f))
         one_step = apply_semisimple(sg.at_time(t1 + t2), f)
         dev_law = float(np.max(np.abs(two_step - one_step)))
         dev_stat = abs(float((mu * one_step).sum()) - float((mu * f).sum()))
-        ones = np.ones(sg.shape)
-        dev_unit = float(np.max(np.abs(apply_semisimple(sg.at_time(t1), ones) - 1.0)))
+        dev_unit = float(np.max(np.abs(apply_semisimple(sg1, np.ones(sg.shape)) - 1.0)))
         positivity = float(one_step.min())
         instance = {"n": len(sg.factors), "alphabet": sg.shape[0], "t1": t1, "t2": t2}
         return instance, -max(dev_law, dev_stat, dev_unit, -positivity)

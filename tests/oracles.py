@@ -5,6 +5,7 @@
 * the inverse of the baseline curve map r -> 2r + sqrt(2r);
 * the mutual informations I(X;Y) and I(X;Y,Z) of an input law;
 * a simplex grid and I_inf by minimax over output laws;
+* the dense matrix of a semi-simple semigroup on flattened tables;
 * a channel CSV writer, the inverse of `cli.read_channel_csv`.
 
 They import only public names from relay_bounds.
@@ -201,6 +202,21 @@ def i_infinity_minimax_oracle(w: DiscreteChannel, grid_steps: int | None = None)
     qs = qs[np.all(qs[:, reached] > 0.0, axis=1)][:, reached]
     # max over x of W(y|x)/Q(y) is peak(y)/Q(y), rounded the same way
     return math.log(float((peak[reached] / qs).max(axis=1).min()))
+
+
+def semisimple_dense(factors, t: float) -> np.ndarray:
+    """Matrix of tensor_i [e^{-t} I + (1-e^{-t}) 1 P_i^T] on C-order flattened tables.
+
+    The Kronecker product of one k x k matrix per factor P_i, first factor
+    outermost, so `semisimple_dense(factors, t) @ f.ravel()` is T_t f.
+    """
+    keep = math.exp(-t)
+    dense = np.ones((1, 1))
+    for dist in factors:
+        k = len(dist)
+        simple = keep * np.eye(k) + (1.0 - keep) * np.outer(np.ones(k), dist)
+        dense = np.kron(dense, simple)
+    return dense
 
 
 def write_channel_csv(path: str, channel: DiscreteChannel) -> None:

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import semisimple_dense
 from relay_bounds.dmc_relay import DiscreteChannel
 from relay_bounds.errors import DimensionError, DomainError
 from relay_bounds.rhc_verify import (
+    DEFAULT_RULE,
     SUITES,
     QuadratureRule,
     RelayInstance,
@@ -71,6 +73,10 @@ class TestTypes:
             RelayInstance(bsc, ((0, 1),), np.zeros(3, dtype=int))
         with pytest.raises(DomainError):
             RelayInstance(bsc, ((0, 1, 0, 1),), np.zeros(16, dtype=int))
+        # a cell label must lie below the number of relay observations (4 here)
+        with pytest.raises(DomainError):
+            RelayInstance(bsc, ((0, 1),), np.array([0, 1, 2, 4]))
+        assert RelayInstance(bsc, ((0, 1),), np.array([0, 1, 2, 3])).relay_partition.max() == 3
 
 
 class TestSemigroupAction:
@@ -118,6 +124,18 @@ class TestSemigroupAction:
             before = float((mu * f).sum())
             after = float((mu * apply_semisimple(sg, f)).sum())
             assert after == pytest.approx(before, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 5.0, 50.0])
+    def test_matches_dense_oracle(self, t):
+        rng = np.random.default_rng(int(t * 10))
+        for _ in range(30):
+            n = int(rng.integers(1, 5))
+            factors = tuple(rng.dirichlet(np.ones(int(rng.integers(2, 7)))) for _ in range(n))
+            sg = SemiSimpleSemigroup(factors, t)
+            f = rng.random(sg.shape)
+            want = semisimple_dense(factors, t) @ f.ravel()
+            got = apply_semisimple(sg, f)
+            np.testing.assert_allclose(got.ravel(), want, rtol=1e-14, atol=0.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -273,6 +291,21 @@ class TestOuAction:
         for idx in np.ndindex(shape):
             assert np.asarray(got)[idx] == ou_apply(f, 0.4, float(ys[idx]), 0.8)
         assert type(ou_apply(f, 0.4, 0.5, 0.8)) is float
+
+    @pytest.mark.parametrize("order", [64, 128])
+    def test_matches_one_dot_per_point(self, order):
+        rule = DEFAULT_RULE if order == 64 else QuadratureRule.gauss_hermite(order)
+
+        def f(u):
+            return 0.05 + 0.95 / (1.0 + np.exp(-2.3 * (u + 0.4)))
+
+        x, t = -0.6, 0.35
+        ys = np.random.default_rng(order).uniform(-4.0, 4.0, size=(7, 11))
+        got = ou_apply(f, x, ys, t, rule)
+        sd = math.sqrt(-math.expm1(-2.0 * t))
+        for idx in np.ndindex(ys.shape):
+            mean = math.exp(-t) * float(ys[idx]) + -math.expm1(-t) * x
+            assert got[idx] == np.dot(rule.weights, f(mean + sd * rule.nodes))
 
     def test_ou_q0_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
