@@ -32,16 +32,18 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise DomainError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return DEFAULT_SEED
+def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    """--seed, else the SEED_ENV_VAR variable, else DEFAULT_SEED; each must be an integer >= 0."""
+    source, raw = "--seed", args.seed
+    if raw is None:
+        source, raw = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, DEFAULT_SEED)
+    try:
+        seed = int(raw)
+    except ValueError:
+        parser.error(f"{source} must be an integer, got {raw!r}")
+    if seed < 0:
+        parser.error(f"{source} must be nonnegative, got {seed}")
+    return seed
 
 
 def _unit_scale(args: argparse.Namespace) -> float:
@@ -238,7 +240,7 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
         parser.error("--instances must be at least 1")
     names = list(rhc_verify.SUITES) if args.suite == "all" else [args.suite]
     kwargs = _suite_kwargs(args, parser, names)
-    seed = _resolve_seed(args)
+    seed = _resolve_seed(args, parser)
     records: list[rhc_verify.SuiteRecord] = []
     for name in names:
         # Reach the suite through the module attribute, not the SUITES entry,

@@ -163,13 +163,16 @@ def _certificate(d1: np.ndarray, d2: np.ndarray, penalty: float) -> float:
     bounds lam*I(X;Y,Z) + (1 - lam)*(I(X;Y) + penalty) from above at every
     input law, so the minimum bounds the max-min objective.  The envelope is
     convex and piecewise linear: its minimum is at an end or a crossing.
+    Each line is written d2 + (1 - lam)*(d1 + penalty - d2), which is d2
+    exactly at lam = 1 however large the penalty, and the crossings come from
+    d1 and d2 - d1, in which the penalty cancels.
     """
-    b = d1 + penalty
-    slope = d2 - b
+    excess = d2 - d1
     with np.errstate(divide="ignore", invalid="ignore"):
-        cross = (b[None, :] - b[:, None]) / (slope[:, None] - slope[None, :])
+        cross = (d1[None, :] - d1[:, None]) / (excess[:, None] - excess[None, :])
     lams = np.concatenate(([0.0, 1.0], cross[(cross > 0.0) & (cross < 1.0)]))
-    return float((b[None, :] + lams[:, None] * slope[None, :]).max(axis=1).min())
+    lines = d2[None, :] + (1.0 - lams)[:, None] * (d1 + penalty - d2)[None, :]
+    return float(lines.max(axis=1).min())
 
 
 def _law(p: np.ndarray) -> np.ndarray:
@@ -354,14 +357,13 @@ def capacity_ub_cor2(
     c0: float,
     *,
     alpha_override: float | None = None,
-    seed: int = 0,
 ) -> DmcBoundReport:
     """Bounded-density capacity bound max_p min{I(X;YZ), I(X;Y) + C0 - c_a^{-1}(C0)}.
 
     alpha defaults to the channel's own peak ratio; pass alpha_override when
     the channel is only known through a density bound.  Both the bound and
     its cutset analogue are dual certificates, upper values on the true
-    maxima.  The solver is deterministic; `seed` is accepted and ignored.
+    maxima.
     """
     c0 = require_rate(c0, "c0")
     alpha = bound_alpha(w, alpha_override)
@@ -384,11 +386,8 @@ def capacity_ub_cor2(
     )
 
 
-def cutset_dmc(w: DiscreteChannel, c0: float, *, seed: int = 0) -> float:
-    """Cutset analogue max_p min{I(X;YZ), I(X;Y) + C0}, as a dual certificate.
-
-    The solver is deterministic; `seed` is accepted and ignored.
-    """
+def cutset_dmc(w: DiscreteChannel, c0: float) -> float:
+    """Cutset analogue max_p min{I(X;YZ), I(X;Y) + C0}, as a dual certificate."""
     c0 = require_rate(c0, "c0")
     cert, _, _ = _DualSolver(w).solve(c0)
     return cert

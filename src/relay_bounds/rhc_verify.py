@@ -103,6 +103,17 @@ class QuadratureRule:
 DEFAULT_RULE = QuadratureRule.gauss_hermite(64)
 
 
+def _integers(values, name: str) -> np.ndarray:
+    """The values as an int array; a fractional, NaN or non-numeric entry is a DomainError."""
+    x = np.asarray(values)
+    if x.dtype.kind in "biuf":
+        with np.errstate(invalid="ignore"):  # NaN and inf cast to an integer they differ from
+            ints = x.astype(int)
+        if np.array_equal(ints, x):
+            return ints
+    raise DomainError(f"{name} must be integers, got {values!r}")
+
+
 @dataclass(frozen=True)
 class RelayInstance:
     """Finite relay code: channel, codebook x^n(m), and relay partition of Z^n.
@@ -116,7 +127,7 @@ class RelayInstance:
     relay_partition: np.ndarray
 
     def __post_init__(self) -> None:
-        book = tuple(tuple(int(s) for s in word) for word in self.codebook)
+        book = tuple(tuple(_integers(word, "codeword symbols").tolist()) for word in self.codebook)
         if not (1 <= len(book) <= _MAX_MESSAGES):
             raise DomainError(f"codebook must hold 1..{_MAX_MESSAGES} messages, got {len(book)}")
         n = len(book[0])
@@ -128,7 +139,7 @@ class RelayInstance:
                 raise DomainError("all codewords must share one blocklength")
             if any(not (0 <= s < kx) for s in word):
                 raise DomainError(f"codeword symbols must index the {kx}-ary input alphabet")
-        part = np.asarray(self.relay_partition, dtype=int)
+        part = _integers(self.relay_partition, "partition cells")
         n_z = self.channel.n_outputs**n
         if part.shape != (n_z,):
             raise DomainError(
@@ -138,7 +149,6 @@ class RelayInstance:
         # enumeration tables of brute_force_entropy_gap
         if part.min() < 0 or part.max() >= n_z:
             raise DomainError(f"partition cells must be integers in 0..{n_z - 1}")
-        part = part.copy()
         part.setflags(write=False)
         object.__setattr__(self, "codebook", book)
         object.__setattr__(self, "relay_partition", part)

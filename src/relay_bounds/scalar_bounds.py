@@ -21,10 +21,13 @@ branch of Lambert W (Corless et al. 1996): c^{-1}(c0) = u^2/(2(1+u)) with
 1+u = omega(1 + 2*c0), and the implicit bound's largest h2 is v/2 with
 1+v = -W_{-1}(-e^{-1-2*h1}).
 A few Halley steps take each root to double precision, so the inverses are
-accurate in relative terms at every rate.  The require_* functions check
-the inputs of every layer: rates, density ratios, probability laws and
-nonnegative tables.  Everything here is a pure function; there is no shared
-mutable state.
+accurate in relative terms at every rate.  `lemma3_gap`, `relaxed_gap_inverse`
+and `lemma3_h2max` take a float or an array: a float gives a float, an array
+an array of its shape whose entries equal the float calls, and an entry that
+is NaN, negative or above RATE_CAP is rejected as a float would be.  The
+require_* functions check the inputs of every layer: rates, density ratios,
+probability laws and nonnegative tables.  Everything here is a pure function;
+there is no shared mutable state.
 """
 
 from __future__ import annotations
@@ -58,6 +61,20 @@ def require_rate(value: float, name: str = "h") -> float:
     if x > RATE_CAP:
         raise DomainError(f"{name}={x} exceeds the supported range (<= {RATE_CAP} nats)")
     return x
+
+
+def _rates(values, name: str) -> np.ndarray:
+    """The values as a float array, each entry checked as `require_rate` checks a float."""
+    x = np.asarray(values, dtype=float)
+    bad = ~((x >= 0.0) & (x <= RATE_CAP))  # NaN fails both comparisons
+    if bad.any():
+        require_rate(x[bad].flat[0], name)
+    return x
+
+
+def _like(x: np.ndarray) -> float | np.ndarray:
+    """A float for a 0-d result, else the array: the float-or-array return."""
+    return float(x) if x.ndim == 0 else x
 
 
 def require_alpha(value: float, name: str = "alpha") -> float:
@@ -126,13 +143,13 @@ def gauss_gap_inverse(c0: float) -> float:
     return u * u / (2.0 * (1.0 + u))
 
 
-def relaxed_gap_inverse(c0: float) -> float:
-    """Closed-form inverse of h -> h + sqrt(2h)."""
-    c0 = require_rate(c0, "c0")
+def relaxed_gap_inverse(c0: float | np.ndarray) -> float | np.ndarray:
+    """Closed-form inverse of h -> h + sqrt(2h), of a float or an array."""
+    x = _rates(c0, "c0")
     # positive root s of s^2 + sqrt(2) s = c0 with s = sqrt(h), written in a
     # cancellation-free form
-    s = 2.0 * c0 / (math.sqrt(2.0 + 4.0 * c0) + math.sqrt(2.0))
-    return s * s
+    s = 2.0 * x / (np.sqrt(2.0 + 4.0 * x) + math.sqrt(2.0))
+    return _like(s * s)
 
 
 # ---------------------------------------------------------------------------
@@ -140,29 +157,23 @@ def relaxed_gap_inverse(c0: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def lemma3_gap(h2: float) -> float:
+def lemma3_gap(h2: float | np.ndarray) -> float | np.ndarray:
     """Largest allowed excess h2 - h1 at destination rate h2: 0.5*ln(1 + 2*h2)."""
-    h2 = require_rate(h2, "h2")
-    return 0.5 * math.log1p(2.0 * h2)
+    return _like(0.5 * np.log1p(2.0 * _rates(h2, "h2")))
 
 
 def lemma3_h2max(h1: float | np.ndarray) -> float | np.ndarray:
     """Largest h2 compatible with source rate h1 under the implicit bound.
 
     Inverts g(h2) = h2 - 0.5*ln(1 + 2*h2): h2 = v/2 where v >= 0 solves
-    v - ln(1+v) = 2*h1.  A float gives a float; an array gives an array of
-    its shape, each entry exactly as its float call would give it.
+    v - ln(1+v) = 2*h1.
     """
-    x = np.asarray(h1, dtype=float)
-    bad = ~((x >= 0.0) & (x <= RATE_CAP))  # NaN fails both comparisons
-    if bad.any():
-        require_rate(x[bad].flat[0], "h1")
+    x = _rates(h1, "h1")
     y = 2.0 * x.ravel()
     v = np.zeros_like(y)
     pos = y > 0.0
     v[pos] = _solve_minus_log1p(y[pos])
-    h2 = 0.5 * v.reshape(x.shape)
-    return float(h2) if h2.ndim == 0 else h2
+    return _like(0.5 * v.reshape(x.shape))
 
 
 # ---------------------------------------------------------------------------

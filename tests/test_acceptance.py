@@ -22,12 +22,9 @@ from relay_bounds.dmc_relay import (
 )
 from relay_bounds.gaussian_relay import (
     GaussianRelayParams,
-    capacity_ub_lemma2,
-    capacity_ub_lemma3,
-    capacity_ub_relaxed,
-    cutset_bound,
     emit_fig1_curves,
     emit_fig2_curves,
+    report,
 )
 from relay_bounds.rhc_verify import (
     borell_critical_time,
@@ -226,20 +223,21 @@ def test_criterion_10_bound_dominance():
             noise=1.0,
             relay_rate=float(rng.uniform(0.0, 3.0)),
         )
-        l2 = capacity_ub_lemma2(params)
-        rl = capacity_ub_relaxed(params)
-        cs = cutset_bound(params)
-        l3 = capacity_ub_lemma3(params)
+        rep = report(params)
+        l2 = rep.lemma2_bound
+        rl = rep.relaxed_baseline
+        cs = rep.cutset
+        l3 = rep.lemma3_bound
         ok_gauss &= l2 <= rl + 1e-12 and rl <= cs + 1e-12 and l3 <= cs + 1e-12
     ok_dmc = True
-    for i in range(50):
+    for _ in range(50):
         kx = int(rng.integers(2, 4))
         ky = int(rng.integers(2, 5))
         rows = rng.dirichlet(np.ones(ky), size=kx)
         channel = DiscreteChannel(rows / rows.sum(axis=1, keepdims=True))
         c0 = float(rng.uniform(0.01, 1.0))
-        rep = capacity_ub_cor2(channel, c0, seed=i)
-        ok_dmc &= rep.cor2_bound <= cutset_dmc(channel, c0, seed=i) + 1e-9
+        rep = capacity_ub_cor2(channel, c0)
+        ok_dmc &= rep.cor2_bound <= cutset_dmc(channel, c0) + 1e-9
     ok = ok_gauss and ok_dmc
     assert _line(
         "10", ok, f"gaussian ordering over 100 draws={ok_gauss}, dmc dominance over 50={ok_dmc}"

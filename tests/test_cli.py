@@ -66,6 +66,14 @@ class TestGaussianCommand:
             main(["gaussian", "--snr", "-0.5", "--c0", "0.1"])
         assert exc.value.code == 2
 
+    def test_overflowing_snr_exit_2(self, capsys):
+        # power and noise are each finite, but power/noise overflows to inf
+        with pytest.raises(SystemExit) as exc:
+            main(["gaussian", "--power", "1e308", "--noise", "1e-10", "--c0", "0.1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: relay-bounds gaussian") and "snr must be positive" in err
+
     def test_bits_conversion(self, capsys):
         assert main(["gaussian", "--snr", "0.5", "--c0", "0.1"]) == 0
         nats = json.loads(capsys.readouterr().out)
@@ -403,6 +411,19 @@ class TestVerifyCommand:
         monkeypatch.delenv("RELAY_BOUNDS_SEED")
         _, via_flag = run_to_file(tmp_path, argv + ["--seed", "99"], "flag.jsonl")
         assert via_env == via_flag
+
+    @pytest.mark.parametrize("env,flag", [(None, "-5"), ("-3", None), ("x1", None)])
+    def test_bad_seed_exit_2(self, tmp_path, monkeypatch, capsys, env, flag):
+        argv = ["verify", "--suite", "lemma4", "--instances", "2", "--output", str(tmp_path / "r")]
+        if env is None:
+            monkeypatch.delenv("RELAY_BOUNDS_SEED", raising=False)
+        else:
+            monkeypatch.setenv("RELAY_BOUNDS_SEED", env)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + (["--seed", flag] if flag else []))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: relay-bounds verify")
+        assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize(

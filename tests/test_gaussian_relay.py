@@ -10,10 +10,6 @@ from relay_bounds.errors import DomainError
 from relay_bounds.gaussian_relay import (
     GaussianBoundReport,
     GaussianRelayParams,
-    capacity_ub_lemma2,
-    capacity_ub_lemma3,
-    capacity_ub_relaxed,
-    cutset_bound,
     emit_fig1_curves,
     emit_fig2_curves,
     report,
@@ -44,6 +40,9 @@ class TestParams:
             {"power": 1.0, "noise": -1.0, "relay_rate": 0.1},
             {"power": 1.0, "noise": 1.0, "relay_rate": -0.1},
             {"power": math.inf, "noise": 1.0, "relay_rate": 0.1},
+            # each finite, but the ratio overflows to inf or underflows to 0
+            {"power": 1e308, "noise": 1e-10, "relay_rate": 0.1},
+            {"power": 1e-300, "noise": 1e100, "relay_rate": 0.1},
         ],
     )
     def test_invalid(self, kwargs):
@@ -54,57 +53,57 @@ class TestParams:
 class TestCutset:
     def test_saturated_branch(self):
         # any relay rate above 0.5*ln(4/3) leaves only the broadcast cut
-        assert cutset_bound(params(0.5, 0.20)) == pytest.approx(HALF_LN_2, abs=1e-15)
-        assert cutset_bound(params(0.5, 0.20)) == pytest.approx(0.346574, abs=1e-5)
+        assert report(params(0.5, 0.20)).cutset == pytest.approx(HALF_LN_2, abs=1e-15)
+        assert report(params(0.5, 0.20)).cutset == pytest.approx(0.346574, abs=1e-5)
 
     def test_relay_limited_branch(self):
-        assert cutset_bound(params(0.5, 0.1)) == pytest.approx(0.1 + HALF_LN_15, abs=1e-15)
-        assert cutset_bound(params(0.5, 0.1)) == pytest.approx(0.302732, abs=1e-5)
+        assert report(params(0.5, 0.1)).cutset == pytest.approx(0.1 + HALF_LN_15, abs=1e-15)
+        assert report(params(0.5, 0.1)).cutset == pytest.approx(0.302732, abs=1e-5)
 
     def test_zero_relay_rate(self):
-        assert cutset_bound(params(3.0, 0.0)) == pytest.approx(0.5 * math.log(4.0), abs=1e-15)
+        assert report(params(3.0, 0.0)).cutset == pytest.approx(0.5 * math.log(4.0), abs=1e-15)
 
 
 class TestLemma2Bound:
     def test_zero_relay_rate(self):
-        assert capacity_ub_lemma2(params(2.0, 0.0)) == pytest.approx(
+        assert report(params(2.0, 0.0)).lemma2_bound == pytest.approx(
             0.5 * math.log(3.0), abs=1e-12
         )
 
     def test_strictly_below_cutset(self):
         p = params(0.5, 0.05)
-        assert capacity_ub_lemma2(p) < cutset_bound(p)
+        assert report(p).lemma2_bound < report(p).cutset
 
     def test_saturates_at_large_relay_rate(self):
-        assert capacity_ub_lemma2(params(0.5, 10.0)) == pytest.approx(HALF_LN_2, abs=1e-12)
+        assert report(params(0.5, 10.0)).lemma2_bound == pytest.approx(HALF_LN_2, abs=1e-12)
 
 
 class TestLemma3Bound:
     def test_reference_value(self):
-        assert capacity_ub_lemma3(params(0.5, 0.1)) == pytest.approx(
+        assert report(params(0.5, 0.1)).lemma3_bound == pytest.approx(
             HALF_LN_15 + 0.5 * math.log(1.2), abs=1e-15
         )
-        assert capacity_ub_lemma3(params(0.5, 0.1)) == pytest.approx(0.293891, abs=1e-5)
+        assert report(params(0.5, 0.1)).lemma3_bound == pytest.approx(0.293891, abs=1e-5)
 
     def test_zero_relay_rate(self):
-        assert capacity_ub_lemma3(params(1.0, 0.0)) == pytest.approx(
+        assert report(params(1.0, 0.0)).lemma3_bound == pytest.approx(
             0.5 * math.log(2.0), abs=1e-15
         )
 
     def test_clipped_by_broadcast_cut(self):
         # second branch 0.5*ln(1.5) + 0.5*ln(1.4) ~ 0.371 exceeds the cut
-        assert capacity_ub_lemma3(params(0.5, 0.2)) == pytest.approx(HALF_LN_2, abs=1e-15)
+        assert report(params(0.5, 0.2)).lemma3_bound == pytest.approx(HALF_LN_2, abs=1e-15)
 
 
 class TestRelaxedBound:
     def test_zero_relay_rate(self):
-        assert capacity_ub_relaxed(params(0.5, 0.0)) == pytest.approx(HALF_LN_15, abs=1e-15)
+        assert report(params(0.5, 0.0)).relaxed_baseline == pytest.approx(HALF_LN_15, abs=1e-15)
 
     def test_dominates_lemma2_everywhere(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             p = params(float(rng.uniform(0.05, 10.0)), float(rng.uniform(0.0, 2.0)))
-            assert capacity_ub_lemma2(p) <= capacity_ub_relaxed(p) + 1e-12
+            assert report(p).lemma2_bound <= report(p).relaxed_baseline + 1e-12
 
 
 class TestReport:
@@ -129,10 +128,13 @@ class TestReport:
         assert rep.cutset == rep.lemma2_bound == rep.lemma3_bound == rep.relaxed_baseline
 
     def test_invariant_enforced(self):
-        with pytest.raises(DomainError):
-            GaussianBoundReport(
-                cutset=1.0, lemma2_bound=1.0, lemma3_bound=1.0, relaxed_baseline=1.0, best=0.5
-            )
+        # best is the minimum by construction; each field must be finite and nonnegative
+        fields = ("cutset", "lemma2_bound", "lemma3_bound", "relaxed_baseline")
+        for field in fields:
+            for bad in (-1e-3, math.nan, math.inf):
+                with pytest.raises(DomainError):
+                    GaussianBoundReport(**dict(dict.fromkeys(fields, 1.0), **{field: bad}))
+        assert GaussianBoundReport(1.0, 0.5, 0.75, 0.6).best == 0.5
 
 
 class TestOrderingAndMonotonicity:
@@ -140,10 +142,8 @@ class TestOrderingAndMonotonicity:
         rng = np.random.default_rng(7)
         for _ in range(100):
             p = params(float(rng.uniform(0.02, 20.0)), float(rng.uniform(0.0, 3.0)))
-            l2 = capacity_ub_lemma2(p)
-            rl = capacity_ub_relaxed(p)
-            cs = cutset_bound(p)
-            l3 = capacity_ub_lemma3(p)
+            rep = report(p)
+            l2, rl, cs, l3 = rep.lemma2_bound, rep.relaxed_baseline, rep.cutset, rep.lemma3_bound
             assert l2 <= rl + 1e-12
             assert rl <= cs + 1e-12
             assert l3 <= cs + 1e-12
@@ -151,8 +151,9 @@ class TestOrderingAndMonotonicity:
 
     def test_monotone_in_relay_rate(self):
         grid = np.linspace(0.0, 2.0, 81)
-        for bound in (cutset_bound, capacity_ub_lemma2, capacity_ub_lemma3, capacity_ub_relaxed):
-            values = [bound(params(0.8, c0)) for c0 in grid]
+        reps = [report(params(0.8, c0)) for c0 in grid]
+        for field in ("cutset", "lemma2_bound", "lemma3_bound", "relaxed_baseline"):
+            values = [getattr(rep, field) for rep in reps]
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -235,7 +236,7 @@ class TestFig2Curves:
     @pytest.mark.parametrize("snr,c0_max,n", [(0.5, 0.27, 512), (0.4, 0.3, 512), (3.0, 2.0, 65)])
     def test_lemma2_column_equals_scalar_bound(self, snr, c0_max, n):
         for row in emit_fig2_curves(snr, c0_max, n).rows:
-            assert row[3] == capacity_ub_lemma2(params(snr, row[0]))
+            assert row[3] == report(params(snr, row[0])).lemma2_bound
 
     @pytest.mark.parametrize("snr,c0_max,n", [(0.5, 0.27, 512), (0.4, 0.3, 512), (3.0, 2.0, 65)])
     def test_columns_match_per_point_formulas(self, snr, c0_max, n):
@@ -244,8 +245,7 @@ class TestFig2Curves:
             c0 = row[0]
             assert c0 == c0_max * i / (n - 1)
             assert all(type(value) is float for value in row)
-            p = params(snr, c0)
-            assert within_ulps(row[1], cutset_bound(p), 2)
+            rep = report(params(snr, c0))
+            assert (row[1], row[4]) == (rep.cutset, rep.lemma3_bound)
             assert within_ulps(row[2], direct + c0 - baseline_curve_inverse(c0), 2)
-            assert within_ulps(row[4], capacity_ub_lemma3(p), 2)
-            assert within_ulps(row[5], direct + lemma3_gap(c0), 2)
+            assert row[5] == direct + lemma3_gap(c0)

@@ -76,6 +76,11 @@ class TestTypes:
         # a cell label must lie below the number of relay observations (4 here)
         with pytest.raises(DomainError):
             RelayInstance(bsc, ((0, 1),), np.array([0, 1, 2, 4]))
+        # a fractional symbol or cell label is rejected, not truncated to another code
+        with pytest.raises(DomainError):
+            RelayInstance(bsc, ((0.9, 1.7),), np.array([0, 1, 2, 3]))
+        with pytest.raises(DomainError):
+            RelayInstance(bsc, ((0, 1),), np.array([0.5, 1.9, 2.2, 3.99]))
         assert RelayInstance(bsc, ((0, 1),), np.array([0, 1, 2, 3])).relay_partition.max() == 3
 
 

@@ -286,6 +286,19 @@ class TestInverseAccuracy:
                 lemma3_h2max(np.array([0.1, bad]))
 
 
+@pytest.mark.parametrize("fn", [lemma3_gap, relaxed_gap_inverse])
+def test_float_or_array_entries_equal_float_calls(fn):
+    grid = np.concatenate(([0.0], np.logspace(-12, 15, 55))).reshape(8, 7)
+    got = fn(grid)
+    assert isinstance(got, np.ndarray) and got.shape == grid.shape
+    for x, y in zip(grid.ravel().tolist(), got.ravel().tolist()):
+        scalar = fn(x)
+        assert isinstance(scalar, float) and scalar == y
+    for bad in (-1e-3, math.nan, 2e15):
+        with pytest.raises(DomainError):
+            fn(np.array([0.1, bad]))
+
+
 class TestAsymptotics:
     def test_gauss_small_h(self):
         assert gauss_gap_closed(1e-8) / math.sqrt(2e-8) == pytest.approx(1.0, rel=1e-2)
