@@ -1,6 +1,7 @@
 """Command-line front end: bound reports, curve tables, verification suites.
 
-Exit codes: 0 success, 1 numeric failure, 2 flag or input-file errors,
+Exit codes: 0 success, 1 the output could not be written, 2 flag or
+input-file errors (every DomainError, printed with the subcommand's usage),
 3 verification margin failure.  All rates are nats unless --bits is given
 (display-only conversion).  Output is deterministic for fixed flags and seed;
 floats are printed with the shortest round-trip decimal representation.
@@ -21,7 +22,6 @@ import numpy as np
 from . import dmc_relay, gaussian_relay, rhc_verify
 from .errors import BoundsError, DomainError
 from .gaussian_relay import CurveTable, GaussianRelayParams
-from .scalar_bounds import require_rate
 
 DEFAULT_SEED = 12345
 SEED_ENV_VAR = "RELAY_BOUNDS_SEED"
@@ -32,7 +32,7 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _resolve_seed(args: argparse.Namespace) -> int:
     """--seed, else the SEED_ENV_VAR variable, else DEFAULT_SEED; each must be an integer >= 0."""
     source, raw = "--seed", args.seed
     if raw is None:
@@ -40,9 +40,9 @@ def _resolve_seed(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     try:
         seed = int(raw)
     except ValueError:
-        parser.error(f"{source} must be an integer, got {raw!r}")
+        raise DomainError(f"{source} must be an integer, got {raw!r}") from None
     if seed < 0:
-        parser.error(f"{source} must be nonnegative, got {seed}")
+        raise DomainError(f"{source} must be nonnegative, got {seed}")
     return seed
 
 
@@ -115,19 +115,16 @@ def read_channel_csv(path: str) -> dmc_relay.DiscreteChannel:
 # ---------------------------------------------------------------------------
 
 
-def cmd_gaussian(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_gaussian(args: argparse.Namespace) -> int:
     if args.snr is not None:
         if args.power is not None or args.noise is not None:
-            parser.error("--snr and --power/--noise are mutually exclusive")
+            raise DomainError("--snr and --power/--noise are mutually exclusive")
         power, noise = args.snr, 1.0
     else:
         if args.power is None or args.noise is None:
-            parser.error("provide either --snr or both --power and --noise")
+            raise DomainError("provide either --snr or both --power and --noise")
         power, noise = args.power, args.noise
-    try:
-        params = GaussianRelayParams(power=power, noise=noise, relay_rate=args.c0)
-    except DomainError as exc:
-        parser.error(str(exc))
+    params = GaussianRelayParams(power=power, noise=noise, relay_rate=args.c0)
     rep = gaussian_relay.report(params)
     scale = _unit_scale(args)
     payload = {
@@ -146,17 +143,11 @@ def cmd_gaussian(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     return 0
 
 
-def cmd_dmc(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_dmc(args: argparse.Namespace) -> int:
     try:
         channel = read_channel_csv(args.channel)
-    except (OSError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        require_rate(args.c0, "--c0")
-        dmc_relay.bound_alpha(channel, args.alpha_override)
-    except DomainError as exc:
-        parser.error(str(exc))
+    except (OSError, UnicodeDecodeError) as exc:  # the channel file is an input
+        raise DomainError(f"--channel: {exc}") from exc
     rep = dmc_relay.capacity_ub_cor2(channel, args.c0, alpha_override=args.alpha_override)
     scale = _unit_scale(args)
     payload = {
@@ -175,72 +166,56 @@ def cmd_dmc(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def cmd_curves(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    try:
-        if args.figure == 1:
-            table = gaussian_relay.emit_fig1_curves(args.h1_max, args.points)
-        else:
-            table = gaussian_relay.emit_fig2_curves(args.snr, args.c0_max, args.points)
-    except DomainError as exc:
-        parser.error(str(exc))
+def cmd_curves(args: argparse.Namespace) -> int:
+    if args.figure == 1:
+        table = gaussian_relay.emit_fig1_curves(args.h1_max, args.points)
+    else:
+        table = gaussian_relay.emit_fig2_curves(args.snr, args.c0_max, args.points)
     _write_text(args.output, _table_text(table, args.format, _unit_scale(args)))
     return 0
 
 
-def _parse_time_flag(raw: str | None, parser: argparse.ArgumentParser) -> float | str | None:
-    if raw is None or raw == "critical":
+def _time_flag(raw: str) -> float | str:
+    if raw == "critical":
         return raw
     try:
         return float(raw)
     except ValueError:
-        parser.error(f"--t expects a number or 'critical', got {raw!r}")
+        raise argparse.ArgumentTypeError(f"expects a number or 'critical', got {raw!r}") from None
 
 
-def _suite_kwargs(
-    args: argparse.Namespace, parser: argparse.ArgumentParser, names: list[str]
-) -> dict[str, dict]:
+def _suite_kwargs(args: argparse.Namespace, names: list[str]) -> dict[str, dict]:
     """Suite keyword arguments from the verify flags, by suite name.
 
-    A flag that none of the selected suites reads is an error, not a no-op.
+    A flag that no selected suite reads is an error; `mossel_suite` checks its own.
     """
-    t = _parse_time_flag(args.t, parser)
     readers = (
         ("--n", args.n, {"mossel"}),
-        ("--t", args.t, {"mossel", "borell-exp"} if t == "critical" else {"mossel"}),
+        ("--t", args.t, {"mossel", "borell-exp"} if args.t == "critical" else {"mossel"}),
         ("--p", args.p, {"mossel"}),
         ("--q", args.q, {"mossel"}),
         ("--t-factor", args.t_factor, {"borell-exp"}),
     )
     for flag, value, suites in readers:
         if value is not None and not suites.intersection(names):
-            parser.error(f"{flag} is read only by --suite {' or '.join(sorted(suites))}")
-    if args.n is not None and not 1 <= args.n <= rhc_verify.MAX_FACTORS:
-        parser.error(f"--n must lie in 1..{rhc_verify.MAX_FACTORS}, got {args.n}")
-    if t == "critical" and args.t_factor is not None:
-        parser.error("--t critical already puts borell-exp at its critical time; drop --t-factor")
-    if (args.p is None) != (args.q is None):
-        parser.error("--p and --q fix the mossel norm indices together; give both or neither")
-    if isinstance(t, float) and args.p is None:
-        parser.error("a numeric --t needs --p and --q: each drawn pair has its own critical time")
-    if args.p is not None:
-        try:
-            critical = rhc_verify.mossel_critical_time(args.p, args.q)
-        except DomainError as exc:
-            parser.error(str(exc))
-        if isinstance(t, float) and not t >= critical:
-            parser.error(f"--t {t!r} is below the critical time ln((1-q)/(1-p)) = {critical!r}")
+            raise DomainError(f"{flag} is read only by --suite {' or '.join(sorted(suites))}")
+    if args.t == "critical" and args.t_factor is not None:
+        raise DomainError("--t critical puts borell-exp at its critical time; drop --t-factor")
+    # checked here, not left to borell-exp: that suite runs third under --suite all
+    if args.t_factor is not None and not args.t_factor >= 0.0:
+        raise DomainError(f"--t-factor must be at least 0, got {args.t_factor!r}")
     return {
-        "mossel": {"n": args.n, "t": t, "p": args.p, "q": args.q},
+        "mossel": {"n": args.n, "t": args.t, "p": args.p, "q": args.q},
         "borell-exp": {"t_factor": 1.0 if args.t_factor is None else args.t_factor},
     }
 
 
-def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     if args.instances < 1:
-        parser.error("--instances must be at least 1")
+        raise DomainError("--instances must be at least 1")
     names = list(rhc_verify.SUITES) if args.suite == "all" else [args.suite]
-    kwargs = _suite_kwargs(args, parser, names)
-    seed = _resolve_seed(args, parser)
+    kwargs = _suite_kwargs(args, names)
+    seed = _resolve_seed(args)
     records: list[rhc_verify.SuiteRecord] = []
     for name in names:
         # Reach the suite through the module attribute, not the SUITES entry,
@@ -325,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--t-factor", type=float, default=None, dest="t_factor",
                    help="borell-exp time as a multiple of its critical time (default 1)")
-    v.add_argument("--t", default=None,
+    v.add_argument("--t", type=_time_flag, default=None,
                    help="fixed mossel semigroup time, or 'critical': each mossel instance "
                         "at ln((1-q)/(1-p)) and borell-exp at 0.5*ln((1-q)/(1-p))")
     v.add_argument("--n", type=int, default=None,
@@ -339,10 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, args.command_parser)
+        return args.func(args)
+    except DomainError as exc:
+        args.command_parser.error(str(exc))
     except (BoundsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -111,15 +111,6 @@ def alpha_of_channel(w: DiscreteChannel) -> float:
     return float(w.matrix.max(axis=0).sum())
 
 
-def bound_alpha(w: DiscreteChannel, alpha_override: float | None = None) -> float:
-    """The alpha of the bound: the channel's own peak ratio, or an override no smaller."""
-    own = alpha_of_channel(w)
-    alpha = own if alpha_override is None else require_alpha(alpha_override, "alpha_override")
-    if alpha < own - 1e-12:
-        raise DomainError(f"alpha override {alpha} is below the channel's own peak ratio {own}")
-    return alpha
-
-
 def i_infinity(w: DiscreteChannel) -> float:
     """Order-infinity mutual information ln(alpha) of the channel."""
     return math.log(alpha_of_channel(w))
@@ -360,13 +351,16 @@ def capacity_ub_cor2(
 ) -> DmcBoundReport:
     """Bounded-density capacity bound max_p min{I(X;YZ), I(X;Y) + C0 - c_a^{-1}(C0)}.
 
-    alpha defaults to the channel's own peak ratio; pass alpha_override when
-    the channel is only known through a density bound.  Both the bound and
-    its cutset analogue are dual certificates, upper values on the true
-    maxima.
+    alpha defaults to the channel's own peak ratio; pass alpha_override (no
+    smaller) when the channel is only known through a density bound.  Both
+    the bound and its cutset analogue are dual certificates, upper values on
+    the true maxima.
     """
     c0 = require_rate(c0, "c0")
-    alpha = bound_alpha(w, alpha_override)
+    own = alpha_of_channel(w)
+    alpha = own if alpha_override is None else require_alpha(alpha_override, "alpha_override")
+    if alpha < own - 1e-12:
+        raise DomainError(f"alpha override {alpha} is below the channel's own peak ratio {own}")
     penalty = c0 - bdd_gap_inverse(c0, alpha)
     solver = _DualSolver(w)
     cert, value, p = solver.solve(penalty)

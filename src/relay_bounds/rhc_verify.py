@@ -24,6 +24,7 @@ failure can be replayed from its record.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -211,7 +212,7 @@ def lp_norm(f: np.ndarray, measure: np.ndarray, p: float) -> float:
     if abs(q.sum() - 1.0) > 1e-9:
         raise DomainError("measure must sum to 1")
     if not math.isfinite(p) or p > 1.0:
-        raise DomainError(f"norm index must be <= 1, got {p!r}")
+        raise DomainError(f"norm index must be finite and <= 1, got {p!r}")
     support = q > 0.0
     vals = values[support]
     wts = q[support]
@@ -223,15 +224,17 @@ def lp_norm(f: np.ndarray, measure: np.ndarray, p: float) -> float:
         return 0.0
     with np.errstate(divide="ignore", over="ignore"):
         moment = float(np.dot(wts, vals**p))
-    if p < 0.0 and math.isinf(moment):
-        return 0.0
+    if p < 0.0 and not 0.0 < moment < math.inf:
+        # vals**p left the float range: evaluate again in units of the least value
+        low = float(vals.min())
+        return low * float(np.dot(wts, (vals / low) ** p)) ** (1.0 / p)
     return moment ** (1.0 / p)
 
 
 def mossel_critical_time(p: float, q: float) -> float:
-    """Critical semigroup time ln((1-q)/(1-p)) for norm indices q <= p < 1."""
-    if not (q <= p < 1.0):
-        raise DomainError(f"need q <= p < 1, got p={p}, q={q}")
+    """Critical semigroup time ln((1-q)/(1-p)) for finite norm indices q <= p < 1."""
+    if not -math.inf < q <= p < 1.0:
+        raise DomainError(f"need finite q <= p < 1, got p={p}, q={q}")
     return math.log((1.0 - q) / (1.0 - p))
 
 
@@ -494,7 +497,7 @@ def _random_factors(rng, n=None) -> tuple[np.ndarray, ...]:
 
 def _random_semigroup(rng, n=None, t=None, p=None, q=None):
     factors = _random_factors(rng, n)
-    if p is None or q is None:
+    if p is None:
         if rng.random() < 0.1:
             p = q = float(rng.uniform(0.05, 0.95))  # Jensen baseline
         else:
@@ -529,9 +532,22 @@ def mossel_suite(
 ) -> list[SuiteRecord]:
     """Randomized reverse-hypercontractivity margins for semi-simple semigroups.
 
-    n, t and the pair (p, q) are drawn per instance unless given;
-    t="critical" puts every instance at its critical time ln((1-q)/(1-p)).
+    n (1..MAX_FACTORS), t and the pair (p, q) (finite, q <= p < 1) are drawn
+    per instance unless given.  t="critical" puts every instance at its
+    critical time ln((1-q)/(1-p)); a numeric t needs p and q and may not lie
+    below that time.  Bad keywords raise DomainError before the first draw.
     """
+    if n is not None and n not in range(1, MAX_FACTORS + 1):
+        raise DomainError(f"n must lie in 1..{MAX_FACTORS}, got {n!r}")
+    if (p is None) != (q is None):
+        raise DomainError("p and q fix the norm indices together; give both or neither")
+    critical = None if p is None else mossel_critical_time(p, q)
+    if not (t is None or t == "critical" or isinstance(t, numbers.Real)):
+        raise DomainError(f"t must be None, 'critical' or a number, got {t!r}")
+    if isinstance(t, numbers.Real) and critical is None:
+        raise DomainError("a numeric t needs p and q: each pair has its own critical time")
+    if isinstance(t, numbers.Real) and not t >= critical:
+        raise DomainError(f"t={t!r} is below the critical time ln((1-q)/(1-p)) = {critical!r}")
 
     def draw(rng):
         sg, f, pp, qq, critical = _random_semigroup(rng, n=n, t=t, p=p, q=q)

@@ -104,18 +104,29 @@ class TestDmcCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["cor2_bound"] < payload["cutset"]
 
+    @staticmethod
+    def channel_error(path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dmc", "--channel", str(path), "--c0", "0.1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: relay-bounds dmc ")
+        return err
+
     def test_malformed_rows_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("0.9,0.2\n0.1,0.9\n")
-        assert main(["dmc", "--channel", str(path), "--c0", "0.1"]) == 2
+        assert "must sum to 1" in self.channel_error(path, capsys)
 
-    def test_negative_entry_exit_2(self, tmp_path):
+    def test_negative_entry_exit_2(self, tmp_path, capsys):
         path = tmp_path / "neg.csv"
         path.write_text("1.1,-0.1\n0.5,0.5\n")
-        assert main(["dmc", "--channel", str(path), "--c0", "0.1"]) == 2
+        assert "entries in [0, 1]" in self.channel_error(path, capsys)
 
-    def test_missing_file_exit_2(self, tmp_path):
-        assert main(["dmc", "--channel", str(tmp_path / "nope.csv"), "--c0", "0.1"]) == 2
+    def test_missing_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "nope.csv"
+        err = self.channel_error(path, capsys)
+        assert f"--channel: [Errno 2] No such file or directory: '{path}'" in err
 
     def test_negative_c0_exit_2(self, bsc_file):
         with pytest.raises(SystemExit) as exc:
@@ -288,7 +299,7 @@ class TestVerifyCommand:
             main(["verify", *suite, "--t", "0.5", "--instances", "50",
                   "--output", str(tmp_path / "r")])
         assert exc.value.code == 2
-        assert "--t needs --p and --q" in capsys.readouterr().err
+        assert "a numeric t needs p and q" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("suite", [["--suite", "mossel"], []])
@@ -311,7 +322,7 @@ class TestVerifyCommand:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: relay-bounds verify ")
-        assert f"--n must lie in 1..{rhc_verify.MAX_FACTORS}, got {n}" in err
+        assert f"n must lie in 1..{rhc_verify.MAX_FACTORS}, got {n}" in err
         assert "failures" not in err  # no suite summary: nothing ran
         assert not (tmp_path / "r").exists()
 
@@ -331,6 +342,40 @@ class TestVerifyCommand:
                   "--output", str(tmp_path / "r")])
         assert exc.value.code == 2
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--t-factor", "-1"], "--t-factor must be at least 0, got -1.0"),
+            (["--t-factor", "nan"], "--t-factor must be at least 0, got nan"),
+            (["--suite", "borell-exp", "--t-factor", "-1"], "--t-factor must be at least 0"),
+            (["--p=0.5", "--q=-inf"], "need finite q <= p < 1, got p=0.5, q=-inf"),
+            (["--p", "0.5"], "p and q fix the norm indices together"),
+        ],
+    )
+    def test_bad_values_exit_2_before_any_suite(self, tmp_path, capsys, flags, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *flags, "--instances", "3", "--output", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: relay-bounds verify ")
+        assert message in err
+        assert "failures" not in err  # no suite summary: nothing ran
+        assert not (tmp_path / "r").exists()
+
+    def test_t_factor_inf_runs(self, tmp_path):
+        argv = ["verify", "--suite", "borell-exp", "--instances", "5", "--t-factor", "inf"]
+        code, blob = run_to_file(tmp_path, argv, "rep.jsonl")
+        assert code == 0
+        assert len(blob.decode().splitlines()) == 5
+
+    def test_large_negative_q_has_no_false_failures(self, tmp_path, capsys):
+        argv = ["verify", "--suite", "mossel", "--p=0.5", "--q=-800", "--instances", "200"]
+        code, blob = run_to_file(tmp_path, argv, "rep.jsonl")
+        assert code == 0
+        records = [json.loads(line) for line in blob.decode().splitlines()]
+        assert len(records) == 200 and all(r["pass"] for r in records)
+        assert capsys.readouterr().err.splitlines()[-1] == "200 instances, 0 failures"
 
     @pytest.mark.parametrize(
         "suite, flags",
@@ -433,10 +478,20 @@ class TestVerifyCommand:
         ["dmc", "--channel", "{bsc}", "--c0", "-0.5"],
         ["curves", "--figure", "1", "--points", "1"],
         ["verify", "--suite", "lemma4", "--p", "0.5"],
+        ["dmc", "--channel", "{missing}", "--c0", "0.1"],
+        ["dmc", "--channel", "{malformed}", "--c0", "0.1"],
+        ["dmc", "--channel", "{undecodable}", "--c0", "0.1"],
+        ["verify", "--t", "bogus"],
     ],
 )
-def test_flag_errors_print_the_subcommand_usage(bsc_file, capsys, argv):
-    argv = [a.format(bsc=bsc_file) for a in argv]
+def test_flag_errors_print_the_subcommand_usage(bsc_file, tmp_path, capsys, argv):
+    malformed = tmp_path / "malformed.csv"
+    malformed.write_text("0.5,0.5\n0.5\n")  # rows of two lengths
+    undecodable = tmp_path / "undecodable.csv"
+    undecodable.write_bytes(b"0.5,\xc0\xff\n")  # not UTF-8
+    files = {"bsc": bsc_file, "missing": tmp_path / "missing.csv", "malformed": malformed,
+             "undecodable": undecodable}
+    argv = [a.format(**files) for a in argv]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2

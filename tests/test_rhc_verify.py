@@ -1,6 +1,7 @@
 """Tests for semigroup operators, norm inequalities, and entropy-gap oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import semisimple_dense
+from relay_bounds import rhc_verify
 from relay_bounds.dmc_relay import DiscreteChannel
 from relay_bounds.errors import DimensionError, DomainError
 from relay_bounds.rhc_verify import (
@@ -195,6 +197,29 @@ class TestLpNorm:
         with pytest.raises(DomainError):
             lp_norm(np.ones(2), self.MU, 1.5)
 
+    @pytest.mark.parametrize("p", [-math.inf, math.nan])
+    def test_rejects_non_finite_p(self, p):
+        with pytest.raises(DomainError, match="finite and <= 1"):
+            lp_norm(np.ones(2), self.MU, p)
+
+    @pytest.mark.parametrize(
+        "value, p",
+        [
+            (0.01, -200.0),  # vals**p overflows to inf
+            (10.0, -400.0),  # vals**p underflows to 0
+            (1e-5, -5000.0),
+        ],
+    )
+    def test_large_negative_index_of_a_constant(self, value, p):
+        f = np.full(4, value)
+        assert lp_norm(f, np.full(4, 0.25), p) == pytest.approx(value, rel=1e-12)
+
+    def test_large_negative_index_tends_to_the_minimum(self):
+        f = np.array([0.01, 0.02, 0.5, 3.0])
+        mu = np.array([0.1, 0.2, 0.3, 0.4])
+        got = lp_norm(f, mu, -800.0)
+        assert got == pytest.approx(0.01 * 0.1 ** (-1.0 / 800.0), rel=1e-12)
+
     def test_rejects_bad_measure(self):
         with pytest.raises(DomainError):
             lp_norm(np.ones(2), np.array([0.5, 0.6]), 0.5)
@@ -262,6 +287,35 @@ class TestMossel:
         a = mossel_suite(50, 3)
         b = mossel_suite(50, 3)
         assert [r.margin for r in a] == [r.margin for r in b]
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"p": 0.5}, "p and q"),
+            ({"q": 0.2}, "p and q"),
+            ({"t": "bogus"}, "t must be None, 'critical' or a number"),
+            ({"n": 0}, "n must lie in 1..4, got 0"),
+            ({"n": 5}, "n must lie in 1..4, got 5"),
+            ({"n": 2.5}, "n must lie in 1..4"),
+            ({"t": 0.5}, "a numeric t needs p and q"),
+            ({"t": 0.5, "p": 0.5, "q": 0.0}, "below the critical time"),
+            ({"t": math.nan, "p": 0.5, "q": 0.0}, "below the critical time"),
+            ({"p": 0.5, "q": -math.inf}, "need finite q <= p < 1"),
+            ({"p": 0.3, "q": 0.5}, "need finite q <= p < 1"),
+        ],
+    )
+    def test_bad_keywords_raise_before_any_draw(self, monkeypatch, kwargs, message):
+        def no_draw(*args, **kw):
+            raise AssertionError("mossel_suite drew an instance")
+
+        monkeypatch.setattr(rhc_verify, "_random_semigroup", no_draw)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            mossel_suite(3, 1, **kwargs)
+
+    def test_fixed_norm_indices_are_used(self):
+        records = mossel_suite(20, 1, p=0.5, q=-800.0)
+        assert {(r.instance["p"], r.instance["q"]) for r in records} == {(0.5, -800.0)}
+        assert all(r.passed for r in records)
 
 
 class TestOuAction:
