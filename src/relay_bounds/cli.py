@@ -290,7 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--h1-max", type=float, default=3.0, dest="h1_max")
     c.add_argument("--snr", type=float, default=0.5)
     c.add_argument("--c0-max", type=float, default=0.27, dest="c0_max")
-    c.add_argument("--points", type=int, default=512, help="grid resolution")
+    c.add_argument(
+        "--points", type=int, default=512, help=f"grid points, 2..{gaussian_relay.MAX_POINTS}"
+    )
     add_common(c)
     c.set_defaults(func=cmd_curves, command_parser=c, format="csv")
 

@@ -117,10 +117,13 @@ def i_infinity(w: DiscreteChannel) -> float:
 
 
 def _xlogx_rows(m: np.ndarray) -> np.ndarray:
-    """Row sums of W*ln(W) with the 0*ln(0) = 0 convention."""
+    """Sums of W*ln(W) along the last axis, with the 0*ln(0) = 0 convention."""
+    terms = np.maximum(m, _TINY)
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(m > 0.0, m * np.log(np.maximum(m, _TINY)), 0.0)
-    return terms.sum(axis=1)
+        np.log(terms, out=terms)  # in place: a stack of tables needs one buffer
+        terms *= m
+    terms[~(m > 0.0)] = 0.0  # NaN entries too
+    return terms.sum(axis=-1)
 
 
 def product_channel(w: DiscreteChannel) -> DiscreteChannel:

@@ -34,6 +34,8 @@ from .scalar_bounds import (
     require_rate,
 )
 
+MAX_POINTS = 100_000  # grid points of a curve table; memory grows linearly with the count
+
 
 @dataclass(frozen=True)
 class GaussianRelayParams:
@@ -110,8 +112,8 @@ def _grid(top: float, name: str, n_points: int) -> np.ndarray:
     top = require_rate(top, name)
     if top <= 0.0:
         raise DomainError(f"{name} must be positive")
-    if n_points < 2:
-        raise DomainError("n_points must be at least 2")
+    if not 2 <= n_points <= MAX_POINTS:
+        raise DomainError(f"n_points must lie in 2..{MAX_POINTS}, got {n_points}")
     return top * np.arange(n_points) / (n_points - 1)
 
 

@@ -13,12 +13,17 @@ quadrature, the inequalities that power the capacity bounds:
 * the entropy-gap bounds themselves, via exact relay-instance enumeration
   (discrete channels) and quantizer instances (Gaussian links at n = 1).
 
-Function tables are plain float arrays.  Semigroup factors and quadrature
-weights are checked by `scalar_bounds.require_law`, and tables by
-`require_table` where they enter `apply_semisimple` and `lp_norm`.  `SUITES`
-names the seven randomized suites.  Each derives one RNG stream per instance
-from (seed, index), so results do not depend on execution order and any
-failure can be replayed from its record.
+Function tables are plain float arrays.  `SemiSimpleSemigroup`,
+`apply_semisimple`, `stationary_measure` and `gaussian_quantizer_gap` take
+one instance or a stack of B same-shape instances along a new first axis,
+each row giving bit for bit what its own call gives.  Laws and tables are
+checked once per call, where they enter these kernels: factors and
+quadrature weights by `scalar_bounds.require_law`, tables by `require_table`.
+
+`SUITES` names the seven randomized suites.  Each draws one instance per RNG
+stream (seed, index), so any failure can be replayed from its record;
+`semigroup` and `quantizer` then evaluate each group of same-shape
+instances with one stacked kernel call, the others instance by instance.
 """
 
 from __future__ import annotations
@@ -38,6 +43,9 @@ MAX_FACTORS = 4  # tensor factors of a semigroup (the `verify --n` range)
 _MAX_ALPHABET = 6
 _MAX_BLOCKLENGTH = 3
 _MAX_MESSAGES = 8
+# Instances a suite draws before it evaluates them.  It bounds the memory that
+# drawn arrays and their stacks hold; the default 1,000 fit in one block.
+_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -47,10 +55,14 @@ _MAX_MESSAGES = 8
 
 @dataclass(frozen=True)
 class SemiSimpleSemigroup:
-    """Tensor product of simple semigroups e^{-t} Id + (1-e^{-t}) P_i at time t."""
+    """Tensor product of simple semigroups e^{-t} Id + (1-e^{-t}) P_i at time t.
+
+    Either one law per factor and a float time, or a stack of B semigroups of
+    one shape: a (B, k_i) array of laws per factor and a (B,) array of times.
+    """
 
     factors: tuple[np.ndarray, ...]
-    time: float
+    time: float | np.ndarray
 
     def __post_init__(self) -> None:
         if not self.factors:
@@ -58,23 +70,49 @@ class SemiSimpleSemigroup:
         if len(self.factors) > MAX_FACTORS:
             raise DomainError(f"at most {MAX_FACTORS} tensor factors are supported")
         frozen = tuple(require_law(d, f"factor {i}") for i, d in enumerate(self.factors))
-        if any(d.ndim != 1 or not 2 <= d.size <= _MAX_ALPHABET for d in frozen):
+        depth = frozen[0].shape[:-1]
+        if any(
+            d.shape[:-1] != depth or d.ndim > 2 or not 2 <= d.shape[-1] <= _MAX_ALPHABET
+            for d in frozen
+        ):
             raise DomainError(
-                f"factors must be vectors over 2..{_MAX_ALPHABET} symbols, "
-                f"got shapes {[d.shape for d in frozen]}"
+                f"factors must be vectors over 2..{_MAX_ALPHABET} symbols, or stacks of "
+                f"them of one depth, got shapes {[d.shape for d in frozen]}"
             )
         object.__setattr__(self, "factors", frozen)
-        t = float(self.time)
-        if math.isnan(t) or t < 0.0:
-            raise DomainError(f"time must be >= 0, got {self.time!r}")
-        object.__setattr__(self, "time", t)
+        object.__setattr__(self, "time", self._checked_time(self.time))
+
+    def _checked_time(self, time) -> float | np.ndarray:
+        stack = self.stack
+        if stack:
+            t = np.array(time, dtype=float)
+            if t.shape != stack:
+                raise DimensionError(f"time shape {t.shape} does not match the stack {stack}")
+            t.setflags(write=False)
+            valid = (t >= 0.0).all()
+        else:
+            t = float(time)
+            valid = t >= 0.0
+        if not valid:  # NaN fails too
+            raise DomainError(f"time must be >= 0, got {time!r}")
+        return t
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return tuple(len(d) for d in self.factors)
+        """The table shape, without the stack axis."""
+        return tuple(d.shape[-1] for d in self.factors)
 
-    def at_time(self, t: float) -> "SemiSimpleSemigroup":
-        return SemiSimpleSemigroup(self.factors, t)
+    @property
+    def stack(self) -> tuple[int, ...]:
+        """(B,) for a stack of B semigroups, else ()."""
+        return self.factors[0].shape[:-1]
+
+    def at_time(self, t) -> "SemiSimpleSemigroup":
+        """The same, already checked, factors at time t; only t is checked."""
+        out = object.__new__(SemiSimpleSemigroup)
+        object.__setattr__(out, "factors", self.factors)
+        object.__setattr__(out, "time", self._checked_time(t))
+        return out
 
 
 @dataclass(frozen=True)
@@ -167,34 +205,42 @@ class RelayInstance:
 def apply_semisimple(sg: SemiSimpleSemigroup, f: np.ndarray) -> np.ndarray:
     """Apply e^{-t} Id + (1-e^{-t}) P_i along every tensor axis.
 
-    f must be a finite nonnegative table of shape `sg.shape`; it is left
-    unchanged and a new table is returned.  Linear, positivity preserving,
-    and unital (the all-ones table is fixed).
+    f must be a finite nonnegative table of shape `sg.shape`, or of shape
+    (B, *sg.shape) for a stack of B semigroups, each row smoothed by its own
+    semigroup exactly as an unstacked call smooths it.  f is left unchanged
+    and a new table is returned.  Linear, positivity preserving, and unital
+    (the all-ones table is fixed).
     """
     out = require_table(f)
-    if out.shape != sg.shape:
-        raise DimensionError(f"table shape {out.shape} does not match {sg.shape}")
-    keep = math.exp(-sg.time)
-    mix = -math.expm1(-sg.time)
-    pre, post = 1, out.size
+    rows, shape = math.prod(sg.stack), sg.stack + sg.shape
+    if out.shape != shape:
+        raise DimensionError(f"table shape {out.shape} does not match {shape}")
+    if sg.stack:  # one coefficient per row, from math.exp as for a float time
+        keep = np.array([math.exp(-t) for t in sg.time.tolist()]).reshape(rows, 1, 1, 1)
+        mix = np.array([-math.expm1(-t) for t in sg.time.tolist()]).reshape(rows, 1, 1, 1)
+    else:
+        keep, mix = math.exp(-sg.time), -math.expm1(-sg.time)
+    pre, post = 1, out.size // rows
     for dist in sg.factors:
-        k = dist.shape[0]
+        k = dist.shape[-1]
         post //= k
-        # The table as (axes before, this axis, axes after), averaged over this
-        # axis by one dot on the (k, pre*post) transpose.  A matmul batched over
-        # `pre` sums some entries in another order and moves margins by an ulp.
-        view = out.reshape(pre, k, post)
-        avg = np.dot(dist, view.transpose(1, 0, 2).reshape(k, pre * post))
-        out = keep * view + mix * avg.reshape(pre, 1, post)
+        # Each row as (axes before, this axis, axes after), averaged over this
+        # axis by one (1, k) @ (k, pre*post) product: numpy hands each to the
+        # BLAS gemv that np.dot(dist, ...) calls.  A matmul batched over `pre`
+        # sums some entries in another order and moves margins by an ulp.
+        view = out.reshape(rows, pre, k, post)
+        flat = view.transpose(0, 2, 1, 3).reshape(rows, k, pre * post)
+        avg = np.matmul(dist[..., None, :], flat)
+        out = keep * view + mix * avg.reshape(rows, pre, 1, post)
         pre *= k
-    return out.reshape(sg.shape)
+    return out.reshape(shape)
 
 
 def stationary_measure(sg: SemiSimpleSemigroup) -> np.ndarray:
-    """Product table of the stationary measure tensor_i P_i."""
-    table = sg.factors[0]
-    for dist in sg.factors[1:]:
-        table = np.multiply.outer(table, dist)
+    """Product table of the stationary measure tensor_i P_i, one per stack row."""
+    stack, table = sg.stack, sg.factors[0]
+    for i, dist in enumerate(sg.factors[1:], 1):
+        table = table[..., None] * dist.reshape(stack + (1,) * i + (-1,))
     return table
 
 
@@ -217,10 +263,10 @@ def lp_norm(f: np.ndarray, measure: np.ndarray, p: float) -> float:
     vals = values[support]
     wts = q[support]
     if p == 0.0:
-        if np.any(vals == 0.0):
+        if (vals == 0.0).any():
             return 0.0
         return float(math.exp(np.dot(wts, np.log(vals))))
-    if p < 0.0 and np.any(vals == 0.0):
+    if p < 0.0 and (vals == 0.0).any():
         return 0.0
     with np.errstate(divide="ignore", over="ignore"):
         moment = float(np.dot(wts, vals**p))
@@ -245,6 +291,8 @@ def check_mossel(sg: SemiSimpleSemigroup, f: np.ndarray, p: float, q: float) -> 
     hypercontractivity estimate makes the margin nonnegative (p = q is the
     Jensen baseline with critical time 0).
     """
+    if sg.stack:
+        raise DimensionError("check_mossel takes one semigroup, not a stack")
     critical = mossel_critical_time(p, q)
     if sg.time < critical:
         raise DomainError(f"time {sg.time} is below the critical time {critical}")
@@ -255,20 +303,23 @@ def check_mossel(sg: SemiSimpleSemigroup, f: np.ndarray, p: float, q: float) -> 
 
 def mossel_q0_margin(sg: SemiSimpleSemigroup, f: np.ndarray) -> float:
     """Margin E[ln T_t f] - (1 + 1/t) ln E[f] for f in [0,1]^n, t > 0."""
+    if sg.stack:
+        raise DimensionError("mossel_q0_margin takes one semigroup, not a stack")
     if sg.time <= 0.0:
         raise DomainError("the q=0 inequality needs t > 0")
-    smoothed = apply_semisimple(sg, f)
     f = np.asarray(f, dtype=float)
-    if np.any(f > 1.0 + 1e-12):
+    if (f > 1.0 + 1e-12).any():
         raise DomainError("the q=0 inequality needs f taking values in [0, 1]")
+    smoothed = apply_semisimple(sg, f)
     mu = stationary_measure(sg)
     mean = float((mu * f).sum())
     if mean <= 0.0:
         raise DomainError("f must have positive mass under the stationary measure")
     support = mu > 0.0
-    if np.any(smoothed[support] <= 0.0):
+    smoothed = smoothed[support]
+    if (smoothed <= 0.0).any():
         return math.inf  # ln E[f] finite while lhs is -inf cannot happen for t>0
-    lhs = float(np.dot(mu[support], np.log(smoothed[support])))
+    lhs = float(np.dot(mu[support], np.log(smoothed)))
     return lhs - (1.0 + 1.0 / sg.time) * math.log(min(mean, 1.0))
 
 
@@ -414,44 +465,54 @@ def gaussian_quantizer_gap(
     constellation,
     thresholds,
     rule: QuadratureRule = DEFAULT_RULE,
-) -> tuple[float, float]:
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Exact-h1 / quadrature-h2 pair for a one-shot Gaussian relay quantizer.
 
     X is uniform on the constellation (noise variance 1, points pre-scaled),
     Z = X + N(0,1) is quantized by the sorted thresholds into I, and
     Y = X + N(0,1) independently.  h1 = H(I|X) comes from normal CDF
     differences; h2 = H(I|Y) integrates the posterior entropy over Y by
-    quadrature.
+    quadrature.  A (B, k) constellation with (B, n) thresholds is a stack of
+    B quantizers and gives two (B,) arrays, each entry equal to its row's own
+    call bit for bit.
     """
     xs = np.asarray(constellation, dtype=float)
     taus = np.asarray(thresholds, dtype=float)
-    if xs.ndim != 1 or xs.shape[0] < 1 or not np.all(np.isfinite(xs)):
-        raise DomainError("constellation must be a nonempty finite vector")
-    if taus.ndim != 1 or not np.all(np.isfinite(taus)):
-        raise DomainError("thresholds must be a finite vector")
+    if xs.ndim not in (1, 2) or xs.shape[-1] < 1 or not np.all(np.isfinite(xs)):
+        raise DomainError("constellation must be a nonempty finite vector, or a stack of them")
+    if taus.shape[:-1] != xs.shape[:-1] or taus.ndim != xs.ndim or not np.all(np.isfinite(taus)):
+        raise DomainError(
+            "thresholds must be a finite vector, or a stack as deep as the constellation's"
+        )
     if np.any(np.diff(taus) <= 0.0):
         raise DomainError("thresholds must be strictly increasing")
-    if taus.size == 0:
-        return 0.0, 0.0  # a single quantizer cell carries no information
+    stacked = xs.ndim == 2
+    if taus.shape[-1] == 0:  # a single quantizer cell carries no information
+        return (np.zeros(len(xs)), np.zeros(len(xs))) if stacked else (0.0, 0.0)
 
-    edges = np.concatenate(([-math.inf], taus, [math.inf]))
+    xs, taus = xs.reshape(-1, xs.shape[-1]), taus.reshape(-1, taus.shape[-1])
+    rows, k = xs.shape
+    edges = np.concatenate((np.full((rows, 1), -math.inf), taus, np.full((rows, 1), math.inf)), 1)
     # P(I = i | X = x) via Phi differences, columns are quantizer cells
-    cdf = 0.5 * _erfc(-(edges[None, :] - xs[:, None]) / math.sqrt(2.0)).astype(float)
-    cell_given_x = np.clip(cdf[:, 1:] - cdf[:, :-1], 0.0, 1.0)
-
-    k = xs.shape[0]
-    h1 = float(np.mean(-_xlogx_rows(cell_given_x)))
+    cdf = 0.5 * _erfc(-(edges[:, None, :] - xs[:, :, None]) / math.sqrt(2.0)).astype(float)
+    cell_given_x = np.clip(cdf[..., 1:] - cdf[..., :-1], 0.0, 1.0)
+    h1 = np.mean(-_xlogx_rows(cell_given_x), axis=-1)
 
     # h2: for Y = x_c + v, the posterior over inputs is a softmax of -(y-x)^2/2
-    ys = (xs[:, None] + rule.nodes[None, :]).reshape(-1)
-    log_post = -0.5 * (ys[:, None] - xs[None, :]) ** 2
-    log_post -= log_post.max(axis=1, keepdims=True)
-    post = np.exp(log_post)
-    post /= post.sum(axis=1, keepdims=True)
+    ys = (xs[:, :, None] + rule.nodes).reshape(rows, -1)
+    # in place, so that a stack holds few tables of k*m rows at once
+    post = ys[:, :, None] - xs[:, None, :]
+    post *= post
+    post *= -0.5
+    post -= post.max(axis=-1, keepdims=True)
+    np.exp(post, out=post)
+    post /= post.sum(axis=-1, keepdims=True)
     cell_given_y = post @ cell_given_x
-    weights = (np.full((k, 1), 1.0 / k) * rule.weights[None, :]).reshape(-1)
-    h2 = float(np.dot(weights, -_xlogx_rows(cell_given_y)))
-    return h1, h2
+    del post
+    weights = (np.full((k, 1), 1.0 / k) * rule.weights[None, :]).reshape(-1, 1)
+    # one (1, k*m) @ (k*m, 1) product per row, the BLAS dot of np.dot(weights, ...)
+    h2 = np.matmul(-_xlogx_rows(cell_given_y)[:, None, :], weights).reshape(rows)
+    return (h1, h2) if stacked else (float(h1[0]), float(h2[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -475,16 +536,33 @@ def _run(
     tol: float,
     n_instances: int,
     seed: int,
-    draw: Callable[[np.random.Generator], tuple[dict, float]],
+    draw: Callable[[np.random.Generator], tuple],
+    evaluate: Callable[..., list[tuple[dict, float]]] | None = None,
 ) -> list[SuiteRecord]:
-    """Records of `draw(rng) -> (instance, margin)`, drawn from the stream (seed, index).
+    """Records of the instances drawn from the streams (seed, index), in index order.
 
-    An instance passes when its margin is at least -tol.
+    Without `evaluate`, `draw(rng)` returns (instance, margin).  With it,
+    `draw(rng)` returns a shape key and a tuple of arrays; the instances of
+    one key within a block of _BLOCK indices are stacked along a new first
+    axis, and `evaluate(*stacks)` returns their (instance, margin) pairs in
+    draw order.  An instance passes when its margin is at least -tol.
     """
     records = []
-    for idx in range(n_instances):
-        instance, margin = draw(np.random.default_rng((seed, idx)))
-        records.append(SuiteRecord(suite, idx, instance, float(margin), bool(margin >= -tol)))
+    for start in range(0, n_instances, _BLOCK):
+        block = range(start, min(start + _BLOCK, n_instances))
+        drawn = [draw(np.random.default_rng((seed, idx))) for idx in block]
+        if evaluate is not None:
+            groups: dict = {}
+            for i, (key, _) in enumerate(drawn):
+                groups.setdefault(key, []).append(i)
+            for members in groups.values():
+                stacks = [np.stack(column) for column in zip(*(drawn[i][1] for i in members))]
+                for i, result in zip(members, evaluate(*stacks)):
+                    drawn[i] = result
+        records += [
+            SuiteRecord(suite, idx, instance, float(margin), bool(margin >= -tol))
+            for idx, (instance, margin) in zip(block, drawn)
+        ]
     return records
 
 
@@ -668,20 +746,26 @@ def quantizer_oracle_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
         taus = np.sort(rng.uniform(-3.0, 3.0, size=n_taus))
         while np.any(np.diff(taus) < 1e-3):
             taus = np.sort(rng.uniform(-3.0, 3.0, size=n_taus))
-        h1, h2 = gaussian_quantizer_gap(xs, taus)
-        margin_gap = gauss_gap_closed(h1) - h2
-        margin_log = 0.5 * math.log1p(2.0 * h2) - (h2 - h1)
-        instance = {
-            "constellation": xs.tolist(),
-            "thresholds": taus.tolist(),
-            "h1": h1,
-            "h2": h2,
-            "margin_gap": margin_gap,
-            "margin_log": margin_log,
-        }
-        return instance, min(margin_gap, margin_log)
+        return (k, n_taus), (xs, taus)
 
-    return _run("quantizer", 1e-6, n_instances, seed, draw)
+    def evaluate(xs, taus):
+        h1s, h2s = gaussian_quantizer_gap(xs, taus)
+        out = []
+        for x, tau, h1, h2 in zip(xs.tolist(), taus.tolist(), h1s.tolist(), h2s.tolist()):
+            margin_gap = gauss_gap_closed(h1) - h2
+            margin_log = 0.5 * math.log1p(2.0 * h2) - (h2 - h1)
+            instance = {
+                "constellation": x,
+                "thresholds": tau,
+                "h1": h1,
+                "h2": h2,
+                "margin_gap": margin_gap,
+                "margin_log": margin_log,
+            }
+            out.append((instance, min(margin_gap, margin_log)))
+        return out
+
+    return _run("quantizer", 1e-6, n_instances, seed, draw, evaluate)
 
 
 def semigroup_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
@@ -691,18 +775,29 @@ def semigroup_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
         sg, f, _, _, _ = _random_semigroup(rng, p=0.5, q=0.5, t=0.0)
         t1 = float(rng.uniform(0.0, 2.0))
         t2 = float(rng.uniform(0.0, 2.0))
-        mu = stationary_measure(sg)
-        sg1 = sg.at_time(t1)
-        two_step = apply_semisimple(sg1, apply_semisimple(sg.at_time(t2), f))
-        one_step = apply_semisimple(sg.at_time(t1 + t2), f)
-        dev_law = float(np.max(np.abs(two_step - one_step)))
-        dev_stat = abs(float((mu * one_step).sum()) - float((mu * f).sum()))
-        dev_unit = float(np.max(np.abs(apply_semisimple(sg1, np.ones(sg.shape)) - 1.0)))
-        positivity = float(one_step.min())
-        instance = {"n": len(sg.factors), "alphabet": sg.shape[0], "t1": t1, "t2": t2}
-        return instance, -max(dev_law, dev_stat, dev_unit, -positivity)
+        return sg.shape, (*sg.factors, f, t1, t2)
 
-    return _run("semigroup", 1e-12, n_instances, seed, draw)
+    def evaluate(*stacks):
+        *factors, f, t1, t2 = stacks
+        sg1 = SemiSimpleSemigroup(tuple(factors), t1)
+        two_step = apply_semisimple(sg1, apply_semisimple(sg1.at_time(t2), f))
+        one_step = apply_semisimple(sg1.at_time(t1 + t2), f)
+        unit = apply_semisimple(sg1, np.ones(f.shape))
+        # one flat row per instance, so that each sum runs as over its own table
+        mu, flat, two_step, one_step, unit = (
+            a.reshape(len(f), -1) for a in (stationary_measure(sg1), f, two_step, one_step, unit)
+        )
+        dev_law = np.abs(two_step - one_step).max(axis=1)
+        dev_stat = np.abs((mu * one_step).sum(axis=1) - (mu * flat).sum(axis=1))
+        dev_unit = np.abs(unit - 1.0).max(axis=1)
+        columns = (t1, t2, dev_law, dev_stat, dev_unit, one_step.min(axis=1))
+        instance = {"n": len(factors), "alphabet": f.shape[1]}
+        return [
+            ({**instance, "t1": a, "t2": b}, -max(law, stat, unit, -positivity))
+            for a, b, law, stat, unit, positivity in zip(*(c.tolist() for c in columns))
+        ]
+
+    return _run("semigroup", 1e-12, n_instances, seed, draw, evaluate)
 
 
 # Every suite by its `relay-bounds verify --suite` name, in the order

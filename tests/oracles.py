@@ -6,6 +6,8 @@
 * the mutual informations I(X;Y) and I(X;Y,Z) of an input law;
 * a simplex grid and I_inf by minimax over output laws;
 * the dense matrix of a semi-simple semigroup on flattened tables;
+* the `semigroup` and `quantizer` suites as per-instance loops, one kernel
+  call per instance, the way those suites ran before they evaluated per shape;
 * a channel CSV writer, the inverse of `cli.read_channel_csv`.
 
 They import only public names from relay_bounds.
@@ -17,7 +19,14 @@ import numpy as np
 
 from relay_bounds.dmc_relay import DiscreteChannel, InputDistribution, product_channel
 from relay_bounds.errors import DimensionError
-from relay_bounds.scalar_bounds import require_alpha, require_rate
+from relay_bounds.rhc_verify import (
+    SemiSimpleSemigroup,
+    SuiteRecord,
+    apply_semisimple,
+    gaussian_quantizer_gap,
+    stationary_measure,
+)
+from relay_bounds.scalar_bounds import gauss_gap_closed, require_alpha, require_rate
 
 # Bracket width, relative to max(1, bracket end), and iteration budget of the
 # golden-section search.
@@ -217,6 +226,62 @@ def semisimple_dense(factors, t: float) -> np.ndarray:
         simple = keep * np.eye(k) + (1.0 - keep) * np.outer(np.ones(k), dist)
         dense = np.kron(dense, simple)
     return dense
+
+
+def semigroup_suite_per_instance(n_instances: int, seed: int) -> list[SuiteRecord]:
+    """`rhc_verify.semigroup_suite`, drawn and evaluated one instance at a time."""
+    records = []
+    for idx in range(n_instances):
+        rng = np.random.default_rng((seed, idx))
+        n, k = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+        sg = SemiSimpleSemigroup(tuple(rng.dirichlet(np.ones(k)) for _ in range(n)), 0.0)
+        f = rng.random(sg.shape)
+        if rng.random() < 0.25:
+            f = np.where(rng.random(sg.shape) < 0.3, 0.0, f)
+        if rng.random() < 0.25:
+            f = f * float(rng.uniform(0.5, 2.0))
+        t1 = float(rng.uniform(0.0, 2.0))
+        t2 = float(rng.uniform(0.0, 2.0))
+        mu = stationary_measure(sg)
+        sg1 = sg.at_time(t1)
+        two_step = apply_semisimple(sg1, apply_semisimple(sg.at_time(t2), f))
+        one_step = apply_semisimple(sg.at_time(t1 + t2), f)
+        dev_law = float(np.max(np.abs(two_step - one_step)))
+        dev_stat = abs(float((mu * one_step).sum()) - float((mu * f).sum()))
+        dev_unit = float(np.max(np.abs(apply_semisimple(sg1, np.ones(sg.shape)) - 1.0)))
+        margin = -max(dev_law, dev_stat, dev_unit, -float(one_step.min()))
+        instance = {"n": n, "alphabet": k, "t1": t1, "t2": t2}
+        records.append(SuiteRecord("semigroup", idx, instance, margin, margin >= -1e-12))
+    return records
+
+
+def quantizer_suite_per_instance(n_instances: int, seed: int) -> list[SuiteRecord]:
+    """`rhc_verify.quantizer_oracle_suite`, drawn and evaluated one instance at a time."""
+    records = []
+    for idx in range(n_instances):
+        rng = np.random.default_rng((seed, idx))
+        k = int(rng.integers(2, 5))
+        xs = np.sort(rng.uniform(-3.0, 3.0, size=k))
+        while np.any(np.diff(xs) < 1e-3):
+            xs = np.sort(rng.uniform(-3.0, 3.0, size=k))
+        n_taus = int(rng.integers(1, 4))
+        taus = np.sort(rng.uniform(-3.0, 3.0, size=n_taus))
+        while np.any(np.diff(taus) < 1e-3):
+            taus = np.sort(rng.uniform(-3.0, 3.0, size=n_taus))
+        h1, h2 = gaussian_quantizer_gap(xs, taus)
+        margin_gap = gauss_gap_closed(h1) - h2
+        margin_log = 0.5 * math.log1p(2.0 * h2) - (h2 - h1)
+        instance = {
+            "constellation": xs.tolist(),
+            "thresholds": taus.tolist(),
+            "h1": h1,
+            "h2": h2,
+            "margin_gap": margin_gap,
+            "margin_log": margin_log,
+        }
+        margin = min(margin_gap, margin_log)
+        records.append(SuiteRecord("quantizer", idx, instance, margin, margin >= -1e-6))
+    return records
 
 
 def write_channel_csv(path: str, channel: DiscreteChannel) -> None:

@@ -214,6 +214,16 @@ class TestCurvesCommand:
             main(["curves", "--figure", "1", "--points", "1"])
         assert exc.value.code == 2
 
+    def test_points_above_the_cap_exit_2(self, tmp_path, capsys):
+        target = tmp_path / "curve.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["curves", "--figure", "1", "--points", "100001", "--output", str(target)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: relay-bounds curves ")
+        assert "n_points must lie in 2..100000, got 100001" in err
+        assert not target.exists()
+
 
 class TestVerifyCommand:
     def test_default_small_run_passes(self, tmp_path):

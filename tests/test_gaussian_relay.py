@@ -1,6 +1,7 @@
 """Tests for the Gaussian relay capacity bounds and curve emission."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from oracles import baseline_curve_inverse
 from relay_bounds.errors import DomainError
 from relay_bounds.gaussian_relay import (
+    MAX_POINTS,
     GaussianBoundReport,
     GaussianRelayParams,
     emit_fig1_curves,
@@ -203,6 +205,14 @@ class TestFig1Curves:
             emit_fig1_curves(3.0, 1)
         with pytest.raises(DomainError):
             emit_fig1_curves(0.0, 10)
+
+    def test_point_count_is_capped(self):
+        assert MAX_POINTS == 100_000
+        message = f"n_points must lie in 2..{MAX_POINTS}, got {MAX_POINTS + 1}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            emit_fig1_curves(3.0, MAX_POINTS + 1)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            emit_fig2_curves(0.5, 0.27, MAX_POINTS + 1)
 
 
 class TestFig2Curves:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import semisimple_dense
+from oracles import quantizer_suite_per_instance, semigroup_suite_per_instance, semisimple_dense
 from relay_bounds import rhc_verify
 from relay_bounds.dmc_relay import DiscreteChannel
 from relay_bounds.errors import DimensionError, DomainError
@@ -57,6 +57,20 @@ class TestTypes:
             SemiSimpleSemigroup((np.array([0.5, 0.5]),), -0.1)
         with pytest.raises(DomainError):
             SemiSimpleSemigroup(tuple(np.full(2, 0.5) for _ in range(5)), 1.0)
+
+    def test_at_time_keeps_the_factors_and_checks_only_the_time(self, monkeypatch):
+        sg = random_semigroup(np.random.default_rng(2), n=3)
+
+        def fail(*args):
+            raise AssertionError("at_time checked a factor again")
+
+        monkeypatch.setattr(rhc_verify, "require_law", fail)
+        later = sg.at_time(2.5)
+        assert later.time == 2.5 and later.shape == sg.shape
+        assert all(a is b for a, b in zip(later.factors, sg.factors))
+        for bad in (-1.0, math.nan):
+            with pytest.raises(DomainError, match="time must be >= 0"):
+                sg.at_time(bad)
 
     def test_quadrature_rule(self):
         rule = QuadratureRule.gauss_hermite(32)
@@ -278,6 +292,14 @@ class TestMossel:
         records = mossel_q0_suite(300, 99)
         assert all(r.passed for r in records)
 
+    def test_q0_rejects_f_above_one_before_smoothing(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a rejected table was smoothed")
+
+        monkeypatch.setattr(rhc_verify, "apply_semisimple", fail)
+        with pytest.raises(DomainError, match=re.escape("f taking values in [0, 1]")):
+            mossel_q0_margin(FAIR_COIN, np.array([0.5, 1.5]))
+
     def test_q0_all_ones_is_tight(self):
         sg = FAIR_COIN
         f = np.ones(sg.shape)
@@ -478,6 +500,137 @@ class TestStructuralSuite:
     def test_semigroup_suite(self):
         records = semigroup_suite(150, 5)
         assert all(r.passed for r in records)
+
+
+def _stacked_semigroup(rng, shape, times):
+    """A stack of len(times) semigroups of one table shape, with their per-row semigroups."""
+    factors = tuple(rng.dirichlet(np.ones(k), size=len(times)) for k in shape)
+    rows = [SemiSimpleSemigroup(tuple(d[b] for d in factors), t) for b, t in enumerate(times)]
+    return SemiSimpleSemigroup(factors, np.array(times)), rows
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestStacks:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.lists(st.integers(2, 6), min_size=1, max_size=4),
+        times=st.lists(
+            st.sampled_from([0.0, 1e3]) | st.floats(0.0, 5.0), min_size=1, max_size=8
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_semigroup_stack_matches_its_rows_bit_for_bit(self, shape, times, seed):
+        rng = np.random.default_rng(seed)
+        stack, rows = _stacked_semigroup(rng, shape, times)
+        f = rng.random((len(times), *shape))
+        smoothed, mu = apply_semisimple(stack, f), stationary_measure(stack)
+        assert stack.shape == tuple(shape) and smoothed.shape == mu.shape == f.shape
+        for b, sg in enumerate(rows):
+            assert _bits(smoothed[b]) == _bits(apply_semisimple(sg, f[b]))
+            assert _bits(mu[b]) == _bits(stationary_measure(sg))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(2, 4),
+        n_taus=st.integers(0, 3),
+        n_rows=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_quantizer_stack_matches_its_rows_bit_for_bit(self, k, n_taus, n_rows, seed):
+        rng = np.random.default_rng(seed)
+        xs = np.sort(rng.uniform(-3.0, 3.0, size=(n_rows, k)), axis=1)
+        taus = np.sort(rng.uniform(-3.0, 3.0, size=(n_rows, n_taus)), axis=1)
+        h1, h2 = gaussian_quantizer_gap(xs, taus)
+        assert h1.shape == h2.shape == (n_rows,)
+        for b in range(n_rows):
+            one = gaussian_quantizer_gap(xs[b], taus[b])
+            assert all(type(h) is float for h in one)
+            assert _bits([h1[b], h2[b]]) == _bits(one)
+        if n_taus == 0:
+            assert not h1.any() and not h2.any()
+
+    def test_rejects_a_bad_row_law(self):
+        with pytest.raises(DomainError, match="factor 0 must sum to 1"):
+            SemiSimpleSemigroup((np.array([[0.5, 0.5], [0.6, 0.6]]),), np.array([1.0, 1.0]))
+
+    def test_rejects_factor_stacks_of_different_depth(self):
+        for factors in [
+            (np.full((2, 2), 0.5), np.full((3, 2), 0.5)),
+            (np.full((2, 2), 0.5), np.full(2, 0.5)),
+            (np.full((2, 2, 2), 0.5),),
+        ]:
+            with pytest.raises(DomainError, match="stacks of them of one depth"):
+                SemiSimpleSemigroup(factors, np.ones(2))
+
+    def test_rejects_times_that_do_not_fit_the_stack(self):
+        factors = (np.full((2, 3), 1.0 / 3.0),)
+        for time in (np.ones(3), np.ones((2, 1)), 1.0):
+            with pytest.raises(DimensionError, match="does not match the stack"):
+                SemiSimpleSemigroup(factors, time)
+        for time in ([1.0, -1.0], [math.nan, 1.0]):
+            with pytest.raises(DomainError, match="time must be >= 0"):
+                SemiSimpleSemigroup(factors, time)
+        sg = SemiSimpleSemigroup(factors, [0.5, 1.0])
+        with pytest.raises(DimensionError):
+            sg.at_time(np.ones(5))
+        assert sg.at_time([2.0, 3.0]).time.tolist() == [2.0, 3.0]
+
+    def test_rejects_a_table_stack_of_the_wrong_shape(self):
+        stack, _ = _stacked_semigroup(np.random.default_rng(1), (2, 3), [0.5, 1.0])
+        for shape in [(2, 3), (3, 2, 3), (2, 3, 2), (1, 2, 3)]:
+            with pytest.raises(DimensionError):
+                apply_semisimple(stack, np.ones(shape))
+
+    def test_margins_take_one_semigroup(self):
+        stack, _ = _stacked_semigroup(np.random.default_rng(1), (2,), [0.5, 1.0])
+        with pytest.raises(DimensionError, match="not a stack"):
+            check_mossel(stack, np.ones((2, 2)), 0.5, 0.2)
+        with pytest.raises(DimensionError, match="not a stack"):
+            mossel_q0_margin(stack, np.ones((2, 2)))
+
+    def test_rejects_a_quantizer_row_with_equal_thresholds(self):
+        xs = np.array([[-1.0, 1.0], [-1.0, 1.0]])
+        with pytest.raises(DomainError, match="strictly increasing"):
+            gaussian_quantizer_gap(xs, np.array([[-0.5, 0.5], [0.5, 0.5]]))
+        with pytest.raises(DomainError, match="as deep as the constellation"):
+            gaussian_quantizer_gap(xs, np.array([0.0]))
+
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_suites_match_their_per_instance_loops(self, n, seed):
+        assert repr(semigroup_suite(n, seed)) == repr(semigroup_suite_per_instance(n, seed))
+        assert repr(quantizer_oracle_suite(n, seed)) == repr(quantizer_suite_per_instance(n, seed))
+
+    def test_blocks_leave_the_records_unchanged(self, monkeypatch):
+        whole = {name: repr(suite(40, 3)) for name, suite in SUITES.items()}
+        monkeypatch.setattr(rhc_verify, "_BLOCK", 16)
+        assert {name: repr(suite(40, 3)) for name, suite in SUITES.items()} == whole
+        assert whole["semigroup"] == repr(semigroup_suite_per_instance(40, 3))
+        assert whole["quantizer"] == repr(quantizer_suite_per_instance(40, 3))
+
+    def test_one_kernel_call_per_shape_group(self, monkeypatch):
+        calls = []
+
+        def counting(kernel):
+            def wrapper(*args):
+                calls.append(kernel.__name__)
+                return kernel(*args)
+
+            return wrapper
+
+        for name in ("apply_semisimple", "gaussian_quantizer_gap"):
+            monkeypatch.setattr(rhc_verify, name, counting(getattr(rhc_verify, name)))
+        records = semigroup_suite(300, 4)
+        shapes = {(r.instance["n"], r.instance["alphabet"]) for r in records}
+        assert calls == ["apply_semisimple"] * 4 * len(shapes)
+        calls.clear()
+        records = quantizer_oracle_suite(300, 4)
+        shapes = {(len(r.instance["constellation"]), len(r.instance["thresholds"]))
+                  for r in records}
+        assert calls == ["gaussian_quantizer_gap"] * len(shapes)
 
 
 class TestSuiteRegistry:
