@@ -298,7 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run the numerical verification suites")
     v.add_argument("--suite", choices=("all", *rhc_verify.SUITES), default="all")
-    v.add_argument("--instances", type=int, default=1000, help="instances per suite (>= 1)")
+    v.add_argument(
+        "--instances", type=int, default=1000,
+        help=f"instances per suite, 1..{rhc_verify.MAX_INSTANCES}",
+    )
     v.add_argument("--seed", type=int, default=None)
     v.add_argument("--t-factor", type=float, default=None, dest="t_factor",
                    help="borell-exp time as a multiple of its critical time (default 1)")

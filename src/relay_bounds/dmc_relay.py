@@ -32,7 +32,8 @@ from .scalar_bounds import bdd_gap_inverse, require_alpha, require_law, require_
 _TINY = 1e-300
 
 
-@dataclass(frozen=True)
+# eq=False here and below: array fields compare and hash by identity
+@dataclass(frozen=True, eq=False)
 class DiscreteChannel:
     """Row-stochastic |X| x |Y| transition matrix W(y|x)."""
 
@@ -61,7 +62,7 @@ class DiscreteChannel:
         return DiscreteChannel(np.array([[1.0 - p, p], [p, 1.0 - p]]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InputDistribution:
     """Probability vector over the channel input alphabet."""
 

@@ -14,16 +14,19 @@ quadrature, the inequalities that power the capacity bounds:
   (discrete channels) and quantizer instances (Gaussian links at n = 1).
 
 Function tables are plain float arrays.  `SemiSimpleSemigroup`,
-`apply_semisimple`, `stationary_measure` and `gaussian_quantizer_gap` take
-one instance or a stack of B same-shape instances along a new first axis,
-each row giving bit for bit what its own call gives.  Laws and tables are
-checked once per call, where they enter these kernels: factors and
-quadrature weights by `scalar_bounds.require_law`, tables by `require_table`.
+`apply_semisimple`, `stationary_measure`, `check_mossel`, `mossel_q0_margin`
+and `gaussian_quantizer_gap` take one instance or a stack of B same-shape
+instances along a new first axis, each row giving bit for bit what its own
+call gives; `lp_norm` takes a stack of tables with a (B,) array of indices.
+Laws and tables are checked once per call, where they enter these kernels:
+factors and quadrature weights by `scalar_bounds.require_law`, tables by
+`require_table`.
 
 `SUITES` names the seven randomized suites.  Each draws one instance per RNG
 stream (seed, index), so any failure can be replayed from its record;
-`semigroup` and `quantizer` then evaluate each group of same-shape
-instances with one stacked kernel call, the others instance by instance.
+`mossel`, `mossel-q0`, `quantizer` and `semigroup` then evaluate each group
+of same-shape instances with one stacked call, the others instance by
+instance.
 """
 
 from __future__ import annotations
@@ -43,6 +46,8 @@ MAX_FACTORS = 4  # tensor factors of a semigroup (the `verify --n` range)
 _MAX_ALPHABET = 6
 _MAX_BLOCKLENGTH = 3
 _MAX_MESSAGES = 8
+# Instances per suite call; every record is held until the call returns.
+MAX_INSTANCES = 100_000
 # Instances a suite draws before it evaluates them.  It bounds the memory that
 # drawn arrays and their stacks hold; the default 1,000 fit in one block.
 _BLOCK = 1024
@@ -53,7 +58,8 @@ _BLOCK = 1024
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+# eq=False here and below: array fields compare and hash by identity
+@dataclass(frozen=True, eq=False)
 class SemiSimpleSemigroup:
     """Tensor product of simple semigroups e^{-t} Id + (1-e^{-t}) P_i at time t.
 
@@ -115,7 +121,7 @@ class SemiSimpleSemigroup:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Nodes and weights for expectations against the standard normal law."""
 
@@ -143,17 +149,19 @@ DEFAULT_RULE = QuadratureRule.gauss_hermite(64)
 
 
 def _integers(values, name: str) -> np.ndarray:
-    """The values as an int array; a fractional, NaN or non-numeric entry is a DomainError."""
+    """Integer or bool values as they are, integral floats as ints; else a DomainError."""
     x = np.asarray(values)
-    if x.dtype.kind in "biuf":
+    if x.dtype.kind in "biu":
+        return x
+    if x.dtype.kind == "f":
         with np.errstate(invalid="ignore"):  # NaN and inf cast to an integer they differ from
             ints = x.astype(int)
-        if np.array_equal(ints, x):
+        if (ints == x).all():
             return ints
     raise DomainError(f"{name} must be integers, got {values!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelayInstance:
     """Finite relay code: channel, codebook x^n(m), and relay partition of Z^n.
 
@@ -166,19 +174,19 @@ class RelayInstance:
     relay_partition: np.ndarray
 
     def __post_init__(self) -> None:
-        book = tuple(tuple(_integers(word, "codeword symbols").tolist()) for word in self.codebook)
-        if not (1 <= len(book) <= _MAX_MESSAGES):
-            raise DomainError(f"codebook must hold 1..{_MAX_MESSAGES} messages, got {len(book)}")
-        n = len(book[0])
+        words = tuple(self.codebook)
+        if not (1 <= len(words) <= _MAX_MESSAGES):
+            raise DomainError(f"codebook must hold 1..{_MAX_MESSAGES} messages, got {len(words)}")
+        n = len(words[0])
         if not (1 <= n <= _MAX_BLOCKLENGTH):
             raise DomainError(f"blocklength must be 1..{_MAX_BLOCKLENGTH}, got {n}")
+        if any(len(word) != n for word in words):
+            raise DomainError("all codewords must share one blocklength")
+        book = _integers(words, "codeword symbols").astype(int, copy=False)
         kx = self.channel.n_inputs
-        for word in book:
-            if len(word) != n:
-                raise DomainError("all codewords must share one blocklength")
-            if any(not (0 <= s < kx) for s in word):
-                raise DomainError(f"codeword symbols must index the {kx}-ary input alphabet")
-        part = _integers(self.relay_partition, "partition cells")
+        if book.min() < 0 or book.max() >= kx:
+            raise DomainError(f"codeword symbols must index the {kx}-ary input alphabet")
+        part = np.array(_integers(self.relay_partition, "partition cells"), dtype=int)
         n_z = self.channel.n_outputs**n
         if part.shape != (n_z,):
             raise DomainError(
@@ -189,7 +197,7 @@ class RelayInstance:
         if part.min() < 0 or part.max() >= n_z:
             raise DomainError(f"partition cells must be integers in 0..{n_z - 1}")
         part.setflags(write=False)
-        object.__setattr__(self, "codebook", book)
+        object.__setattr__(self, "codebook", tuple(map(tuple, book.tolist())))
         object.__setattr__(self, "relay_partition", part)
 
     @property
@@ -244,21 +252,22 @@ def stationary_measure(sg: SemiSimpleSemigroup) -> np.ndarray:
     return table
 
 
-def lp_norm(f: np.ndarray, measure: np.ndarray, p: float) -> float:
-    """L^p(Q) norm for p <= 1, with the p = 0 geometric-mean convention.
+def _power(vals: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """vals ** index row by row, each row as `row ** float(index[b])` gives it.
 
-    For p <= 0 a zero of f on the support of the measure gives norm 0 (the
-    correct limit); the p = 0 case is evaluated in the log domain.
+    With a float exponent numpy takes sqrt at 0.5 and the reciprocal at -1,
+    which round differently from its pow; rows at those indices take them too.
     """
-    values = require_table(f, "f")
-    q = require_table(measure, "measure")
-    if values.shape != q.shape:
-        raise DimensionError(f"function shape {values.shape} != measure shape {q.shape}")
-    # looser than LAW_TOL: the measure is a product of up to MAX_FACTORS laws
-    if abs(q.sum() - 1.0) > 1e-9:
-        raise DomainError("measure must sum to 1")
-    if not math.isfinite(p) or p > 1.0:
-        raise DomainError(f"norm index must be finite and <= 1, got {p!r}")
+    out = vals ** index[:, None]
+    for shortcut in (0.5, -1.0):
+        rows = index == shortcut
+        if rows.any():
+            out[rows] = vals[rows] ** shortcut
+    return out
+
+
+def _lp_norm_row(values: np.ndarray, q: np.ndarray, p: float) -> float:
+    """lp_norm of one flat table, with every special case: zeros and a moment out of range."""
     support = q > 0.0
     vals = values[support]
     wts = q[support]
@@ -277,6 +286,48 @@ def lp_norm(f: np.ndarray, measure: np.ndarray, p: float) -> float:
     return moment ** (1.0 / p)
 
 
+def lp_norm(f: np.ndarray, measure: np.ndarray, p: float | np.ndarray) -> float | np.ndarray:
+    """L^p(Q) norm for p <= 1, with the p = 0 geometric-mean convention.
+
+    For p <= 0 a zero of f on the support of the measure gives norm 0 (the
+    correct limit); the p = 0 case is evaluated in the log domain.  A (B,)
+    array p makes f and measure stacks of B tables along a new first axis and
+    gives a (B,) array, each entry equal to its row's own call bit for bit.
+    """
+    values = require_table(f, "f")
+    q = require_table(measure, "measure")
+    if values.shape != q.shape:
+        raise DimensionError(f"function shape {values.shape} != measure shape {q.shape}")
+    index = np.asarray(p, dtype=float)
+    if index.ndim > 1 or index.ndim == 1 and (values.ndim < 2 or values.shape[:1] != index.shape):
+        raise DimensionError(f"indices of shape {index.shape} do not fit tables {values.shape}")
+    rows = index.reshape(-1)
+    values, q = values.reshape(len(rows), -1), q.reshape(len(rows), -1)
+    # looser than LAW_TOL: the measure is a product of up to MAX_FACTORS laws
+    if (np.abs(q.sum(axis=1) - 1.0) > 1e-9).any():
+        raise DomainError("measure must sum to 1")
+    bad = ~(np.isfinite(rows) & (rows <= 1.0))
+    if bad.any():
+        raise DomainError(f"norm index must be finite and <= 1, got {float(rows[bad][0])!r}")
+    # Rows with a zero in the measure, p = 0, or a zero of f at p < 0 take the
+    # row path; so does a p < 0 row whose moment leaves the float range.
+    special = (rows == 0.0) | (q <= 0.0).any(axis=1) | (rows < 0.0) & (values == 0.0).any(axis=1)
+    regular = np.flatnonzero(~special)
+    with np.errstate(divide="ignore", over="ignore"):
+        powers = _power(values[regular], rows[regular])
+    # one (1, m) @ (m, 1) product per row, the BLAS dot of np.dot(q, powers)
+    moments = np.matmul(q[regular][:, None, :], powers[:, :, None]).reshape(-1)
+    out = np.empty(len(rows))
+    for b, moment, pb in zip(regular.tolist(), moments.tolist(), rows[regular].tolist()):
+        if pb > 0.0 or 0.0 < moment < math.inf:
+            out[b] = moment ** (1.0 / pb)
+        else:
+            special[b] = True
+    for b in np.flatnonzero(special).tolist():
+        out[b] = _lp_norm_row(values[b], q[b], float(rows[b]))
+    return out if index.ndim else float(out[0])
+
+
 def mossel_critical_time(p: float, q: float) -> float:
     """Critical semigroup time ln((1-q)/(1-p)) for finite norm indices q <= p < 1."""
     if not -math.inf < q <= p < 1.0:
@@ -284,43 +335,78 @@ def mossel_critical_time(p: float, q: float) -> float:
     return math.log((1.0 - q) / (1.0 - p))
 
 
-def check_mossel(sg: SemiSimpleSemigroup, f: np.ndarray, p: float, q: float) -> float:
+def _per_row(x: float | np.ndarray, stack: tuple[int, ...]) -> np.ndarray:
+    """A float or (B,) array as a (B,) array for a stack of B."""
+    x = np.asarray(x, dtype=float)
+    if x.shape not in ((), stack):
+        raise DimensionError(f"expected a float or an array of shape {stack}, got {x.shape}")
+    return np.broadcast_to(x, stack)
+
+
+def check_mossel(
+    sg: SemiSimpleSemigroup, f: np.ndarray, p: float | np.ndarray, q: float | np.ndarray
+) -> float | np.ndarray:
     """Margin ||T_t f||_q - ||f||_p for the semi-simple semigroup.
 
     Requires q <= p < 1 and t >= ln((1-q)/(1-p)); the reverse
     hypercontractivity estimate makes the margin nonnegative (p = q is the
-    Jensen baseline with critical time 0).
+    Jensen baseline with critical time 0).  For a stack of B semigroups, f is
+    a (B, *sg.shape) table stack, p and q are floats or (B,) arrays, and the
+    margins are a (B,) array, each equal to its row's own call bit for bit.
     """
     if sg.stack:
-        raise DimensionError("check_mossel takes one semigroup, not a stack")
-    critical = mossel_critical_time(p, q)
-    if sg.time < critical:
-        raise DomainError(f"time {sg.time} is below the critical time {critical}")
+        p, q = _per_row(p, sg.stack), _per_row(q, sg.stack)
+        rows = zip(p.tolist(), q.tolist(), sg.time.tolist())
+    else:
+        rows = [(p, q, sg.time)]
+    for pb, qb, t in rows:
+        critical = mossel_critical_time(pb, qb)
+        if t < critical:
+            raise DomainError(f"time {t} is below the critical time {critical}")
     mu = stationary_measure(sg)
     smoothed = apply_semisimple(sg, f)
     return lp_norm(smoothed, mu, q) - lp_norm(f, mu, p)
 
 
-def mossel_q0_margin(sg: SemiSimpleSemigroup, f: np.ndarray) -> float:
-    """Margin E[ln T_t f] - (1 + 1/t) ln E[f] for f in [0,1]^n, t > 0."""
-    if sg.stack:
-        raise DimensionError("mossel_q0_margin takes one semigroup, not a stack")
-    if sg.time <= 0.0:
+def mossel_q0_margin(sg: SemiSimpleSemigroup, f: np.ndarray) -> float | np.ndarray:
+    """Margin E[ln T_t f] - (1 + 1/t) ln E[f] for f in [0,1]^n, t > 0.
+
+    A stack of B semigroups with a (B, *sg.shape) table stack gives a (B,)
+    array of margins, each equal to its row's own call bit for bit.
+    """
+    times = np.reshape(sg.time, -1)
+    if (times <= 0.0).any():
         raise DomainError("the q=0 inequality needs t > 0")
     f = np.asarray(f, dtype=float)
     if (f > 1.0 + 1e-12).any():
         raise DomainError("the q=0 inequality needs f taking values in [0, 1]")
-    smoothed = apply_semisimple(sg, f)
-    mu = stationary_measure(sg)
-    mean = float((mu * f).sum())
-    if mean <= 0.0:
+    smoothed = apply_semisimple(sg, f).reshape(len(times), -1)
+    mu = stationary_measure(sg).reshape(len(times), -1)
+    # one flat row per instance, so that each sum runs as over its own table
+    means = (mu * f.reshape(len(times), -1)).sum(axis=1)
+    if (means <= 0.0).any():
         raise DomainError("f must have positive mass under the stationary measure")
-    support = mu > 0.0
-    smoothed = smoothed[support]
-    if (smoothed <= 0.0).any():
-        return math.inf  # ln E[f] finite while lhs is -inf cannot happen for t>0
-    lhs = float(np.dot(mu[support], np.log(smoothed)))
-    return lhs - (1.0 + 1.0 / sg.time) * math.log(min(mean, 1.0))
+    # rows with a zero in the measure, or where T_t f vanishes, take the row path
+    special = (mu <= 0.0).any(axis=1) | (smoothed <= 0.0).any(axis=1)
+    regular = np.flatnonzero(~special)
+    lhs = np.zeros(len(times))
+    # one (1, m) @ (m, 1) product per row, the BLAS dot of np.dot(mu, log)
+    logs = np.log(smoothed[regular])[:, :, None]
+    lhs[regular] = np.matmul(mu[regular][:, None, :], logs).reshape(-1)
+    vanished = []
+    for b in np.flatnonzero(special).tolist():
+        support = mu[b] > 0.0
+        values = smoothed[b][support]
+        if (values <= 0.0).any():
+            vanished.append(b)
+        else:
+            lhs[b] = np.dot(mu[b][support], np.log(values))
+    out = np.array([
+        a - (1.0 + 1.0 / t) * math.log(min(mean, 1.0))
+        for a, mean, t in zip(lhs.tolist(), means.tolist(), times.tolist())
+    ])
+    out[vanished] = math.inf  # ln E[f] finite while lhs is -inf cannot happen for t>0
+    return out if sg.stack else float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +633,8 @@ def _run(
     axis, and `evaluate(*stacks)` returns their (instance, margin) pairs in
     draw order.  An instance passes when its margin is at least -tol.
     """
+    if n_instances > MAX_INSTANCES:
+        raise DomainError(f"at most {MAX_INSTANCES} instances per suite, got {n_instances}")
     records = []
     for start in range(0, n_instances, _BLOCK):
         block = range(start, min(start + _BLOCK, n_instances))
@@ -574,6 +662,7 @@ def _random_factors(rng, n=None) -> tuple[np.ndarray, ...]:
 
 
 def _random_semigroup(rng, n=None, t=None, p=None, q=None):
+    """One mossel draw: factor laws, time, table, p, q and the critical time, unchecked."""
     factors = _random_factors(rng, n)
     if p is None:
         if rng.random() < 0.1:
@@ -590,13 +679,13 @@ def _random_semigroup(rng, n=None, t=None, p=None, q=None):
         t = critical * (1.0 + extra) if critical > 0.0 else extra
     elif t == "critical":
         t = critical
-    sg = SemiSimpleSemigroup(factors, float(t))
-    vals = rng.random(sg.shape)
+    shape = tuple(len(d) for d in factors)
+    vals = rng.random(shape)
     if rng.random() < 0.25:
-        vals = np.where(rng.random(sg.shape) < 0.3, 0.0, vals)
+        vals = np.where(rng.random(shape) < 0.3, 0.0, vals)
     if rng.random() < 0.25:
         vals = vals * float(rng.uniform(0.5, 2.0))
-    return sg, vals, float(p), float(q), critical
+    return factors, float(t), vals, float(p), float(q), critical
 
 
 def mossel_suite(
@@ -628,18 +717,20 @@ def mossel_suite(
         raise DomainError(f"t={t!r} is below the critical time ln((1-q)/(1-p)) = {critical!r}")
 
     def draw(rng):
-        sg, f, pp, qq, critical = _random_semigroup(rng, n=n, t=t, p=p, q=q)
-        instance = {
-            "n": len(sg.factors),
-            "alphabet": sg.shape[0],
-            "p": pp,
-            "q": qq,
-            "t": sg.time,
-            "critical": critical,
-        }
-        return instance, check_mossel(sg, f, pp, qq)
+        factors, time, f, pp, qq, critical = _random_semigroup(rng, n=n, t=t, p=p, q=q)
+        return f.shape, (*factors, f, pp, qq, time, critical)
 
-    return _run("mossel", 1e-12, n_instances, seed, draw)
+    def evaluate(*stacks):
+        *factors, f, pp, qq, time, critical = stacks
+        margins = check_mossel(SemiSimpleSemigroup(tuple(factors), time), f, pp, qq)
+        instance = {"n": len(factors), "alphabet": f.shape[1]}
+        columns = (pp, qq, time, critical, margins)
+        return [
+            ({**instance, "p": a, "q": b, "t": c, "critical": d}, margin)
+            for a, b, c, d, margin in zip(*(col.tolist() for col in columns))
+        ]
+
+    return _run("mossel", 1e-12, n_instances, seed, draw, evaluate)
 
 
 def mossel_q0_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
@@ -648,16 +739,21 @@ def mossel_q0_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
     def draw(rng):
         factors = _random_factors(rng)
         t = float(rng.uniform(0.05, 3.0))
-        sg = SemiSimpleSemigroup(factors, t)
-        vals = rng.random(sg.shape)
+        shape = tuple(len(d) for d in factors)
+        vals = rng.random(shape)
         if rng.random() < 0.3:
-            vals = np.where(rng.random(sg.shape) < 0.3, 0.0, vals)
+            vals = np.where(rng.random(shape) < 0.3, 0.0, vals)
         if not vals.any():
             vals[(0,) * len(factors)] = 0.5
-        instance = {"n": len(factors), "alphabet": sg.shape[0], "t": t}
-        return instance, mossel_q0_margin(sg, vals)
+        return shape, (*factors, vals, t)
 
-    return _run("mossel-q0", 1e-12, n_instances, seed, draw)
+    def evaluate(*stacks):
+        *factors, f, t = stacks
+        margins = mossel_q0_margin(SemiSimpleSemigroup(tuple(factors), t), f)
+        instance = {"n": len(factors), "alphabet": f.shape[1]}
+        return [({**instance, "t": a}, margin) for a, margin in zip(t.tolist(), margins.tolist())]
+
+    return _run("mossel-q0", 1e-12, n_instances, seed, draw, evaluate)
 
 
 def borell_suite(n_instances: int, seed: int, *, t_factor: float = 1.0) -> list[SuiteRecord]:
@@ -705,7 +801,7 @@ def _random_relay_instance(rng) -> RelayInstance:
     n = int(rng.integers(1, 4))
     m_count = int(rng.integers(1, 5))
     codebook = tuple(
-        tuple(int(s) for s in rng.integers(0, channel.n_inputs, size=n)) for _ in range(m_count)
+        tuple(rng.integers(0, channel.n_inputs, size=n).tolist()) for _ in range(m_count)
     )
     n_z = channel.n_outputs**n
     cells = int(rng.integers(1, min(_MAX_MESSAGES, n_z) + 1))
@@ -772,10 +868,10 @@ def semigroup_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
     """Structural margins: semigroup law, stationarity, unitality, positivity."""
 
     def draw(rng):
-        sg, f, _, _, _ = _random_semigroup(rng, p=0.5, q=0.5, t=0.0)
+        factors, _, f, _, _, _ = _random_semigroup(rng, p=0.5, q=0.5, t=0.0)
         t1 = float(rng.uniform(0.0, 2.0))
         t2 = float(rng.uniform(0.0, 2.0))
-        return sg.shape, (*sg.factors, f, t1, t2)
+        return f.shape, (*factors, f, t1, t2)
 
     def evaluate(*stacks):
         *factors, f, t1, t2 = stacks

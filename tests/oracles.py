@@ -6,8 +6,9 @@
 * the mutual informations I(X;Y) and I(X;Y,Z) of an input law;
 * a simplex grid and I_inf by minimax over output laws;
 * the dense matrix of a semi-simple semigroup on flattened tables;
-* the `semigroup` and `quantizer` suites as per-instance loops, one kernel
-  call per instance, the way those suites ran before they evaluated per shape;
+* the `mossel`, `mossel-q0`, `semigroup` and `quantizer` suites as
+  per-instance loops, one semigroup or quantizer and one check per instance,
+  the way those suites ran before they evaluated per shape;
 * a channel CSV writer, the inverse of `cli.read_channel_csv`.
 
 They import only public names from relay_bounds.
@@ -23,7 +24,10 @@ from relay_bounds.rhc_verify import (
     SemiSimpleSemigroup,
     SuiteRecord,
     apply_semisimple,
+    check_mossel,
     gaussian_quantizer_gap,
+    mossel_critical_time,
+    mossel_q0_margin,
     stationary_measure,
 )
 from relay_bounds.scalar_bounds import gauss_gap_closed, require_alpha, require_rate
@@ -226,6 +230,65 @@ def semisimple_dense(factors, t: float) -> np.ndarray:
         simple = keep * np.eye(k) + (1.0 - keep) * np.outer(np.ones(k), dist)
         dense = np.kron(dense, simple)
     return dense
+
+
+def mossel_suite_per_instance(
+    n_instances: int, seed: int, *, n=None, t=None, p=None, q=None
+) -> list[SuiteRecord]:
+    """`rhc_verify.mossel_suite`, drawn and evaluated one instance at a time."""
+    records = []
+    for idx in range(n_instances):
+        rng = np.random.default_rng((seed, idx))
+        n_factors = int(rng.integers(1, 4)) if n is None else n
+        k = int(rng.integers(2, 5))
+        factors = tuple(rng.dirichlet(np.ones(k)) for _ in range(n_factors))
+        pp, qq = p, q
+        if p is None:
+            if rng.random() < 0.1:
+                pp = qq = float(rng.uniform(0.05, 0.95))
+            else:
+                draws = rng.uniform(-2.0, 1.0, size=2)
+                while abs(draws[0] - draws[1]) < 1e-6:
+                    draws = rng.uniform(-2.0, 1.0, size=2)
+                pp, qq = float(draws.max()), float(draws.min())
+        critical = mossel_critical_time(pp, qq)
+        time = t
+        if t is None:
+            extra = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 2.0))
+            time = critical * (1.0 + extra) if critical > 0.0 else extra
+        elif t == "critical":
+            time = critical
+        sg = SemiSimpleSemigroup(factors, float(time))
+        f = rng.random(sg.shape)
+        if rng.random() < 0.25:
+            f = np.where(rng.random(sg.shape) < 0.3, 0.0, f)
+        if rng.random() < 0.25:
+            f = f * float(rng.uniform(0.5, 2.0))
+        margin = check_mossel(sg, f, pp, qq)
+        instance = {"n": n_factors, "alphabet": k, "p": float(pp), "q": float(qq),
+                    "t": sg.time, "critical": critical}
+        records.append(SuiteRecord("mossel", idx, instance, margin, margin >= -1e-12))
+    return records
+
+
+def mossel_q0_suite_per_instance(n_instances: int, seed: int) -> list[SuiteRecord]:
+    """`rhc_verify.mossel_q0_suite`, drawn and evaluated one instance at a time."""
+    records = []
+    for idx in range(n_instances):
+        rng = np.random.default_rng((seed, idx))
+        n, k = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+        factors = tuple(rng.dirichlet(np.ones(k)) for _ in range(n))
+        t = float(rng.uniform(0.05, 3.0))
+        sg = SemiSimpleSemigroup(factors, t)
+        f = rng.random(sg.shape)
+        if rng.random() < 0.3:
+            f = np.where(rng.random(sg.shape) < 0.3, 0.0, f)
+        if not f.any():
+            f[(0,) * n] = 0.5
+        margin = mossel_q0_margin(sg, f)
+        instance = {"n": n, "alphabet": k, "t": t}
+        records.append(SuiteRecord("mossel-q0", idx, instance, margin, margin >= -1e-12))
+    return records
 
 
 def semigroup_suite_per_instance(n_instances: int, seed: int) -> list[SuiteRecord]:

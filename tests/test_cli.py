@@ -243,6 +243,18 @@ class TestVerifyCommand:
         assert code == 0
         assert len(blob.decode().splitlines()) == 250
 
+    @pytest.mark.parametrize("suite", ["all", "lemma4"])
+    def test_instances_above_the_cap_exit_2(self, tmp_path, capsys, suite):
+        target = tmp_path / "rep.jsonl"
+        argv = ["verify", "--suite", suite, "--instances", "100001", "--output", str(target)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: relay-bounds verify ")
+        assert "at most 100000 instances per suite, got 100001" in err
+        assert not target.exists()
+
     def test_borell_critical(self, tmp_path):
         code, blob = run_to_file(
             tmp_path,

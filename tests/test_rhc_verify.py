@@ -8,9 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import quantizer_suite_per_instance, semigroup_suite_per_instance, semisimple_dense
+from oracles import (
+    mossel_q0_suite_per_instance,
+    mossel_suite_per_instance,
+    quantizer_suite_per_instance,
+    semigroup_suite_per_instance,
+    semisimple_dense,
+)
 from relay_bounds import rhc_verify
-from relay_bounds.dmc_relay import DiscreteChannel
+from relay_bounds.dmc_relay import DiscreteChannel, InputDistribution
 from relay_bounds.errors import DimensionError, DomainError
 from relay_bounds.rhc_verify import (
     DEFAULT_RULE,
@@ -27,6 +33,7 @@ from relay_bounds.rhc_verify import (
     check_ou_q0,
     gaussian_quantizer_gap,
     lp_norm,
+    mossel_critical_time,
     mossel_q0_margin,
     mossel_q0_suite,
     mossel_suite,
@@ -81,6 +88,24 @@ class TestTypes:
         with pytest.raises(DomainError):
             QuadratureRule(np.array([0.0]), np.array([2.0]))
 
+    def test_array_dataclasses_compare_and_hash_by_identity(self):
+        w = np.array([[0.9, 0.1], [0.2, 0.8]])
+
+        def build():
+            channel = DiscreteChannel(w)
+            return [
+                channel,
+                InputDistribution(np.array([0.3, 0.7])),
+                SemiSimpleSemigroup((np.array([0.5, 0.5]),), 1.0),
+                QuadratureRule(np.array([-1.0, 1.0]), np.array([0.5, 0.5])),
+                RelayInstance(channel, ((0, 1),), np.arange(4)),
+            ]
+
+        for a, b in zip(build(), build()):
+            assert (a == b) is False and a != b
+            assert a == a
+            assert len({a}) == 1 and len({a, b}) == 2
+
     def test_relay_instance_validation(self):
         bsc = DiscreteChannel.bsc(0.2)
         with pytest.raises(DomainError):
@@ -98,6 +123,24 @@ class TestTypes:
         with pytest.raises(DomainError):
             RelayInstance(bsc, ((0, 1),), np.array([0.5, 1.9, 2.2, 3.99]))
         assert RelayInstance(bsc, ((0, 1),), np.array([0, 1, 2, 3])).relay_partition.max() == 3
+        # lengths are checked before symbols, with the same messages
+        with pytest.raises(DomainError, match="share one blocklength"):
+            RelayInstance(bsc, ((0, 1), (0.5,)), np.zeros(4, dtype=int))
+        with pytest.raises(DomainError, match="codeword symbols must be integers"):
+            RelayInstance(bsc, ((0, 1), (0.5, 1)), np.zeros(4, dtype=int))
+        with pytest.raises(DomainError, match="index the 2-ary input alphabet"):
+            RelayInstance(bsc, ((0, 1), (-1, 1)), np.zeros(4, dtype=int))
+
+    def test_relay_instance_holds_its_own_ints(self):
+        bsc = DiscreteChannel.bsc(0.2)
+        part = np.array([0, 1, 1, 0])
+        inst = RelayInstance(bsc, np.array([[True, False], [True, True]]), part)
+        assert inst.codebook == ((1, 0), (1, 1))
+        assert all(type(s) is int for word in inst.codebook for s in word)
+        assert inst.relay_partition is not part and part.flags.writeable
+        assert not inst.relay_partition.flags.writeable
+        flags = RelayInstance(bsc, ((0.0, 1.0),), np.array([True, False, True, True]))
+        assert flags.codebook == ((0, 1),) and flags.relay_partition.dtype.kind == "i"
 
 
 class TestSemigroupAction:
@@ -333,6 +376,19 @@ class TestMossel:
         monkeypatch.setattr(rhc_verify, "_random_semigroup", no_draw)
         with pytest.raises(DomainError, match=re.escape(message)):
             mossel_suite(3, 1, **kwargs)
+
+    def test_instances_above_the_cap_raise_before_any_draw(self, monkeypatch):
+        def no_draw(*args, **kw):
+            raise AssertionError("mossel_suite drew an instance")
+
+        monkeypatch.setattr(rhc_verify, "_random_semigroup", no_draw)
+        cap = rhc_verify.MAX_INSTANCES
+        assert cap == 100_000
+        with pytest.raises(DomainError, match=f"at most {cap} instances per suite, got {cap + 1}"):
+            mossel_suite(cap + 1, 0)
+        for suite in SUITES.values():
+            with pytest.raises(DomainError, match="instances per suite"):
+                suite(cap + 1, 0)
 
     def test_fixed_norm_indices_are_used(self):
         records = mossel_suite(20, 1, p=0.5, q=-800.0)
@@ -584,12 +640,128 @@ class TestStacks:
             with pytest.raises(DimensionError):
                 apply_semisimple(stack, np.ones(shape))
 
-    def test_margins_take_one_semigroup(self):
+    def test_margin_stacks_match_their_rows_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        # (p, q): a zero of f at p <= 0, p = 0, a moment out of range at q = -800,
+        # numpy's sqrt and reciprocal exponents 0.5 and -1, and the Jensen baseline
+        pairs = [(-0.5, -1.0), (0.0, -0.5), (0.0, 0.0), (0.5, -800.0), (0.5, -1.0),
+                 (0.5, 0.5), (-1.0, -1.0), (0.9, -1.7), (0.99, 0.3), (0.5, -800.0)]
+        p, q = np.array(pairs).T
+        times = [mossel_critical_time(a, b) * 1.3 for a, b in pairs]
+        times[3] = mossel_critical_time(0.5, -800.0)
+        stack, rows = _stacked_semigroup(rng, (3, 2), times)
+        f = rng.uniform(0.01, 0.5, size=(len(pairs), 3, 2))
+        f[0, 1, 0] = f[1, 2, 1] = f[6, 0, 0] = 0.0
+        margins = check_mossel(stack, f, p, q)
+        assert margins.shape == (len(pairs),)
+        for b, sg in enumerate(rows):
+            assert _bits(margins[b]) == _bits(check_mossel(sg, f[b], pairs[b][0], pairs[b][1]))
+        smoothed, mu = apply_semisimple(stack, f), stationary_measure(stack)
+        big = np.array([0.01, 1e4])  # f**-800 overflows, then underflows
+        for table in (f, smoothed, np.broadcast_to(big[None, None, :], f.shape)):
+            for index in (p, q, np.linspace(-2.0, 1.0, len(pairs))):
+                norms = lp_norm(table, mu, index)
+                for b in range(len(pairs)):
+                    assert _bits(norms[b]) == _bits(lp_norm(table[b], mu[b], float(index[b])))
+        # one float index for the whole stack, and the q = 0 margin
+        for a, b in [(0.5, -1.0), (0.5, -800.0), (0.0, -0.5)]:
+            at = stack.at_time(np.full(len(pairs), 10.0))
+            got = check_mossel(at, f, a, b)
+            assert [_bits(x) for x in got] == [
+                _bits(check_mossel(sg.at_time(10.0), f[i], a, b)) for i, sg in enumerate(rows)
+            ]
+        ones = np.where(f > 0.3, 1.0, f)
+        got = mossel_q0_margin(stack.at_time(np.abs(times) + 0.1), ones)
+        for b, sg in enumerate(rows):
+            one = mossel_q0_margin(sg.at_time(abs(times[b]) + 0.1), ones[b])
+            assert _bits(got[b]) == _bits(one)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.lists(st.integers(2, 6), min_size=1, max_size=3),
+        pairs=st.lists(
+            # indices of at least 1e-3 in size: moment ** (1/p) overflows near 0
+            st.lists(st.sampled_from([0.5, -1.0, 0.0, -800.0])
+                     | st.floats(-3.0, 0.99).map(lambda x: round(x, 3)),
+                     min_size=2, max_size=2),
+            min_size=1, max_size=8,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mossel_stack_matches_its_rows_bit_for_bit(self, shape, pairs, seed):
+        rng = np.random.default_rng(seed)
+        p, q = np.max(pairs, axis=1), np.min(pairs, axis=1)
+        times = [mossel_critical_time(a, b) * rng.uniform(1.0, 2.0) for a, b in zip(p, q)]
+        stack, rows = _stacked_semigroup(rng, shape, times)
+        f = rng.random((len(pairs), *shape))
+        f[rng.random(f.shape) < 0.1] = 0.0
+        margins = check_mossel(stack, f, p, q)
+        g = 0.01 + 0.99 * f
+        q0 = mossel_q0_margin(stack.at_time(stack.time + 0.1), g)
+        for b, sg in enumerate(rows):
+            assert _bits(margins[b]) == _bits(check_mossel(sg, f[b], float(p[b]), float(q[b])))
+            assert _bits(q0[b]) == _bits(mossel_q0_margin(sg.at_time(sg.time + 0.1), g[b]))
+
+    def test_margin_stacks_with_a_zero_in_the_measure(self):
+        laws = np.array([[0.0, 0.4, 0.6], [0.2, 0.3, 0.5], [0.5, 0.5, 0.0]])
+        stack = SemiSimpleSemigroup((laws, laws[::-1].copy()), np.full(3, 0.8))
+        rows = [SemiSimpleSemigroup((laws[b], laws[2 - b]), 0.8) for b in range(3)]
+        f = np.random.default_rng(2).uniform(0.0, 1.0, size=(3, 3, 3))
+        f[:, 0, 0] = 0.0
+        mu = stationary_measure(stack)
+        for p in ([0.5, 0.0, -2.0], [-1.0, -0.3, 0.7]):
+            norms = lp_norm(f, mu, np.array(p))
+            want = [_bits(lp_norm(f[b], mu[b], pb)) for b, pb in enumerate(p)]
+            assert [_bits(x) for x in norms] == want
+        got = mossel_q0_margin(stack, f)
+        want = [_bits(mossel_q0_margin(sg, f[b])) for b, sg in enumerate(rows)]
+        assert [_bits(x) for x in got] == want
+        # a zero of the measure drops out of the sum, as it does off the support
+        rng = np.random.default_rng(5)
+        mu1 = rng.dirichlet(np.ones(216))
+        mu1[::7] = 0.0
+        mu1 /= mu1.sum()
+        f1, support = rng.uniform(0.1, 2.0, size=216), mu1 > 0.0
+        for p in (0.3, -1.3, 0.7, -0.2):
+            want = float(np.dot(mu1[support], f1[support] ** p)) ** (1.0 / p)
+            assert lp_norm(f1[None], mu1[None], np.array([p]))[0] == want == lp_norm(f1, mu1, p)
+        for _ in range(8):
+            law = rng.dirichlet(np.ones(6))
+            law[rng.integers(0, 6)] = 0.0
+            sg = SemiSimpleSemigroup((law / law.sum(), law[::-1] / law.sum()), 0.7)
+            f2 = rng.uniform(0.0, 1.0, size=sg.shape)
+            mu2 = stationary_measure(sg).ravel()
+            support = mu2 > 0.0
+            lhs = float(np.dot(mu2[support], np.log(apply_semisimple(sg, f2).ravel()[support])))
+            mean = float((mu2 * f2.ravel()).sum())
+            assert mossel_q0_margin(sg, f2) == lhs - (1.0 + 1.0 / 0.7) * math.log(min(mean, 1.0))
+        # off the support f**p overflows, and must not reach the norm
+        f0, mu0 = np.array([[1e-10, 0.5, 2.0]]), np.array([[0.0, 0.5, 0.5]])
+        assert lp_norm(f0, mu0, np.array([-50.0]))[0] == lp_norm(f0[0, 1:], mu0[0, 1:], -50.0)
+
+    def test_margin_stacks_check_every_row(self):
         stack, _ = _stacked_semigroup(np.random.default_rng(1), (2,), [0.5, 1.0])
-        with pytest.raises(DimensionError, match="not a stack"):
-            check_mossel(stack, np.ones((2, 2)), 0.5, 0.2)
-        with pytest.raises(DimensionError, match="not a stack"):
-            mossel_q0_margin(stack, np.ones((2, 2)))
+        f = np.full((2, 2), 0.5)
+        with pytest.raises(DomainError, match="below the critical time"):
+            check_mossel(stack, f, 0.5, np.array([0.2, -5.0]))
+        with pytest.raises(DomainError, match="need finite q <= p < 1"):
+            check_mossel(stack, f, np.array([0.5, 0.1]), 0.2)
+        with pytest.raises(DimensionError):
+            check_mossel(stack, f, np.array([0.5, 0.5, 0.5]), 0.2)
+        with pytest.raises(DomainError, match="f taking values in"):
+            mossel_q0_margin(stack, np.array([[0.5, 0.5], [0.5, 1.5]]))
+        with pytest.raises(DomainError, match="positive mass"):
+            mossel_q0_margin(stack, np.array([[0.5, 0.5], [0.0, 0.0]]))
+        with pytest.raises(DomainError, match="t > 0"):
+            mossel_q0_margin(stack.at_time([1.0, 0.0]), f)
+        mu = stationary_measure(stack)
+        with pytest.raises(DomainError, match="finite and <= 1, got 1.5"):
+            lp_norm(f, mu, np.array([0.5, 1.5]))
+        for index in (np.ones((2, 1)), np.ones(3)):
+            with pytest.raises(DimensionError):
+                lp_norm(f, mu, index)
+        with pytest.raises(DimensionError):
+            lp_norm(f[0], mu[0], np.ones(2))
 
     def test_rejects_a_quantizer_row_with_equal_thresholds(self):
         xs = np.array([[-1.0, 1.0], [-1.0, 1.0]])
@@ -601,13 +773,34 @@ class TestStacks:
     @pytest.mark.parametrize("n", [1, 7, 200])
     @pytest.mark.parametrize("seed", range(5))
     def test_suites_match_their_per_instance_loops(self, n, seed):
+        assert repr(mossel_suite(n, seed)) == repr(mossel_suite_per_instance(n, seed))
+        assert repr(mossel_q0_suite(n, seed)) == repr(mossel_q0_suite_per_instance(n, seed))
         assert repr(semigroup_suite(n, seed)) == repr(semigroup_suite_per_instance(n, seed))
         assert repr(quantizer_oracle_suite(n, seed)) == repr(quantizer_suite_per_instance(n, seed))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"t": "critical"},
+            {"p": 0.5, "q": -1.0},
+            {"p": 0.5, "q": -800.0},
+            {"p": 0.5, "q": 0.5},
+            {"p": 0.0, "q": -1.0, "t": "critical"},
+            {"n": 1},
+            {"n": 4, "p": -1.0, "q": -1.0, "t": 0.3},
+        ],
+    )
+    def test_mossel_keywords_match_the_per_instance_loop(self, kwargs):
+        for seed in (0, 1):
+            got = mossel_suite(150, seed, **kwargs)
+            assert repr(got) == repr(mossel_suite_per_instance(150, seed, **kwargs))
 
     def test_blocks_leave_the_records_unchanged(self, monkeypatch):
         whole = {name: repr(suite(40, 3)) for name, suite in SUITES.items()}
         monkeypatch.setattr(rhc_verify, "_BLOCK", 16)
         assert {name: repr(suite(40, 3)) for name, suite in SUITES.items()} == whole
+        assert whole["mossel"] == repr(mossel_suite_per_instance(40, 3))
+        assert whole["mossel-q0"] == repr(mossel_q0_suite_per_instance(40, 3))
         assert whole["semigroup"] == repr(semigroup_suite_per_instance(40, 3))
         assert whole["quantizer"] == repr(quantizer_suite_per_instance(40, 3))
 
@@ -626,6 +819,11 @@ class TestStacks:
         records = semigroup_suite(300, 4)
         shapes = {(r.instance["n"], r.instance["alphabet"]) for r in records}
         assert calls == ["apply_semisimple"] * 4 * len(shapes)
+        for suite in (mossel_suite, mossel_q0_suite):
+            calls.clear()
+            records = suite(300, 4)
+            shapes = {(r.instance["n"], r.instance["alphabet"]) for r in records}
+            assert calls == ["apply_semisimple"] * len(shapes)
         calls.clear()
         records = quantizer_oracle_suite(300, 4)
         shapes = {(len(r.instance["constellation"]), len(r.instance["thresholds"]))
