@@ -10,6 +10,7 @@ floats are printed with the shortest round-trip decimal representation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -187,7 +188,8 @@ def _time_flag(raw: str) -> float | str:
 def _suite_kwargs(args: argparse.Namespace, names: list[str]) -> dict[str, dict]:
     """Suite keyword arguments from the verify flags, by suite name.
 
-    A flag that no selected suite reads is an error; `mossel_suite` checks its own.
+    A flag that no selected suite reads is an error, and so is a set of mossel
+    flags that `rhc_verify.check_mossel_keywords` rejects.
     """
     readers = (
         ("--n", args.n, {"mossel"}),
@@ -204,52 +206,55 @@ def _suite_kwargs(args: argparse.Namespace, names: list[str]) -> dict[str, dict]
     # checked here, not left to borell-exp: that suite runs third under --suite all
     if args.t_factor is not None and not args.t_factor >= 0.0:
         raise DomainError(f"--t-factor must be at least 0, got {args.t_factor!r}")
-    return {
+    kwargs = {
         "mossel": {"n": args.n, "t": args.t, "p": args.p, "q": args.q},
         "borell-exp": {"t_factor": 1.0 if args.t_factor is None else args.t_factor},
     }
+    if "mossel" in names:
+        rhc_verify.check_mossel_keywords(**kwargs["mossel"])
+    return kwargs
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.instances < 1:
         raise DomainError("--instances must be at least 1")
+    if args.instances > rhc_verify.MAX_INSTANCES:
+        raise DomainError(
+            f"at most {rhc_verify.MAX_INSTANCES} instances per suite, got {args.instances}"
+        )
     names = list(rhc_verify.SUITES) if args.suite == "all" else [args.suite]
     kwargs = _suite_kwargs(args, names)
     seed = _resolve_seed(args)
-    records: list[rhc_verify.SuiteRecord] = []
-    for name in names:
-        # Reach the suite through the module attribute, not the SUITES entry,
-        # so that a wrapper installed on the module (a tracer) sees the call.
-        suite = getattr(rhc_verify, rhc_verify.SUITES[name].__name__)
-        start = time.perf_counter()
-        batch = suite(args.instances, seed, **kwargs.get(name, {}))
-        elapsed = time.perf_counter() - start
-        worst = min(batch, key=lambda r: r.margin)
-        failed = sum(not r.passed for r in batch)
-        print(
-            f"{name}: {len(batch)} instances, {failed} failures, "
-            f"min margin {worst.margin!r} at index {worst.index}, {elapsed:.3f} s",
-            file=sys.stderr,
-        )
-        records += batch
-    lines = []
-    for rec in records:
-        lines.append(
-            json.dumps(
-                {
-                    "suite": rec.suite,
-                    "index": rec.index,
-                    "instance": rec.instance,
-                    "margin": rec.margin,
-                    "pass": rec.passed,
-                }
+    # every flag is checked, so the output opens before the first suite and
+    # takes each suite's lines as it returns: one suite's records at a time
+    sink = contextlib.nullcontext(sys.stdout)
+    if args.output is not None:
+        sink = open(args.output, "w", newline="")
+    with sink as out:
+        total = failures = 0
+        for name in names:
+            # Reach the suite through the module attribute, not the SUITES entry,
+            # so that a wrapper installed on the module (a tracer) sees the call.
+            suite = getattr(rhc_verify, rhc_verify.SUITES[name].__name__)
+            start = time.perf_counter()
+            batch = suite(args.instances, seed, **kwargs.get(name, {}))
+            elapsed = time.perf_counter() - start
+            worst = min(batch, key=lambda r: r.margin)
+            failed = sum(not r.passed for r in batch)
+            print(
+                f"{name}: {len(batch)} instances, {failed} failures, "
+                f"min margin {worst.margin!r} at index {worst.index}, {elapsed:.3f} s",
+                file=sys.stderr,
             )
-        )
-    _write_text(args.output, "\n".join(lines) + "\n")
-    failures = [r for r in records if not r.passed]
-    print(
-        f"{len(records)} instances, {len(failures)} failures", file=sys.stderr
-    )
+            out.writelines(
+                json.dumps({"suite": rec.suite, "index": rec.index, "instance": rec.instance,
+                            "margin": rec.margin, "pass": rec.passed}) + "\n"
+                for rec in batch
+            )
+            out.flush()
+            total += len(batch)
+            failures += failed
+    print(f"{total} instances, {failures} failures", file=sys.stderr)
     return 3 if failures else 0
 
 

@@ -223,11 +223,8 @@ def apply_semisimple(sg: SemiSimpleSemigroup, f: np.ndarray) -> np.ndarray:
     rows, shape = math.prod(sg.stack), sg.stack + sg.shape
     if out.shape != shape:
         raise DimensionError(f"table shape {out.shape} does not match {shape}")
-    if sg.stack:  # one coefficient per row, from math.exp as for a float time
-        keep = np.array([math.exp(-t) for t in sg.time.tolist()]).reshape(rows, 1, 1, 1)
-        mix = np.array([-math.expm1(-t) for t in sg.time.tolist()]).reshape(rows, 1, 1, 1)
-    else:
-        keep, mix = math.exp(-sg.time), -math.expm1(-sg.time)
+    t = np.reshape(sg.time, (rows, 1, 1, 1))  # one coefficient per row
+    keep, mix = np.exp(-t), -np.expm1(-t)
     pre, post = 1, out.size // rows
     for dist in sg.factors:
         k = dist.shape[-1]
@@ -252,47 +249,16 @@ def stationary_measure(sg: SemiSimpleSemigroup) -> np.ndarray:
     return table
 
 
-def _power(vals: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """vals ** index row by row, each row as `row ** float(index[b])` gives it.
-
-    With a float exponent numpy takes sqrt at 0.5 and the reciprocal at -1,
-    which round differently from its pow; rows at those indices take them too.
-    """
-    out = vals ** index[:, None]
-    for shortcut in (0.5, -1.0):
-        rows = index == shortcut
-        if rows.any():
-            out[rows] = vals[rows] ** shortcut
-    return out
-
-
-def _lp_norm_row(values: np.ndarray, q: np.ndarray, p: float) -> float:
-    """lp_norm of one flat table, with every special case: zeros and a moment out of range."""
-    support = q > 0.0
-    vals = values[support]
-    wts = q[support]
-    if p == 0.0:
-        if (vals == 0.0).any():
-            return 0.0
-        return float(math.exp(np.dot(wts, np.log(vals))))
-    if p < 0.0 and (vals == 0.0).any():
-        return 0.0
-    with np.errstate(divide="ignore", over="ignore"):
-        moment = float(np.dot(wts, vals**p))
-    if p < 0.0 and not 0.0 < moment < math.inf:
-        # vals**p left the float range: evaluate again in units of the least value
-        low = float(vals.min())
-        return low * float(np.dot(wts, (vals / low) ** p)) ** (1.0 / p)
-    return moment ** (1.0 / p)
-
-
 def lp_norm(f: np.ndarray, measure: np.ndarray, p: float | np.ndarray) -> float | np.ndarray:
     """L^p(Q) norm for p <= 1, with the p = 0 geometric-mean convention.
 
-    For p <= 0 a zero of f on the support of the measure gives norm 0 (the
-    correct limit); the p = 0 case is evaluated in the log domain.  A (B,)
-    array p makes f and measure stacks of B tables along a new first axis and
-    gives a (B,) array, each entry equal to its row's own call bit for bit.
+    s * exp(L / p), with L = ln E[e^{p x}] and x = ln(f / s) on the support of
+    the measure; s is the largest value of f there for p > 0 and the least for
+    p < 0, so that no power leaves the float range, and L = log1p(E[expm1(p x)])
+    where E[e^{p x}] >= 1/2 keeps L / p accurate as p tends to 0.  At p = 0,
+    s = 1 and the norm is exp(E[x]).  A zero of f on the support gives 0 at
+    p <= 0.  A (B,) array p makes f and measure stacks of B tables along a new
+    first axis and gives a (B,) array, each row equal to its own call bit for bit.
     """
     values = require_table(f, "f")
     q = require_table(measure, "measure")
@@ -309,22 +275,23 @@ def lp_norm(f: np.ndarray, measure: np.ndarray, p: float | np.ndarray) -> float 
     bad = ~(np.isfinite(rows) & (rows <= 1.0))
     if bad.any():
         raise DomainError(f"norm index must be finite and <= 1, got {float(rows[bad][0])!r}")
-    # Rows with a zero in the measure, p = 0, or a zero of f at p < 0 take the
-    # row path; so does a p < 0 row whose moment leaves the float range.
-    special = (rows == 0.0) | (q <= 0.0).any(axis=1) | (rows < 0.0) & (values == 0.0).any(axis=1)
-    regular = np.flatnonzero(~special)
-    with np.errstate(divide="ignore", over="ignore"):
-        powers = _power(values[regular], rows[regular])
-    # one (1, m) @ (m, 1) product per row, the BLAS dot of np.dot(q, powers)
-    moments = np.matmul(q[regular][:, None, :], powers[:, :, None]).reshape(-1)
-    out = np.empty(len(rows))
-    for b, moment, pb in zip(regular.tolist(), moments.tolist(), rows[regular].tolist()):
-        if pb > 0.0 or 0.0 < moment < math.inf:
-            out[b] = moment ** (1.0 / pb)
-        else:
-            special[b] = True
-    for b in np.flatnonzero(special).tolist():
-        out[b] = _lp_norm_row(values[b], q[b], float(rows[b]))
+    support = q > 0.0
+    top = np.where(support, values, 0.0).max(axis=1)
+    least = np.where(support, values, math.inf).min(axis=1)
+    # below the least normal float p x would be subnormal; the p -> 0 limit holds there
+    limit = np.abs(rows) < np.finfo(float).tiny
+    scale = np.where(limit, 1.0, np.where(rows > 0.0, top, least))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = np.where(support, np.log(values) - np.log(scale)[:, None], 0.0)
+        px = rows[:, None] * x
+        # E[x], E[expm1(p x)], E[e^{p x}]: a (1, m) @ (m, 3) product per row, as in a lone call
+        terms = np.stack((x, np.expm1(px), np.exp(px)), axis=2)
+        mean_x, mean_m1, mean_e = np.matmul(q[:, None, :], terms).reshape(-1, 3).T
+        log_mean = np.where(mean_e >= 0.5, np.log1p(mean_m1), np.log(mean_e))
+        exponent = np.where(limit, mean_x, log_mean / rows)
+        # e^{L/p} in halves: alone it can leave the float range where s e^{L/p} does not
+        half = np.exp(exponent / 2.0)
+        out = np.where(scale > 0.0, scale * half * half, 0.0)  # s = 0: a zero of f on the support
     return out if index.ndim else float(out[0])
 
 
@@ -354,12 +321,8 @@ def check_mossel(
     a (B, *sg.shape) table stack, p and q are floats or (B,) arrays, and the
     margins are a (B,) array, each equal to its row's own call bit for bit.
     """
-    if sg.stack:
-        p, q = _per_row(p, sg.stack), _per_row(q, sg.stack)
-        rows = zip(p.tolist(), q.tolist(), sg.time.tolist())
-    else:
-        rows = [(p, q, sg.time)]
-    for pb, qb, t in rows:
+    p, q = _per_row(p, sg.stack), _per_row(q, sg.stack)
+    for pb, qb, t in zip(*(np.reshape(x, -1).tolist() for x in (p, q, sg.time))):
         critical = mossel_critical_time(pb, qb)
         if t < critical:
             raise DomainError(f"time {t} is below the critical time {critical}")
@@ -386,26 +349,13 @@ def mossel_q0_margin(sg: SemiSimpleSemigroup, f: np.ndarray) -> float | np.ndarr
     means = (mu * f.reshape(len(times), -1)).sum(axis=1)
     if (means <= 0.0).any():
         raise DomainError("f must have positive mass under the stationary measure")
-    # rows with a zero in the measure, or where T_t f vanishes, take the row path
-    special = (mu <= 0.0).any(axis=1) | (smoothed <= 0.0).any(axis=1)
-    regular = np.flatnonzero(~special)
-    lhs = np.zeros(len(times))
-    # one (1, m) @ (m, 1) product per row, the BLAS dot of np.dot(mu, log)
-    logs = np.log(smoothed[regular])[:, :, None]
-    lhs[regular] = np.matmul(mu[regular][:, None, :], logs).reshape(-1)
-    vanished = []
-    for b in np.flatnonzero(special).tolist():
-        support = mu[b] > 0.0
-        values = smoothed[b][support]
-        if (values <= 0.0).any():
-            vanished.append(b)
-        else:
-            lhs[b] = np.dot(mu[b][support], np.log(values))
-    out = np.array([
-        a - (1.0 + 1.0 / t) * math.log(min(mean, 1.0))
-        for a, mean, t in zip(lhs.tolist(), means.tolist(), times.tolist())
-    ])
-    out[vanished] = math.inf  # ln E[f] finite while lhs is -inf cannot happen for t>0
+    with np.errstate(divide="ignore"):
+        logs = np.where(mu > 0.0, np.log(smoothed), 0.0)
+    # one (1, m) @ (m, 1) product per row, so that a stack row sums as its own call does
+    lhs = np.matmul(mu[:, None, :], logs[:, :, None]).reshape(-1)
+    out = lhs - (1.0 + 1.0 / times) * np.log(np.minimum(means, 1.0))
+    # T_t f vanished on the support: ln E[f] finite while lhs is -inf cannot happen for t>0
+    out[lhs == -math.inf] = math.inf
     return out if sg.stack else float(out[0])
 
 
@@ -688,6 +638,21 @@ def _random_semigroup(rng, n=None, t=None, p=None, q=None):
     return factors, float(t), vals, float(p), float(q), critical
 
 
+def check_mossel_keywords(*, n=None, t=None, p=None, q=None) -> None:
+    """Raise DomainError for keywords that `mossel_suite` cannot run with."""
+    if n is not None and n not in range(1, MAX_FACTORS + 1):
+        raise DomainError(f"n must lie in 1..{MAX_FACTORS}, got {n!r}")
+    if (p is None) != (q is None):
+        raise DomainError("p and q fix the norm indices together; give both or neither")
+    critical = None if p is None else mossel_critical_time(p, q)
+    if not (t is None or t == "critical" or isinstance(t, numbers.Real)):
+        raise DomainError(f"t must be None, 'critical' or a number, got {t!r}")
+    if isinstance(t, numbers.Real) and critical is None:
+        raise DomainError("a numeric t needs p and q: each pair has its own critical time")
+    if isinstance(t, numbers.Real) and not t >= critical:
+        raise DomainError(f"t={t!r} is below the critical time ln((1-q)/(1-p)) = {critical!r}")
+
+
 def mossel_suite(
     n_instances: int,
     seed: int,
@@ -704,17 +669,7 @@ def mossel_suite(
     critical time ln((1-q)/(1-p)); a numeric t needs p and q and may not lie
     below that time.  Bad keywords raise DomainError before the first draw.
     """
-    if n is not None and n not in range(1, MAX_FACTORS + 1):
-        raise DomainError(f"n must lie in 1..{MAX_FACTORS}, got {n!r}")
-    if (p is None) != (q is None):
-        raise DomainError("p and q fix the norm indices together; give both or neither")
-    critical = None if p is None else mossel_critical_time(p, q)
-    if not (t is None or t == "critical" or isinstance(t, numbers.Real)):
-        raise DomainError(f"t must be None, 'critical' or a number, got {t!r}")
-    if isinstance(t, numbers.Real) and critical is None:
-        raise DomainError("a numeric t needs p and q: each pair has its own critical time")
-    if isinstance(t, numbers.Real) and not t >= critical:
-        raise DomainError(f"t={t!r} is below the critical time ln((1-q)/(1-p)) = {critical!r}")
+    check_mossel_keywords(n=n, t=t, p=p, q=q)
 
     def draw(rng):
         factors, time, f, pp, qq, critical = _random_semigroup(rng, n=n, t=t, p=p, q=q)

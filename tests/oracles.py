@@ -6,6 +6,7 @@
 * the mutual informations I(X;Y) and I(X;Y,Z) of an input law;
 * a simplex grid and I_inf by minimax over output laws;
 * the dense matrix of a semi-simple semigroup on flattened tables;
+* the L^p norm of a table at 50 digits (mpmath);
 * the `mossel`, `mossel-q0`, `semigroup` and `quantizer` suites as
   per-instance loops, one semigroup or quantizer and one check per instance,
   the way those suites ran before they evaluated per shape;
@@ -230,6 +231,31 @@ def semisimple_dense(factors, t: float) -> np.ndarray:
         simple = keep * np.eye(k) + (1.0 - keep) * np.outer(np.ones(k), dist)
         dense = np.kron(dense, simple)
     return dense
+
+
+def lp_norm_mp(f, measure, p: float):
+    """`rhc_verify.lp_norm` of one table at 50 digits, as an mpmath number.
+
+    The plain definition E[f^p]^(1/p), exp(E[ln f]) at p = 0, and 0 for a
+    zero of f on the support at p <= 0, under the measure normalised to mass
+    1.  The working precision grows with 1/|p|, so that f^p - 1 keeps 50
+    digits as p tends to 0.  Needs mpmath.
+    """
+    import mpmath
+
+    weights = np.asarray(measure, dtype=float).ravel()
+    support = weights > 0.0
+    vals = [mpmath.mpf(float(v)) for v in np.asarray(f, dtype=float).ravel()[support]]
+    extra = 0 if p == 0.0 else max(0, -math.floor(math.log10(abs(p))))
+    with mpmath.workdps(60 + extra):
+        wts = [mpmath.mpf(float(w)) for w in weights[support]]
+        mass = mpmath.fsum(wts)
+        if p <= 0.0 and any(v == 0 for v in vals):
+            return mpmath.mpf(0)
+        if p == 0.0:
+            return mpmath.exp(mpmath.fsum(w * mpmath.log(v) for w, v in zip(wts, vals)) / mass)
+        moment = mpmath.fsum(w * v**p for w, v in zip(wts, vals)) / mass
+        return moment ** (1 / mpmath.mpf(p))
 
 
 def mossel_suite_per_instance(

@@ -236,6 +236,38 @@ class TestVerifyCommand:
         assert all(r["pass"] for r in records)
         assert all(r["margin"] >= -1e-12 for r in records)
 
+    def test_norm_indices_near_zero_run(self, tmp_path):
+        argv = ["verify", "--suite", "mossel", "--p", "1e-200", "--q", "1e-200",
+                "--instances", "50"]
+        code, blob = run_to_file(tmp_path, argv, "rep.jsonl")
+        assert code == 0
+        records = [json.loads(line) for line in blob.decode().splitlines()]
+        assert len(records) == 50 and all(r["pass"] for r in records)
+
+    def test_unwritable_output_exits_1_before_any_suite(self, tmp_path, capsys, monkeypatch):
+        called = []
+        for suite in rhc_verify.SUITES.values():
+            monkeypatch.setattr(rhc_verify, suite.__name__, lambda *a, **k: called.append(a))
+        target = tmp_path / "missing" / "rep.jsonl"
+        assert main(["verify", "--instances", "3", "--output", str(target)]) == 1
+        assert called == []
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_each_suite_is_written_as_it_returns(self, tmp_path, monkeypatch):
+        target = tmp_path / "rep.jsonl"
+        _, whole = run_to_file(tmp_path, ["verify", "--instances", "3"], "whole.jsonl")
+        seen = []
+        q0 = rhc_verify.mossel_q0_suite
+
+        def second(*args, **kwargs):
+            seen.append(target.read_bytes())
+            return q0(*args, **kwargs)
+
+        monkeypatch.setattr(rhc_verify, "mossel_q0_suite", second)
+        assert main(["verify", "--instances", "3", "--output", str(target)]) == 0
+        assert seen == [b"".join(whole.splitlines(keepends=True)[:3])]
+        assert target.read_bytes() == whole
+
     def test_instances_not_capped(self, tmp_path):
         code, blob = run_to_file(
             tmp_path, ["verify", "--suite", "ou-q0", "--instances", "250"], "rep.jsonl"

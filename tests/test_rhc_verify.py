@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    lp_norm_mp,
     mossel_q0_suite_per_instance,
     mossel_suite_per_instance,
     quantizer_suite_per_instance,
@@ -276,6 +278,55 @@ class TestLpNorm:
         mu = np.array([0.1, 0.2, 0.3, 0.4])
         got = lp_norm(f, mu, -800.0)
         assert got == pytest.approx(0.01 * 0.1 ** (-1.0 / 800.0), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1e-10, -1e-10, 1e-14, -1e-14, 1e-300, -1e-300, 5e-324])
+    def test_index_near_zero(self, p):
+        # ||f||_p = exp(E[ln f] + p Var(ln f) / 2 + O(p^2)) as p -> 0
+        f, mu = np.array([0.5, 2.0, 1.3]), np.array([0.2, 0.5, 0.3])
+        logs = np.log(f)
+        mean = float(np.dot(mu, logs))
+        var = float(np.dot(mu, (logs - mean) ** 2))
+        got = lp_norm(f, mu, p)
+        assert got == pytest.approx(math.exp(mean + p * var / 2.0), rel=4e-15, abs=0.0)
+        if abs(p) <= 1e-14:  # p Var(ln f) / 2 is below 4e-15
+            assert got == pytest.approx(1.331962519898846, rel=4e-15, abs=0.0)
+        assert lp_norm(f, mu, 0.0) == pytest.approx(1.331962519898846, rel=4e-15, abs=0.0)
+
+    def test_norm_far_from_its_scale(self):
+        # e^{L/p} leaves the float range here, while s * e^{L/p} does not
+        pytest.importorskip("mpmath")
+        for f in ([1e-300, 1e300, 1.0], [1e-300, 1e-300, 1e300], [5e-324, 1.7e308, 1.0]):
+            f, mu = np.array(f), np.array([0.2, 0.5, 0.3])
+            for p in (-1e-3, -1e-8, -1e-300, 1e-300, 1e-3):
+                want = float(lp_norm_mp(f, mu, p))
+                assert lp_norm(f, mu, p) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "p", [1.0, 0.5, 0.1, 1e-3, 1e-8, 0.0, -1e-8, -0.5, -1.0, -2.0, -50.0, -800.0]
+    )
+    def test_matches_a_50_digit_oracle(self, p):
+        mpmath = pytest.importorskip("mpmath")
+        for seed in range(200):
+            rng = np.random.default_rng((7, seed))
+            shape = tuple(rng.integers(2, 5, size=int(rng.integers(1, 4))))
+            mu = np.ones(1)
+            for k in shape:
+                mu = np.multiply.outer(mu, rng.dirichlet(np.ones(k))).ravel()
+            f = rng.random(shape)
+            if rng.random() < 0.25:
+                f = np.where(rng.random(shape) < 0.3, 0.0, f)
+            if rng.random() < 0.25:
+                f = f * rng.uniform(0.5, 2.0)
+            got, want = lp_norm(f, mu.reshape(shape), p), lp_norm_mp(f, mu, p)
+            support = f.ravel()[mu > 0.0]
+            s = support.max() if p > 0.0 else support.min() if p < 0.0 else 1.0
+            # One rounding in L moves the norm s * exp(L / p) by |L / p| =
+            # |ln(norm / s)| roundings; a zero of f at a small p > 0 makes that
+            # large (about 600 at p = 1e-3).  Below the least normal float a
+            # float holds fewer digits.
+            spread = abs(float(mpmath.log(want / s))) if want > 0 else 0.0
+            allowed = 4e-15 * max(1.0, spread / 4.0) * max(want, sys.float_info.min)
+            assert abs(mpmath.mpf(got) - want) <= allowed, (seed, got, want)
 
     def test_rejects_bad_measure(self):
         with pytest.raises(DomainError):
@@ -680,9 +731,8 @@ class TestStacks:
     @given(
         shape=st.lists(st.integers(2, 6), min_size=1, max_size=3),
         pairs=st.lists(
-            # indices of at least 1e-3 in size: moment ** (1/p) overflows near 0
-            st.lists(st.sampled_from([0.5, -1.0, 0.0, -800.0])
-                     | st.floats(-3.0, 0.99).map(lambda x: round(x, 3)),
+            st.lists(st.sampled_from([0.5, -1.0, 0.0, -800.0, 1e-300, -1e-300])
+                     | st.floats(-3.0, 0.99),
                      min_size=2, max_size=2),
             min_size=1, max_size=8,
         ),
@@ -716,15 +766,22 @@ class TestStacks:
         got = mossel_q0_margin(stack, f)
         want = [_bits(mossel_q0_margin(sg, f[b])) for b, sg in enumerate(rows)]
         assert [_bits(x) for x in got] == want
-        # a zero of the measure drops out of the sum, as it does off the support
+        # off the support f**p overflows, and must not reach the norm
+        f0, mu0 = np.array([[1e-10, 0.5, 2.0]]), np.array([[0.0, 0.5, 0.5]])
+        assert lp_norm(f0, mu0, np.array([-50.0]))[0] == lp_norm(f0[0, 1:], mu0[0, 1:], -50.0)
+        # a zero of the measure drops out of the sum, as it does off the support:
+        # both margins match 50-digit sums over the support alone
+        mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(5)
         mu1 = rng.dirichlet(np.ones(216))
         mu1[::7] = 0.0
         mu1 /= mu1.sum()
-        f1, support = rng.uniform(0.1, 2.0, size=216), mu1 > 0.0
+        f1 = rng.uniform(0.1, 2.0, size=216)
         for p in (0.3, -1.3, 0.7, -0.2):
-            want = float(np.dot(mu1[support], f1[support] ** p)) ** (1.0 / p)
-            assert lp_norm(f1[None], mu1[None], np.array([p]))[0] == want == lp_norm(f1, mu1, p)
+            want = lp_norm_mp(f1, mu1, p)
+            got = lp_norm(f1, mu1, p)
+            assert lp_norm(f1[None], mu1[None], np.array([p]))[0] == got
+            assert abs(got - want) <= 4e-15 * want
         for _ in range(8):
             law = rng.dirichlet(np.ones(6))
             law[rng.integers(0, 6)] = 0.0
@@ -732,12 +789,15 @@ class TestStacks:
             f2 = rng.uniform(0.0, 1.0, size=sg.shape)
             mu2 = stationary_measure(sg).ravel()
             support = mu2 > 0.0
-            lhs = float(np.dot(mu2[support], np.log(apply_semisimple(sg, f2).ravel()[support])))
-            mean = float((mu2 * f2.ravel()).sum())
-            assert mossel_q0_margin(sg, f2) == lhs - (1.0 + 1.0 / 0.7) * math.log(min(mean, 1.0))
-        # off the support f**p overflows, and must not reach the norm
-        f0, mu0 = np.array([[1e-10, 0.5, 2.0]]), np.array([[0.0, 0.5, 0.5]])
-        assert lp_norm(f0, mu0, np.array([-50.0]))[0] == lp_norm(f0[0, 1:], mu0[0, 1:], -50.0)
+            with mpmath.workdps(50):
+                w = [mpmath.mpf(float(v)) for v in mu2[support]]
+                mass = mpmath.fsum(w)
+                smoothed = apply_semisimple(sg, f2).ravel()[support]
+                lhs = mpmath.fsum(a * mpmath.log(float(v)) for a, v in zip(w, smoothed)) / mass
+                mean = mpmath.fsum(a * float(v) for a, v in zip(w, f2.ravel()[support])) / mass
+                penalty = (1 + 1 / mpmath.mpf(0.7)) * mpmath.log(min(mean, 1))
+                got = mossel_q0_margin(sg, f2)
+                assert abs(got - (lhs - penalty)) <= 4e-15 * (abs(lhs) + abs(penalty))
 
     def test_margin_stacks_check_every_row(self):
         stack, _ = _stacked_semigroup(np.random.default_rng(1), (2,), [0.5, 1.0])
