@@ -95,12 +95,6 @@ class DmcBoundReport:
     suboptimality_gap: float
     certified: bool
 
-    def __post_init__(self) -> None:
-        if self.cor2_bound > self.cutset + 1e-9:
-            raise DomainError(
-                f"cor2 bound {self.cor2_bound} exceeds its cutset analogue {self.cutset}"
-            )
-
 
 # ---------------------------------------------------------------------------
 # alpha, I_inf, and the product channel
@@ -382,10 +376,3 @@ def capacity_ub_cor2(
         suboptimality_gap=gap,
         certified=bool(gap <= GAP_TOL),
     )
-
-
-def cutset_dmc(w: DiscreteChannel, c0: float) -> float:
-    """Cutset analogue max_p min{I(X;YZ), I(X;Y) + C0}, as a dual certificate."""
-    c0 = require_rate(c0, "c0")
-    cert, _, _ = _DualSolver(w).solve(c0)
-    return cert

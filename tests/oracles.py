@@ -3,8 +3,13 @@
 * golden-section minimizations of the variational definitions of c(h) and
   c_alpha(h), and the relaxed baseline h + sqrt(2h);
 * the inverse of the baseline curve map r -> 2r + sqrt(2r);
-* the mutual informations I(X;Y) and I(X;Y,Z) of an input law;
-* a simplex grid and I_inf by minimax over output laws;
+* the mutual informations I(X;Y) and I(X;Y,Z) of an input law, and the
+  relay objective min{I(X;Y,Z), I(X;Y) + r} on a stack of input laws;
+* a simplex grid, the k-ary symmetric channel, and I_inf by minimax over
+  output laws;
+* the relay penalty C0 - c_alpha^{-1}(C0) from a 50-digit root (mpmath),
+  the bounds of a channel whose symmetries take every input to every other,
+  at the uniform law, and the bounds maximized over a simplex grid;
 * the dense matrix of a semi-simple semigroup on flattened tables;
 * the L^p norm of a table at 50 digits (mpmath);
 * the `mossel`, `mossel-q0`, `semigroup` and `quantizer` suites as
@@ -175,6 +180,22 @@ def mutual_info_product(p: InputDistribution, w: DiscreteChannel) -> float:
     return mutual_info(p, product_channel(w))
 
 
+def _mutual_info_rows(ps: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """I(X;Y) and I(X;Y,Z) for every input law in the rows of ps, each as
+    H(output) - H(output | X), with the product channel formed here."""
+
+    def mi(m):
+        return ps @ _xlogx_sum(m) - _xlogx_sum(ps @ m)
+
+    return mi(w), mi(np.einsum("xy,xz->xyz", w, w).reshape(w.shape[0], -1))
+
+
+def relay_objective_rows(ps: np.ndarray, w: np.ndarray, r: float) -> np.ndarray:
+    """min{I(X;Y,Z), I(X;Y) + r} for every input law in the rows of ps."""
+    direct, joint = _mutual_info_rows(ps, w)
+    return np.minimum(joint, direct + r)
+
+
 def simplex_grid(k: int, steps: int) -> np.ndarray:
     """All probability vectors with denominators `steps` on the k-simplex."""
     if k < 1 or steps < 1:
@@ -196,6 +217,64 @@ def simplex_grid(k: int, steps: int) -> np.ndarray:
         i, j, l = i[mask], j[mask], l[mask]
         return np.stack([i, j, l, steps - i - j - l], axis=1).astype(float) / steps
     raise ValueError("simplex_grid supports up to 4 symbols")
+
+
+def k_ary_symmetric(k: int, crossover: float) -> DiscreteChannel:
+    """k-input symmetric channel: each input kept w.p. 1 - crossover, else
+    sent uniformly to one of the other k - 1 outputs."""
+    m = np.full((k, k), crossover / (k - 1))
+    np.fill_diagonal(m, 1.0 - crossover)
+    return DiscreteChannel(m)
+
+
+def relay_penalty_mp(w: DiscreteChannel, c0: float) -> float:
+    """penalty = C0 - c_alpha^{-1}(C0) of the channel, from 50-digit values.
+
+    alpha = sum_y max_x W(y|x) is summed at 50 digits, and the inverse is a
+    root of the closed form c_alpha(h) = 2*eps * c(h/(2*eps)), eps = alpha - 1,
+    with c(x) = ln(1 + x + s)/2 + (x + s)/2 and s = sqrt(x^2 + 2x).  Since
+    c_alpha(h) >= h, the root lies in [0, C0].  Needs mpmath.
+    """
+    import mpmath as mp
+
+    with mp.workdps(50):
+        c0 = mp.mpf(c0)
+        eps = mp.fsum(float(v) for v in w.matrix.max(axis=0)) - 1
+        if c0 == 0 or eps == 0:
+            return 0.0  # c_alpha(0) = 0, and c_1 is the identity
+
+        def gap(h):
+            x = h / (2 * eps)
+            s = mp.sqrt(x * x + 2 * x)
+            return eps * (mp.log1p(x + s) + x + s) - c0
+
+        return float(c0 - mp.findroot(gap, (mp.mpf(0), c0), solver="anderson"))
+
+
+def symmetric_channel_bounds(w: DiscreteChannel, c0: float) -> tuple[float, float, float]:
+    """(cor2, cutset, penalty) of a channel whose symmetries take every input
+    to every other, such as the BSC and the k-ary symmetric channel.
+
+    There I(X;Y) and I(X;Y,Z) are concave in the input law and invariant
+    under the symmetries, so min{I(X;Y,Z), I(X;Y) + r} is too, and averaging
+    any maximizer over the symmetry group shows that the uniform law attains
+    its maximum at every r.  The penalty is `relay_penalty_mp`.  Needs mpmath.
+    """
+    penalty = relay_penalty_mp(w, c0)
+    uniform = np.full((1, w.n_inputs), 1.0 / w.n_inputs)
+    direct, joint = (float(v[0]) for v in _mutual_info_rows(uniform, w.matrix))
+    return min(joint, direct + penalty), min(joint, direct + c0), penalty
+
+
+def grid_relay_bounds(w: DiscreteChannel, c0: float, steps: int) -> tuple[float, float]:
+    """(cor2, cutset) objectives maximized over `simplex_grid(n_inputs, steps)`.
+
+    Primal lower values of the two max-min bounds, which no certificate may
+    fall below, with the penalty from `relay_penalty_mp`.  Needs mpmath.
+    """
+    laws = simplex_grid(w.n_inputs, steps)
+    cor2 = relay_objective_rows(laws, w.matrix, relay_penalty_mp(w, c0)).max()
+    return float(cor2), float(relay_objective_rows(laws, w.matrix, c0).max())
 
 
 def i_infinity_minimax_oracle(w: DiscreteChannel, grid_steps: int | None = None) -> float:

@@ -5,12 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
+    grid_relay_bounds,
     i_infinity_minimax_oracle,
+    k_ary_symmetric,
     mutual_info,
     mutual_info_product,
+    relay_objective_rows,
     simplex_grid,
+    symmetric_channel_bounds,
     write_channel_csv,
 )
 from relay_bounds import cli, dmc_relay
@@ -19,7 +25,6 @@ from relay_bounds.dmc_relay import (
     InputDistribution,
     alpha_of_channel,
     capacity_ub_cor2,
-    cutset_dmc,
     i_infinity,
     product_channel,
 )
@@ -45,22 +50,6 @@ def joint_entropy_mi(p: np.ndarray, w: np.ndarray) -> float:
     return ent(joint.sum(1)) + ent(joint.sum(0)) - ent(joint.reshape(-1))
 
 
-def entropy_rows(v: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return -np.where(v > 0.0, v * np.log(v), 0.0).sum(axis=1)
-
-
-def relay_objective_rows(ps: np.ndarray, w: np.ndarray, penalty: float) -> np.ndarray:
-    """Independent oracle: min{I(X;Y,Z), I(X;Y) + penalty} for every row of ps,
-    each mutual information as H(output) - H(output | X)."""
-
-    def mi(m):
-        return entropy_rows(ps @ m) - ps @ entropy_rows(m)
-
-    w2 = np.einsum("xy,xz->xyz", w, w).reshape(w.shape[0], -1)
-    return np.minimum(mi(w2), mi(w) + penalty)
-
-
 def relay_objective(p: np.ndarray, w: DiscreteChannel, penalty: float) -> float:
     """The max-min objective through the public mutual informations."""
     dist = InputDistribution(p)
@@ -79,6 +68,22 @@ def random_law_channel(seed: int, draw: int) -> tuple[DiscreteChannel, float]:
         c0 = float(rng.uniform(0.01, 1.0))
     return DiscreteChannel(w), c0
 
+
+def assert_symmetric_closed_form(rep, w: DiscreteChannel, c0: float) -> None:
+    """The report matches `symmetric_channel_bounds`: cor2_bound and cutset
+    within 1e-13, and the penalty within 1e-13 plus 1.6e-15*C0.  The penalty
+    is C0 less an inverse of relative error at most 1.6e-15 (TestInverseAccuracy
+    in test_scalar_bounds), which is up to 1.6e-15*C0 in absolute terms."""
+    pytest.importorskip("mpmath")
+    cor2, cutset, penalty = symmetric_channel_bounds(w, c0)
+    assert abs(rep.cor2_bound - cor2) <= 1e-13, (rep.cor2_bound, cor2)
+    assert abs(rep.cutset - cutset) <= 1e-13, (rep.cutset, cutset)
+    assert abs(rep.penalty - penalty) <= 1e-13 + 1.6e-15 * c0, (rep.penalty, penalty)
+
+
+# How far the maximum over simplex_grid(2, 2000) may sit below the true one,
+# on the 2-input channels of TestCutsetDmc (7.0e-8 at most there)
+GRID_ALLOWANCE = 1e-6
 
 BSC = DiscreteChannel.bsc(0.1)
 UNIFORM2 = uniform(2)
@@ -231,8 +236,9 @@ class TestCor2Bound:
 
     def test_strictly_below_cutset(self):
         rep = capacity_ub_cor2(BSC, 0.05)
-        cs = cutset_dmc(BSC, 0.05)
-        assert rep.cor2_bound < cs
+        assert_symmetric_closed_form(rep, BSC, 0.05)
+        cor2, cutset, _ = symmetric_channel_bounds(BSC, 0.05)
+        assert cutset - cor2 > 5e-4  # 7.7e-4, far beyond the tolerances of the match
         assert rep.penalty > 0.0
         assert rep.certified
 
@@ -252,7 +258,7 @@ class TestCor2Bound:
         with pytest.raises(DomainError):
             capacity_ub_cor2(BSC, 0.05, alpha_override=1.2)
 
-    def test_grid_check_consistency(self):
+    def test_grid_optimum_with_a_pure_noise_input(self):
         # the third input is pure noise, so the optimum (1/2, 1/2, 0) is a grid point
         w = np.array([[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]])
         rep = capacity_ub_cor2(DiscreteChannel(w), 0.1)
@@ -269,8 +275,9 @@ class TestCor2Bound:
         w = DiscreteChannel.bsc(crossover)
         joint = mutual_info_product(uniform(2), w)
         rep = capacity_ub_cor2(w, c0)
-        for got in (rep.cutset, rep.cor2_bound, cutset_dmc(w, c0)):
+        for got in (rep.cutset, rep.cor2_bound):
             assert abs(got - joint) <= 1e-12
+        assert_symmetric_closed_form(rep, w, c0)
 
 
 class TestRegressionChannels:
@@ -284,7 +291,7 @@ class TestRegressionChannels:
         assert rep.suboptimality_gap <= 1e-9
         laws = np.random.default_rng(seed).dirichlet(np.ones(w.n_inputs), size=2000)
         assert rep.cor2_bound >= relay_objective_rows(laws, w.matrix, rep.penalty).max()
-        assert rep.cor2_bound <= rep.cutset
+        assert rep.cutset >= relay_objective_rows(laws, w.matrix, c0).max()
 
 
 class TestStalledSolver:
@@ -298,7 +305,7 @@ class TestStalledSolver:
         monkeypatch.setattr(dmc_relay, "_BUDGET", 50)
         w = DiscreteChannel(np.array(self.ROWS))
         rep = capacity_ub_cor2(w, self.C0)
-        assert rep.cor2_bound <= rep.cutset
+        assert rep.cutset >= relay_objective(rep.argmax_input.probs, w, self.C0)
         assert not rep.certified
         value = relay_objective(rep.argmax_input.probs, w, rep.penalty)
         assert rep.suboptimality_gap == pytest.approx(rep.cor2_bound - value, abs=1e-12)
@@ -306,34 +313,68 @@ class TestStalledSolver:
     def test_cli_exits_0(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(dmc_relay, "_BUDGET", 50)
         path = str(tmp_path / "stalled.csv")
-        write_channel_csv(path, DiscreteChannel(np.array(self.ROWS)))
+        w = DiscreteChannel(np.array(self.ROWS))
+        write_channel_csv(path, w)
         assert cli.main(["dmc", "--channel", path, "--c0", repr(self.C0)]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["cor2_bound"] <= payload["cutset"]
+        law = np.array(payload["argmax_input"])
+        assert payload["cutset"] >= relay_objective(law, w, self.C0)
         assert payload["certified"] is False
 
 
 class TestCutsetDmc:
+    """The report's cutset field, max_p min{I(X;Y,Z), I(X;Y) + C0}, against
+    closed forms and grid maxima the solver does not compute."""
+
     def test_zero_relay_rate(self):
-        expected = math.log(2.0) - binary_entropy_nats(0.1)
-        assert cutset_dmc(BSC, 0.0) == pytest.approx(expected, abs=1e-8)
+        # both cuts reduce to the channel capacity: ln k - H(row) on symmetric
+        # channels, and the grid maximum on a Z channel, whose optimal law is
+        # not uniform, so the solver must move from its uniform start
+        for w in (BSC, k_ary_symmetric(3, 0.2), k_ary_symmetric(5, 0.05)):
+            rep = capacity_ub_cor2(w, 0.0)
+            assert_symmetric_closed_form(rep, w, 0.0)
+            k, row = w.n_inputs, w.matrix[0]
+            assert abs(rep.cutset - (math.log(k) + float(row @ np.log(row)))) <= 1e-13
+        z = DiscreteChannel(np.array([[1.0, 0.0], [0.4, 0.6]]))
+        _, grid_cutset = grid_relay_bounds(z, 0.0, 2000)
+        assert grid_cutset <= capacity_ub_cor2(z, 0.0).cutset <= grid_cutset + GRID_ALLOWANCE
 
     def test_large_relay_rate_hits_joint_mi(self):
-        got = cutset_dmc(BSC, 50.0)
-        grid = simplex_grid(2, 2000)
-        best = max(
-            mutual_info_product(InputDistribution(row), BSC) for row in grid[1:-1]
-        )
-        assert got == pytest.approx(best, abs=1e-6)
+        rep = capacity_ub_cor2(BSC, 50.0)
+        assert_symmetric_closed_form(rep, BSC, 50.0)
+        assert abs(rep.cutset - mutual_info_product(UNIFORM2, BSC)) <= 1e-13
 
     def test_dominates_cor2_random(self):
+        # each certificate sits above its grid maximum by at most the allowance
+        pytest.importorskip("mpmath")
         rng = np.random.default_rng(17)
         for _ in range(15):
             rows = rng.dirichlet(np.ones(3), size=2)
             w = DiscreteChannel(rows / rows.sum(1, keepdims=True))
             c0 = float(rng.uniform(0.01, 0.8))
             rep = capacity_ub_cor2(w, c0)
-            assert rep.cor2_bound <= cutset_dmc(w, c0) + 1e-9
+            grid_cor2, grid_cutset = grid_relay_bounds(w, c0, 2000)
+            assert grid_cor2 <= rep.cor2_bound <= grid_cor2 + GRID_ALLOWANCE
+            assert grid_cutset <= rep.cutset <= grid_cutset + GRID_ALLOWANCE
+
+
+class TestSymmetricChannels:
+    """k-ary symmetric channels match the uniform-law closed form and certify,
+    from crossover 0 through the identical rows at (k-1)/k to crossover 1."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_closed_form(self, data):
+        k = data.draw(st.integers(min_value=2, max_value=6), label="k")
+        # identical rows at (k-1)/k, and rows within 1e-9 of each other about it
+        uniform_at = (k - 1) / k
+        edges = st.sampled_from([0.0, 1.0, uniform_at, uniform_at - 1e-9, uniform_at + 1e-9])
+        crossover = data.draw(st.one_of(edges, st.floats(0.0, 1.0)), label="crossover")
+        c0 = data.draw(st.floats(0.0, 1e3), label="c0")
+        w = k_ary_symmetric(k, crossover)
+        rep = capacity_ub_cor2(w, c0)
+        assert_symmetric_closed_form(rep, w, c0)
+        assert rep.certified
 
 
 class TestObjectiveStructure:
