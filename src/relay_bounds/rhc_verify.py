@@ -23,10 +23,10 @@ factors and quadrature weights by `scalar_bounds.require_law`, tables by
 `require_table`.
 
 `SUITES` names the seven randomized suites.  Each draws one instance per RNG
-stream (seed, index), so any failure can be replayed from its record;
-`mossel`, `mossel-q0`, `quantizer` and `semigroup` then evaluate each group
-of same-shape instances with one stacked call, the others instance by
-instance.
+stream (seed, index) as plain arrays, so any failure can be replayed from its
+record, and evaluates each group of same-shape draws together: `mossel`,
+`mossel-q0`, `lemma4`, `quantizer` and `semigroup` with one stacked kernel
+call per group, `borell-exp` and `ou-q0` row by row.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dmc_relay import DiscreteChannel, _xlogx_rows, alpha_of_channel
+from .dmc_relay import _xlogx_rows
 from .errors import DimensionError, DomainError
 from .scalar_bounds import bdd_gap_closed, gauss_gap_closed, require_law, require_table
 
@@ -159,50 +159,6 @@ def _integers(values, name: str) -> np.ndarray:
         if (ints == x).all():
             return ints
     raise DomainError(f"{name} must be integers, got {values!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class RelayInstance:
-    """Finite relay code: channel, codebook x^n(m), and relay partition of Z^n.
-
-    The partition is a flat array of cell indices over Z^n enumerated in
-    C order (last symbol fastest).
-    """
-
-    channel: DiscreteChannel
-    codebook: tuple[tuple[int, ...], ...]
-    relay_partition: np.ndarray
-
-    def __post_init__(self) -> None:
-        words = tuple(self.codebook)
-        if not (1 <= len(words) <= _MAX_MESSAGES):
-            raise DomainError(f"codebook must hold 1..{_MAX_MESSAGES} messages, got {len(words)}")
-        n = len(words[0])
-        if not (1 <= n <= _MAX_BLOCKLENGTH):
-            raise DomainError(f"blocklength must be 1..{_MAX_BLOCKLENGTH}, got {n}")
-        if any(len(word) != n for word in words):
-            raise DomainError("all codewords must share one blocklength")
-        book = _integers(words, "codeword symbols").astype(int, copy=False)
-        kx = self.channel.n_inputs
-        if book.min() < 0 or book.max() >= kx:
-            raise DomainError(f"codeword symbols must index the {kx}-ary input alphabet")
-        part = np.array(_integers(self.relay_partition, "partition cells"), dtype=int)
-        n_z = self.channel.n_outputs**n
-        if part.shape != (n_z,):
-            raise DomainError(
-                f"partition must assign a cell to each of the {n_z} relay observations"
-            )
-        # a cell per observation at most; a larger label would size the
-        # enumeration tables of brute_force_entropy_gap
-        if part.min() < 0 or part.max() >= n_z:
-            raise DomainError(f"partition cells must be integers in 0..{n_z - 1}")
-        part.setflags(write=False)
-        object.__setattr__(self, "codebook", tuple(map(tuple, book.tolist())))
-        object.__setattr__(self, "relay_partition", part)
-
-    @property
-    def blocklength(self) -> int:
-        return len(self.codebook[0])
 
 
 # ---------------------------------------------------------------------------
@@ -446,51 +402,65 @@ def borell_critical_time(p: float, q: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _entropy_flat(p: np.ndarray) -> float:
-    mass = p[p > 0.0]
-    # masses can carry 1-ulp excursions above 1, so clamp the rounding residue
-    return max(float(-(mass * np.log(mass)).sum()), 0.0)
-
-
-def _sequence_distribution(w: np.ndarray, word: tuple[int, ...]) -> np.ndarray:
-    """Flat product distribution of n channel uses driven by a codeword."""
-    table = np.ones(1)
-    for symbol in word:
-        table = np.multiply.outer(table, w[symbol]).reshape(-1)
-    return table
-
-
-def brute_force_entropy_gap(inst: RelayInstance) -> tuple[float, float]:
+def brute_force_entropy_gap(
+    channel, codebook, partition
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Exact (h1, h2) = ((1/n)H(I|X^n), (1/n)H(I|Y^n)) by full enumeration.
 
-    The relay message I cells the observation space Z^n; messages are
-    uniform, Y^n and Z^n are conditionally iid given the codeword.
+    A relay code on the (kx, ny) channel W: the (m, n) codebook holds one
+    codeword per message, messages are uniform, Y^n and Z^n are
+    conditionally iid given the codeword, and the relay message I is the
+    cell that the (ny^n,) partition gives Z^n, its observations enumerated
+    in C order (last symbol fastest).  Symbols and cells are integers, bools
+    or integral floats, cells in 0..ny^n - 1.  A (B, kx, ny) channel with a
+    (B, m, n) codebook and a (B, ny^n) partition is a stack of B codes and
+    gives two (B,) arrays, each entry equal to its row's own call bit for
+    bit.  Each entropy is that of a law normalized by its own sum (the cell
+    law of a codeword, the law of I given Y^n), so a code whose relay
+    message has one occupied cell gives exact zeros.
     """
-    w = inst.channel.matrix
-    n = inst.blocklength
-    m_count = len(inst.codebook)
-    cells = int(inst.relay_partition.max()) + 1
+    w = require_law(channel, "channel rows")
+    if w.ndim not in (2, 3) or min(w.shape[-2:]) < 2:
+        raise DomainError(f"channel must be a matrix of at least 2x2, or a stack, got {w.shape}")
+    stack, (kx, ny) = w.shape[:-2], w.shape[-2:]
+    try:
+        book = np.asarray(codebook)
+    except ValueError:  # ragged
+        raise DomainError("all codewords must share one blocklength") from None
+    if book.ndim != w.ndim or book.shape[:-2] != stack:
+        raise DomainError(f"codebook of shape {book.shape} does not fit channel {w.shape}")
+    m, n = book.shape[-2:]
+    if not 1 <= m <= _MAX_MESSAGES:
+        raise DomainError(f"codebook must hold 1..{_MAX_MESSAGES} messages, got {m}")
+    if not 1 <= n <= _MAX_BLOCKLENGTH:
+        raise DomainError(f"blocklength must be 1..{_MAX_BLOCKLENGTH}, got {n}")
+    book = _integers(book, "codeword symbols").astype(int, copy=False)
+    if book.min() < 0 or book.max() >= kx:
+        raise DomainError(f"codeword symbols must index the {kx}-ary input alphabet")
+    n_z = ny**n
+    part = _integers(partition, "partition cells").astype(int, copy=False)
+    if part.shape != stack + (n_z,):
+        raise DomainError(f"partition must assign a cell to each of the {n_z} relay observations")
+    # a cell per observation at most: the one-hot cell table below is n_z wide
+    if part.min() < 0 or part.max() >= n_z:
+        raise DomainError(f"partition cells must be integers in 0..{n_z - 1}")
 
-    seq_dists = {}
-    for word in set(inst.codebook):
-        seq_dists[word] = _sequence_distribution(w, word)
-    cell_given_word = {
-        word: np.bincount(inst.relay_partition, weights=dist, minlength=cells)
-        for word, dist in seq_dists.items()
-    }
-
-    # H(I | X^n): condition on distinct codewords (identical codewords merge)
-    word_mass: dict[tuple[int, ...], float] = {}
-    for word in inst.codebook:
-        word_mass[word] = word_mass.get(word, 0.0) + 1.0 / m_count
-    h1 = sum(mass * _entropy_flat(cell_given_word[word]) for word, mass in word_mass.items())
-
-    # H(I | Y^n) from the exact joint over (cell, observation sequence)
-    joint = np.zeros((cells, w.shape[1] ** n))
-    for word, mass in word_mass.items():
-        joint += mass * np.outer(cell_given_word[word], seq_dists[word])
-    h_iy = max(_entropy_flat(joint.reshape(-1)) - _entropy_flat(joint.sum(axis=0)), 0.0)
-    return h1 / n, h_iy / n
+    w, book, part = w.reshape(-1, kx, ny), book.reshape(-1, m, n), part.reshape(-1, n_z)
+    rows = np.arange(len(w))[:, None]
+    # the law of Y^n, and of Z^n, given each codeword: a product over its symbols
+    seq = w[rows, book[..., 0]]
+    for j in range(1, n):
+        seq = (seq[..., None] * w[rows, book[..., j]][..., None, :]).reshape(len(w), m, -1)
+    cell_given_word = seq @ (part[..., None] == np.arange(n_z)).astype(float)
+    laws = cell_given_word / cell_given_word.sum(axis=-1, keepdims=True)
+    # m P(y, i), one row per y; each row over its sum m P(y) is the law of I given y
+    joint = np.swapaxes(seq, 1, 2) @ cell_given_word
+    mass = joint.sum(axis=-1)
+    given_y = joint / np.where(mass > 0.0, mass, 1.0)[..., None]
+    # 0.0 - x, not -x, so that an exact zero is +0.0
+    h1 = 0.0 - np.mean(_xlogx_rows(laws), axis=-1) / n
+    h2 = 0.0 - (mass * _xlogx_rows(given_y)).sum(axis=-1) / (m * n)
+    return (h1, h2) if stack else (float(h1[0]), float(h2[0]))
 
 
 # math.erfc entrywise; the result is an object array, cast it to float
@@ -573,11 +543,10 @@ def _run(
     n_instances: int,
     seed: int,
     draw: Callable[[np.random.Generator], tuple],
-    evaluate: Callable[..., list[tuple[dict, float]]] | None = None,
+    evaluate: Callable[..., list[tuple[dict, float]]],
 ) -> list[SuiteRecord]:
     """Records of the instances drawn from the streams (seed, index), in index order.
 
-    Without `evaluate`, `draw(rng)` returns (instance, margin).  With it,
     `draw(rng)` returns a shape key and a tuple of arrays; the instances of
     one key within a block of _BLOCK indices are stacked along a new first
     axis, and `evaluate(*stacks)` returns their (instance, margin) pairs in
@@ -589,14 +558,13 @@ def _run(
     for start in range(0, n_instances, _BLOCK):
         block = range(start, min(start + _BLOCK, n_instances))
         drawn = [draw(np.random.default_rng((seed, idx))) for idx in block]
-        if evaluate is not None:
-            groups: dict = {}
-            for i, (key, _) in enumerate(drawn):
-                groups.setdefault(key, []).append(i)
-            for members in groups.values():
-                stacks = [np.stack(column) for column in zip(*(drawn[i][1] for i in members))]
-                for i, result in zip(members, evaluate(*stacks)):
-                    drawn[i] = result
+        groups: dict = {}
+        for i, (key, _) in enumerate(drawn):
+            groups.setdefault(key, []).append(i)
+        for members in groups.values():
+            stacks = [np.stack(column) for column in zip(*(drawn[i][1] for i in members))]
+            for i, result in zip(members, evaluate(*stacks)):
+                drawn[i] = result
         records += [
             SuiteRecord(suite, idx, instance, float(margin), bool(margin >= -tol))
             for idx, (instance, margin) in zip(block, drawn)
@@ -720,11 +688,16 @@ def borell_suite(n_instances: int, seed: int, *, t_factor: float = 1.0) -> list[
         q = float(rng.uniform(-2.0, 0.8))
         p = float(rng.uniform(q + 0.05, min(q + 2.0, 0.999)))
         critical = borell_critical_time(p, q)
-        t = t_factor * critical
-        instance = {"lam": lam, "x": x, "p": p, "q": q, "t": t, "critical": critical}
-        return instance, check_borell_exponential(lam, x, p, q, t)
+        return (), (lam, x, p, q, t_factor * critical, critical)
 
-    return _run("borell-exp", 1e-12, n_instances, seed, draw)
+    def evaluate(*columns):
+        out = []
+        for lam, x, p, q, t, critical in zip(*(c.tolist() for c in columns)):
+            instance = {"lam": lam, "x": x, "p": p, "q": q, "t": t, "critical": critical}
+            out.append((instance, check_borell_exponential(lam, x, p, q, t)))
+        return out
+
+    return _run("borell-exp", 1e-12, n_instances, seed, draw, evaluate)
 
 
 def ou_q0_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
@@ -734,55 +707,60 @@ def ou_q0_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
         a = float(rng.uniform(0.3, 3.0))
         b = float(rng.uniform(-2.0, 2.0))
         floor = float(rng.uniform(0.0, 0.2))
-
-        def f(u):
-            return floor + (1.0 - floor) / (1.0 + np.exp(-a * (u - b)))
-
         x = float(rng.uniform(-2.0, 2.0))
         t = float(rng.uniform(0.05, 2.5))
-        instance = {"x": x, "t": t, "slope": a, "shift": b, "floor": floor}
-        return instance, check_ou_q0(f, x, t)
+        return (), (a, b, floor, x, t)
 
-    return _run("ou-q0", 1e-9, n_instances, seed, draw)
+    def evaluate(*columns):
+        out = []
+        for a, b, floor, x, t in zip(*(c.tolist() for c in columns)):
 
+            def f(u, a=a, b=b, floor=floor):
+                return floor + (1.0 - floor) / (1.0 + np.exp(-a * (u - b)))
 
-def _random_relay_instance(rng) -> RelayInstance:
-    if rng.random() < 0.5:
-        channel = DiscreteChannel.bsc(float(rng.uniform(0.05, 0.45)))
-    else:
-        rows = rng.dirichlet(np.ones(3), size=2)
-        rows = rows / rows.sum(axis=1, keepdims=True)
-        channel = DiscreteChannel(rows)
-    n = int(rng.integers(1, 4))
-    m_count = int(rng.integers(1, 5))
-    codebook = tuple(
-        tuple(rng.integers(0, channel.n_inputs, size=n).tolist()) for _ in range(m_count)
-    )
-    n_z = channel.n_outputs**n
-    cells = int(rng.integers(1, min(_MAX_MESSAGES, n_z) + 1))
-    partition = rng.integers(0, cells, size=n_z)
-    return RelayInstance(channel, codebook, partition)
+            instance = {"x": x, "t": t, "slope": a, "shift": b, "floor": floor}
+            out.append((instance, check_ou_q0(f, x, t)))
+        return out
+
+    return _run("ou-q0", 1e-9, n_instances, seed, draw, evaluate)
 
 
 def relay_oracle_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
     """End-to-end check h2 <= c_alpha(h1) on exactly enumerated relay instances."""
 
     def draw(rng):
-        inst = _random_relay_instance(rng)
-        h1, h2 = brute_force_entropy_gap(inst)
-        alpha = alpha_of_channel(inst.channel)
-        instance = {
-            "channel": inst.channel.matrix.tolist(),
-            "codebook": [list(w) for w in inst.codebook],
-            "cells": int(inst.relay_partition.max()) + 1,
-            "n": inst.blocklength,
-            "alpha": alpha,
-            "h1": h1,
-            "h2": h2,
-        }
-        return instance, bdd_gap_closed(h1, alpha) - h2
+        if rng.random() < 0.5:
+            crossover = float(rng.uniform(0.05, 0.45))
+            w = np.array([[1.0 - crossover, crossover], [crossover, 1.0 - crossover]])
+        else:
+            w = rng.dirichlet(np.ones(3), size=2)
+            w = w / w.sum(axis=1, keepdims=True)
+        n = int(rng.integers(1, 4))
+        m = int(rng.integers(1, 5))
+        book = np.array([rng.integers(0, len(w), size=n) for _ in range(m)])
+        n_z = w.shape[1] ** n
+        cells = int(rng.integers(1, min(_MAX_MESSAGES, n_z) + 1))
+        return (w.shape, n, m), (w, book, rng.integers(0, cells, size=n_z))
 
-    return _run("lemma4", 1e-9, n_instances, seed, draw)
+    def evaluate(w, book, part):
+        h1s, h2s = brute_force_entropy_gap(w, book, part)
+        alphas = w.max(axis=1).sum(axis=1)  # alpha_of_channel of each row
+        columns = (w, book, part.max(axis=1), alphas, h1s, h2s)
+        out = []
+        for channel, words, top, alpha, h1, h2 in zip(*(c.tolist() for c in columns)):
+            instance = {
+                "channel": channel,
+                "codebook": words,
+                "cells": top + 1,
+                "n": len(words[0]),
+                "alpha": alpha,
+                "h1": h1,
+                "h2": h2,
+            }
+            out.append((instance, bdd_gap_closed(h1, alpha) - h2))
+        return out
+
+    return _run("lemma4", 1e-9, n_instances, seed, draw, evaluate)
 
 
 def quantizer_oracle_suite(n_instances: int, seed: int) -> list[SuiteRecord]:

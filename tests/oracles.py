@@ -12,9 +12,10 @@
   at the uniform law, and the bounds maximized over a simplex grid;
 * the dense matrix of a semi-simple semigroup on flattened tables;
 * the L^p norm of a table at 50 digits (mpmath);
-* the `mossel`, `mossel-q0`, `semigroup` and `quantizer` suites as
-  per-instance loops, one semigroup or quantizer and one check per instance,
-  the way those suites ran before they evaluated per shape;
+* the exact entropies (h1, h2) of a small relay code at 50 digits (mpmath);
+* the seven suites as per-instance loops, each instance drawn and checked by
+  one unstacked call, the way the suites ran before they evaluated per shape
+  group, and the relay code that `lemma4` draws from a stream;
 * a channel CSV writer, the inverse of `cli.read_channel_csv`.
 
 They import only public names from relay_bounds.
@@ -24,19 +25,33 @@ import math
 
 import numpy as np
 
-from relay_bounds.dmc_relay import DiscreteChannel, InputDistribution, product_channel
+from relay_bounds.dmc_relay import (
+    DiscreteChannel,
+    InputDistribution,
+    alpha_of_channel,
+    product_channel,
+)
 from relay_bounds.errors import DimensionError
 from relay_bounds.rhc_verify import (
     SemiSimpleSemigroup,
     SuiteRecord,
     apply_semisimple,
+    borell_critical_time,
+    brute_force_entropy_gap,
+    check_borell_exponential,
     check_mossel,
+    check_ou_q0,
     gaussian_quantizer_gap,
     mossel_critical_time,
     mossel_q0_margin,
     stationary_measure,
 )
-from relay_bounds.scalar_bounds import gauss_gap_closed, require_alpha, require_rate
+from relay_bounds.scalar_bounds import (
+    bdd_gap_closed,
+    gauss_gap_closed,
+    require_alpha,
+    require_rate,
+)
 
 # Bracket width, relative to max(1, bracket end), and iteration budget of the
 # golden-section search.
@@ -335,6 +350,122 @@ def lp_norm_mp(f, measure, p: float):
             return mpmath.exp(mpmath.fsum(w * mpmath.log(v) for w, v in zip(wts, vals)) / mass)
         moment = mpmath.fsum(w * v**p for w, v in zip(wts, vals)) / mass
         return moment ** (1 / mpmath.mpf(p))
+
+
+def relay_entropy_gap_mp(w, codebook, partition) -> tuple[float, float]:
+    """`rhc_verify.brute_force_entropy_gap` of one code from 50-digit sums.
+
+    The plain definitions, with each channel row normalised to mass 1 at 50
+    digits: h1 = H(I|X^n)/n over the distinct codewords, each weighted by its
+    share of the messages, and h2 = -sum P(i, y) ln P(i | y) / n over the
+    joint law of the relay cell i and the observation sequence y.  Needs
+    mpmath.
+    """
+    import mpmath as mp
+
+    words = [tuple(word) for word in np.asarray(codebook, dtype=int).tolist()]
+    cell_of = np.asarray(partition, dtype=int).tolist()
+    with mp.workdps(50):
+        rows = [[mp.mpf(float(v)) for v in row] for row in np.asarray(w, dtype=float)]
+        rows = [[v / mp.fsum(row) for v in row] for row in rows]
+        share: dict = {}
+        for word in words:
+            share[word] = share.get(word, 0) + mp.mpf(1) / len(words)
+        seq, cells = {}, {}
+        for word in share:
+            law = [mp.mpf(1)]
+            for symbol in word:
+                law = [a * b for a in law for b in rows[symbol]]
+            seq[word] = law
+            cells[word] = {}
+            for cell, mass in zip(cell_of, law):
+                cells[word][cell] = cells[word].get(cell, 0) + mass
+        h1 = -mp.fsum(
+            share[word] * mass * mp.log(mass)
+            for word in share
+            for mass in cells[word].values()
+            if mass > 0
+        )
+        joint: dict = {}
+        for word, weight in share.items():
+            for y, p_y in enumerate(seq[word]):
+                for cell, p_cell in cells[word].items():
+                    joint[cell, y] = joint.get((cell, y), 0) + weight * p_cell * p_y
+        marginal: dict = {}
+        for (_, y), mass in joint.items():
+            marginal[y] = marginal.get(y, 0) + mass
+        h2 = -mp.fsum(
+            mass * mp.log(mass / marginal[y]) for (_, y), mass in joint.items() if mass > 0
+        )
+        n = len(words[0])
+        return float(h1 / n), float(h2 / n)
+
+
+def relay_code(seed: int, idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The channel, codebook and partition that `relay_oracle_suite` draws from
+    the stream (seed, idx)."""
+    rng = np.random.default_rng((seed, idx))
+    if rng.random() < 0.5:
+        w = DiscreteChannel.bsc(float(rng.uniform(0.05, 0.45))).matrix
+    else:
+        rows = rng.dirichlet(np.ones(3), size=2)
+        w = DiscreteChannel(rows / rows.sum(axis=1, keepdims=True)).matrix
+    n, m = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    book = np.array([rng.integers(0, 2, size=n) for _ in range(m)])
+    n_z = w.shape[1] ** n
+    cells = int(rng.integers(1, min(8, n_z) + 1))
+    return w, book, rng.integers(0, cells, size=n_z)
+
+
+def lemma4_suite_per_instance(n_instances: int, seed: int) -> list[SuiteRecord]:
+    """`rhc_verify.relay_oracle_suite`, drawn and evaluated one instance at a time."""
+    records = []
+    for idx in range(n_instances):
+        w, book, part = relay_code(seed, idx)
+        h1, h2 = brute_force_entropy_gap(w, book, part)
+        alpha = alpha_of_channel(DiscreteChannel(w))
+        instance = {"channel": w.tolist(), "codebook": book.tolist(), "cells": int(part.max()) + 1,
+                    "n": book.shape[1], "alpha": alpha, "h1": h1, "h2": h2}
+        margin = bdd_gap_closed(h1, alpha) - h2
+        records.append(SuiteRecord("lemma4", idx, instance, margin, margin >= -1e-9))
+    return records
+
+
+def borell_suite_per_instance(n_instances: int, seed: int, *, t_factor=1.0) -> list[SuiteRecord]:
+    """`rhc_verify.borell_suite`, drawn and evaluated one instance at a time."""
+    records = []
+    for idx in range(n_instances):
+        rng = np.random.default_rng((seed, idx))
+        lam = float(rng.uniform(0.1, 2.0)) * (1.0 if rng.random() < 0.5 else -1.0)
+        x = float(rng.uniform(-3.0, 3.0))
+        q = float(rng.uniform(-2.0, 0.8))
+        p = float(rng.uniform(q + 0.05, min(q + 2.0, 0.999)))
+        critical = borell_critical_time(p, q)
+        t = t_factor * critical
+        margin = check_borell_exponential(lam, x, p, q, t)
+        instance = {"lam": lam, "x": x, "p": p, "q": q, "t": t, "critical": critical}
+        records.append(SuiteRecord("borell-exp", idx, instance, margin, margin >= -1e-12))
+    return records
+
+
+def ou_q0_suite_per_instance(n_instances: int, seed: int) -> list[SuiteRecord]:
+    """`rhc_verify.ou_q0_suite`, drawn and evaluated one instance at a time."""
+    records = []
+    for idx in range(n_instances):
+        rng = np.random.default_rng((seed, idx))
+        a = float(rng.uniform(0.3, 3.0))
+        b = float(rng.uniform(-2.0, 2.0))
+        floor = float(rng.uniform(0.0, 0.2))
+
+        def f(u, a=a, b=b, floor=floor):
+            return floor + (1.0 - floor) / (1.0 + np.exp(-a * (u - b)))
+
+        x = float(rng.uniform(-2.0, 2.0))
+        t = float(rng.uniform(0.05, 2.5))
+        margin = check_ou_q0(f, x, t)
+        instance = {"x": x, "t": t, "slope": a, "shift": b, "floor": floor}
+        records.append(SuiteRecord("ou-q0", idx, instance, margin, margin >= -1e-9))
+    return records
 
 
 def mossel_suite_per_instance(

@@ -10,10 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    borell_suite_per_instance,
+    lemma4_suite_per_instance,
     lp_norm_mp,
     mossel_q0_suite_per_instance,
     mossel_suite_per_instance,
+    ou_q0_suite_per_instance,
     quantizer_suite_per_instance,
+    relay_code,
+    relay_entropy_gap_mp,
     semigroup_suite_per_instance,
     semisimple_dense,
 )
@@ -24,7 +29,6 @@ from relay_bounds.rhc_verify import (
     DEFAULT_RULE,
     SUITES,
     QuadratureRule,
-    RelayInstance,
     SemiSimpleSemigroup,
     apply_semisimple,
     borell_critical_time,
@@ -94,55 +98,17 @@ class TestTypes:
         w = np.array([[0.9, 0.1], [0.2, 0.8]])
 
         def build():
-            channel = DiscreteChannel(w)
             return [
-                channel,
+                DiscreteChannel(w),
                 InputDistribution(np.array([0.3, 0.7])),
                 SemiSimpleSemigroup((np.array([0.5, 0.5]),), 1.0),
                 QuadratureRule(np.array([-1.0, 1.0]), np.array([0.5, 0.5])),
-                RelayInstance(channel, ((0, 1),), np.arange(4)),
             ]
 
         for a, b in zip(build(), build()):
             assert (a == b) is False and a != b
             assert a == a
             assert len({a}) == 1 and len({a, b}) == 2
-
-    def test_relay_instance_validation(self):
-        bsc = DiscreteChannel.bsc(0.2)
-        with pytest.raises(DomainError):
-            RelayInstance(bsc, ((0, 5),), np.zeros(4, dtype=int))
-        with pytest.raises(DomainError):
-            RelayInstance(bsc, ((0, 1),), np.zeros(3, dtype=int))
-        with pytest.raises(DomainError):
-            RelayInstance(bsc, ((0, 1, 0, 1),), np.zeros(16, dtype=int))
-        # a cell label must lie below the number of relay observations (4 here)
-        with pytest.raises(DomainError):
-            RelayInstance(bsc, ((0, 1),), np.array([0, 1, 2, 4]))
-        # a fractional symbol or cell label is rejected, not truncated to another code
-        with pytest.raises(DomainError):
-            RelayInstance(bsc, ((0.9, 1.7),), np.array([0, 1, 2, 3]))
-        with pytest.raises(DomainError):
-            RelayInstance(bsc, ((0, 1),), np.array([0.5, 1.9, 2.2, 3.99]))
-        assert RelayInstance(bsc, ((0, 1),), np.array([0, 1, 2, 3])).relay_partition.max() == 3
-        # lengths are checked before symbols, with the same messages
-        with pytest.raises(DomainError, match="share one blocklength"):
-            RelayInstance(bsc, ((0, 1), (0.5,)), np.zeros(4, dtype=int))
-        with pytest.raises(DomainError, match="codeword symbols must be integers"):
-            RelayInstance(bsc, ((0, 1), (0.5, 1)), np.zeros(4, dtype=int))
-        with pytest.raises(DomainError, match="index the 2-ary input alphabet"):
-            RelayInstance(bsc, ((0, 1), (-1, 1)), np.zeros(4, dtype=int))
-
-    def test_relay_instance_holds_its_own_ints(self):
-        bsc = DiscreteChannel.bsc(0.2)
-        part = np.array([0, 1, 1, 0])
-        inst = RelayInstance(bsc, np.array([[True, False], [True, True]]), part)
-        assert inst.codebook == ((1, 0), (1, 1))
-        assert all(type(s) is int for word in inst.codebook for s in word)
-        assert inst.relay_partition is not part and part.flags.writeable
-        assert not inst.relay_partition.flags.writeable
-        flags = RelayInstance(bsc, ((0.0, 1.0),), np.array([True, False, True, True]))
-        assert flags.codebook == ((0, 1),) and flags.relay_partition.dtype.kind == "i"
 
 
 class TestSemigroupAction:
@@ -534,37 +500,115 @@ class TestBorell:
         assert all(r.margin < 0 for r in borell_suite(100, 1, t_factor=0.9))
 
 
+BSC = DiscreteChannel.bsc(0.2).matrix
+
+
 class TestBruteForceGap:
     def test_single_cell_partition(self):
-        bsc = DiscreteChannel.bsc(0.1)
-        inst = RelayInstance(bsc, ((0, 1), (1, 0)), np.zeros(4, dtype=int))
-        assert brute_force_entropy_gap(inst) == (0.0, 0.0)
+        bsc = DiscreteChannel.bsc(0.1).matrix
+        assert brute_force_entropy_gap(bsc, ((0, 1), (1, 0)), np.zeros(4, dtype=int)) == (0.0, 0.0)
 
     def test_noiseless_identity_partition(self):
-        noiseless = DiscreteChannel(np.eye(2))
-        inst = RelayInstance(noiseless, ((0, 0), (1, 1)), np.arange(4))
-        h1, h2 = brute_force_entropy_gap(inst)
+        h1, h2 = brute_force_entropy_gap(np.eye(2), ((0, 0), (1, 1)), np.arange(4))
         assert h1 == 0.0
         assert h2 == 0.0
 
     def test_bsc_blocklength_two(self):
-        bsc = DiscreteChannel.bsc(0.1)
-        inst = RelayInstance(bsc, ((0, 0), (1, 1)), np.array([0, 0, 1, 1]))
-        h1, h2 = brute_force_entropy_gap(inst)
+        bsc = DiscreteChannel.bsc(0.1).matrix
+        h1, h2 = brute_force_entropy_gap(bsc, ((0, 0), (1, 1)), np.array([0, 0, 1, 1]))
         assert 0.0 < h1 < h2  # relay message noisier at the destination
         assert h2 <= bdd_gap_closed(h1, 1.8)
 
     def test_repeated_codewords_merge(self):
-        bsc = DiscreteChannel.bsc(0.3)
-        inst = RelayInstance(bsc, ((0,), (0,), (1,)), np.array([0, 1]))
-        h1, h2 = brute_force_entropy_gap(inst)
-        # conditioning on X merges the two identical codewords
+        pytest.importorskip("mpmath")
+        bsc = DiscreteChannel.bsc(0.3).matrix
+        code = (bsc, ((0,), (0,), (1,)), np.array([0, 1]))
+        h1, h2 = brute_force_entropy_gap(*code)
+        # the oracle conditions on the two distinct codewords, with masses 2/3 and 1/3
+        want = relay_entropy_gap_mp(*code)
+        assert abs(h1 - want[0]) <= 1e-15 and abs(h2 - want[1]) <= 1e-15
         assert h1 > 0.0 and h2 > 0.0
 
     def test_oracle_suite(self):
         records = relay_oracle_suite(200, 2024)
         assert all(r.passed for r in records)
         assert min(r.margin for r in records) >= -1e-9
+
+    def test_matches_a_50_digit_oracle(self):
+        pytest.importorskip("mpmath")
+        records = relay_oracle_suite(320, 12345)
+        for r in records:
+            h1, h2 = relay_entropy_gap_mp(*relay_code(12345, r.index))
+            assert abs(r.instance["h1"] - h1) <= 1e-15, r
+            assert abs(r.instance["h2"] - h2) <= 1e-15, r
+
+    def test_one_occupied_cell_gives_exact_zeros(self):
+        # the relay message is then constant: H(I|X^n) = H(I|Y^n) = 0, and
+        # c_alpha has infinite slope at 0, so a rounding residue in h1 alone
+        # would show in the margin 1e8 times enlarged
+        single = 0
+        for seed in (12345, 1, 7):
+            for r in relay_oracle_suite(1000, seed):
+                if len(set(relay_code(seed, r.index)[2].tolist())) == 1:
+                    single += 1
+                    got = (r.instance["h1"], r.instance["h2"], r.margin)
+                    assert _bits(got) == _bits([0.0, 0.0, 0.0]), r
+        assert single > 800
+        w, book, part = relay_code(12345, 936)
+        assert book.tolist() == [[1, 0]] and not part.any()
+        h1, h2 = brute_force_entropy_gap(w, book, part)
+        assert _bits([h1, h2]) == _bits([0.0, 0.0])
+
+    def test_rejects_invalid_codes(self):
+        with pytest.raises(DomainError):
+            brute_force_entropy_gap(BSC, ((0, 5),), np.zeros(4, dtype=int))
+        with pytest.raises(DomainError):
+            brute_force_entropy_gap(BSC, ((0, 1),), np.zeros(3, dtype=int))
+        with pytest.raises(DomainError):
+            brute_force_entropy_gap(BSC, ((0, 1, 0, 1),), np.zeros(16, dtype=int))
+        # a cell label must lie below the number of relay observations (4 here)
+        with pytest.raises(DomainError):
+            brute_force_entropy_gap(BSC, ((0, 1),), np.array([0, 1, 2, 4]))
+        # a fractional symbol or cell label is rejected, not truncated to another code
+        with pytest.raises(DomainError):
+            brute_force_entropy_gap(BSC, ((0.9, 1.7),), np.array([0, 1, 2, 3]))
+        with pytest.raises(DomainError):
+            brute_force_entropy_gap(BSC, ((0, 1),), np.array([0.5, 1.9, 2.2, 3.99]))
+        # the top label 3 is accepted: I = Z^2 has entropy 2 H(0.2), given X^2 or Y^2
+        h = -0.2 * math.log(0.2) - 0.8 * math.log(0.8)
+        got = brute_force_entropy_gap(BSC, ((0, 1),), np.array([0, 1, 2, 3]))
+        assert got == (pytest.approx(h, abs=1e-15), pytest.approx(h, abs=1e-15))
+        # lengths are checked before symbols, with the same messages
+        with pytest.raises(DomainError, match="share one blocklength"):
+            brute_force_entropy_gap(BSC, ((0, 1), (0.5,)), np.zeros(4, dtype=int))
+        with pytest.raises(DomainError, match="codeword symbols must be integers"):
+            brute_force_entropy_gap(BSC, ((0, 1), (0.5, 1)), np.zeros(4, dtype=int))
+        with pytest.raises(DomainError, match="index the 2-ary input alphabet"):
+            brute_force_entropy_gap(BSC, ((0, 1), (-1, 1)), np.zeros(4, dtype=int))
+        with pytest.raises(DomainError, match="1..8 messages"):
+            brute_force_entropy_gap(BSC, np.zeros((9, 1), dtype=int), np.zeros(2, dtype=int))
+        # the channel is checked as DiscreteChannel checks it
+        with pytest.raises(DomainError, match="sum to 1"):
+            brute_force_entropy_gap([[0.5, 0.6], [0.5, 0.5]], ((0,),), np.zeros(2, dtype=int))
+        with pytest.raises(DomainError, match="at least 2x2"):
+            brute_force_entropy_gap([[0.5, 0.5]], ((0,),), np.zeros(2, dtype=int))
+        # a stack needs a codebook and a partition per channel
+        stack = np.stack([BSC, BSC])
+        with pytest.raises(DomainError, match="does not fit"):
+            brute_force_entropy_gap(stack, ((0,),), np.zeros((2, 2), dtype=int))
+        with pytest.raises(DomainError, match="each of the 2 relay observations"):
+            brute_force_entropy_gap(stack, np.zeros((2, 1, 1), dtype=int), np.zeros(2, dtype=int))
+
+    def test_accepts_bool_and_integral_float_codes(self):
+        w, part = BSC.copy(), np.array([0, 1, 1, 0])
+        book = np.array([[True, False], [True, True]])
+        got = brute_force_entropy_gap(w, book, part)
+        assert got == brute_force_entropy_gap(BSC, ((1, 0), (1, 1)), [0, 1, 1, 0])
+        # the caller's arrays are neither changed nor frozen
+        assert w.flags.writeable and book.flags.writeable and part.flags.writeable
+        assert (w == BSC).all() and part.tolist() == [0, 1, 1, 0] and book[0, 0]
+        flags = brute_force_entropy_gap(BSC, ((0.0, 1.0),), np.array([True, False, True, True]))
+        assert flags == brute_force_entropy_gap(BSC, ((0, 1),), np.array([1, 0, 1, 1]))
 
 
 class TestQuantizerGap:
@@ -618,6 +662,17 @@ def _stacked_semigroup(rng, shape, times):
 
 def _bits(x) -> bytes:
     return np.asarray(x, dtype=float).tobytes()
+
+
+PER_INSTANCE = {
+    mossel_suite: mossel_suite_per_instance,
+    mossel_q0_suite: mossel_q0_suite_per_instance,
+    borell_suite: borell_suite_per_instance,
+    ou_q0_suite: ou_q0_suite_per_instance,
+    relay_oracle_suite: lemma4_suite_per_instance,
+    quantizer_oracle_suite: quantizer_suite_per_instance,
+    semigroup_suite: semigroup_suite_per_instance,
+}
 
 
 class TestStacks:
@@ -823,6 +878,21 @@ class TestStacks:
         with pytest.raises(DimensionError):
             lp_norm(f[0], mu[0], np.ones(2))
 
+    def test_relay_stack_matches_its_rows_bit_for_bit(self):
+        groups: dict = {}
+        for seed in (12345, 1, 7):
+            for idx in range(1000):
+                code = relay_code(seed, idx)
+                groups.setdefault((code[0].shape, code[1].shape), []).append(code)
+        assert len(groups) == 24
+        for codes in groups.values():
+            h1, h2 = brute_force_entropy_gap(*(np.stack(column) for column in zip(*codes)))
+            assert h1.shape == h2.shape == (len(codes),)
+            for b, code in enumerate(codes):
+                one = brute_force_entropy_gap(*code)
+                assert all(type(h) is float for h in one)
+                assert _bits([h1[b], h2[b]]) == _bits(one)
+
     def test_rejects_a_quantizer_row_with_equal_thresholds(self):
         xs = np.array([[-1.0, 1.0], [-1.0, 1.0]])
         with pytest.raises(DomainError, match="strictly increasing"):
@@ -833,10 +903,8 @@ class TestStacks:
     @pytest.mark.parametrize("n", [1, 7, 200])
     @pytest.mark.parametrize("seed", range(5))
     def test_suites_match_their_per_instance_loops(self, n, seed):
-        assert repr(mossel_suite(n, seed)) == repr(mossel_suite_per_instance(n, seed))
-        assert repr(mossel_q0_suite(n, seed)) == repr(mossel_q0_suite_per_instance(n, seed))
-        assert repr(semigroup_suite(n, seed)) == repr(semigroup_suite_per_instance(n, seed))
-        assert repr(quantizer_oracle_suite(n, seed)) == repr(quantizer_suite_per_instance(n, seed))
+        for suite, loop in PER_INSTANCE.items():
+            assert repr(suite(n, seed)) == repr(loop(n, seed)), suite.__name__
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -859,10 +927,8 @@ class TestStacks:
         whole = {name: repr(suite(40, 3)) for name, suite in SUITES.items()}
         monkeypatch.setattr(rhc_verify, "_BLOCK", 16)
         assert {name: repr(suite(40, 3)) for name, suite in SUITES.items()} == whole
-        assert whole["mossel"] == repr(mossel_suite_per_instance(40, 3))
-        assert whole["mossel-q0"] == repr(mossel_q0_suite_per_instance(40, 3))
-        assert whole["semigroup"] == repr(semigroup_suite_per_instance(40, 3))
-        assert whole["quantizer"] == repr(quantizer_suite_per_instance(40, 3))
+        for name, suite in SUITES.items():
+            assert whole[name] == repr(PER_INSTANCE[suite](40, 3)), name
 
     def test_one_kernel_call_per_shape_group(self, monkeypatch):
         calls = []
@@ -874,7 +940,7 @@ class TestStacks:
 
             return wrapper
 
-        for name in ("apply_semisimple", "gaussian_quantizer_gap"):
+        for name in ("apply_semisimple", "brute_force_entropy_gap", "gaussian_quantizer_gap"):
             monkeypatch.setattr(rhc_verify, name, counting(getattr(rhc_verify, name)))
         records = semigroup_suite(300, 4)
         shapes = {(r.instance["n"], r.instance["alphabet"]) for r in records}
@@ -889,6 +955,16 @@ class TestStacks:
         shapes = {(len(r.instance["constellation"]), len(r.instance["thresholds"]))
                   for r in records}
         assert calls == ["gaussian_quantizer_gap"] * len(shapes)
+        calls.clear()
+        records = relay_oracle_suite(1000, 4)
+        groups = {(len(r.instance["channel"][0]), r.instance["n"], len(r.instance["codebook"]))
+                  for r in records}
+        assert calls == ["brute_force_entropy_gap"] * len(groups) and len(groups) == 24
+        # borell-exp and ou-q0 evaluate row by row, through none of these kernels
+        calls.clear()
+        borell_suite(300, 4)
+        ou_q0_suite(300, 4)
+        assert calls == []
 
 
 class TestSuiteRegistry:
