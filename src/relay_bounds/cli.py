@@ -48,7 +48,7 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 
 def _unit_scale(args: argparse.Namespace) -> float:
-    return 1.0 / _LN2 if getattr(args, "bits", False) else 1.0
+    return 1.0 / _LN2 if args.bits else 1.0
 
 
 def _write_text(path: str | None, text: str) -> None:

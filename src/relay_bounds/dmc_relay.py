@@ -53,14 +53,6 @@ class DiscreteChannel:
     def n_outputs(self) -> int:
         return self.matrix.shape[1]
 
-    @staticmethod
-    def bsc(crossover: float) -> "DiscreteChannel":
-        """Binary symmetric channel with the given crossover probability."""
-        p = float(crossover)
-        if not (0.0 <= p <= 1.0):
-            raise DomainError(f"crossover must be in [0, 1], got {p}")
-        return DiscreteChannel(np.array([[1.0 - p, p], [p, 1.0 - p]]))
-
 
 @dataclass(frozen=True, eq=False)
 class InputDistribution:

@@ -23,10 +23,9 @@ factors and quadrature weights by `scalar_bounds.require_law`, tables by
 `require_table`.
 
 `SUITES` names the seven randomized suites.  Each draws one instance per RNG
-stream (seed, index) as plain arrays, so any failure can be replayed from its
-record, and evaluates each group of same-shape draws together: `mossel`,
-`mossel-q0`, `lemma4`, `quantizer` and `semigroup` with one stacked kernel
-call per group, `borell-exp` and `ou-q0` row by row.
+stream (seed, index) as arrays and floats, so any failure can be replayed
+from its record.  `_run` stacks the draws of each shape, and from the fields
+and margins that a suite computes per stack it alone builds every record.
 """
 
 from __future__ import annotations
@@ -537,21 +536,29 @@ class SuiteRecord:
     passed: bool
 
 
+def _each(*columns: np.ndarray) -> zip:
+    """The rows of same-length columns, each a tuple of Python objects."""
+    return zip(*(c.tolist() for c in columns))
+
+
 def _run(
     suite: str,
     tol: float,
     n_instances: int,
     seed: int,
     draw: Callable[[np.random.Generator], tuple],
-    evaluate: Callable[..., list[tuple[dict, float]]],
+    evaluate: Callable[..., tuple[dict, list | np.ndarray]],
 ) -> list[SuiteRecord]:
     """Records of the instances drawn from the streams (seed, index), in index order.
 
-    `draw(rng)` returns a shape key and a tuple of arrays; the instances of
-    one key within a block of _BLOCK indices are stacked along a new first
-    axis, and `evaluate(*stacks)` returns their (instance, margin) pairs in
-    draw order.  An instance passes when its margin is at least -tol.
+    `draw(rng)` returns a tuple of arrays and floats.  The draws of a block of
+    _BLOCK indices whose arrays have the same shapes are stacked item by item,
+    and `evaluate(*stacks)` returns (fields, margins): each field, in record
+    order, is a value the group shares or a (B, ...) array or list of B rows,
+    and `margins` a (B,) array or list.  A margin of at least -tol passes.
     """
+    if not all(isinstance(v, numbers.Integral) and v >= 0 for v in (n_instances, seed)):
+        raise DomainError(f"count and seed must be integers >= 0, got {n_instances!r}, {seed!r}")
     if n_instances > MAX_INSTANCES:
         raise DomainError(f"at most {MAX_INSTANCES} instances per suite, got {n_instances}")
     records = []
@@ -559,16 +566,17 @@ def _run(
         block = range(start, min(start + _BLOCK, n_instances))
         drawn = [draw(np.random.default_rng((seed, idx))) for idx in block]
         groups: dict = {}
-        for i, (key, _) in enumerate(drawn):
+        for i, items in enumerate(drawn):
+            key = tuple([x.shape for x in items if type(x) is np.ndarray])
             groups.setdefault(key, []).append(i)
         for members in groups.values():
-            stacks = [np.stack(column) for column in zip(*(drawn[i][1] for i in members))]
-            for i, result in zip(members, evaluate(*stacks)):
-                drawn[i] = result
-        records += [
-            SuiteRecord(suite, idx, instance, float(margin), bool(margin >= -tol))
-            for idx, (instance, margin) in zip(block, drawn)
-        ]
+            fields, margins = evaluate(*map(np.stack, zip(*(drawn[i] for i in members))))
+            margins, *columns = (v.tolist() if type(v) is np.ndarray else v if type(v) is list
+                                 else [v] * len(members) for v in (margins, *fields.values()))
+            instances = [dict(zip(fields, values)) for values in zip(*columns)]
+            for i, instance, margin in zip(members, instances, map(float, margins)):
+                drawn[i] = SuiteRecord(suite, start + i, instance, margin, margin >= -tol)
+        records += drawn
     return records
 
 
@@ -641,17 +649,13 @@ def mossel_suite(
 
     def draw(rng):
         factors, time, f, pp, qq, critical = _random_semigroup(rng, n=n, t=t, p=p, q=q)
-        return f.shape, (*factors, f, pp, qq, time, critical)
+        return (*factors, f, pp, qq, time, critical)
 
     def evaluate(*stacks):
         *factors, f, pp, qq, time, critical = stacks
         margins = check_mossel(SemiSimpleSemigroup(tuple(factors), time), f, pp, qq)
-        instance = {"n": len(factors), "alphabet": f.shape[1]}
-        columns = (pp, qq, time, critical, margins)
-        return [
-            ({**instance, "p": a, "q": b, "t": c, "critical": d}, margin)
-            for a, b, c, d, margin in zip(*(col.tolist() for col in columns))
-        ]
+        fields = {"n": len(factors), "alphabet": f.shape[1], "p": pp, "q": qq, "t": time}
+        return {**fields, "critical": critical}, margins
 
     return _run("mossel", 1e-12, n_instances, seed, draw, evaluate)
 
@@ -668,13 +672,12 @@ def mossel_q0_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
             vals = np.where(rng.random(shape) < 0.3, 0.0, vals)
         if not vals.any():
             vals[(0,) * len(factors)] = 0.5
-        return shape, (*factors, vals, t)
+        return (*factors, vals, t)
 
     def evaluate(*stacks):
         *factors, f, t = stacks
         margins = mossel_q0_margin(SemiSimpleSemigroup(tuple(factors), t), f)
-        instance = {"n": len(factors), "alphabet": f.shape[1]}
-        return [({**instance, "t": a}, margin) for a, margin in zip(t.tolist(), margins.tolist())]
+        return {"n": len(factors), "alphabet": f.shape[1], "t": t}, margins
 
     return _run("mossel-q0", 1e-12, n_instances, seed, draw, evaluate)
 
@@ -688,14 +691,11 @@ def borell_suite(n_instances: int, seed: int, *, t_factor: float = 1.0) -> list[
         q = float(rng.uniform(-2.0, 0.8))
         p = float(rng.uniform(q + 0.05, min(q + 2.0, 0.999)))
         critical = borell_critical_time(p, q)
-        return (), (lam, x, p, q, t_factor * critical, critical)
+        return lam, x, p, q, t_factor * critical, critical
 
-    def evaluate(*columns):
-        out = []
-        for lam, x, p, q, t, critical in zip(*(c.tolist() for c in columns)):
-            instance = {"lam": lam, "x": x, "p": p, "q": q, "t": t, "critical": critical}
-            out.append((instance, check_borell_exponential(lam, x, p, q, t)))
-        return out
+    def evaluate(lam, x, p, q, t, critical):
+        fields = {"lam": lam, "x": x, "p": p, "q": q, "t": t, "critical": critical}
+        return fields, [check_borell_exponential(*row) for row in _each(lam, x, p, q, t)]
 
     return _run("borell-exp", 1e-12, n_instances, seed, draw, evaluate)
 
@@ -709,18 +709,14 @@ def ou_q0_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
         floor = float(rng.uniform(0.0, 0.2))
         x = float(rng.uniform(-2.0, 2.0))
         t = float(rng.uniform(0.05, 2.5))
-        return (), (a, b, floor, x, t)
+        return a, b, floor, x, t
 
-    def evaluate(*columns):
-        out = []
-        for a, b, floor, x, t in zip(*(c.tolist() for c in columns)):
+    def evaluate(slope, shift, floor, x, t):
+        def margin(a, b, c, x0, t0):
+            return check_ou_q0(lambda u: c + (1.0 - c) / (1.0 + np.exp(-a * (u - b))), x0, t0)
 
-            def f(u, a=a, b=b, floor=floor):
-                return floor + (1.0 - floor) / (1.0 + np.exp(-a * (u - b)))
-
-            instance = {"x": x, "t": t, "slope": a, "shift": b, "floor": floor}
-            out.append((instance, check_ou_q0(f, x, t)))
-        return out
+        fields = {"x": x, "t": t, "slope": slope, "shift": shift, "floor": floor}
+        return fields, [margin(*row) for row in _each(slope, shift, floor, x, t)]
 
     return _run("ou-q0", 1e-9, n_instances, seed, draw, evaluate)
 
@@ -740,25 +736,14 @@ def relay_oracle_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
         book = np.array([rng.integers(0, len(w), size=n) for _ in range(m)])
         n_z = w.shape[1] ** n
         cells = int(rng.integers(1, min(_MAX_MESSAGES, n_z) + 1))
-        return (w.shape, n, m), (w, book, rng.integers(0, cells, size=n_z))
+        return w, book, rng.integers(0, cells, size=n_z)
 
     def evaluate(w, book, part):
-        h1s, h2s = brute_force_entropy_gap(w, book, part)
-        alphas = w.max(axis=1).sum(axis=1)  # alpha_of_channel of each row
-        columns = (w, book, part.max(axis=1), alphas, h1s, h2s)
-        out = []
-        for channel, words, top, alpha, h1, h2 in zip(*(c.tolist() for c in columns)):
-            instance = {
-                "channel": channel,
-                "codebook": words,
-                "cells": top + 1,
-                "n": len(words[0]),
-                "alpha": alpha,
-                "h1": h1,
-                "h2": h2,
-            }
-            out.append((instance, bdd_gap_closed(h1, alpha) - h2))
-        return out
+        h1, h2 = brute_force_entropy_gap(w, book, part)
+        alpha = w.max(axis=1).sum(axis=1)  # alpha_of_channel of each row
+        fields = {"channel": w, "codebook": book, "cells": part.max(axis=1) + 1,
+                  "n": book.shape[2], "alpha": alpha, "h1": h1, "h2": h2}
+        return fields, [bdd_gap_closed(a, b) - c for a, b, c in _each(h1, alpha, h2)]
 
     return _run("lemma4", 1e-9, n_instances, seed, draw, evaluate)
 
@@ -775,24 +760,15 @@ def quantizer_oracle_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
         taus = np.sort(rng.uniform(-3.0, 3.0, size=n_taus))
         while np.any(np.diff(taus) < 1e-3):
             taus = np.sort(rng.uniform(-3.0, 3.0, size=n_taus))
-        return (k, n_taus), (xs, taus)
+        return xs, taus
 
     def evaluate(xs, taus):
-        h1s, h2s = gaussian_quantizer_gap(xs, taus)
-        out = []
-        for x, tau, h1, h2 in zip(xs.tolist(), taus.tolist(), h1s.tolist(), h2s.tolist()):
-            margin_gap = gauss_gap_closed(h1) - h2
-            margin_log = 0.5 * math.log1p(2.0 * h2) - (h2 - h1)
-            instance = {
-                "constellation": x,
-                "thresholds": tau,
-                "h1": h1,
-                "h2": h2,
-                "margin_gap": margin_gap,
-                "margin_log": margin_log,
-            }
-            out.append((instance, min(margin_gap, margin_log)))
-        return out
+        h1, h2 = gaussian_quantizer_gap(xs, taus)
+        gap = [gauss_gap_closed(a) - b for a, b in _each(h1, h2)]
+        log = [0.5 * math.log1p(2.0 * b) - (b - a) for a, b in _each(h1, h2)]
+        fields = {"constellation": xs, "thresholds": taus, "h1": h1, "h2": h2,
+                  "margin_gap": gap, "margin_log": log}
+        return fields, list(map(min, gap, log))
 
     return _run("quantizer", 1e-6, n_instances, seed, draw, evaluate)
 
@@ -804,7 +780,7 @@ def semigroup_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
         factors, _, f, _, _, _ = _random_semigroup(rng, p=0.5, q=0.5, t=0.0)
         t1 = float(rng.uniform(0.0, 2.0))
         t2 = float(rng.uniform(0.0, 2.0))
-        return f.shape, (*factors, f, t1, t2)
+        return (*factors, f, t1, t2)
 
     def evaluate(*stacks):
         *factors, f, t1, t2 = stacks
@@ -819,12 +795,9 @@ def semigroup_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
         dev_law = np.abs(two_step - one_step).max(axis=1)
         dev_stat = np.abs((mu * one_step).sum(axis=1) - (mu * flat).sum(axis=1))
         dev_unit = np.abs(unit - 1.0).max(axis=1)
-        columns = (t1, t2, dev_law, dev_stat, dev_unit, one_step.min(axis=1))
-        instance = {"n": len(factors), "alphabet": f.shape[1]}
-        return [
-            ({**instance, "t1": a, "t2": b}, -max(law, stat, unit, -positivity))
-            for a, b, law, stat, unit, positivity in zip(*(c.tolist() for c in columns))
-        ]
+        # Python's max, not np.maximum: it keeps the first of tied zeros, -0.0 included
+        margins = [-max(row) for row in _each(dev_law, dev_stat, dev_unit, -one_step.min(axis=1))]
+        return {"n": len(factors), "alphabet": f.shape[1], "t1": t1, "t2": t2}, margins
 
     return _run("semigroup", 1e-12, n_instances, seed, draw, evaluate)
 

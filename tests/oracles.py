@@ -406,7 +406,7 @@ def relay_code(seed: int, idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     the stream (seed, idx)."""
     rng = np.random.default_rng((seed, idx))
     if rng.random() < 0.5:
-        w = DiscreteChannel.bsc(float(rng.uniform(0.05, 0.45))).matrix
+        w = k_ary_symmetric(2, float(rng.uniform(0.05, 0.45))).matrix
     else:
         rows = rng.dirichlet(np.ones(3), size=2)
         w = DiscreteChannel(rows / rows.sum(axis=1, keepdims=True)).matrix

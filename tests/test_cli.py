@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import write_channel_csv
+from oracles import k_ary_symmetric, write_channel_csv
 from relay_bounds import rhc_verify
 from relay_bounds.cli import build_parser, main, read_channel_csv
 from relay_bounds.dmc_relay import DiscreteChannel
@@ -17,7 +17,7 @@ from relay_bounds.dmc_relay import DiscreteChannel
 @pytest.fixture
 def bsc_file(tmp_path):
     path = tmp_path / "bsc.csv"
-    write_channel_csv(str(path), DiscreteChannel.bsc(0.1))
+    write_channel_csv(str(path), k_ary_symmetric(2, 0.1))
     return str(path)
 
 

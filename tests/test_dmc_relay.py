@@ -85,7 +85,7 @@ def assert_symmetric_closed_form(rep, w: DiscreteChannel, c0: float) -> None:
 # on the 2-input channels of TestCutsetDmc (7.0e-8 at most there)
 GRID_ALLOWANCE = 1e-6
 
-BSC = DiscreteChannel.bsc(0.1)
+BSC = k_ary_symmetric(2, 0.1)
 UNIFORM2 = uniform(2)
 IDENTICAL_ROWS = DiscreteChannel(np.array([[0.3, 0.7], [0.3, 0.7]]))
 
@@ -272,7 +272,7 @@ class TestCor2Bound:
     def test_large_relay_rate_stays_at_joint_mi(self, crossover, c0):
         # the joint cut binds at the uniform input; a penalty this large must
         # not cost the lam = 1 certificate its precision
-        w = DiscreteChannel.bsc(crossover)
+        w = k_ary_symmetric(2, crossover)
         joint = mutual_info_product(uniform(2), w)
         rep = capacity_ub_cor2(w, c0)
         for got in (rep.cutset, rep.cor2_bound):

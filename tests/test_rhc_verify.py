@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     borell_suite_per_instance,
+    k_ary_symmetric,
     lemma4_suite_per_instance,
     lp_norm_mp,
     mossel_q0_suite_per_instance,
@@ -500,12 +501,12 @@ class TestBorell:
         assert all(r.margin < 0 for r in borell_suite(100, 1, t_factor=0.9))
 
 
-BSC = DiscreteChannel.bsc(0.2).matrix
+BSC = k_ary_symmetric(2, 0.2).matrix
 
 
 class TestBruteForceGap:
     def test_single_cell_partition(self):
-        bsc = DiscreteChannel.bsc(0.1).matrix
+        bsc = k_ary_symmetric(2, 0.1).matrix
         assert brute_force_entropy_gap(bsc, ((0, 1), (1, 0)), np.zeros(4, dtype=int)) == (0.0, 0.0)
 
     def test_noiseless_identity_partition(self):
@@ -514,14 +515,14 @@ class TestBruteForceGap:
         assert h2 == 0.0
 
     def test_bsc_blocklength_two(self):
-        bsc = DiscreteChannel.bsc(0.1).matrix
+        bsc = k_ary_symmetric(2, 0.1).matrix
         h1, h2 = brute_force_entropy_gap(bsc, ((0, 0), (1, 1)), np.array([0, 0, 1, 1]))
         assert 0.0 < h1 < h2  # relay message noisier at the destination
         assert h2 <= bdd_gap_closed(h1, 1.8)
 
     def test_repeated_codewords_merge(self):
         pytest.importorskip("mpmath")
-        bsc = DiscreteChannel.bsc(0.3).matrix
+        bsc = k_ary_symmetric(2, 0.3).matrix
         code = (bsc, ((0,), (0,), (1,)), np.array([0, 1]))
         h1, h2 = brute_force_entropy_gap(*code)
         # the oracle conditions on the two distinct codewords, with masses 2/3 and 1/3
@@ -978,6 +979,41 @@ class TestSuiteRegistry:
         records = mossel_suite(200, 12345, t="critical")
         assert all(r.instance["t"] == r.instance["critical"] for r in records)
         assert all(r.passed for r in records)
+
+    @pytest.mark.parametrize("name", list(SUITES))
+    @pytest.mark.parametrize(
+        "count, seed", [(-3, 1), (5, -1), (2.5, 1), (5, 1.0), ("5", 1), (5, None), (5, (1, 2))]
+    )
+    def test_rejects_a_bad_count_or_seed_before_the_first_draw(
+        self, name, count, seed, monkeypatch
+    ):
+        def no_draw(*args):
+            raise AssertionError("drew an instance")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(DomainError, match="count and seed must be integers >= 0"):
+            SUITES[name](count, seed)
+        assert SUITES[name](0, 1) == []
+        assert SUITES[name](np.int64(0), np.uint32(7)) == []
+
+
+class TestMutations:
+    """A suite must fail once the bound it checks is shrunk toward h.
+
+    Each bound c becomes h + s (c(h) - h), patched where the suite reads it.
+    At 1,000 instances and seed 12345, s = 0.1 gives 38 lemma4 failures and
+    422 quantizer failures, s = 0.15 gives 9 and 116, s = 0.2 gives 0 and 1.
+    """
+
+    @pytest.mark.parametrize(
+        "suite, bound",
+        [(relay_oracle_suite, "bdd_gap_closed"), (quantizer_oracle_suite, "gauss_gap_closed")],
+    )
+    def test_a_shrunk_bound_fails(self, suite, bound, monkeypatch):
+        assert all(r.passed for r in suite(1000, 12345))
+        exact = getattr(rhc_verify, bound)
+        monkeypatch.setattr(rhc_verify, bound, lambda h, *args: h + 0.1 * (exact(h, *args) - h))
+        assert not all(r.passed for r in suite(1000, 12345))
 
 
 @settings(max_examples=40, deadline=None)
