@@ -70,8 +70,8 @@ class InputDistribution:
 class DmcBoundReport:
     """Optimized discrete-channel bound with its cutset analogue.
 
-    penalty = C0 - c_alpha^{-1}(C0) is the residual relay contribution that
-    replaces C0 in the cutset expression, so the improvement over the cutset
+    penalty = C0 - c_alpha^{-1}(C0) >= 0 is the residual relay contribution
+    that replaces C0 in the cutset expression, so the improvement over the cutset
     bound is c_alpha^{-1}(C0).  cor2_bound and cutset are dual certificates,
     never below the true maxima, and cor2_bound is at most cutset, which
     bounds its maximum too.  suboptimality_gap = cor2_bound minus the
@@ -94,8 +94,12 @@ class DmcBoundReport:
 
 
 def alpha_of_channel(w: DiscreteChannel) -> float:
-    """Peak density ratio alpha = sum_y max_x W(y|x); equals 1 iff all rows agree."""
-    return float(w.matrix.max(axis=0).sum())
+    """Peak density ratio alpha = sum_y max_x W(y|x); equals 1 iff all rows agree.
+
+    It is at least any row's sum, which is 1 but for the rounding that
+    `require_law` lets through, so a sum below 1 is taken as 1.
+    """
+    return max(float(w.matrix.max(axis=0).sum()), 1.0)
 
 
 def i_infinity(w: DiscreteChannel) -> float:
@@ -129,7 +133,8 @@ def product_channel(w: DiscreteChannel) -> DiscreteChannel:
 GAP_TOL = 1e-10  # a report is certified when certificate - objective <= GAP_TOL
 _INNER_TOL = 1e-11  # stopping gap of the weighted problem at one multiplier
 _MAX_STEP = 4.0  # cap on the Blahut-Arimoto step; larger ones mostly overshoot
-_BACKTRACKS = 24  # halvings of the Newton step before it gives way
+# The 23 shortenings of a refused Newton step before it gives way: 2^-1 ... 2^-23
+_SHORTENINGS = np.ldexp(1.0, -np.arange(1, 24))
 _ROUNDING = 1e-14  # values closer than this are equal to rounding
 # Every input keeps at least this mass: one dropped by mistake revives in a
 # few dozen steps, and the mass left on an idle one is far below the gap.
@@ -185,15 +190,16 @@ def _illinois(fn, f_a: float, f_b: float, max_iter: int) -> float:
 
 
 class _State(NamedTuple):
-    """Input law p, d = lam*D2 + (1 - lam)*D1 and the weighted value p.d."""
+    """Input law p, d = lam*D2 + (1 - lam)*D1, the weighted value p.d and max(d)."""
 
     p: np.ndarray
     d: np.ndarray
     value: float
+    top: float
 
     @property
     def gap(self) -> float:
-        return float(self.d.max()) - self.value
+        return self.top - self.value
 
     def improves(self, other: "_State") -> bool:
         """A higher value, or a smaller gap at a value equal to rounding: near
@@ -213,7 +219,10 @@ class _DualSolver:
     so a bracket on its sign localizes the optimal multiplier, and the witness
     is the mixture of the two bracketing maximizers on which both cuts agree.
     The maximizers at lam = 0 and 1 do not depend on the penalty, so one
-    solver serves the bound and its cutset analogue.
+    solver serves the bound and its cutset analogue.  Each weighted sum forms
+    only its terms of nonzero weight, the joint one first: the endpoint
+    solves never read the idle channel, and an interior lam gives the bits of
+    lam*D2 + (1 - lam)*D1.
     """
 
     def __init__(self, w: DiscreteChannel):
@@ -229,10 +238,41 @@ class _DualSolver:
         q1, q2 = np.maximum(p @ self.w1, _TINY), np.maximum(p @ self.w2, _TINY)
         return self.rowh1 - self.w1 @ np.log(q1), self.rowh2 - self.w2 @ np.log(q2)
 
+    def _terms(self, lam: float) -> list[tuple[float, np.ndarray, np.ndarray]]:
+        """(weight, channel, row sums of W ln W) of each cut with a nonzero
+        weight, the joint one first: an endpoint never reads the idle channel."""
+        terms = ((lam, self.w2, self.rowh2), (1.0 - lam, self.w1, self.rowh1))
+        return [term for term in terms if term[0] != 0.0]
+
+    def _evaluate(self, lam: float, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """d = lam*D2 + (1 - lam)*D1 and the value p.d, for one input law or a (B, k) stack.
+
+        A stack goes through (B,1,k) @ (k,m), W @ (B,m,1) and (B,1,k) @ (B,k,1),
+        whose rows equal the 1-D p @ W, W @ log q and p @ d bit for bit.
+        """
+        rows = p[..., None, :]
+        d = None
+        for weight, w, rowh in self._terms(lam):
+            log_q = np.log(np.maximum(rows @ w, _TINY)).swapaxes(-1, -2)
+            term = weight * (rowh - (w @ log_q)[..., 0])
+            d = term if d is None else d + term
+        return d, (rows @ d[..., None])[..., 0, 0]
+
     def _state(self, lam: float, p: np.ndarray) -> _State:
-        d1, d2 = self.divergences(p)
-        d = lam * d2 + (1.0 - lam) * d1
-        return _State(p, d, float(p @ d))
+        d, value = self._evaluate(lam, p)
+        return _State(p, d, float(value), float(d.max()))
+
+    def _shortened_step(self, lam: float, x: _State, newton: np.ndarray) -> _State | None:
+        """The first law (1 - t)*p + t*newton, t = 2^-1 ... 2^-23, that raises
+        the value, or None; all of them are evaluated in one stacked pass."""
+        t = _SHORTENINGS[:, None]
+        trials = (1.0 - t) * x.p + t * newton
+        d, values = self._evaluate(lam, trials)
+        raised = np.flatnonzero(values > x.value)
+        if not raised.size:
+            return None
+        i = raised[0]
+        return _State(trials[i], d[i], float(values[i]), float(d[i].max()))
 
     def _newton_point(self, lam: float, x: _State) -> np.ndarray:
         """Newton maximizer of the weighted value on the face of near-optimal inputs.
@@ -244,11 +284,12 @@ class _DualSolver:
         """
         face = x.d > x.value - x.gap
         at = self._state(lam, _law(np.where(face, x.p, 0.0)))
-        w1, w2, n = self.w1[face], self.w2[face], int(face.sum())
-        kkt = np.ones((n + 1, n + 1))
-        kkt[n, n] = 0.0
-        kkt[:n, :n] = lam * (w2 / np.maximum(at.p @ self.w2, _TINY)) @ w2.T
-        kkt[:n, :n] += (1.0 - lam) * (w1 / np.maximum(at.p @ self.w1, _TINY)) @ w1.T
+        n = int(face.sum())
+        kkt = np.zeros((n + 1, n + 1))
+        kkt[n, :n] = kkt[:n, n] = 1.0
+        for weight, w, _ in self._terms(lam):
+            on_face = w[face]
+            kkt[:n, :n] += weight * (on_face / np.maximum(at.p @ w, _TINY)) @ on_face.T
         step = np.linalg.lstsq(kkt, np.append(at.d[face], 0.0), rcond=None)[0][:n]
         p = at.p.copy()
         p[face] = np.maximum(p[face] + step, 0.0)
@@ -259,24 +300,26 @@ class _DualSolver:
 
         Each iteration keeps the better of a Blahut-Arimoto step
         p <- p*exp(s*d)/Z, which never lowers the value at s = 1, and a Newton
-        step backtracked toward the Newton point.  Blahut-Arimoto alone crawls
-        when rows nearly coincide or an optimal input has little mass; Newton
-        alone can settle on a wrong face.  max_x d_x bounds the weighted
-        maximum, which gives the stopping gap.
+        step.  The full Newton step is tried first; if it is refused, its 23
+        halvings toward p are evaluated as one stack, whose rows equal their
+        one-at-a-time evaluations bit for bit, and the first that raises the
+        value is taken.  Blahut-Arimoto alone crawls when rows nearly coincide
+        or an optimal input has little mass; Newton alone can settle on a
+        wrong face.  max_x d_x bounds the weighted maximum, which gives the
+        stopping gap.
         """
         x, step = self._state(lam, p), 1.0
         while self.steps_left > 0 and x.gap > _INNER_TOL:
             self.steps_left -= 1
-            best = self._state(lam, _law(x.p * np.exp(step * (x.d - x.d.max()))))
-            newton, t = self._newton_point(lam, x), 1.0
-            for _ in range(_BACKTRACKS):
-                trial = self._state(lam, (1.0 - t) * x.p + t * newton)
-                # a shortened step must raise the value; the full step may
-                # narrow the gap instead, which is all it can do at the end
-                if trial.value > x.value or (t == 1.0 and trial.improves(x)):
-                    best = trial if trial.improves(best) else best
-                    break
-                t *= 0.5
+            best = self._state(lam, _law(x.p * np.exp(step * (x.d - x.top))))
+            newton = self._newton_point(lam, x)
+            trial = self._state(lam, newton)
+            # the full step may narrow the gap instead of raising the value,
+            # which is all it can do at the end; a shortened one must raise it
+            if not (trial.value > x.value or trial.improves(x)):
+                trial = self._shortened_step(lam, x, newton)
+            if trial is not None and trial.improves(best):
+                best = trial
             if best.value < x.value and step > 1.0:
                 step = 1.0
                 continue
@@ -351,7 +394,8 @@ def capacity_ub_cor2(
     alpha = own if alpha_override is None else require_alpha(alpha_override, "alpha_override")
     if alpha < own - 1e-12:
         raise DomainError(f"alpha override {alpha} is below the channel's own peak ratio {own}")
-    penalty = c0 - bdd_gap_inverse(c0, alpha)
+    # c_alpha^{-1}(C0) <= C0, so a negative difference is the rounding of C0
+    penalty = max(c0 - bdd_gap_inverse(c0, alpha), 0.0)
     solver = _DualSolver(w)
     cert, value, p = solver.solve(penalty)
     cutset, _, _ = solver.solve(c0)

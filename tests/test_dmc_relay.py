@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -120,6 +120,16 @@ class TestAlpha:
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_identity(self, k):
         assert alpha_of_channel(DiscreteChannel(np.eye(k))) == pytest.approx(k, abs=1e-15)
+
+    def test_identical_rows_that_sum_below_one(self):
+        # rows that require_law accepts may sum to 1 less an ulp; alpha is
+        # still 1, and the bound must not reject it as a density peak below 1
+        row = np.random.default_rng(0).dirichlet(np.ones(3))
+        assert row.sum() < 1.0
+        w = DiscreteChannel(np.tile(row, (4, 1)))
+        assert alpha_of_channel(w) == 1.0
+        rep = capacity_ub_cor2(w, 0.3)
+        assert rep.alpha == 1.0 and rep.certified
 
     def test_at_least_one(self):
         rng = np.random.default_rng(3)
@@ -267,6 +277,15 @@ class TestCor2Bound:
         assert rep.cor2_bound - grid_best <= 1e-8
         assert rep.certified
 
+    def test_identical_rows_at_a_large_relay_rate_stay_at_zero(self):
+        # alpha is 1 + 2^-52 and C0 - c_alpha^{-1}(C0) rounds to -ulp(C0);
+        # a negative penalty would put the bound below the true maximum 0
+        w = k_ary_symmetric(6, 5 / 6)
+        rep = capacity_ub_cor2(w, 735.5361533464536)
+        assert rep.penalty == 0.0
+        assert abs(rep.cor2_bound) <= 1e-15 and abs(rep.cutset) <= 1e-15
+        assert_symmetric_closed_form(rep, w, 735.5361533464536)
+
     @pytest.mark.parametrize("crossover", [0.1, 0.3])
     @pytest.mark.parametrize("c0", [1e9, 1e12, 1e15])
     def test_large_relay_rate_stays_at_joint_mi(self, crossover, c0):
@@ -405,3 +424,165 @@ class TestObjectiveStructure:
         b = capacity_ub_cor2(BSC, 0.07)
         assert a.cor2_bound == b.cor2_bound
         assert np.array_equal(a.argmax_input.probs, b.argmax_input.probs)
+
+
+CLI_CHANNEL = DiscreteChannel(np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]]))
+CHANNEL_16 = DiscreteChannel(np.random.default_rng(16).dirichlet(np.ones(16), size=16))
+
+
+def benchmark_law_channel(data) -> tuple[np.ndarray, float]:
+    """One draw of the benchmark's channel law: kx, ky from 2..6, rows
+    Dirichlet(U(0.2, 2)) from a drawn seed, and c0 ~ U(0.01, 1)."""
+    kx = data.draw(st.integers(2, 6), label="kx")
+    ky = data.draw(st.integers(2, 6), label="ky")
+    conc = data.draw(st.floats(0.2, 2.0), label="concentration")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    return rng.dirichlet(np.full(ky, conc), size=kx), data.draw(st.floats(0.01, 1.0), label="c0")
+
+
+class TestEndpointChannels:
+    """At lam = 0 the solver weighs only W, and at lam = 1 only W x W: the
+    idle channel is never read, so poisoning it with NaN changes nothing."""
+
+    @pytest.mark.parametrize("lam,idle", [(0.0, ("w2", "rowh2")), (1.0, ("w1", "rowh1"))])
+    @pytest.mark.parametrize(
+        "channel", [CLI_CHANNEL, random_law_channel(1, 50)[0]], ids=["cli3", "draw50"]
+    )
+    def test_idle_channel_is_never_read(self, lam, idle, channel):
+        clean = dmc_relay._DualSolver(channel)._endpoint(lam)
+        poisoned = dmc_relay._DualSolver(channel)
+        for name in idle:
+            setattr(poisoned, name, np.full_like(getattr(poisoned, name), np.nan))
+        assert poisoned._endpoint(lam).tobytes() == clean.tobytes()
+
+
+class TestStackedEvaluation:
+    """A (B, k) stack of input laws gives in each row the (d, value) of its own
+    1-D evaluation bit for bit, and at an interior lam that evaluation is the
+    weighted sum lam*D2 + (1 - lam)*D1 of the two divergence rows."""
+
+    @pytest.mark.parametrize("lam", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("batch", [1, 23])
+    @pytest.mark.parametrize("channel", [BSC, CHANNEL_16], ids=["2x2", "16x16"])
+    def test_rows_match_their_own_evaluation(self, lam, batch, channel):
+        solver = dmc_relay._DualSolver(channel)
+        laws = np.random.default_rng(batch).dirichlet(np.ones(channel.n_inputs), size=batch)
+        d, values = solver._evaluate(lam, laws)
+        assert d.shape == laws.shape and values.shape == (batch,)
+        for p, d_row, value in zip(laws, d, values):
+            d_own, value_own = solver._evaluate(lam, p)
+            assert d_row.tobytes() == d_own.tobytes()
+            assert value == value_own
+            d1, d2 = solver.divergences(p)
+            reference = {0.0: d1, 1.0: d2}.get(lam, lam * d2 + (1.0 - lam) * d1)
+            assert d_own.tobytes() == reference.tobytes()
+            assert value_own == p @ reference
+
+
+class TestGoldenReports:
+    """Every report field as float.hex and the argmax law entry by entry, as
+    the one-trial-at-a-time line search with both cuts always formed gave
+    them: the endpoint terms and the stacked line search must not move a bit.
+    Recorded with numpy 2.4 and its bundled OpenBLAS on x86-64; a BLAS that
+    sums in another order may move the last bits.  draw50 is the 5x2 channel
+    with the heaviest line search of the benchmark's law (123 solver steps);
+    the stalled channel runs on a budget of 50 steps and stays uncertified."""
+
+    CASES = {
+        "bsc": (DiscreteChannel(np.array([[0.89, 0.11], [0.11, 0.89]])), 0.3),
+        "cli3": (CLI_CHANNEL, 0.2),
+        "16x16": (CHANNEL_16, 0.5),
+        "draw50": random_law_channel(1, 50),
+        "stalled": (DiscreteChannel(np.array(TestStalledSolver.ROWS)), TestStalledSolver.C0),
+    }
+    FIELDS = ("alpha", "penalty", "cutset", "cor2_bound", "suboptimality_gap", "certified")
+    EXPECTED = {
+        "bsc": (
+            ("0x1.c7ae147ae147bp+0", "0x1.184514e5d21aap-2", "0x1.fa8330b63a51ap-2",
+             "0x1.fa8330b63a51ap-2", "0x0.0p+0", True),
+            ("0x1.0000000000000p-1", "0x1.0000000000000p-1"),
+        ),
+        "cli3": (
+            ("0x1.0cccccccccccdp+1", "0x1.87cb4a9f39272p-3", "0x1.f4471f2ddeeb3p-2",
+             "0x1.ed3024d85e329p-2", "0x1.0000000000000p-53", True),
+            ("0x1.531e02894a3bbp-2", "0x1.877b9e775bc7dp-2", "0x1.25665eff59fc8p-2"),
+        ),
+        "16x16": (
+            ("0x1.b48b9102c006cp+1", "0x1.e6c37d30d491dp-2", "0x1.d89072caea4b8p-1",
+             "0x1.d89072caea4b8p-1", "0x1.2000000000000p-50", True),
+            (
+                "0x1.efe7b3087de90p-4", "0x1.81092b7ceedd1p-4", "0x1.79ca10c924227p-67",
+                "0x1.7f8f2baa61845p-5", "0x1.75c3ef71d23e8p-3", "0x1.79ca10c924227p-67",
+                "0x1.79ca10c924227p-67", "0x1.7055a911d5d48p-5", "0x1.a2fbf602acbd5p-4",
+                "0x1.c53fd16498309p-3", "0x1.0dee84fffdffep-5", "0x1.79ca10c924227p-67",
+                "0x1.c9f2b35fa921ap-4", "0x1.5a5e931a9ba09p-5", "0x1.79ca10c924227p-67",
+                "0x1.79ca10c924227p-67",
+            ),
+        ),
+        "draw50": (
+            ("0x1.eee7fcf97bcf6p+0", "0x1.87bd80c399e19p-3", "0x1.4a3cb01652079p-1",
+             "0x1.4a3cb01652048p-1", "0x1.cd00000000000p-45", True),
+            (
+                "0x1.7509e7575b9f6p-6", "0x1.f7d6133a960dep-2", "0x1.79ca10c924222p-67",
+                "0x1.79ca10c924222p-67", "0x1.f0d94e4ff4383p-2",
+            ),
+        ),
+        "stalled": (
+            ("0x1.0000000000000p+1", "0x1.34ed4119c53d2p-2", "0x1.e99d7f830845ap-1",
+             "0x1.e99d7f830845ap-1", "0x1.0d729f26bd0cap-2", False),
+            (
+                "0x1.55aa356d655dbp-3", "0x1.54ab952242dc7p-3", "0x1.55aa356fc6d17p-3",
+                "0x1.79ca10caf5e8ap-67", "0x1.00000000243d2p-1",
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_report_is_bit_identical(self, name, monkeypatch):
+        if name == "stalled":
+            monkeypatch.setattr(dmc_relay, "_BUDGET", 50)
+        rep = capacity_ub_cor2(*self.CASES[name])
+        fields = tuple(
+            getattr(rep, f) if f == "certified" else getattr(rep, f).hex() for f in self.FIELDS
+        )
+        law = tuple(float(v).hex() for v in rep.argmax_input.probs)
+        assert (fields, law) == self.EXPECTED[name]
+
+
+class TestSolverProperties:
+    """Invariants of the bound on draws of the benchmark's channel law.  The
+    certificates are sums of rounded logarithms, so "equal" allows the
+    solver's own rounding scale _ROUNDING."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_identical_rows_give_zero(self, data):
+        rows, c0 = benchmark_law_channel(data)
+        rep = capacity_ub_cor2(DiscreteChannel(np.tile(rows[0], (len(rows), 1))), c0)
+        assert abs(rep.cor2_bound) <= dmc_relay._ROUNDING
+        assert abs(rep.cutset) <= dmc_relay._ROUNDING
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_relabelling_moves_bounds_within_the_gap(self, data):
+        # Each certificate sits between the true maximum and its objective,
+        # so relabelling moves it by at most the larger gap.  The cutset's own
+        # gap is not reported: rerun its solve as capacity_ub_cor2 does.
+        rows, c0 = benchmark_law_channel(data)
+        inputs = data.draw(st.permutations(range(rows.shape[0])), label="inputs")
+        outputs = data.draw(st.permutations(range(rows.shape[1])), label="outputs")
+        reports, cutset_gaps = [], []
+        for matrix in (rows, rows[inputs][:, outputs]):
+            w = DiscreteChannel(matrix)
+            rep = capacity_ub_cor2(w, c0)
+            solver = dmc_relay._DualSolver(w)
+            solver.solve(rep.penalty)
+            cutset, objective, _ = solver.solve(c0)
+            assert cutset == rep.cutset
+            reports.append(rep)
+            cutset_gaps.append(cutset - objective)
+        assume(all(rep.certified for rep in reports))
+        a, b = reports
+        gap = max(a.suboptimality_gap, b.suboptimality_gap)
+        assert abs(a.cor2_bound - b.cor2_bound) <= gap + dmc_relay._ROUNDING
+        assert abs(a.cutset - b.cutset) <= max(cutset_gaps) + dmc_relay._ROUNDING
