@@ -7,9 +7,10 @@ quadrature, the inequalities that power the capacity bounds:
   ||T_t f||_q >= ||f||_p for q < p < 1 whenever t >= ln((1-q)/(1-p)),
   and the q=0 special case E[ln T_t f] >= (1 + 1/t) ln E[f] for f in [0,1]^n;
 * the Ornstein-Uhlenbeck action T_{x,t} f(y) = E[f(e^{-t}y + (1-e^{-t})x
-  + sqrt(1-e^{-2t}) V)] evaluated by Gauss-Hermite quadrature, its exponential
-  test functions having closed-form norms that exhibit the critical time
-  t = 0.5*ln((1-q)/(1-p)) exactly;
+  + sqrt(1-e^{-2t}) V)] evaluated by one fixed 64-node Gauss-Hermite rule,
+  which the quantizer entropies use too; its exponential test functions have
+  closed-form norms that exhibit the critical time t = 0.5*ln((1-q)/(1-p))
+  exactly;
 * the entropy-gap bounds themselves, via exact relay-instance enumeration
   (discrete channels) and quantizer instances (Gaussian links at n = 1).
 
@@ -19,7 +20,7 @@ and `gaussian_quantizer_gap` take one instance or a stack of B same-shape
 instances along a new first axis, each row giving bit for bit what its own
 call gives; `lp_norm` takes a stack of tables with a (B,) array of indices.
 Laws and tables are checked once per call, where they enter these kernels:
-factors and quadrature weights by `scalar_bounds.require_law`, tables by
+factors and channels by `scalar_bounds.require_law`, tables by
 `require_table`.
 
 `SUITES` names the seven randomized suites.  Each draws one instance per RNG
@@ -120,31 +121,13 @@ class SemiSimpleSemigroup:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureRule:
-    """Nodes and weights for expectations against the standard normal law."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = np.array(self.nodes, dtype=float)
-        if n.ndim != 1 or np.shape(self.weights) != n.shape or not np.all(np.isfinite(n)):
-            raise DomainError("nodes must be a finite vector matching the weights")
-        n.setflags(write=False)
-        object.__setattr__(self, "nodes", n)
-        object.__setattr__(self, "weights", require_law(self.weights, "weights"))
-
-    @staticmethod
-    def gauss_hermite(order: int = 64) -> "QuadratureRule":
-        """Gauss-Hermite rule rescaled to integrate against N(0, 1)."""
-        if order < 1:
-            raise DomainError(f"order must be >= 1, got {order}")
-        x, w = np.polynomial.hermite.hermgauss(order)
-        return QuadratureRule(nodes=x * math.sqrt(2.0), weights=w / w.sum())
-
-
-DEFAULT_RULE = QuadratureRule.gauss_hermite(64)
+# The 64-node Gauss-Hermite rule, rescaled to integrate against N(0, 1): the
+# one rule of `ou_apply`, `check_ou_q0` and `gaussian_quantizer_gap`.  They
+# read these arrays when called, so a test can patch another rule in.
+_NODES, _WEIGHTS = np.polynomial.hermite.hermgauss(64)
+_NODES, _WEIGHTS = _NODES * math.sqrt(2.0), _WEIGHTS / _WEIGHTS.sum()
+_NODES.setflags(write=False)
+_WEIGHTS.setflags(write=False)
 
 
 def _integers(values, name: str) -> np.ndarray:
@@ -324,7 +307,6 @@ def ou_apply(
     x: float,
     y: float | np.ndarray,
     t: float,
-    rule: QuadratureRule = DEFAULT_RULE,
 ) -> float | np.ndarray:
     """Quadrature value of T_{x,t} f(y) = E[f(e^{-t}y + (1-e^{-t})x + sd*V)].
 
@@ -332,7 +314,7 @@ def ou_apply(
     A float y gives a float; an array gives an array of its shape, each entry
     exactly as its float call gives it.  The quadrature sums are one stacked
     matmul of 1 x m rows by the m x 1 weight column: numpy hands each such
-    product to the BLAS dot that np.dot(rule.weights, row) calls, so every
+    product to the BLAS dot that np.dot(_WEIGHTS, row) calls, so every
     entry is summed in the order of its own dot.  A matrix-vector product
     would use a BLAS kernel that may sum in another order.
     """
@@ -340,33 +322,27 @@ def ou_apply(
         raise DomainError(f"time must be >= 0, got {t!r}")
     mean = math.exp(-t) * np.asarray(y, dtype=float) + -math.expm1(-t) * x
     sd = math.sqrt(-math.expm1(-2.0 * t))
-    m = rule.nodes.shape[0]
-    vals = np.asarray(f(mean[..., None] + sd * rule.nodes), dtype=float)
-    out = np.matmul(vals.reshape(-1, 1, m), rule.weights[:, None]).reshape(mean.shape)
+    vals = np.asarray(f(mean[..., None] + sd * _NODES), dtype=float)
+    out = np.matmul(vals.reshape(-1, 1, len(_NODES)), _WEIGHTS[:, None]).reshape(mean.shape)
     return float(out) if out.ndim == 0 else out
 
 
-def check_ou_q0(
-    f: Callable[[np.ndarray], np.ndarray],
-    x: float,
-    t: float,
-    rule: QuadratureRule = DEFAULT_RULE,
-) -> float:
+def check_ou_q0(f: Callable[[np.ndarray], np.ndarray], x: float, t: float) -> float:
     """Margin E[ln T_{x,t} f] - (1 + 1/(2t)) ln E[f] for f in [0,1], by quadrature.
 
     Both expectations run against the stationary measure N(x, 1).
     """
     if t <= 0.0:
         raise DomainError("the q=0 inequality needs t > 0")
-    ys = x + rule.nodes
+    ys = x + _NODES
     vals = np.asarray(f(ys), dtype=float)
-    mean = float(np.dot(rule.weights, vals))
+    mean = float(np.dot(_WEIGHTS, vals))
     if not (np.all((vals >= 0.0) & (vals <= 1.0 + 1e-12)) and mean > 0.0):
         raise DomainError("f must map the quadrature nodes into [0, 1] with positive mass")
-    smoothed = ou_apply(f, x, ys, t, rule)
+    smoothed = ou_apply(f, x, ys, t)
     if np.any(smoothed <= 0.0):
         raise DomainError("T_t f vanished at a quadrature node; use f with positive mass")
-    lhs = float(np.dot(rule.weights, np.log(smoothed)))
+    lhs = float(np.dot(_WEIGHTS, np.log(smoothed)))
     return lhs - (1.0 + 0.5 / t) * math.log(min(mean, 1.0))
 
 
@@ -467,9 +443,7 @@ _erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def gaussian_quantizer_gap(
-    constellation,
-    thresholds,
-    rule: QuadratureRule = DEFAULT_RULE,
+    constellation, thresholds
 ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Exact-h1 / quadrature-h2 pair for a one-shot Gaussian relay quantizer.
 
@@ -504,7 +478,7 @@ def gaussian_quantizer_gap(
     h1 = np.mean(-_xlogx_rows(cell_given_x), axis=-1)
 
     # h2: for Y = x_c + v, the posterior over inputs is a softmax of -(y-x)^2/2
-    ys = (xs[:, :, None] + rule.nodes).reshape(rows, -1)
+    ys = (xs[:, :, None] + _NODES).reshape(rows, -1)
     # in place, so that a stack holds few tables of k*m rows at once
     post = ys[:, :, None] - xs[:, None, :]
     post *= post
@@ -514,7 +488,7 @@ def gaussian_quantizer_gap(
     post /= post.sum(axis=-1, keepdims=True)
     cell_given_y = post @ cell_given_x
     del post
-    weights = (np.full((k, 1), 1.0 / k) * rule.weights[None, :]).reshape(-1, 1)
+    weights = (np.full((k, 1), 1.0 / k) * _WEIGHTS[None, :]).reshape(-1, 1)
     # one (1, k*m) @ (k*m, 1) product per row, the BLAS dot of np.dot(weights, ...)
     h2 = np.matmul(-_xlogx_rows(cell_given_y)[:, None, :], weights).reshape(rows)
     return (h1, h2) if stacked else (float(h1[0]), float(h2[0]))

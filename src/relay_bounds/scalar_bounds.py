@@ -93,7 +93,8 @@ def require_law(values, name: str = "law") -> np.ndarray:
     Every entry must be finite and in [0, 1], and every slice along the last
     axis must sum to 1 within LAW_TOL.
     """
-    x = np.array(values, dtype=float)
+    # C order whatever the input's: BLAS products round by memory order
+    x = np.array(values, dtype=float, order="C")
     # NaN fails both comparisons, and an infinity fails one
     if not (x.ndim and x.size and 0.0 <= x.min() and x.max() <= 1.0):
         raise DomainError(f"{name} must be a nonempty table of finite entries in [0, 1]")

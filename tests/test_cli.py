@@ -27,6 +27,16 @@ def run_to_file(tmp_path, argv, name="out.txt"):
     return code, out.read_bytes()
 
 
+def csv_and_json(argv, capsys):
+    """The one-row CSV report of argv as (header, cells), and its JSON payload."""
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--format", "csv"]) == 0
+    header, cells, end = capsys.readouterr().out.split("\n")
+    assert end == ""
+    return header.split(","), cells.split(","), payload
+
+
 class TestGaussianCommand:
     def test_reference_report(self, capsys):
         assert main(["gaussian", "--snr", "0.5", "--c0", "0.1"]) == 0
@@ -74,6 +84,11 @@ class TestGaussianCommand:
         err = capsys.readouterr().err
         assert err.startswith("usage: relay-bounds gaussian") and "snr must be positive" in err
 
+    def test_csv_matches_json(self, capsys):
+        header, cells, payload = csv_and_json(["gaussian", "--snr", "3", "--c0", "0.4"], capsys)
+        assert header == list(payload) and cells == [str(v) for v in payload.values()]
+        assert cells[-1] == "nats"
+
     def test_bits_conversion(self, capsys):
         assert main(["gaussian", "--snr", "0.5", "--c0", "0.1"]) == 0
         nats = json.loads(capsys.readouterr().out)
@@ -112,6 +127,34 @@ class TestDmcCommand:
         err = capsys.readouterr().err
         assert err.startswith("usage: relay-bounds dmc ")
         return err
+
+    def test_csv_matches_json(self, capsys, tmp_path):
+        path = tmp_path / "sym3.csv"
+        path.write_text("0.8,0.1,0.1\n0.1,0.8,0.1\n0.1,0.1,0.8\n")
+        argv = ["dmc", "--channel", str(path), "--c0", "0.3", "--bits"]
+        header, cells, payload = csv_and_json(argv, capsys)
+        flat = {}
+        for key, value in payload.items():
+            flat.update({f"{key}_{i}": v for i, v in enumerate(value)} if key == "argmax_input"
+                        else {key: value})
+        assert header == list(flat) and cells == [str(v) for v in flat.values()]
+        assert {"argmax_input_0", "argmax_input_1", "argmax_input_2"} <= set(header)
+        assert flat["certified"] is True and flat["units"] == "bits"
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("\n0.9,0.1\n\n , \n0.2,0.8\n\n")
+        assert read_channel_csv(str(path)).matrix.tolist() == [[0.9, 0.1], [0.2, 0.8]]
+
+    def test_non_numeric_entry_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "word.csv"
+        path.write_text("0.9,0.1\n\nx,0.5\n")
+        assert f"{path}:3: non-numeric entry" in self.channel_error(path, capsys)
+
+    def test_only_blank_lines_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "blank.csv"
+        path.write_text("\n  \n\n")
+        assert f"{path}: no channel rows found" in self.channel_error(path, capsys)
 
     def test_malformed_rows_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -108,6 +108,22 @@ class TestChannelType:
             InputDistribution(np.array([0.5, 0.6]))
         with pytest.raises(DomainError):
             InputDistribution(np.array([-0.1, 1.1]))
+        with pytest.raises(DomainError, match=r"must be 1-d, got shape \(1, 2\)"):
+            InputDistribution(np.array([[0.5, 0.5]]))
+
+    def test_memory_order_does_not_change_the_report(self):
+        # BLAS products round by memory order, so the channel is held C-ordered
+        rows = np.random.default_rng(3).dirichlet(np.full(3, 0.2), size=3)
+        f_ordered = rows[[0, 1, 2]][:, [0, 1, 2]]
+        assert f_ordered.flags.f_contiguous and not f_ordered.flags.c_contiguous
+        c0 = 0.021674612708990227
+        reports = [capacity_ub_cor2(DiscreteChannel(m), c0) for m in (rows, f_ordered)]
+        floats = ("alpha", "penalty", "cutset", "cor2_bound", "suboptimality_gap")
+        first, second = (
+            [getattr(r, f).hex() for f in floats] + [r.certified, r.argmax_input.probs.tobytes()]
+            for r in reports
+        )
+        assert first == second
 
 
 class TestAlpha:

@@ -27,9 +27,7 @@ from relay_bounds import rhc_verify
 from relay_bounds.dmc_relay import DiscreteChannel, InputDistribution
 from relay_bounds.errors import DimensionError, DomainError
 from relay_bounds.rhc_verify import (
-    DEFAULT_RULE,
     SUITES,
-    QuadratureRule,
     SemiSimpleSemigroup,
     apply_semisimple,
     borell_critical_time,
@@ -54,6 +52,13 @@ from relay_bounds.rhc_verify import (
 from relay_bounds.scalar_bounds import bdd_gap_closed, gauss_gap_closed
 
 FAIR_COIN = SemiSimpleSemigroup((np.array([0.5, 0.5]),), math.log(2.0))
+
+
+def use_gauss_hermite(monkeypatch, order):
+    """Patch the order-node Gauss-Hermite rule, rescaled to N(0, 1), in for the module's."""
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    monkeypatch.setattr(rhc_verify, "_NODES", nodes * math.sqrt(2.0))
+    monkeypatch.setattr(rhc_verify, "_WEIGHTS", weights / weights.sum())
 
 
 def random_semigroup(rng, n=None, t=None):
@@ -86,14 +91,14 @@ class TestTypes:
             with pytest.raises(DomainError, match="time must be >= 0"):
                 sg.at_time(bad)
 
-    def test_quadrature_rule(self):
-        rule = QuadratureRule.gauss_hermite(32)
-        assert rule.weights.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(rule.weights >= 0.0)
+    def test_quadrature_constants(self):
+        nodes, weights = rhc_verify._NODES, rhc_verify._WEIGHTS
+        assert nodes.shape == weights.shape == (64,)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        assert weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.all(weights >= 0.0)
         # second moment of a standard normal
-        assert float(rule.weights @ rule.nodes**2) == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(DomainError):
-            QuadratureRule(np.array([0.0]), np.array([2.0]))
+        assert float(weights @ nodes**2) == pytest.approx(1.0, abs=1e-12)
 
     def test_array_dataclasses_compare_and_hash_by_identity(self):
         w = np.array([[0.9, 0.1], [0.2, 0.8]])
@@ -103,13 +108,66 @@ class TestTypes:
                 DiscreteChannel(w),
                 InputDistribution(np.array([0.3, 0.7])),
                 SemiSimpleSemigroup((np.array([0.5, 0.5]),), 1.0),
-                QuadratureRule(np.array([-1.0, 1.0]), np.array([0.5, 0.5])),
             ]
 
         for a, b in zip(build(), build()):
             assert (a == b) is False and a != b
             assert a == a
             assert len({a}) == 1 and len({a, b}) == 2
+
+
+# Each input check that valid calls never reach: (call, error, message).
+INVALID_CALLS = {
+    "semigroup without factors": (
+        lambda: SemiSimpleSemigroup((), 1.0), DomainError, "semigroup needs at least one factor"
+    ),
+    "lp_norm shapes": (
+        lambda: lp_norm(np.ones(3), np.full(2, 0.5), 0.5),
+        DimensionError, "function shape (3,) != measure shape (2,)",
+    ),
+    "ou_apply t=-1": (
+        lambda: ou_apply(np.exp, 0.0, 0.0, -1.0), DomainError, "time must be >= 0, got -1.0"
+    ),
+    "ou_apply t=nan": (
+        lambda: ou_apply(np.exp, 0.0, 0.0, math.nan), DomainError, "time must be >= 0, got nan"
+    ),
+    "borell q=p": (
+        lambda: check_borell_exponential(1.0, 0.0, 0.5, 0.5, 1.0),
+        DomainError, "need q < p < 1, got p=0.5, q=0.5",
+    ),
+    "borell q>p": (
+        lambda: check_borell_exponential(1.0, 0.0, 0.2, 0.7, 1.0),
+        DomainError, "need q < p < 1, got p=0.2, q=0.7",
+    ),
+    "borell t<0": (
+        lambda: check_borell_exponential(1.0, 0.0, 0.5, -0.5, -0.1),
+        DomainError, "time must be >= 0, got -0.1",
+    ),
+    "borell critical q=p": (
+        lambda: borell_critical_time(0.5, 0.5), DomainError, "need q < p < 1, got p=0.5, q=0.5"
+    ),
+    "borell critical q>p": (
+        lambda: borell_critical_time(0.2, 0.7), DomainError, "need q < p < 1, got p=0.2, q=0.7"
+    ),
+    "quantizer empty": (
+        lambda: gaussian_quantizer_gap([], []),
+        DomainError, "constellation must be a nonempty finite vector",
+    ),
+    "quantizer inf": (
+        lambda: gaussian_quantizer_gap([0.0, math.inf], [0.0]),
+        DomainError, "constellation must be a nonempty finite vector",
+    ),
+    "quantizer nan": (
+        lambda: gaussian_quantizer_gap([[0.0, math.nan]], [[0.0]]),
+        DomainError, "constellation must be a nonempty finite vector",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", INVALID_CALLS.values(), ids=INVALID_CALLS.keys())
+def test_invalid_input_raises_its_message(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 class TestSemigroupAction:
@@ -448,19 +506,22 @@ class TestOuAction:
         assert type(ou_apply(f, 0.4, 0.5, 0.8)) is float
 
     @pytest.mark.parametrize("order", [64, 128])
-    def test_matches_one_dot_per_point(self, order):
-        rule = DEFAULT_RULE if order == 64 else QuadratureRule.gauss_hermite(order)
+    def test_matches_one_dot_per_point(self, order, monkeypatch):
+        if order != 64:
+            use_gauss_hermite(monkeypatch, order)
+        nodes, weights = rhc_verify._NODES, rhc_verify._WEIGHTS
+        assert len(nodes) == order
 
         def f(u):
             return 0.05 + 0.95 / (1.0 + np.exp(-2.3 * (u + 0.4)))
 
         x, t = -0.6, 0.35
         ys = np.random.default_rng(order).uniform(-4.0, 4.0, size=(7, 11))
-        got = ou_apply(f, x, ys, t, rule)
+        got = ou_apply(f, x, ys, t)
         sd = math.sqrt(-math.expm1(-2.0 * t))
         for idx in np.ndindex(ys.shape):
             mean = math.exp(-t) * float(ys[idx]) + -math.expm1(-t) * x
-            assert got[idx] == np.dot(rule.weights, f(mean + sd * rule.nodes))
+            assert got[idx] == np.dot(weights, f(mean + sd * nodes))
 
     def test_ou_q0_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
@@ -632,11 +693,10 @@ class TestQuantizerGap:
         expected = -miss * math.log(miss) - (1 - miss) * math.log(1 - miss)
         assert h1 == pytest.approx(expected, abs=1e-14)
 
-    def test_quadrature_convergence(self):
+    def test_quadrature_convergence(self, monkeypatch):
         coarse = gaussian_quantizer_gap([-1.0, 0.5, 2.0], [-0.3, 1.0])
-        fine = gaussian_quantizer_gap(
-            [-1.0, 0.5, 2.0], [-0.3, 1.0], QuadratureRule.gauss_hermite(128)
-        )
+        use_gauss_hermite(monkeypatch, 128)
+        fine = gaussian_quantizer_gap([-1.0, 0.5, 2.0], [-0.3, 1.0])
         assert abs(coarse[1] - fine[1]) <= 1e-9
 
     def test_threshold_validation(self):
@@ -995,6 +1055,31 @@ class TestSuiteRegistry:
             SUITES[name](count, seed)
         assert SUITES[name](0, 1) == []
         assert SUITES[name](np.int64(0), np.uint32(7)) == []
+
+
+class TestQuadratureOrder:
+    """The suites' margins against a 200-node rule, at 1,000 instances and seed 12345.
+
+    The 64-node rule moves quantizer h2 by up to 5.8e-6 (index 169), above
+    that suite's 1e-6 tolerance, and ou-q0 margins by up to 5.2e-7 (index
+    313), against a 1e-9 tolerance.  No pass flag changes: the smallest
+    margins are 2.1e-5 (quantizer) and 2.1e-4 (ou-q0).
+    """
+
+    @pytest.mark.parametrize(
+        "suite, moves", [(quantizer_oracle_suite, 1e-5), (ou_q0_suite, 1e-6)]
+    )
+    def test_a_finer_rule_keeps_every_pass_flag(self, suite, moves, monkeypatch):
+        coarse = suite(1000, 12345)
+        use_gauss_hermite(monkeypatch, 200)
+        fine = suite(1000, 12345)
+        assert [r.passed for r in fine] == [r.passed for r in coarse]
+        assert all(r.passed for r in coarse)
+        drift = max(abs(a.margin - b.margin) for a, b in zip(coarse, fine))
+        assert 0.0 < drift <= moves < min(r.margin for r in coarse)
+        if suite is quantizer_oracle_suite:
+            h2 = [abs(a.instance["h2"] - b.instance["h2"]) for a, b in zip(coarse, fine)]
+            assert max(h2) <= moves
 
 
 class TestMutations:

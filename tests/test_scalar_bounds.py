@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import bdd_gap_variational, gauss_gap_relaxed, gauss_gap_variational
 from relay_bounds.dmc_relay import DiscreteChannel, InputDistribution
 from relay_bounds.errors import DomainError
-from relay_bounds.rhc_verify import QuadratureRule, SemiSimpleSemigroup
+from relay_bounds.rhc_verify import SemiSimpleSemigroup
 from relay_bounds.scalar_bounds import (
     RATE_CAP,
     bdd_gap_closed,
@@ -20,6 +20,7 @@ from relay_bounds.scalar_bounds import (
     lemma3_gap,
     lemma3_h2max,
     relaxed_gap_inverse,
+    require_alpha,
     require_law,
     require_table,
 )
@@ -200,6 +201,11 @@ class TestBddGap:
         with pytest.raises(DomainError):
             bdd_gap_closed(0.1, 0.99)
 
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+    def test_alpha_must_be_finite(self, alpha):
+        with pytest.raises(DomainError, match=f"alpha must be finite, got {alpha!r}"):
+            require_alpha(alpha)
+
 
 class TestBddGapInverse:
     def test_zero(self):
@@ -318,7 +324,6 @@ LAW_TAKERS = {
     "channel rows": lambda law: DiscreteChannel(np.array([law, np.full(3, 1 / 3)])).matrix[0],
     "input law": lambda law: InputDistribution(law).probs,
     "semigroup factor": lambda law: SemiSimpleSemigroup((law,), 1.0).factors[0],
-    "quadrature weights": lambda law: QuadratureRule(np.arange(3.0), law).weights,
 }
 
 
@@ -353,6 +358,11 @@ class TestLawAndTableChecks:
         assert require_law([[0.5, 0.5], [0.0, 1.0]]).shape == (2, 2)
         with pytest.raises(DomainError):
             require_law([[0.5, 0.5], [0.5, 0.6]])
+
+    def test_law_copy_is_c_ordered(self):
+        rows = np.random.default_rng(3).dirichlet(np.ones(3), size=3)
+        law = require_law(np.asfortranarray(rows))
+        assert law.flags.c_contiguous and np.array_equal(law, rows)
 
     def test_table_rejects_negative_or_non_finite(self):
         table = np.array([[0.0, 2.5], [1e300, 0.1]])
