@@ -241,32 +241,48 @@ def _solve_plus_log1p(y: float) -> float:
 
 
 def _log1p_excess(v: np.ndarray) -> np.ndarray:
-    """v - log1p(v) for v >= 0; below 0.1 by a series that does not cancel.
+    """v - log1p(v) for a 1-d v >= 0; below 0.1 by a series that does not cancel.
 
     With z = v/(2+v), log1p(v) = 2*atanh(z), so v - log1p(v) = v*z - 2*(z^3/3 + z^5/5 + ...).
+    The series is formed only on the entries below 0.1, and replaces the
+    plain difference there.
     """
-    z = v / (2.0 + v)
-    z2 = z * z
-    tail = 1 / 3 + z2 * (1 / 5 + z2 * (1 / 7 + z2 * (1 / 9 + z2 * (1 / 11 + z2 / 13))))
-    return np.where(v < 0.1, v * z - 2.0 * z * z2 * tail, v - np.log1p(v))
+    out = v - np.log1p(v)
+    near = np.flatnonzero(v < 0.1)
+    if near.size:
+        w = v[near]
+        z = w / (2.0 + w)
+        z2 = z * z
+        tail = 1 / 3 + z2 * (1 / 5 + z2 * (1 / 7 + z2 * (1 / 9 + z2 * (1 / 11 + z2 / 13))))
+        out[near] = w * z - 2.0 * z * z2 * tail
+    return out
 
 
 def _solve_minus_log1p(y: np.ndarray) -> np.ndarray:
-    """The roots v > 0 of v - log1p(v) = y > 0, entry by entry.
+    """The roots v > 0 of v - log1p(v) = y > 0, for a 1-d y, entry by entry.
 
     Halley steps on the convex v - log1p(v) - y from q + q^2/3 + q^3/36 with
-    q = sqrt(2y) (y < 2) or from y + log1p(y + log1p(y)).  A stopped entry is
-    not stepped again, so no entry depends on the others.
+    q = sqrt(2y) (y < 2) or from y + log1p(y + log1p(y)), each guess formed
+    only on its own entries.  An entry stops once its step is at most
+    _STEP_STOP * v, and a pass evaluates only the entries still moving, so
+    no entry depends on the others.
     """
-    q = np.sqrt(2.0 * y)
-    v = np.where(y < 2.0, q + q * q * (1 / 3 + q / 36), y + np.log1p(y + np.log1p(y)))
-    active = np.ones(y.shape, dtype=bool)
+    v = np.empty_like(y)
+    low = y < 2.0
+    q = np.sqrt(2.0 * y[low])
+    v[low] = q + q * q * (1 / 3 + q / 36)
+    t = y[~low]
+    v[~low] = t + np.log1p(t + np.log1p(t))
+    live = np.arange(y.size)
     for _ in range(8):
-        f = _log1p_excess(v) - y
-        d1 = v / (1.0 + v)
-        step = np.where(active, f / (d1 - 0.5 * f / (d1 * (1.0 + v) * (1.0 + v))), 0.0)
-        v = v - step
-        active &= np.abs(step) > _STEP_STOP * v
-        if not active.any():
+        w = v[live]
+        f = _log1p_excess(w) - y[live]
+        p = 1.0 + w
+        d1 = w / p
+        step = f / (d1 - 0.5 * f / (d1 * p * p))
+        w = w - step
+        v[live] = w
+        live = live[np.abs(step) > _STEP_STOP * w]
+        if not live.size:
             break
     return v

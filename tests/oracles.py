@@ -3,6 +3,8 @@
 * golden-section minimizations of the variational definitions of c(h) and
   c_alpha(h), and the relaxed baseline h + sqrt(2h);
 * the inverse of the baseline curve map r -> 2r + sqrt(2r);
+* the implicit bound's largest h2 by the Halley loop that steps every entry
+  on every pass, and v - log1p(v) with both branches formed everywhere;
 * the mutual informations I(X;Y) and I(X;Y,Z) of an input law, and the
   relay objective min{I(X;Y,Z), I(X;Y) + r} on a stack of input laws;
 * a simplex grid, the k-ary symmetric channel, and I_inf by minimax over
@@ -118,6 +120,45 @@ def baseline_curve_inverse(c0: float) -> float:
     c0 = require_rate(c0, "c0")
     s = 2.0 * c0 / (1.0 + math.sqrt(1.0 + 4.0 * c0))  # stable quadratic root
     return 0.5 * s * s
+
+
+def log1p_excess_where(v: np.ndarray) -> np.ndarray:
+    """v - log1p(v), with both branches formed on every entry and one kept by np.where.
+
+    The atanh series v*z - 2*(z^3/3 + ... + z^13/13), z = v/(2+v), below
+    v = 0.1, and v - log1p(v) above.
+    """
+    z = v / (2.0 + v)
+    z2 = z * z
+    tail = 1 / 3 + z2 * (1 / 5 + z2 * (1 / 7 + z2 * (1 / 9 + z2 * (1 / 11 + z2 / 13))))
+    return np.where(v < 0.1, v * z - 2.0 * z * z2 * tail, v - np.log1p(v))
+
+
+def lemma3_h2max_all_entries(h1) -> np.ndarray:
+    """Largest h2 with h2 - 0.5*ln(1 + 2*h2) = h1, every Halley pass over every entry.
+
+    The same guesses, steps and stop rule (|step| <= 1e-6 * v) as the
+    library's inverse, but each pass evaluates all entries and zeroes the
+    step of those that have stopped.  h1 must be valid rates.
+    """
+    x = np.asarray(h1, dtype=float)
+    y = 2.0 * x.ravel()
+    v = np.zeros_like(y)
+    pos = y > 0.0
+    t = y[pos]
+    q = np.sqrt(2.0 * t)
+    w = np.where(t < 2.0, q + q * q * (1 / 3 + q / 36), t + np.log1p(t + np.log1p(t)))
+    active = np.ones(t.shape, dtype=bool)
+    for _ in range(8):
+        f = log1p_excess_where(w) - t
+        d1 = w / (1.0 + w)
+        step = np.where(active, f / (d1 - 0.5 * f / (d1 * (1.0 + w) * (1.0 + w))), 0.0)
+        w = w - step
+        active &= np.abs(step) > 1e-6 * w
+        if not active.any():
+            break
+    v[pos] = w
+    return 0.5 * v.reshape(x.shape)
 
 
 def _bracket_minimum(f, t0: float, max_expand: int) -> tuple[float, float]:

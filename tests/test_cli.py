@@ -1,6 +1,7 @@
 """CLI tests: flags, exit codes, deterministic output, CSV round trips."""
 
 import argparse
+import hashlib
 import json
 import math
 import re
@@ -630,6 +631,29 @@ def test_package_root_holds_only_the_error_types():
 
 
 class TestDeterminismAndRoundTrip:
+    # sha256 of stdout at fixed flags: a change that moves any bit of these
+    # tables or of the report fails here, and must say so and re-pin them
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (
+                "curves --figure 1 --h1-max 3 --points 512",
+                "d13b2056ef9f579eb85531173a402aedfa7fe84e442362db4c01717c598e37b5",
+            ),
+            (
+                "curves --figure 2 --snr 0.5 --c0-max 0.27 --points 512",
+                "45f3845ab8ba528c02986fc49c434780daca73458918ef3e28e5fa75714125e4",
+            ),
+            (
+                "gaussian --snr 0.5 --c0 0.1",
+                "aed9b73db724d485a06cf96abe7796b281e66c297c65e14da5c6f7464a693051",
+            ),
+        ],
+    )
+    def test_golden_stdout(self, capsys, argv, digest):
+        assert main(argv.split()) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_byte_identical_curves(self, tmp_path):
         argv = ["curves", "--figure", "2", "--points", "64"]
         _, first = run_to_file(tmp_path, argv, "a.csv")

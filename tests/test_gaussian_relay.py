@@ -129,14 +129,32 @@ class TestReport:
         assert rep.best == pytest.approx(HALF_LN_2, abs=1e-12)
         assert rep.cutset == rep.lemma2_bound == rep.lemma3_bound == rep.relaxed_baseline
 
-    def test_invariant_enforced(self):
-        # best is the minimum by construction; each field must be finite and nonnegative
-        fields = ("cutset", "lemma2_bound", "lemma3_bound", "relaxed_baseline")
-        for field in fields:
-            for bad in (-1e-3, math.nan, math.inf):
-                with pytest.raises(DomainError):
-                    GaussianBoundReport(**dict(dict.fromkeys(fields, 1.0), **{field: bad}))
+    def test_best_is_the_minimum(self):
         assert GaussianBoundReport(1.0, 0.5, 0.75, 0.6).best == 0.5
+
+    def test_every_field_within_2_ulp_of_its_50_digit_closed_form(self):
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(5)
+        snrs = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 1000))
+        c0s = np.exp(rng.uniform(math.log(1e-6), math.log(1e2), 1000))
+        with mp.workdps(50):
+            for snr, c0 in zip(snrs.tolist(), c0s.tolist()):
+                g, c = mp.mpf(snr), mp.mpf(c0)
+                cut = mp.log1p(2 * g) / 2
+                direct = mp.log1p(g) / 2
+                u = mp.lambertw(mp.exp(1 + 2 * c)).real - 1  # u + ln(1+u) = 2*C0
+                s = 2 * c / (mp.sqrt(2 + 4 * c) + mp.sqrt(2))  # s^2 + sqrt(2)*s = C0
+                exact = {
+                    "cutset": direct + c,
+                    "lemma2_bound": direct + c - u * u / (2 * (1 + u)),
+                    "lemma3_bound": direct + mp.log1p(2 * c) / 2,
+                    "relaxed_baseline": direct + c - s * s,
+                }
+                rep = report(params(snr, c0))
+                for field, value in exact.items():
+                    want = min(cut, value)
+                    got = getattr(rep, field)
+                    assert abs(got - want) <= 2 * math.ulp(float(want)), (snr, c0, field)
 
 
 class TestOrderingAndMonotonicity:

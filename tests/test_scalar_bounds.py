@@ -7,12 +7,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import bdd_gap_variational, gauss_gap_relaxed, gauss_gap_variational
+from oracles import (
+    bdd_gap_variational,
+    gauss_gap_relaxed,
+    gauss_gap_variational,
+    lemma3_h2max_all_entries,
+    log1p_excess_where,
+)
 from relay_bounds.dmc_relay import DiscreteChannel, InputDistribution
 from relay_bounds.errors import DomainError
 from relay_bounds.rhc_verify import SemiSimpleSemigroup
 from relay_bounds.scalar_bounds import (
     RATE_CAP,
+    _log1p_excess,
     bdd_gap_closed,
     bdd_gap_inverse,
     gauss_gap_closed,
@@ -290,6 +297,58 @@ class TestInverseAccuracy:
         for bad in (-1e-3, float("nan"), 2e15):
             with pytest.raises(DomainError):
                 lemma3_h2max(np.array([0.1, bad]))
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def either_side(x: float) -> np.ndarray:
+    """x, its neighbours within 4 ulps, and x scaled by 1 -/+ 1e-12, 1e-9, 1e-6 and 1e-3."""
+    near = [x]
+    lo = hi = x
+    for _ in range(4):
+        lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)
+        near += [lo, hi]
+    near += [x * (1.0 + s * r) for r in (1e-12, 1e-9, 1e-6, 1e-3) for s in (-1.0, 1.0)]
+    return np.array(near)
+
+
+class TestHalleyLoopOracle:
+    """`lemma3_h2max` steps only its moving entries; the loop that steps all agrees bit for bit."""
+
+    @pytest.mark.parametrize("h1_max", [top * s for top in (3.0, 50.0) for s in (0.98, 1.0, 1.02)])
+    def test_benchmark_fig1_grids(self, h1_max):
+        h1 = h1_max * np.arange(512) / 511
+        assert_same_bits(lemma3_h2max(h1), lemma3_h2max_all_entries(h1))
+
+    def test_log_uniform_rates(self):
+        rng = np.random.default_rng(2024)
+        h1 = np.exp(rng.uniform(math.log(1e-300), math.log(1e15), 100_000))
+        assert_same_bits(lemma3_h2max(h1), lemma3_h2max_all_entries(h1))
+
+    def test_either_side_of_the_branch_switches(self):
+        # v = 0.1 switches the residual to its series, and y = 2*h1 = 2 the initial guess
+        v_switch = 0.5 * (0.1 - math.log1p(0.1))
+        h1 = np.concatenate((either_side(v_switch), either_side(1.0), [0.0, RATE_CAP]))
+        got = lemma3_h2max(h1)
+        assert_same_bits(got, lemma3_h2max_all_entries(h1))
+        for x, want in zip(h1.tolist(), got.tolist()):
+            assert lemma3_h2max(x) == want
+
+    def test_log1p_excess_equals_both_branches_formed_everywhere(self):
+        rng = np.random.default_rng(7)
+        v = np.concatenate((
+            [0.0, 0.1, RATE_CAP],
+            either_side(0.1),
+            np.exp(rng.uniform(math.log(1e-300), math.log(1e16), 100_000)),
+            rng.uniform(0.0, 0.2, 10_000),
+        ))
+        assert_same_bits(_log1p_excess(v), log1p_excess_where(v))
+        for part in (v[v < 0.1], v[v >= 0.1], v[:0]):
+            assert_same_bits(_log1p_excess(part), log1p_excess_where(part))
 
 
 @pytest.mark.parametrize("fn", [lemma3_gap, relaxed_gap_inverse])
