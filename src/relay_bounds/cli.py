@@ -153,7 +153,8 @@ def cmd_dmc(args: argparse.Namespace) -> int:
     scale = _unit_scale(args)
     payload = {
         "alpha": rep.alpha,
-        "i_infinity": dmc_relay.i_infinity(channel) * scale,
+        # order-infinity mutual information: ln of the channel's own alpha, not the override
+        "i_infinity": math.log(dmc_relay.alpha_of_channel(channel)) * scale,
         "c0": args.c0 * scale,
         "penalty": rep.penalty * scale,
         "cutset": rep.cutset * scale,

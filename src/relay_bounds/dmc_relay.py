@@ -102,11 +102,6 @@ def alpha_of_channel(w: DiscreteChannel) -> float:
     return max(float(w.matrix.max(axis=0).sum()), 1.0)
 
 
-def i_infinity(w: DiscreteChannel) -> float:
-    """Order-infinity mutual information ln(alpha) of the channel."""
-    return math.log(alpha_of_channel(w))
-
-
 def _xlogx_rows(m: np.ndarray) -> np.ndarray:
     """Sums of W*ln(W) along the last axis, with the 0*ln(0) = 0 convention."""
     terms = np.maximum(m, _TINY)

@@ -14,14 +14,16 @@ quadrature, the inequalities that power the capacity bounds:
 * the entropy-gap bounds themselves, via exact relay-instance enumeration
   (discrete channels) and quantizer instances (Gaussian links at n = 1).
 
-Function tables are plain float arrays.  `SemiSimpleSemigroup`,
-`apply_semisimple`, `stationary_measure`, `check_mossel`, `mossel_q0_margin`
+A semigroup is plain data: a tuple of factor laws P_i and a time t, which
+`apply_semisimple(factors, time, f)`, `stationary_measure(factors)`,
+`check_mossel(factors, time, f, p, q)` and `mossel_q0_margin(factors, time,
+f)` take as they are; function tables are plain float arrays.  These kernels
 and `gaussian_quantizer_gap` take one instance or a stack of B same-shape
 instances along a new first axis, each row giving bit for bit what its own
 call gives; `lp_norm` takes a stack of tables with a (B,) array of indices.
-Laws and tables are checked once per call, where they enter these kernels:
-factors and channels by `scalar_bounds.require_law`, tables by
-`require_table`.
+Every call checks what it is given: factors and channels by
+`scalar_bounds.require_law`, tables by `require_table`, and factors and time
+together by one private check.
 
 `SUITES` names the seven randomized suites.  Each draws one instance per RNG
 stream (seed, index) as arrays and floats, so any failure can be replayed
@@ -53,74 +55,6 @@ MAX_INSTANCES = 100_000
 _BLOCK = 1024
 
 
-# ---------------------------------------------------------------------------
-# Types
-# ---------------------------------------------------------------------------
-
-
-# eq=False here and below: array fields compare and hash by identity
-@dataclass(frozen=True, eq=False)
-class SemiSimpleSemigroup:
-    """Tensor product of simple semigroups e^{-t} Id + (1-e^{-t}) P_i at time t.
-
-    Either one law per factor and a float time, or a stack of B semigroups of
-    one shape: a (B, k_i) array of laws per factor and a (B,) array of times.
-    """
-
-    factors: tuple[np.ndarray, ...]
-    time: float | np.ndarray
-
-    def __post_init__(self) -> None:
-        if not self.factors:
-            raise DomainError("semigroup needs at least one factor")
-        if len(self.factors) > MAX_FACTORS:
-            raise DomainError(f"at most {MAX_FACTORS} tensor factors are supported")
-        frozen = tuple(require_law(d, f"factor {i}") for i, d in enumerate(self.factors))
-        depth = frozen[0].shape[:-1]
-        if any(
-            d.shape[:-1] != depth or d.ndim > 2 or not 2 <= d.shape[-1] <= _MAX_ALPHABET
-            for d in frozen
-        ):
-            raise DomainError(
-                f"factors must be vectors over 2..{_MAX_ALPHABET} symbols, or stacks of "
-                f"them of one depth, got shapes {[d.shape for d in frozen]}"
-            )
-        object.__setattr__(self, "factors", frozen)
-        object.__setattr__(self, "time", self._checked_time(self.time))
-
-    def _checked_time(self, time) -> float | np.ndarray:
-        stack = self.stack
-        if stack:
-            t = np.array(time, dtype=float)
-            if t.shape != stack:
-                raise DimensionError(f"time shape {t.shape} does not match the stack {stack}")
-            t.setflags(write=False)
-            valid = (t >= 0.0).all()
-        else:
-            t = float(time)
-            valid = t >= 0.0
-        if not valid:  # NaN fails too
-            raise DomainError(f"time must be >= 0, got {time!r}")
-        return t
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        """The table shape, without the stack axis."""
-        return tuple(d.shape[-1] for d in self.factors)
-
-    @property
-    def stack(self) -> tuple[int, ...]:
-        """(B,) for a stack of B semigroups, else ()."""
-        return self.factors[0].shape[:-1]
-
-    def at_time(self, t) -> "SemiSimpleSemigroup":
-        """The same, already checked, factors at time t; only t is checked."""
-        out = object.__new__(SemiSimpleSemigroup)
-        object.__setattr__(out, "factors", self.factors)
-        object.__setattr__(out, "time", self._checked_time(t))
-        return out
-
-
 # The 64-node Gauss-Hermite rule, rescaled to integrate against N(0, 1): the
 # one rule of `ou_apply`, `check_ou_q0` and `gaussian_quantizer_gap`.  They
 # read these arrays when called, so a test can patch another rule in.
@@ -148,23 +82,67 @@ def _integers(values, name: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def apply_semisimple(sg: SemiSimpleSemigroup, f: np.ndarray) -> np.ndarray:
+def _checked(factors, time) -> tuple[tuple[np.ndarray, ...], float | np.ndarray | None]:
+    """The semigroup tensor_i [e^{-t} Id + (1-e^{-t}) P_i] as checked laws and time.
+
+    Either one law P_i per factor and a float time, or a stack of B semigroups
+    of one shape: a (B, k_i) array of laws per factor and a (B,) array of
+    times.  A time of None is passed through, for kernels that take none.
+    """
+    if not factors:
+        raise DomainError("semigroup needs at least one factor")
+    if len(factors) > MAX_FACTORS:
+        raise DomainError(f"at most {MAX_FACTORS} tensor factors are supported")
+    factors = tuple(require_law(d, f"factor {i}") for i, d in enumerate(factors))
+    stack = factors[0].shape[:-1]
+    if any(
+        d.shape[:-1] != stack or d.ndim > 2 or not 2 <= d.shape[-1] <= _MAX_ALPHABET
+        for d in factors
+    ):
+        raise DomainError(
+            f"factors must be vectors over 2..{_MAX_ALPHABET} symbols, or stacks of "
+            f"them of one depth, got shapes {[d.shape for d in factors]}"
+        )
+    if time is None:
+        return factors, None
+    if stack:
+        t = np.array(time, dtype=float)
+        if t.shape != stack:
+            raise DimensionError(f"time shape {t.shape} does not match the stack {stack}")
+        valid = (t >= 0.0).all()
+    else:
+        t = float(time)
+        valid = t >= 0.0
+    if not valid:  # NaN fails too
+        raise DomainError(f"time must be >= 0, got {time!r}")
+    return factors, t
+
+
+def apply_semisimple(factors, time, f: np.ndarray) -> np.ndarray:
     """Apply e^{-t} Id + (1-e^{-t}) P_i along every tensor axis.
 
-    f must be a finite nonnegative table of shape `sg.shape`, or of shape
-    (B, *sg.shape) for a stack of B semigroups, each row smoothed by its own
-    semigroup exactly as an unstacked call smooths it.  f is left unchanged
-    and a new table is returned.  Linear, positivity preserving, and unital
-    (the all-ones table is fixed).
+    `factors` holds one law P_i over k_i symbols per tensor axis and `time`
+    is t >= 0; a stack of B semigroups holds a (B, k_i) array of laws per
+    factor and a (B,) array of times.  f must be a finite nonnegative table
+    of shape (k_1, ..., k_n), or of shape (B, k_1, ..., k_n) for a stack,
+    each row smoothed by its own semigroup exactly as an unstacked call
+    smooths it.  f is left unchanged and a new table is returned.  Linear,
+    positivity preserving, and unital (the all-ones table is fixed).
     """
+    return _smooth(*_checked(factors, time), f)
+
+
+def _smooth(factors, time, f) -> np.ndarray:
+    """`apply_semisimple` on factors and time that `_checked` has returned."""
     out = require_table(f)
-    rows, shape = math.prod(sg.stack), sg.stack + sg.shape
+    stack = factors[0].shape[:-1]
+    rows, shape = math.prod(stack), stack + tuple(d.shape[-1] for d in factors)
     if out.shape != shape:
         raise DimensionError(f"table shape {out.shape} does not match {shape}")
-    t = np.reshape(sg.time, (rows, 1, 1, 1))  # one coefficient per row
+    t = np.reshape(time, (rows, 1, 1, 1))  # one coefficient per row
     keep, mix = np.exp(-t), -np.expm1(-t)
     pre, post = 1, out.size // rows
-    for dist in sg.factors:
+    for dist in factors:
         k = dist.shape[-1]
         post //= k
         # Each row as (axes before, this axis, axes after), averaged over this
@@ -179,10 +157,15 @@ def apply_semisimple(sg: SemiSimpleSemigroup, f: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
-def stationary_measure(sg: SemiSimpleSemigroup) -> np.ndarray:
+def stationary_measure(factors) -> np.ndarray:
     """Product table of the stationary measure tensor_i P_i, one per stack row."""
-    stack, table = sg.stack, sg.factors[0]
-    for i, dist in enumerate(sg.factors[1:], 1):
+    return _product(_checked(factors, None)[0])
+
+
+def _product(factors) -> np.ndarray:
+    """`stationary_measure` of factors that `_checked` has returned."""
+    stack, table = factors[0].shape[:-1], factors[0]
+    for i, dist in enumerate(factors[1:], 1):
         table = table[..., None] * dist.reshape(stack + (1,) * i + (-1,))
     return table
 
@@ -249,40 +232,43 @@ def _per_row(x: float | np.ndarray, stack: tuple[int, ...]) -> np.ndarray:
 
 
 def check_mossel(
-    sg: SemiSimpleSemigroup, f: np.ndarray, p: float | np.ndarray, q: float | np.ndarray
+    factors, time, f: np.ndarray, p: float | np.ndarray, q: float | np.ndarray
 ) -> float | np.ndarray:
-    """Margin ||T_t f||_q - ||f||_p for the semi-simple semigroup.
+    """Margin ||T_t f||_q - ||f||_p for the semi-simple semigroup at time t.
 
     Requires q <= p < 1 and t >= ln((1-q)/(1-p)); the reverse
     hypercontractivity estimate makes the margin nonnegative (p = q is the
     Jensen baseline with critical time 0).  For a stack of B semigroups, f is
-    a (B, *sg.shape) table stack, p and q are floats or (B,) arrays, and the
-    margins are a (B,) array, each equal to its row's own call bit for bit.
+    a (B, k_1, ..., k_n) table stack, p and q are floats or (B,) arrays, and
+    the margins are a (B,) array, each equal to its row's own call bit for bit.
     """
-    p, q = _per_row(p, sg.stack), _per_row(q, sg.stack)
-    for pb, qb, t in zip(*(np.reshape(x, -1).tolist() for x in (p, q, sg.time))):
+    factors, time = _checked(factors, time)
+    stack = factors[0].shape[:-1]
+    p, q = _per_row(p, stack), _per_row(q, stack)
+    for pb, qb, t in zip(*(np.reshape(x, -1).tolist() for x in (p, q, time))):
         critical = mossel_critical_time(pb, qb)
         if t < critical:
             raise DomainError(f"time {t} is below the critical time {critical}")
-    mu = stationary_measure(sg)
-    smoothed = apply_semisimple(sg, f)
+    mu = _product(factors)
+    smoothed = _smooth(factors, time, f)
     return lp_norm(smoothed, mu, q) - lp_norm(f, mu, p)
 
 
-def mossel_q0_margin(sg: SemiSimpleSemigroup, f: np.ndarray) -> float | np.ndarray:
+def mossel_q0_margin(factors, time, f: np.ndarray) -> float | np.ndarray:
     """Margin E[ln T_t f] - (1 + 1/t) ln E[f] for f in [0,1]^n, t > 0.
 
-    A stack of B semigroups with a (B, *sg.shape) table stack gives a (B,)
-    array of margins, each equal to its row's own call bit for bit.
+    A stack of B semigroups with a (B, k_1, ..., k_n) table stack gives a
+    (B,) array of margins, each equal to its row's own call bit for bit.
     """
-    times = np.reshape(sg.time, -1)
+    factors, time = _checked(factors, time)
+    times = np.reshape(time, -1)
     if (times <= 0.0).any():
         raise DomainError("the q=0 inequality needs t > 0")
     f = np.asarray(f, dtype=float)
     if (f > 1.0 + 1e-12).any():
         raise DomainError("the q=0 inequality needs f taking values in [0, 1]")
-    smoothed = apply_semisimple(sg, f).reshape(len(times), -1)
-    mu = stationary_measure(sg).reshape(len(times), -1)
+    smoothed = _smooth(factors, time, f).reshape(len(times), -1)
+    mu = _product(factors).reshape(len(times), -1)
     # one flat row per instance, so that each sum runs as over its own table
     means = (mu * f.reshape(len(times), -1)).sum(axis=1)
     if (means <= 0.0).any():
@@ -294,7 +280,7 @@ def mossel_q0_margin(sg: SemiSimpleSemigroup, f: np.ndarray) -> float | np.ndarr
     out = lhs - (1.0 + 1.0 / times) * np.log(np.minimum(means, 1.0))
     # T_t f vanished on the support: ln E[f] finite while lhs is -inf cannot happen for t>0
     out[lhs == -math.inf] = math.inf
-    return out if sg.stack else float(out[0])
+    return out if np.ndim(time) else float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +613,7 @@ def mossel_suite(
 
     def evaluate(*stacks):
         *factors, f, pp, qq, time, critical = stacks
-        margins = check_mossel(SemiSimpleSemigroup(tuple(factors), time), f, pp, qq)
+        margins = check_mossel(factors, time, f, pp, qq)
         fields = {"n": len(factors), "alphabet": f.shape[1], "p": pp, "q": qq, "t": time}
         return {**fields, "critical": critical}, margins
 
@@ -650,7 +636,7 @@ def mossel_q0_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
 
     def evaluate(*stacks):
         *factors, f, t = stacks
-        margins = mossel_q0_margin(SemiSimpleSemigroup(tuple(factors), t), f)
+        margins = mossel_q0_margin(factors, t, f)
         return {"n": len(factors), "alphabet": f.shape[1], "t": t}, margins
 
     return _run("mossel-q0", 1e-12, n_instances, seed, draw, evaluate)
@@ -758,13 +744,13 @@ def semigroup_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
 
     def evaluate(*stacks):
         *factors, f, t1, t2 = stacks
-        sg1 = SemiSimpleSemigroup(tuple(factors), t1)
-        two_step = apply_semisimple(sg1, apply_semisimple(sg1.at_time(t2), f))
-        one_step = apply_semisimple(sg1.at_time(t1 + t2), f)
-        unit = apply_semisimple(sg1, np.ones(f.shape))
+        two_step = apply_semisimple(factors, t1, apply_semisimple(factors, t2, f))
+        one_step = apply_semisimple(factors, t1 + t2, f)
+        unit = apply_semisimple(factors, t1, np.ones(f.shape))
         # one flat row per instance, so that each sum runs as over its own table
+        mu = stationary_measure(factors)
         mu, flat, two_step, one_step, unit = (
-            a.reshape(len(f), -1) for a in (stationary_measure(sg1), f, two_step, one_step, unit)
+            a.reshape(len(f), -1) for a in (mu, f, two_step, one_step, unit)
         )
         dev_law = np.abs(two_step - one_step).max(axis=1)
         dev_stat = np.abs((mu * one_step).sum(axis=1) - (mu * flat).sum(axis=1))

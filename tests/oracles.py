@@ -35,7 +35,6 @@ from relay_bounds.dmc_relay import (
 )
 from relay_bounds.errors import DimensionError
 from relay_bounds.rhc_verify import (
-    SemiSimpleSemigroup,
     SuiteRecord,
     apply_semisimple,
     borell_critical_time,
@@ -333,7 +332,7 @@ def grid_relay_bounds(w: DiscreteChannel, c0: float, steps: int) -> tuple[float,
     return float(cor2), float(relay_objective_rows(laws, w.matrix, c0).max())
 
 
-def i_infinity_minimax_oracle(w: DiscreteChannel, grid_steps: int | None = None) -> float:
+def i_inf_minimax_oracle(w: DiscreteChannel, grid_steps: int | None = None) -> float:
     """Independent minimax evaluation of I_inf.
 
     Minimizes over reference output laws Q the essential-sup ratio
@@ -535,15 +534,15 @@ def mossel_suite_per_instance(
             time = critical * (1.0 + extra) if critical > 0.0 else extra
         elif t == "critical":
             time = critical
-        sg = SemiSimpleSemigroup(factors, float(time))
-        f = rng.random(sg.shape)
+        time, shape = float(time), (k,) * n_factors
+        f = rng.random(shape)
         if rng.random() < 0.25:
-            f = np.where(rng.random(sg.shape) < 0.3, 0.0, f)
+            f = np.where(rng.random(shape) < 0.3, 0.0, f)
         if rng.random() < 0.25:
             f = f * float(rng.uniform(0.5, 2.0))
-        margin = check_mossel(sg, f, pp, qq)
+        margin = check_mossel(factors, time, f, pp, qq)
         instance = {"n": n_factors, "alphabet": k, "p": float(pp), "q": float(qq),
-                    "t": sg.time, "critical": critical}
+                    "t": time, "critical": critical}
         records.append(SuiteRecord("mossel", idx, instance, margin, margin >= -1e-12))
     return records
 
@@ -556,13 +555,12 @@ def mossel_q0_suite_per_instance(n_instances: int, seed: int) -> list[SuiteRecor
         n, k = int(rng.integers(1, 4)), int(rng.integers(2, 5))
         factors = tuple(rng.dirichlet(np.ones(k)) for _ in range(n))
         t = float(rng.uniform(0.05, 3.0))
-        sg = SemiSimpleSemigroup(factors, t)
-        f = rng.random(sg.shape)
+        f = rng.random((k,) * n)
         if rng.random() < 0.3:
-            f = np.where(rng.random(sg.shape) < 0.3, 0.0, f)
+            f = np.where(rng.random(f.shape) < 0.3, 0.0, f)
         if not f.any():
             f[(0,) * n] = 0.5
-        margin = mossel_q0_margin(sg, f)
+        margin = mossel_q0_margin(factors, t, f)
         instance = {"n": n, "alphabet": k, "t": t}
         records.append(SuiteRecord("mossel-q0", idx, instance, margin, margin >= -1e-12))
     return records
@@ -574,21 +572,20 @@ def semigroup_suite_per_instance(n_instances: int, seed: int) -> list[SuiteRecor
     for idx in range(n_instances):
         rng = np.random.default_rng((seed, idx))
         n, k = int(rng.integers(1, 4)), int(rng.integers(2, 5))
-        sg = SemiSimpleSemigroup(tuple(rng.dirichlet(np.ones(k)) for _ in range(n)), 0.0)
-        f = rng.random(sg.shape)
+        factors = tuple(rng.dirichlet(np.ones(k)) for _ in range(n))
+        f = rng.random((k,) * n)
         if rng.random() < 0.25:
-            f = np.where(rng.random(sg.shape) < 0.3, 0.0, f)
+            f = np.where(rng.random(f.shape) < 0.3, 0.0, f)
         if rng.random() < 0.25:
             f = f * float(rng.uniform(0.5, 2.0))
         t1 = float(rng.uniform(0.0, 2.0))
         t2 = float(rng.uniform(0.0, 2.0))
-        mu = stationary_measure(sg)
-        sg1 = sg.at_time(t1)
-        two_step = apply_semisimple(sg1, apply_semisimple(sg.at_time(t2), f))
-        one_step = apply_semisimple(sg.at_time(t1 + t2), f)
+        mu = stationary_measure(factors)
+        two_step = apply_semisimple(factors, t1, apply_semisimple(factors, t2, f))
+        one_step = apply_semisimple(factors, t1 + t2, f)
         dev_law = float(np.max(np.abs(two_step - one_step)))
         dev_stat = abs(float((mu * one_step).sum()) - float((mu * f).sum()))
-        dev_unit = float(np.max(np.abs(apply_semisimple(sg1, np.ones(sg.shape)) - 1.0)))
+        dev_unit = float(np.max(np.abs(apply_semisimple(factors, t1, np.ones(f.shape)) - 1.0)))
         margin = -max(dev_law, dev_stat, dev_unit, -float(one_step.min()))
         instance = {"n": n, "alphabet": k, "t1": t1, "t2": t2}
         records.append(SuiteRecord("semigroup", idx, instance, margin, margin >= -1e-12))

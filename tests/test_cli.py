@@ -203,6 +203,12 @@ class TestDmcCommand:
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("usage: relay-bounds dmc ")
 
+    def test_i_infinity_is_the_channels_own_alpha_not_the_override(self, bsc_file, capsys):
+        assert main(["dmc", "--channel", bsc_file, "--c0", "0.05", "--alpha-override", "2.5"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["alpha"] == 2.5
+        assert payload["i_infinity"] == pytest.approx(math.log(1.8), abs=1e-15)
+
     @pytest.mark.parametrize("flag", [["--seed", "3"], ["--starts", "4"], ["--grid-check"]])
     def test_solver_knobs_gone(self, bsc_file, flag):
         with pytest.raises(SystemExit) as exc:
@@ -653,6 +659,20 @@ class TestDeterminismAndRoundTrip:
     def test_golden_stdout(self, capsys, argv, digest):
         assert main(argv.split()) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_golden_verify_stdout(self, capsys, monkeypatch):
+        # the default run: every suite at its default count and seed, as JSONL
+        monkeypatch.delenv("RELAY_BOUNDS_SEED", raising=False)
+        assert main(["verify"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "2b14abac541cf99278878f21e87c1fac9b3a249cce4b7def49da23332c8faf2b"
+
+    def test_golden_dmc_stdout(self, capsys, tmp_path):
+        path = tmp_path / "chan3.csv"
+        path.write_text("0.7,0.2,0.1\n0.1,0.8,0.1\n0.2,0.2,0.6\n")
+        assert main(["dmc", "--channel", str(path), "--c0", "0.2"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "afa9ecfce05824070d7817936654470bdc5b45a9618ade5fb082c29d38c90f1e"
 
     def test_byte_identical_curves(self, tmp_path):
         argv = ["curves", "--figure", "2", "--points", "64"]

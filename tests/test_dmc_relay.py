@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     grid_relay_bounds,
-    i_infinity_minimax_oracle,
+    i_inf_minimax_oracle,
     k_ary_symmetric,
     mutual_info,
     mutual_info_product,
@@ -25,7 +25,6 @@ from relay_bounds.dmc_relay import (
     InputDistribution,
     alpha_of_channel,
     capacity_ub_cor2,
-    i_infinity,
     product_channel,
 )
 from relay_bounds.errors import DimensionError, DomainError
@@ -156,28 +155,29 @@ class TestAlpha:
 
 
 class TestIInfinity:
+    """I_inf = ln(alpha), the order-infinity mutual information, against minimax over outputs."""
+
     def test_identical_rows(self):
-        assert i_infinity(IDENTICAL_ROWS) == pytest.approx(0.0, abs=1e-15)
+        assert math.log(alpha_of_channel(IDENTICAL_ROWS)) == pytest.approx(0.0, abs=1e-15)
 
     def test_bsc(self):
-        assert i_infinity(BSC) == pytest.approx(math.log(1.8), abs=1e-15)
-        assert abs(i_infinity(BSC) - i_infinity_minimax_oracle(BSC)) <= 1e-6
+        got = math.log(alpha_of_channel(BSC))
+        assert got == pytest.approx(math.log(1.8), abs=1e-15)
+        assert abs(got - i_inf_minimax_oracle(BSC)) <= 1e-6
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_identity(self, k):
         w = DiscreteChannel(np.eye(k))
-        assert i_infinity(w) == pytest.approx(math.log(k), abs=1e-15)
-        assert abs(i_infinity(w) - i_infinity_minimax_oracle(w)) <= 1e-6
+        got = math.log(alpha_of_channel(w))
+        assert got == pytest.approx(math.log(k), abs=1e-15)
+        assert abs(got - i_inf_minimax_oracle(w)) <= 1e-6
 
     def test_oracle_agreement_random(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             rows = rng.dirichlet(np.ones(3), size=2)
             w = DiscreteChannel(rows / rows.sum(1, keepdims=True))
-            assert abs(i_infinity(w) - i_infinity_minimax_oracle(w)) <= 1e-6
-
-    def test_exp_relation(self):
-        assert math.exp(i_infinity(BSC)) == pytest.approx(alpha_of_channel(BSC), rel=1e-15)
+            assert abs(math.log(alpha_of_channel(w)) - i_inf_minimax_oracle(w)) <= 1e-6
 
 
 class TestMutualInfo:

@@ -28,7 +28,6 @@ from relay_bounds.dmc_relay import DiscreteChannel, InputDistribution
 from relay_bounds.errors import DimensionError, DomainError
 from relay_bounds.rhc_verify import (
     SUITES,
-    SemiSimpleSemigroup,
     apply_semisimple,
     borell_critical_time,
     borell_suite,
@@ -49,9 +48,10 @@ from relay_bounds.rhc_verify import (
     semigroup_suite,
     stationary_measure,
 )
-from relay_bounds.scalar_bounds import bdd_gap_closed, gauss_gap_closed
+from relay_bounds.scalar_bounds import bdd_gap_closed, gauss_gap_closed, require_law
 
-FAIR_COIN = SemiSimpleSemigroup((np.array([0.5, 0.5]),), math.log(2.0))
+# The fair coin's factors, and the time at which e^{-t} = 1/2
+FAIR_COIN, LN2 = (np.array([0.5, 0.5]),), math.log(2.0)
 
 
 def use_gauss_hermite(monkeypatch, order):
@@ -62,34 +62,44 @@ def use_gauss_hermite(monkeypatch, order):
 
 
 def random_semigroup(rng, n=None, t=None):
+    """n factor laws (1..3 drawn unless given) over one drawn 2..4 symbols, and a time."""
     n = n or int(rng.integers(1, 4))
     k = int(rng.integers(2, 5))
     t = float(rng.uniform(0.0, 3.0)) if t is None else t
-    return SemiSimpleSemigroup(tuple(rng.dirichlet(np.ones(k)) for _ in range(n)), t)
+    return tuple(rng.dirichlet(np.ones(k)) for _ in range(n)), t
+
+
+def table_shape(factors):
+    return tuple(len(d) for d in factors)
+
+
+# Each semigroup kernel as a call on (factors, time); the table is never reached
+# when the semigroup is rejected.  stationary_measure takes no time.
+SEMIGROUP_KERNELS = {
+    "apply_semisimple": apply_semisimple,
+    "stationary_measure": lambda factors, time, f: stationary_measure(factors),
+    "check_mossel": lambda factors, time, f: check_mossel(factors, time, f, 0.5, 0.5),
+    "mossel_q0_margin": mossel_q0_margin,
+}
+TIMED_KERNELS = {k: v for k, v in SEMIGROUP_KERNELS.items() if k != "stationary_measure"}
+each_kernel = pytest.mark.parametrize("kernel", SEMIGROUP_KERNELS.values(), ids=SEMIGROUP_KERNELS)
+each_timed_kernel = pytest.mark.parametrize("kernel", TIMED_KERNELS.values(), ids=TIMED_KERNELS)
 
 
 class TestTypes:
-    def test_semigroup_validation(self):
-        with pytest.raises(DomainError):
-            SemiSimpleSemigroup((np.array([0.6, 0.6]),), 1.0)
-        with pytest.raises(DomainError):
-            SemiSimpleSemigroup((np.array([0.5, 0.5]),), -0.1)
-        with pytest.raises(DomainError):
-            SemiSimpleSemigroup(tuple(np.full(2, 0.5) for _ in range(5)), 1.0)
+    @each_kernel
+    def test_semigroup_validation(self, kernel):
+        f = np.full(2, 0.5)
+        with pytest.raises(DomainError, match="factor 0 must sum to 1"):
+            kernel((np.array([0.6, 0.6]),), 1.0, f)
+        with pytest.raises(DomainError, match=re.escape("at most 4 tensor factors")):
+            kernel(tuple(np.full(2, 0.5) for _ in range(5)), 1.0, f)
 
-    def test_at_time_keeps_the_factors_and_checks_only_the_time(self, monkeypatch):
-        sg = random_semigroup(np.random.default_rng(2), n=3)
-
-        def fail(*args):
-            raise AssertionError("at_time checked a factor again")
-
-        monkeypatch.setattr(rhc_verify, "require_law", fail)
-        later = sg.at_time(2.5)
-        assert later.time == 2.5 and later.shape == sg.shape
-        assert all(a is b for a, b in zip(later.factors, sg.factors))
-        for bad in (-1.0, math.nan):
-            with pytest.raises(DomainError, match="time must be >= 0"):
-                sg.at_time(bad)
+    @each_timed_kernel
+    def test_semigroup_time_validation(self, kernel):
+        for bad in (-0.1, math.nan):
+            with pytest.raises(DomainError, match=re.escape(f"time must be >= 0, got {bad!r}")):
+                kernel((np.array([0.5, 0.5]),), bad, np.full(2, 0.5))
 
     def test_quadrature_constants(self):
         nodes, weights = rhc_verify._NODES, rhc_verify._WEIGHTS
@@ -104,11 +114,7 @@ class TestTypes:
         w = np.array([[0.9, 0.1], [0.2, 0.8]])
 
         def build():
-            return [
-                DiscreteChannel(w),
-                InputDistribution(np.array([0.3, 0.7])),
-                SemiSimpleSemigroup((np.array([0.5, 0.5]),), 1.0),
-            ]
+            return [DiscreteChannel(w), InputDistribution(np.array([0.3, 0.7]))]
 
         for a, b in zip(build(), build()):
             assert (a == b) is False and a != b
@@ -118,9 +124,13 @@ class TestTypes:
 
 # Each input check that valid calls never reach: (call, error, message).
 INVALID_CALLS = {
-    "semigroup without factors": (
-        lambda: SemiSimpleSemigroup((), 1.0), DomainError, "semigroup needs at least one factor"
-    ),
+    **{
+        f"{name} without factors": (
+            lambda kernel=kernel: kernel((), 1.0, np.full(2, 0.5)),
+            DomainError, "semigroup needs at least one factor",
+        )
+        for name, kernel in SEMIGROUP_KERNELS.items()
+    },
     "lp_norm shapes": (
         lambda: lp_norm(np.ones(3), np.full(2, 0.5), 0.5),
         DimensionError, "function shape (3,) != measure shape (2,)",
@@ -171,49 +181,49 @@ def test_invalid_input_raises_its_message(call, error, message):
 
 
 class TestSemigroupAction:
-    def test_identity_at_time_zero(self):
+    def test_identity_when_time_is_zero(self):
         f = np.array([1.0, 0.0])
-        out = apply_semisimple(FAIR_COIN.at_time(0.0), f)
+        out = apply_semisimple(FAIR_COIN, 0.0, f)
         assert np.array_equal(out, f)
 
     def test_full_averaging_limit(self):
         f = np.array([1.0, 0.0])
-        out = apply_semisimple(FAIR_COIN.at_time(1e3), f)
+        out = apply_semisimple(FAIR_COIN, 1e3, f)
         assert np.allclose(out, 0.5, atol=1e-12)
 
     def test_half_mix_example(self):
         # e^{-t} = 1/2 mixes (1, 0) into (3/4, 1/4) under the fair coin
         f = np.array([1.0, 0.0])
-        out = apply_semisimple(FAIR_COIN, f)
+        out = apply_semisimple(FAIR_COIN, LN2, f)
         assert np.allclose(out, [0.75, 0.25], atol=1e-15)
 
     def test_unital_and_positive(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
-            sg = random_semigroup(rng)
-            ones = np.ones(sg.shape)
-            assert np.allclose(apply_semisimple(sg, ones), 1.0, atol=1e-12)
-            f = rng.random(sg.shape)
-            assert np.all(apply_semisimple(sg, f) >= 0.0)
+            factors, t = random_semigroup(rng)
+            ones = np.ones(table_shape(factors))
+            assert np.allclose(apply_semisimple(factors, t, ones), 1.0, atol=1e-12)
+            f = rng.random(table_shape(factors))
+            assert np.all(apply_semisimple(factors, t, f) >= 0.0)
 
     def test_semigroup_law(self):
         rng = np.random.default_rng(6)
         for _ in range(25):
-            sg = random_semigroup(rng)
+            factors, _ = random_semigroup(rng)
             t1, t2 = rng.uniform(0.0, 2.0, size=2)
-            f = rng.random(sg.shape)
-            two = apply_semisimple(sg.at_time(t1), apply_semisimple(sg.at_time(t2), f))
-            one = apply_semisimple(sg.at_time(t1 + t2), f)
+            f = rng.random(table_shape(factors))
+            two = apply_semisimple(factors, t1, apply_semisimple(factors, t2, f))
+            one = apply_semisimple(factors, t1 + t2, f)
             assert np.allclose(two, one, atol=1e-12)
 
     def test_stationarity(self):
         rng = np.random.default_rng(8)
         for _ in range(25):
-            sg = random_semigroup(rng)
-            mu = stationary_measure(sg)
-            f = rng.random(sg.shape)
+            factors, t = random_semigroup(rng)
+            mu = stationary_measure(factors)
+            f = rng.random(table_shape(factors))
             before = float((mu * f).sum())
-            after = float((mu * apply_semisimple(sg, f)).sum())
+            after = float((mu * apply_semisimple(factors, t, f)).sum())
             assert after == pytest.approx(before, abs=1e-12)
 
     @pytest.mark.parametrize("t", [0.0, 0.3, 5.0, 50.0])
@@ -222,30 +232,29 @@ class TestSemigroupAction:
         for _ in range(30):
             n = int(rng.integers(1, 5))
             factors = tuple(rng.dirichlet(np.ones(int(rng.integers(2, 7)))) for _ in range(n))
-            sg = SemiSimpleSemigroup(factors, t)
-            f = rng.random(sg.shape)
+            f = rng.random(table_shape(factors))
             want = semisimple_dense(factors, t) @ f.ravel()
-            got = apply_semisimple(sg, f)
+            got = apply_semisimple(factors, t, f)
             np.testing.assert_allclose(got.ravel(), want, rtol=1e-14, atol=0.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            apply_semisimple(FAIR_COIN, np.ones(3))
+            apply_semisimple(FAIR_COIN, LN2, np.ones(3))
 
     def test_rejects_bad_tables(self):
         for table in ([1.0, -0.5], [1.0, math.nan], [1.0, math.inf]):
             with pytest.raises(DomainError):
-                apply_semisimple(FAIR_COIN, np.array(table))
+                apply_semisimple(FAIR_COIN, LN2, np.array(table))
         with pytest.raises(DimensionError):
-            apply_semisimple(FAIR_COIN, np.ones((2, 2)))
+            apply_semisimple(FAIR_COIN, LN2, np.ones((2, 2)))
 
     def test_leaves_argument_unchanged(self):
         rng = np.random.default_rng(9)
         for t in (0.0, 0.7):
-            sg = random_semigroup(rng, n=3, t=t)
-            f = rng.random(sg.shape)
+            factors, _ = random_semigroup(rng, n=3, t=t)
+            f = rng.random(table_shape(factors))
             before = f.copy()
-            out = apply_semisimple(sg, f)
+            out = apply_semisimple(factors, t, f)
             assert out is not f
             assert np.array_equal(f, before)
 
@@ -368,16 +377,15 @@ class TestLpNorm:
 
 class TestMossel:
     def test_constant_margin_zero(self):
-        sg = FAIR_COIN.at_time(math.log(3.0))  # critical time for (p, q) = (0.5, -0.5)
-        f = np.full(sg.shape, 0.3)
-        assert check_mossel(sg, f, 0.5, -0.5) == pytest.approx(0.0, abs=1e-14)
+        f = np.full(2, 0.3)  # log 3 is the critical time for (p, q) = (0.5, -0.5)
+        assert check_mossel(FAIR_COIN, math.log(3.0), f, 0.5, -0.5) == pytest.approx(0.0, abs=1e-14)
 
     def test_precondition_violation(self):
-        f = np.ones(FAIR_COIN.shape)
+        f = np.ones(2)
         with pytest.raises(DomainError):
-            check_mossel(FAIR_COIN.at_time(0.01), f, 0.5, -0.5)  # below critical time
+            check_mossel(FAIR_COIN, 0.01, f, 0.5, -0.5)  # below critical time
         with pytest.raises(DomainError):
-            check_mossel(FAIR_COIN, f, 1.5, 0.5)  # p >= 1
+            check_mossel(FAIR_COIN, LN2, f, 1.5, 0.5)  # p >= 1
 
     def test_random_suite_margins(self):
         records = mossel_suite(800, 20240811)
@@ -393,19 +401,19 @@ class TestMossel:
     def test_jensen_baseline_any_time(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
-            sg = random_semigroup(rng)
-            f = rng.random(sg.shape)
+            factors, t = random_semigroup(rng)
+            f = rng.random(table_shape(factors))
             p = float(rng.uniform(0.05, 0.95))
-            assert check_mossel(sg, f, p, p) >= -1e-12
+            assert check_mossel(factors, t, f, p, p) >= -1e-12
 
     def test_jensen_baseline_full_averaging(self):
         # t -> infinity limit is the conditional-expectation operator
         rng = np.random.default_rng(14)
         for _ in range(25):
-            sg = random_semigroup(rng, t=50.0)
-            f = rng.random(sg.shape)
+            factors, t = random_semigroup(rng, t=50.0)
+            f = rng.random(table_shape(factors))
             p = float(rng.uniform(0.05, 0.95))
-            assert check_mossel(sg, f, p, p) >= -1e-12
+            assert check_mossel(factors, t, f, p, p) >= -1e-12
 
     def test_q0_margin(self):
         records = mossel_q0_suite(300, 99)
@@ -415,14 +423,32 @@ class TestMossel:
         def fail(*args):
             raise AssertionError("a rejected table was smoothed")
 
-        monkeypatch.setattr(rhc_verify, "apply_semisimple", fail)
+        monkeypatch.setattr(rhc_verify, "_smooth", fail)
         with pytest.raises(DomainError, match=re.escape("f taking values in [0, 1]")):
-            mossel_q0_margin(FAIR_COIN, np.array([0.5, 1.5]))
+            mossel_q0_margin(FAIR_COIN, LN2, np.array([0.5, 1.5]))
+
+    @pytest.mark.parametrize(
+        "margin",
+        [
+            lambda factors, f: check_mossel(factors, 1.5, f, 0.5, -0.5),
+            lambda factors, f: mossel_q0_margin(factors, 1.0, f),
+        ],
+        ids=["check_mossel", "mossel_q0_margin"],
+    )
+    def test_margins_check_each_law_once(self, monkeypatch, margin):
+        checked = []
+
+        def counting(values, name="law"):
+            checked.append(name)
+            return require_law(values, name)
+
+        monkeypatch.setattr(rhc_verify, "require_law", counting)
+        factors, _ = random_semigroup(np.random.default_rng(3), n=3)
+        margin(factors, np.full(table_shape(factors), 0.5))
+        assert checked == ["factor 0", "factor 1", "factor 2"]
 
     def test_q0_all_ones_is_tight(self):
-        sg = FAIR_COIN
-        f = np.ones(sg.shape)
-        assert mossel_q0_margin(sg, f) == pytest.approx(0.0, abs=1e-12)
+        assert mossel_q0_margin(FAIR_COIN, LN2, np.ones(2)) == pytest.approx(0.0, abs=1e-12)
 
     def test_determinism(self):
         a = mossel_suite(50, 3)
@@ -714,11 +740,10 @@ class TestStructuralSuite:
         assert all(r.passed for r in records)
 
 
-def _stacked_semigroup(rng, shape, times):
-    """A stack of len(times) semigroups of one table shape, with their per-row semigroups."""
-    factors = tuple(rng.dirichlet(np.ones(k), size=len(times)) for k in shape)
-    rows = [SemiSimpleSemigroup(tuple(d[b] for d in factors), t) for b, t in enumerate(times)]
-    return SemiSimpleSemigroup(factors, np.array(times)), rows
+def _stacked_factors(rng, shape, n_rows):
+    """Factor laws of a stack of n_rows semigroups of one table shape, and each row's own."""
+    factors = tuple(rng.dirichlet(np.ones(k), size=n_rows) for k in shape)
+    return factors, [tuple(d[b] for d in factors) for b in range(n_rows)]
 
 
 def _bits(x) -> bytes:
@@ -747,13 +772,14 @@ class TestStacks:
     )
     def test_semigroup_stack_matches_its_rows_bit_for_bit(self, shape, times, seed):
         rng = np.random.default_rng(seed)
-        stack, rows = _stacked_semigroup(rng, shape, times)
+        factors, rows = _stacked_factors(rng, shape, len(times))
         f = rng.random((len(times), *shape))
-        smoothed, mu = apply_semisimple(stack, f), stationary_measure(stack)
-        assert stack.shape == tuple(shape) and smoothed.shape == mu.shape == f.shape
-        for b, sg in enumerate(rows):
-            assert _bits(smoothed[b]) == _bits(apply_semisimple(sg, f[b]))
-            assert _bits(mu[b]) == _bits(stationary_measure(sg))
+        smoothed = apply_semisimple(factors, np.array(times), f)
+        mu = stationary_measure(factors)
+        assert smoothed.shape == mu.shape == f.shape == (len(times), *shape)
+        for b, row in enumerate(rows):
+            assert _bits(smoothed[b]) == _bits(apply_semisimple(row, times[b], f[b]))
+            assert _bits(mu[b]) == _bits(stationary_measure(row))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -775,37 +801,39 @@ class TestStacks:
         if n_taus == 0:
             assert not h1.any() and not h2.any()
 
-    def test_rejects_a_bad_row_law(self):
+    @each_kernel
+    def test_rejects_a_bad_row_law(self, kernel):
         with pytest.raises(DomainError, match="factor 0 must sum to 1"):
-            SemiSimpleSemigroup((np.array([[0.5, 0.5], [0.6, 0.6]]),), np.array([1.0, 1.0]))
+            kernel((np.array([[0.5, 0.5], [0.6, 0.6]]),), np.array([1.0, 1.0]), np.ones((2, 2)))
 
-    def test_rejects_factor_stacks_of_different_depth(self):
+    @each_kernel
+    def test_rejects_factor_stacks_of_different_depth(self, kernel):
         for factors in [
             (np.full((2, 2), 0.5), np.full((3, 2), 0.5)),
             (np.full((2, 2), 0.5), np.full(2, 0.5)),
             (np.full((2, 2, 2), 0.5),),
         ]:
             with pytest.raises(DomainError, match="stacks of them of one depth"):
-                SemiSimpleSemigroup(factors, np.ones(2))
+                kernel(factors, np.ones(2), np.ones((2, 2)))
 
-    def test_rejects_times_that_do_not_fit_the_stack(self):
-        factors = (np.full((2, 3), 1.0 / 3.0),)
-        for time in (np.ones(3), np.ones((2, 1)), 1.0):
+    @each_timed_kernel
+    def test_rejects_times_that_do_not_fit_the_stack(self, kernel):
+        factors, f = (np.full((2, 3), 1.0 / 3.0),), np.full((2, 3), 0.5)
+        for time in (np.ones(3), np.ones((2, 1)), 1.0, np.ones(5)):
             with pytest.raises(DimensionError, match="does not match the stack"):
-                SemiSimpleSemigroup(factors, time)
+                kernel(factors, time, f)
         for time in ([1.0, -1.0], [math.nan, 1.0]):
-            with pytest.raises(DomainError, match="time must be >= 0"):
-                SemiSimpleSemigroup(factors, time)
-        sg = SemiSimpleSemigroup(factors, [0.5, 1.0])
-        with pytest.raises(DimensionError):
-            sg.at_time(np.ones(5))
-        assert sg.at_time([2.0, 3.0]).time.tolist() == [2.0, 3.0]
+            with pytest.raises(DomainError, match=re.escape(f"time must be >= 0, got {time!r}")):
+                kernel(factors, time, f)
+        # a list that fits the stack is taken as its array
+        want = kernel(factors, np.array([2.0, 3.0]), f)
+        assert _bits(kernel(factors, [2.0, 3.0], f)) == _bits(want)
 
     def test_rejects_a_table_stack_of_the_wrong_shape(self):
-        stack, _ = _stacked_semigroup(np.random.default_rng(1), (2, 3), [0.5, 1.0])
+        factors, _ = _stacked_factors(np.random.default_rng(1), (2, 3), 2)
         for shape in [(2, 3), (3, 2, 3), (2, 3, 2), (1, 2, 3)]:
             with pytest.raises(DimensionError):
-                apply_semisimple(stack, np.ones(shape))
+                apply_semisimple(factors, np.array([0.5, 1.0]), np.ones(shape))
 
     def test_margin_stacks_match_their_rows_bit_for_bit(self):
         rng = np.random.default_rng(11)
@@ -816,14 +844,16 @@ class TestStacks:
         p, q = np.array(pairs).T
         times = [mossel_critical_time(a, b) * 1.3 for a, b in pairs]
         times[3] = mossel_critical_time(0.5, -800.0)
-        stack, rows = _stacked_semigroup(rng, (3, 2), times)
+        factors, rows = _stacked_factors(rng, (3, 2), len(times))
         f = rng.uniform(0.01, 0.5, size=(len(pairs), 3, 2))
         f[0, 1, 0] = f[1, 2, 1] = f[6, 0, 0] = 0.0
-        margins = check_mossel(stack, f, p, q)
+        margins = check_mossel(factors, np.array(times), f, p, q)
         assert margins.shape == (len(pairs),)
-        for b, sg in enumerate(rows):
-            assert _bits(margins[b]) == _bits(check_mossel(sg, f[b], pairs[b][0], pairs[b][1]))
-        smoothed, mu = apply_semisimple(stack, f), stationary_measure(stack)
+        for b, row in enumerate(rows):
+            one = check_mossel(row, times[b], f[b], pairs[b][0], pairs[b][1])
+            assert _bits(margins[b]) == _bits(one)
+        smoothed = apply_semisimple(factors, np.array(times), f)
+        mu = stationary_measure(factors)
         big = np.array([0.01, 1e4])  # f**-800 overflows, then underflows
         for table in (f, smoothed, np.broadcast_to(big[None, None, :], f.shape)):
             for index in (p, q, np.linspace(-2.0, 1.0, len(pairs))):
@@ -832,15 +862,14 @@ class TestStacks:
                     assert _bits(norms[b]) == _bits(lp_norm(table[b], mu[b], float(index[b])))
         # one float index for the whole stack, and the q = 0 margin
         for a, b in [(0.5, -1.0), (0.5, -800.0), (0.0, -0.5)]:
-            at = stack.at_time(np.full(len(pairs), 10.0))
-            got = check_mossel(at, f, a, b)
+            got = check_mossel(factors, np.full(len(pairs), 10.0), f, a, b)
             assert [_bits(x) for x in got] == [
-                _bits(check_mossel(sg.at_time(10.0), f[i], a, b)) for i, sg in enumerate(rows)
+                _bits(check_mossel(row, 10.0, f[i], a, b)) for i, row in enumerate(rows)
             ]
         ones = np.where(f > 0.3, 1.0, f)
-        got = mossel_q0_margin(stack.at_time(np.abs(times) + 0.1), ones)
-        for b, sg in enumerate(rows):
-            one = mossel_q0_margin(sg.at_time(abs(times[b]) + 0.1), ones[b])
+        got = mossel_q0_margin(factors, np.abs(times) + 0.1, ones)
+        for b, row in enumerate(rows):
+            one = mossel_q0_margin(row, abs(times[b]) + 0.1, ones[b])
             assert _bits(got[b]) == _bits(one)
 
     @settings(max_examples=40, deadline=None)
@@ -858,29 +887,30 @@ class TestStacks:
         rng = np.random.default_rng(seed)
         p, q = np.max(pairs, axis=1), np.min(pairs, axis=1)
         times = [mossel_critical_time(a, b) * rng.uniform(1.0, 2.0) for a, b in zip(p, q)]
-        stack, rows = _stacked_semigroup(rng, shape, times)
+        factors, rows = _stacked_factors(rng, shape, len(times))
         f = rng.random((len(pairs), *shape))
         f[rng.random(f.shape) < 0.1] = 0.0
-        margins = check_mossel(stack, f, p, q)
+        margins = check_mossel(factors, np.array(times), f, p, q)
         g = 0.01 + 0.99 * f
-        q0 = mossel_q0_margin(stack.at_time(stack.time + 0.1), g)
-        for b, sg in enumerate(rows):
-            assert _bits(margins[b]) == _bits(check_mossel(sg, f[b], float(p[b]), float(q[b])))
-            assert _bits(q0[b]) == _bits(mossel_q0_margin(sg.at_time(sg.time + 0.1), g[b]))
+        q0 = mossel_q0_margin(factors, np.array(times) + 0.1, g)
+        for b, row in enumerate(rows):
+            one = check_mossel(row, times[b], f[b], float(p[b]), float(q[b]))
+            assert _bits(margins[b]) == _bits(one)
+            assert _bits(q0[b]) == _bits(mossel_q0_margin(row, float(times[b]) + 0.1, g[b]))
 
     def test_margin_stacks_with_a_zero_in_the_measure(self):
         laws = np.array([[0.0, 0.4, 0.6], [0.2, 0.3, 0.5], [0.5, 0.5, 0.0]])
-        stack = SemiSimpleSemigroup((laws, laws[::-1].copy()), np.full(3, 0.8))
-        rows = [SemiSimpleSemigroup((laws[b], laws[2 - b]), 0.8) for b in range(3)]
+        factors = (laws, laws[::-1].copy())
+        rows = [(laws[b], laws[2 - b]) for b in range(3)]
         f = np.random.default_rng(2).uniform(0.0, 1.0, size=(3, 3, 3))
         f[:, 0, 0] = 0.0
-        mu = stationary_measure(stack)
+        mu = stationary_measure(factors)
         for p in ([0.5, 0.0, -2.0], [-1.0, -0.3, 0.7]):
             norms = lp_norm(f, mu, np.array(p))
             want = [_bits(lp_norm(f[b], mu[b], pb)) for b, pb in enumerate(p)]
             assert [_bits(x) for x in norms] == want
-        got = mossel_q0_margin(stack, f)
-        want = [_bits(mossel_q0_margin(sg, f[b])) for b, sg in enumerate(rows)]
+        got = mossel_q0_margin(factors, np.full(3, 0.8), f)
+        want = [_bits(mossel_q0_margin(row, 0.8, f[b])) for b, row in enumerate(rows)]
         assert [_bits(x) for x in got] == want
         # off the support f**p overflows, and must not reach the norm
         f0, mu0 = np.array([[1e-10, 0.5, 2.0]]), np.array([[0.0, 0.5, 0.5]])
@@ -901,36 +931,36 @@ class TestStacks:
         for _ in range(8):
             law = rng.dirichlet(np.ones(6))
             law[rng.integers(0, 6)] = 0.0
-            sg = SemiSimpleSemigroup((law / law.sum(), law[::-1] / law.sum()), 0.7)
-            f2 = rng.uniform(0.0, 1.0, size=sg.shape)
-            mu2 = stationary_measure(sg).ravel()
+            pair = (law / law.sum(), law[::-1] / law.sum())
+            f2 = rng.uniform(0.0, 1.0, size=table_shape(pair))
+            mu2 = stationary_measure(pair).ravel()
             support = mu2 > 0.0
             with mpmath.workdps(50):
                 w = [mpmath.mpf(float(v)) for v in mu2[support]]
                 mass = mpmath.fsum(w)
-                smoothed = apply_semisimple(sg, f2).ravel()[support]
+                smoothed = apply_semisimple(pair, 0.7, f2).ravel()[support]
                 lhs = mpmath.fsum(a * mpmath.log(float(v)) for a, v in zip(w, smoothed)) / mass
                 mean = mpmath.fsum(a * float(v) for a, v in zip(w, f2.ravel()[support])) / mass
                 penalty = (1 + 1 / mpmath.mpf(0.7)) * mpmath.log(min(mean, 1))
-                got = mossel_q0_margin(sg, f2)
+                got = mossel_q0_margin(pair, 0.7, f2)
                 assert abs(got - (lhs - penalty)) <= 4e-15 * (abs(lhs) + abs(penalty))
 
     def test_margin_stacks_check_every_row(self):
-        stack, _ = _stacked_semigroup(np.random.default_rng(1), (2,), [0.5, 1.0])
-        f = np.full((2, 2), 0.5)
+        factors, _ = _stacked_factors(np.random.default_rng(1), (2,), 2)
+        times, f = np.array([0.5, 1.0]), np.full((2, 2), 0.5)
         with pytest.raises(DomainError, match="below the critical time"):
-            check_mossel(stack, f, 0.5, np.array([0.2, -5.0]))
+            check_mossel(factors, times, f, 0.5, np.array([0.2, -5.0]))
         with pytest.raises(DomainError, match="need finite q <= p < 1"):
-            check_mossel(stack, f, np.array([0.5, 0.1]), 0.2)
+            check_mossel(factors, times, f, np.array([0.5, 0.1]), 0.2)
         with pytest.raises(DimensionError):
-            check_mossel(stack, f, np.array([0.5, 0.5, 0.5]), 0.2)
+            check_mossel(factors, times, f, np.array([0.5, 0.5, 0.5]), 0.2)
         with pytest.raises(DomainError, match="f taking values in"):
-            mossel_q0_margin(stack, np.array([[0.5, 0.5], [0.5, 1.5]]))
+            mossel_q0_margin(factors, times, np.array([[0.5, 0.5], [0.5, 1.5]]))
         with pytest.raises(DomainError, match="positive mass"):
-            mossel_q0_margin(stack, np.array([[0.5, 0.5], [0.0, 0.0]]))
+            mossel_q0_margin(factors, times, np.array([[0.5, 0.5], [0.0, 0.0]]))
         with pytest.raises(DomainError, match="t > 0"):
-            mossel_q0_margin(stack.at_time([1.0, 0.0]), f)
-        mu = stationary_measure(stack)
+            mossel_q0_margin(factors, [1.0, 0.0], f)
+        mu = stationary_measure(factors)
         with pytest.raises(DomainError, match="finite and <= 1, got 1.5"):
             lp_norm(f, mu, np.array([0.5, 1.5]))
         for index in (np.ones((2, 1)), np.ones(3)):
@@ -1001,16 +1031,18 @@ class TestStacks:
 
             return wrapper
 
-        for name in ("apply_semisimple", "brute_force_entropy_gap", "gaussian_quantizer_gap"):
+        # every smoothing runs through `_smooth`: the semigroup suite reaches it
+        # by apply_semisimple, the margins directly after their one check
+        for name in ("_smooth", "brute_force_entropy_gap", "gaussian_quantizer_gap"):
             monkeypatch.setattr(rhc_verify, name, counting(getattr(rhc_verify, name)))
         records = semigroup_suite(300, 4)
         shapes = {(r.instance["n"], r.instance["alphabet"]) for r in records}
-        assert calls == ["apply_semisimple"] * 4 * len(shapes)
+        assert calls == ["_smooth"] * 4 * len(shapes)
         for suite in (mossel_suite, mossel_q0_suite):
             calls.clear()
             records = suite(300, 4)
             shapes = {(r.instance["n"], r.instance["alphabet"]) for r in records}
-            assert calls == ["apply_semisimple"] * len(shapes)
+            assert calls == ["_smooth"] * len(shapes)
         calls.clear()
         records = quantizer_oracle_suite(300, 4)
         shapes = {(len(r.instance["constellation"]), len(r.instance["thresholds"]))

@@ -16,7 +16,7 @@ from oracles import (
 )
 from relay_bounds.dmc_relay import DiscreteChannel, InputDistribution
 from relay_bounds.errors import DomainError
-from relay_bounds.rhc_verify import SemiSimpleSemigroup
+from relay_bounds.rhc_verify import stationary_measure
 from relay_bounds.scalar_bounds import (
     RATE_CAP,
     _log1p_excess,
@@ -378,11 +378,11 @@ class TestAsymptotics:
         assert lemma3_h2max(1e6) / 1e6 == pytest.approx(1.0, rel=1e-2)
 
 
-# Each law-taking constructor, as a map from a 3-symbol law to the stored copy.
+# Each law-taking constructor or kernel, as a map from a 3-symbol law to its checked copy.
 LAW_TAKERS = {
     "channel rows": lambda law: DiscreteChannel(np.array([law, np.full(3, 1 / 3)])).matrix[0],
     "input law": lambda law: InputDistribution(law).probs,
-    "semigroup factor": lambda law: SemiSimpleSemigroup((law,), 1.0).factors[0],
+    "semigroup factor": lambda law: stationary_measure((law,)),
 }
 
 
