@@ -26,9 +26,11 @@ Every call checks what it is given: factors and channels by
 together by one private check.
 
 `SUITES` names the seven randomized suites.  Each draws one instance per RNG
-stream (seed, index) as arrays and floats, so any failure can be replayed
-from its record.  `_run` stacks the draws of each shape, and from the fields
-and margins that a suite computes per stack it alone builds every record.
+stream, that of `np.random.default_rng((seed, index))`, as arrays and floats,
+so any failure can be replayed from its record.  `_run` seeds the streams of
+a block of indices in one pass and loads each into one generator before its
+draw; it stacks the draws of each shape, and from the fields and margins that
+a suite computes per stack it alone builds every record.
 """
 
 from __future__ import annotations
@@ -53,6 +55,14 @@ MAX_INSTANCES = 100_000
 # Instances a suite draws before it evaluates them.  It bounds the memory that
 # drawn arrays and their stacks hold; the default 1,000 fit in one block.
 _BLOCK = 1024
+
+# The constants of numpy's SeedSequence hash (`hashmix`, `mix`) and of the
+# PCG64 multiplier, which NEP 19 fixes across numpy versions.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
 # The 64-node Gauss-Hermite rule, rescaled to integrate against N(0, 1): the
@@ -89,7 +99,7 @@ def _checked(factors, time) -> tuple[tuple[np.ndarray, ...], float | np.ndarray 
     of one shape: a (B, k_i) array of laws per factor and a (B,) array of
     times.  A time of None is passed through, for kernels that take none.
     """
-    if not factors:
+    if len(factors) == 0:  # an (m, k) array is m factor laws, as tuple(array) is
         raise DomainError("semigroup needs at least one factor")
     if len(factors) > MAX_FACTORS:
         raise DomainError(f"at most {MAX_FACTORS} tensor factors are supported")
@@ -501,6 +511,67 @@ def _each(*columns: np.ndarray) -> zip:
     return zip(*(c.tolist() for c in columns))
 
 
+def _hash_constants(value: int, mult: int):
+    """The (before, after) uint32 constants of each step of numpy's `hashmix`."""
+    while True:
+        after = value * mult & _MASK32
+        yield np.uint32(value), np.uint32(after)
+        value = after
+
+
+def _hashmix(words: np.ndarray, constants) -> np.ndarray:
+    """numpy's SeedSequence `hashmix` of a uint32 column, at the next constants."""
+    before, after = next(constants)
+    words = (words ^ before) * after
+    return words ^ (words >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """numpy's SeedSequence `mix` of two uint32 columns."""
+    out = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return out ^ (out >> np.uint32(16))
+
+
+def _stream_states(seed: int, indices) -> list[dict]:
+    """`np.random.default_rng((seed, idx)).bit_generator.state` for each idx < 2**32.
+
+    default_rng seeds PCG64 through a SeedSequence: its entropy, the
+    little-endian uint32 words of seed and then of idx (0 is one word [0]),
+    is hashed into a pool of 4 words; each entropy word past the fourth is
+    mixed into every pool word; and the pool is expanded into 4 uint64 words,
+    the initial state and the stream of PCG64.  Here each word is a uint32
+    column with one entry per index, so a block is hashed in one pass, and
+    only the 128-bit seeding runs per index, in Python ints.
+    """
+    seed = int(seed)
+    size = (seed.bit_length() + 31) // 32 or 1
+    words = np.frombuffer(seed.to_bytes(4 * size, "little"), dtype="<u4")
+    index = np.asarray(indices, dtype=np.uint32)
+    entropy = [np.full(len(index), w, dtype=np.uint32) for w in words] + [index]
+    # a pool word with no entropy word of its own hashes 0
+    entropy += [np.zeros_like(index)] * (4 - len(entropy))
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hashmix(e, constants) for e in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants))
+    for e in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(e, constants))
+    constants = _hash_constants(_INIT_B, _MULT_B)
+    out = np.stack([_hashmix(pool[i % 4], constants) for i in range(8)], axis=1)
+    states = []
+    for high, low, inc_high, inc_low in out.astype("<u4").view("<u8").tolist():
+        # pcg_setseq_128_srandom_r: two steps of state * MULT + inc around the
+        # addition of the initial state
+        inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
+        state = ((inc + (high << 64 | low)) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
 def _run(
     suite: str,
     tol: float,
@@ -511,26 +582,33 @@ def _run(
 ) -> list[SuiteRecord]:
     """Records of the instances drawn from the streams (seed, index), in index order.
 
-    `draw(rng)` returns a tuple of arrays and floats.  The draws of a block of
-    _BLOCK indices whose arrays have the same shapes are stacked item by item,
-    and `evaluate(*stacks)` returns (fields, margins): each field, in record
-    order, is a value the group shares or a (B, ...) array or list of B rows,
-    and `margins` a (B,) array or list.  A margin of at least -tol passes.
+    `draw(rng)` returns a tuple of arrays and floats, drawn from a generator
+    in the state of `np.random.default_rng((seed, index))`.  The draws of a
+    block of _BLOCK indices whose arrays have the same shapes are stacked
+    item by item, and `evaluate(*stacks)` returns (fields, margins): each
+    field, in record order, is a value the group shares or a (B, ...) array
+    or list of B rows, and `margins` a (B,) array or list.  A margin of at
+    least -tol passes.
     """
     if not all(isinstance(v, numbers.Integral) and v >= 0 for v in (n_instances, seed)):
         raise DomainError(f"count and seed must be integers >= 0, got {n_instances!r}, {seed!r}")
     if n_instances > MAX_INSTANCES:
         raise DomainError(f"at most {MAX_INSTANCES} instances per suite, got {n_instances}")
     records = []
+    rng = np.random.Generator(np.random.PCG64())
+    bits = rng.bit_generator
     for start in range(0, n_instances, _BLOCK):
-        block = range(start, min(start + _BLOCK, n_instances))
-        drawn = [draw(np.random.default_rng((seed, idx))) for idx in block]
+        drawn = []
+        for state in _stream_states(seed, range(start, min(start + _BLOCK, n_instances))):
+            bits.state = state
+            drawn.append(draw(rng))
         groups: dict = {}
         for i, items in enumerate(drawn):
             key = tuple([x.shape for x in items if type(x) is np.ndarray])
             groups.setdefault(key, []).append(i)
         for members in groups.values():
-            fields, margins = evaluate(*map(np.stack, zip(*(drawn[i] for i in members))))
+            # np.array stacks a column of one shape in C, as np.stack would
+            fields, margins = evaluate(*map(np.array, zip(*(drawn[i] for i in members))))
             margins, *columns = (v.tolist() if type(v) is np.ndarray else v if type(v) is list
                                  else [v] * len(members) for v in (margins, *fields.values()))
             instances = [dict(zip(fields, values)) for values in zip(*columns)]
@@ -714,11 +792,11 @@ def quantizer_oracle_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
     def draw(rng):
         k = int(rng.integers(2, 5))
         xs = np.sort(rng.uniform(-3.0, 3.0, size=k))
-        while np.any(np.diff(xs) < 1e-3):
+        while (xs[1:] - xs[:-1] < 1e-3).any():
             xs = np.sort(rng.uniform(-3.0, 3.0, size=k))
         n_taus = int(rng.integers(1, 4))
         taus = np.sort(rng.uniform(-3.0, 3.0, size=n_taus))
-        while np.any(np.diff(taus) < 1e-3):
+        while (taus[1:] - taus[:-1] < 1e-3).any():
             taus = np.sort(rng.uniform(-3.0, 3.0, size=n_taus))
         return xs, taus
 
@@ -744,11 +822,13 @@ def semigroup_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
 
     def evaluate(*stacks):
         *factors, f, t1, t2 = stacks
-        two_step = apply_semisimple(factors, t1, apply_semisimple(factors, t2, f))
-        one_step = apply_semisimple(factors, t1 + t2, f)
+        # the public kernel checks the drawn laws once; the other smoothings
+        # run on the same arrays through its body, as the margins' do
         unit = apply_semisimple(factors, t1, np.ones(f.shape))
+        two_step = _smooth(factors, t1, _smooth(factors, t2, f))
+        one_step = _smooth(factors, t1 + t2, f)
         # one flat row per instance, so that each sum runs as over its own table
-        mu = stationary_measure(factors)
+        mu = _product(factors)
         mu, flat, two_step, one_step, unit = (
             a.reshape(len(f), -1) for a in (mu, f, two_step, one_step, unit)
         )

@@ -131,6 +131,13 @@ INVALID_CALLS = {
         )
         for name, kernel in SEMIGROUP_KERNELS.items()
     },
+    **{
+        f"{name} on an empty array": (
+            lambda kernel=kernel: kernel(np.empty((0, 2)), 1.0, np.full(2, 0.5)),
+            DomainError, "semigroup needs at least one factor",
+        )
+        for name, kernel in SEMIGROUP_KERNELS.items()
+    },
     "lp_norm shapes": (
         lambda: lp_norm(np.ones(3), np.full(2, 0.5), 0.5),
         DimensionError, "function shape (3,) != measure shape (2,)",
@@ -196,6 +203,12 @@ class TestSemigroupAction:
         f = np.array([1.0, 0.0])
         out = apply_semisimple(FAIR_COIN, LN2, f)
         assert np.allclose(out, [0.75, 0.25], atol=1e-15)
+
+    def test_an_array_of_laws_is_one_factor_per_row(self):
+        f = np.array([[1.0, 0.25], [0.0, 0.5]])
+        laws = np.full((2, 2), 0.5)
+        got = apply_semisimple(laws, 1.0, f)
+        assert _bits(got) == _bits(apply_semisimple(tuple(laws), 1.0, f))
 
     def test_unital_and_positive(self):
         rng = np.random.default_rng(4)
@@ -739,6 +752,20 @@ class TestStructuralSuite:
         records = semigroup_suite(150, 5)
         assert all(r.passed for r in records)
 
+    def test_checks_each_law_once_per_shape_group(self, monkeypatch):
+        checked = []
+
+        def counting(values, name="law"):
+            checked.append(name)
+            return require_law(values, name)
+
+        monkeypatch.setattr(rhc_verify, "require_law", counting)
+        records = semigroup_suite(300, 4)
+        # the groups of one block, in the order their first draws come
+        groups = dict.fromkeys((r.instance["n"], r.instance["alphabet"]) for r in records)
+        assert len(groups) > 1
+        assert checked == [f"factor {i}" for n, _ in groups for i in range(n)]
+
 
 def _stacked_factors(rng, shape, n_rows):
     """Factor laws of a stack of n_rows semigroups of one table shape, and each row's own."""
@@ -1082,11 +1109,26 @@ class TestSuiteRegistry:
         def no_draw(*args):
             raise AssertionError("drew an instance")
 
-        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        # every draw's stream is seeded here, before the draw
+        monkeypatch.setattr(rhc_verify, "_stream_states", no_draw)
         with pytest.raises(DomainError, match="count and seed must be integers >= 0"):
             SUITES[name](count, seed)
         assert SUITES[name](0, 1) == []
         assert SUITES[name](np.int64(0), np.uint32(7)) == []
+
+
+class TestStreams:
+    """The streams `_run` draws from, against numpy's own seeding."""
+
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 1, 12345, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 7, np.uint32(7), np.int64(2**40 + 1)],
+        ids=repr,
+    )
+    def test_states_are_those_of_default_rng(self, seed):
+        indices = [*range(1030), 99_999]
+        expected = [np.random.default_rng((seed, i)).bit_generator.state for i in indices]
+        assert rhc_verify._stream_states(seed, indices) == expected
 
 
 class TestQuadratureOrder:
