@@ -51,12 +51,14 @@ def _unit_scale(args: argparse.Namespace) -> float:
     return 1.0 / _LN2 if args.bits else 1.0
 
 
+def _sink(path: str | None):
+    """The output of a subcommand as a context manager: stdout, left open, or the file at path."""
+    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
+
+
 def _write_text(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    with _sink(path) as out:
+        out.write(text)
 
 
 def _report_text(payload: dict, fmt: str) -> str:
@@ -228,10 +230,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     # every flag is checked, so the output opens before the first suite and
     # takes each suite's lines as it returns: one suite's records at a time
-    sink = contextlib.nullcontext(sys.stdout)
-    if args.output is not None:
-        sink = open(args.output, "w", newline="")
-    with sink as out:
+    with _sink(args.output) as out:
         total = failures = 0
         for name in names:
             # Reach the suite through the module attribute, not the SUITES entry,

@@ -12,9 +12,10 @@ drops the penalty term.  By Sion's minimax theorem the max-min equals the
 minimum over lam in [0, 1] of a weighted Blahut-Arimoto problem
 max_p [lam I(X;Y,Z) + (1 - lam)(I(X;Y) + penalty)], and the output laws of any
 input law give a closed-form upper bound on it.  Both bounds are reported as
-that dual certificate, an upper value, with the gap to the objective at the
-returned input law.  Since the penalty is at most C0, the cutset certificate
-also bounds the corollary's maximum; the reported bound is the smaller one.
+that dual certificate, an upper value, from the divergence rows the solver
+steps on, with the gap to the objective at the returned input law.  Since the
+penalty is at most C0, the cutset certificate also bounds the corollary's
+maximum; the reported bound is the smaller one.
 Channel rows and input laws are checked by `scalar_bounds.require_law`.
 """
 
@@ -156,6 +157,12 @@ def _certificate(d1: np.ndarray, d2: np.ndarray, penalty: float) -> float:
     return float(lines.max(axis=1).min())
 
 
+def _divergence(w: np.ndarray, rowh: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """D(W_x || pW) for each row x of w (rowh: its sums of W ln W) at a law p, or at each
+    (1, k) row of a stack; p @ W and ln(pW) @ W^T are gemv products, as for a lone law."""
+    return rowh - np.log(np.maximum(p @ w, _TINY)) @ w.T
+
+
 def _law(p: np.ndarray) -> np.ndarray:
     p = np.maximum(p, _FLOOR)
     return p / p.sum()
@@ -228,11 +235,6 @@ class _DualSolver:
         self.steps_left = _BUDGET
         self._endpoints: dict[float, np.ndarray] = {}
 
-    def divergences(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The rows D(W1_x || pW1) and D(W2_x || pW2)."""
-        q1, q2 = np.maximum(p @ self.w1, _TINY), np.maximum(p @ self.w2, _TINY)
-        return self.rowh1 - self.w1 @ np.log(q1), self.rowh2 - self.w2 @ np.log(q2)
-
     def _terms(self, lam: float) -> list[tuple[float, np.ndarray, np.ndarray]]:
         """(weight, channel, row sums of W ln W) of each cut with a nonzero
         weight, the joint one first: an endpoint never reads the idle channel."""
@@ -242,16 +244,17 @@ class _DualSolver:
     def _evaluate(self, lam: float, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """d = lam*D2 + (1 - lam)*D1 and the value p.d, for one input law or a (B, k) stack.
 
-        A stack goes through (B,1,k) @ (k,m), W @ (B,m,1) and (B,1,k) @ (B,k,1),
-        whose rows equal the 1-D p @ W, W @ log q and p @ d bit for bit.
+        Each law goes through as a (1, k) row, so that every product of a stack
+        row equals its own call's: (1,k) @ (k,m), (1,m) @ (m,k) and (1,k) @ (k,1).
         """
         rows = p[..., None, :]
         d = None
         for weight, w, rowh in self._terms(lam):
-            log_q = np.log(np.maximum(rows @ w, _TINY)).swapaxes(-1, -2)
-            term = weight * (rowh - (w @ log_q)[..., 0])
+            term = _divergence(w, rowh, rows)
+            if weight != 1.0:  # at an endpoint the one term is the divergence itself
+                term *= weight
             d = term if d is None else d + term
-        return d, (rows @ d[..., None])[..., 0, 0]
+        return d[..., 0, :], (rows @ d.swapaxes(-1, -2))[..., 0, 0]
 
     def _state(self, lam: float, p: np.ndarray) -> _State:
         d, value = self._evaluate(lam, p)
@@ -333,7 +336,8 @@ class _DualSolver:
 
         def consider(p: np.ndarray) -> float:
             nonlocal best
-            d1, d2 = self.divergences(p)
+            d1 = _divergence(self.w1, self.rowh1, p)
+            d2 = _divergence(self.w2, self.rowh2, p)
             joint, direct = float(p @ d2), float(p @ d1) + penalty
             cert = _certificate(d1, d2, penalty)
             if cert - min(joint, direct) < best[0] - best[1]:

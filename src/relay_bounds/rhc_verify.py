@@ -8,9 +8,9 @@ quadrature, the inequalities that power the capacity bounds:
   and the q=0 special case E[ln T_t f] >= (1 + 1/t) ln E[f] for f in [0,1]^n;
 * the Ornstein-Uhlenbeck action T_{x,t} f(y) = E[f(e^{-t}y + (1-e^{-t})x
   + sqrt(1-e^{-2t}) V)] evaluated by one fixed 64-node Gauss-Hermite rule,
-  which the quantizer entropies use too; its exponential test functions have
-  closed-form norms that exhibit the critical time t = 0.5*ln((1-q)/(1-p))
-  exactly;
+  which the quantizer entropies use too, each sum by the one private
+  `_expect`; its exponential test functions have closed-form norms that
+  exhibit the critical time t = 0.5*ln((1-q)/(1-p)) exactly;
 * the entropy-gap bounds themselves, via exact relay-instance enumeration
   (discrete channels) and quantizer instances (Gaussian links at n = 1).
 
@@ -74,6 +74,14 @@ _NODES.setflags(write=False)
 _WEIGHTS.setflags(write=False)
 
 
+def _expect(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each row of values (its last axis) summed against weights, as np.dot(weights, row)
+    sums it: numpy hands each (1, m) @ (m, 1) product to that BLAS dot, while a
+    matrix-vector product would use a kernel that may sum in another order."""
+    out = np.matmul(values.reshape(-1, 1, weights.size), weights[:, None])
+    return out.reshape(values.shape[:-1])
+
+
 def _integers(values, name: str) -> np.ndarray:
     """Integer or bool values as they are, integral floats as ints; else a DomainError."""
     x = np.asarray(values)
@@ -92,12 +100,13 @@ def _integers(values, name: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _checked(factors, time) -> tuple[tuple[np.ndarray, ...], float | np.ndarray | None]:
+def _checked(factors, time) -> tuple[tuple[np.ndarray, ...], np.ndarray | None]:
     """The semigroup tensor_i [e^{-t} Id + (1-e^{-t}) P_i] as checked laws and time.
 
     Either one law P_i per factor and a float time, or a stack of B semigroups
     of one shape: a (B, k_i) array of laws per factor and a (B,) array of
-    times.  A time of None is passed through, for kernels that take none.
+    times; the time comes back as an array of the stack's shape, () for one
+    semigroup, and a time of None is passed through, for kernels that take none.
     """
     if len(factors) == 0:  # an (m, k) array is m factor laws, as tuple(array) is
         raise DomainError("semigroup needs at least one factor")
@@ -115,15 +124,10 @@ def _checked(factors, time) -> tuple[tuple[np.ndarray, ...], float | np.ndarray 
         )
     if time is None:
         return factors, None
-    if stack:
-        t = np.array(time, dtype=float)
-        if t.shape != stack:
-            raise DimensionError(f"time shape {t.shape} does not match the stack {stack}")
-        valid = (t >= 0.0).all()
-    else:
-        t = float(time)
-        valid = t >= 0.0
-    if not valid:  # NaN fails too
+    t = np.array(time, dtype=float)
+    if t.shape != stack:
+        raise DimensionError(f"time shape {t.shape} does not match the stack {stack}")
+    if not (t >= 0.0).all():  # NaN fails too
         raise DomainError(f"time must be >= 0, got {time!r}")
     return factors, t
 
@@ -308,18 +312,14 @@ def ou_apply(
 
     f must act entrywise on a numpy array of points; sd = sqrt(1 - e^{-2t}).
     A float y gives a float; an array gives an array of its shape, each entry
-    exactly as its float call gives it.  The quadrature sums are one stacked
-    matmul of 1 x m rows by the m x 1 weight column: numpy hands each such
-    product to the BLAS dot that np.dot(_WEIGHTS, row) calls, so every
-    entry is summed in the order of its own dot.  A matrix-vector product
-    would use a BLAS kernel that may sum in another order.
+    exactly as its float call gives it, since `_expect` sums each entry's
+    quadrature row by its own dot.
     """
     if t < 0.0 or math.isnan(t):
         raise DomainError(f"time must be >= 0, got {t!r}")
     mean = math.exp(-t) * np.asarray(y, dtype=float) + -math.expm1(-t) * x
     sd = math.sqrt(-math.expm1(-2.0 * t))
-    vals = np.asarray(f(mean[..., None] + sd * _NODES), dtype=float)
-    out = np.matmul(vals.reshape(-1, 1, len(_NODES)), _WEIGHTS[:, None]).reshape(mean.shape)
+    out = _expect(np.asarray(f(mean[..., None] + sd * _NODES), dtype=float), _WEIGHTS)
     return float(out) if out.ndim == 0 else out
 
 
@@ -332,13 +332,13 @@ def check_ou_q0(f: Callable[[np.ndarray], np.ndarray], x: float, t: float) -> fl
         raise DomainError("the q=0 inequality needs t > 0")
     ys = x + _NODES
     vals = np.asarray(f(ys), dtype=float)
-    mean = float(np.dot(_WEIGHTS, vals))
+    mean = float(_expect(vals, _WEIGHTS))
     if not (np.all((vals >= 0.0) & (vals <= 1.0 + 1e-12)) and mean > 0.0):
         raise DomainError("f must map the quadrature nodes into [0, 1] with positive mass")
     smoothed = ou_apply(f, x, ys, t)
     if np.any(smoothed <= 0.0):
         raise DomainError("T_t f vanished at a quadrature node; use f with positive mass")
-    lhs = float(np.dot(_WEIGHTS, np.log(smoothed)))
+    lhs = float(_expect(np.log(smoothed), _WEIGHTS))
     return lhs - (1.0 + 0.5 / t) * math.log(min(mean, 1.0))
 
 
@@ -484,9 +484,8 @@ def gaussian_quantizer_gap(
     post /= post.sum(axis=-1, keepdims=True)
     cell_given_y = post @ cell_given_x
     del post
-    weights = (np.full((k, 1), 1.0 / k) * _WEIGHTS[None, :]).reshape(-1, 1)
-    # one (1, k*m) @ (k*m, 1) product per row, the BLAS dot of np.dot(weights, ...)
-    h2 = np.matmul(-_xlogx_rows(cell_given_y)[:, None, :], weights).reshape(rows)
+    weights = (np.full((k, 1), 1.0 / k) * _WEIGHTS[None, :]).reshape(-1)
+    h2 = _expect(-_xlogx_rows(cell_given_y), weights)
     return (h1, h2) if stacked else (float(h1[0]), float(h2[0]))
 
 
@@ -721,7 +720,9 @@ def mossel_q0_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
 
 
 def borell_suite(n_instances: int, seed: int, *, t_factor: float = 1.0) -> list[SuiteRecord]:
-    """Closed-form Borell margins for exponential functions at t_factor * critical."""
+    """Closed-form Borell margins for exponential functions at t_factor >= 0 times critical."""
+    if not (isinstance(t_factor, numbers.Real) and t_factor >= 0.0):  # NaN fails too
+        raise DomainError(f"t_factor must be a real number >= 0, got {t_factor!r}")
 
     def draw(rng):
         lam = float(rng.uniform(0.1, 2.0)) * (1.0 if rng.random() < 0.5 else -1.0)

@@ -17,8 +17,9 @@ source-side rate ``h1``:
 The closed forms are checked against golden-section minimizations of the
 variational objectives, which are test code (tests/oracles.py).  The
 inverses are closed forms through the Wright omega function and the W_{-1}
-branch of Lambert W (Corless et al. 1996): c^{-1}(c0) = u^2/(2(1+u)) with
-1+u = omega(1 + 2*c0), and the implicit bound's largest h2 is v/2 with
+branch of Lambert W (Corless et al. 1996): c_alpha^{-1}(c0) = eps*v^2/(1+v)
+with eps = alpha-1 and 1+v = omega(1 + c0/eps), whose alpha = 3/2 case is
+c^{-1}, and the implicit bound's largest h2 is v/2 with
 1+v = -W_{-1}(-e^{-1-2*h1}).
 A few Halley steps take each root to double precision, so the inverses are
 accurate in relative terms at every rate.  `lemma3_gap`, `relaxed_gap_inverse`
@@ -132,16 +133,9 @@ def gauss_gap_closed(h: float) -> float:
 
 
 def gauss_gap_inverse(c0: float) -> float:
-    """Solve c(h) = c0 for h in closed form: h = u^2 / (2(1+u)).
-
-    With 1+u = 1 + h + sqrt(h^2 + 2h), c(h) = (u + ln(1+u))/2, so u solves
-    u + ln(1+u) = 2*c0; h is accurate to a few ulps in relative terms.
-    """
-    c0 = require_rate(c0, "c0")
-    if c0 == 0.0:
-        return 0.0
-    u = _solve_plus_log1p(2.0 * c0)
-    return u * u / (2.0 * (1.0 + u))
+    """Solve c(h) = c0 for h in closed form: c is c_{3/2}, so this is
+    `bdd_gap_inverse(c0, 1.5)`, h = u^2 / (2(1+u)) where u + ln(1+u) = 2*c0."""
+    return _gap_inverse(require_rate(c0, "c0"), 0.5)
 
 
 def relaxed_gap_inverse(c0: float | np.ndarray) -> float | np.ndarray:
@@ -204,8 +198,8 @@ def bdd_gap_closed(h: float, alpha: float) -> float:
 def bdd_gap_inverse(c0: float, alpha: float) -> float:
     """Solve c_alpha(h) = c0 for h in closed form: h = eps * v^2 / (1+v).
 
-    From c_alpha(h) = 2*eps * c(h/(2*eps)) with eps = alpha-1, v solves
-    v + ln(1+v) = c0/eps, as u does in `gauss_gap_inverse`.
+    With eps = alpha-1 and 1+v = 1 + b + sqrt(b^2 + 2b) at b = h/(2*eps),
+    c_alpha(h) = 2*eps * c(b) = eps*(v + ln(1+v)), so v + ln(1+v) = c0/eps.
     """
     c0 = require_rate(c0, "c0")
     alpha = require_alpha(alpha)
@@ -214,8 +208,7 @@ def bdd_gap_inverse(c0: float, alpha: float) -> float:
     eps = alpha - 1.0
     if eps == 0.0:
         return c0  # c_1 is the identity
-    v = _solve_plus_log1p(c0 / eps)
-    return eps * (v * v / (1.0 + v))
+    return _gap_inverse(c0, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +216,12 @@ def bdd_gap_inverse(c0: float, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _solve_plus_log1p(y: float) -> float:
-    """The root u > 0 of u + log1p(u) = y > 0, so that 1+u = omega(1+y).
-
-    Halley steps on the concave u + log1p(u) - y from y/2 (y < 1) or from
-    y - log1p(y - log1p(y)); at most three anywhere in double range.
-    """
+def _gap_inverse(c0: float, eps: float) -> float:
+    """c_alpha^{-1}(c0) = eps * u^2/(1+u) at c0 >= 0 and eps = alpha-1 > 0, where
+    u + log1p(u) = y = c0/eps: Halley steps on the concave u + log1p(u) - y from
+    y/2 (y < 1) or from y - log1p(y - log1p(y)), at most three anywhere in
+    double range; y = 0 stops at u = 0 on a first step of 0."""
+    y = c0 / eps
     u = 0.5 * y if y < 1.0 else y - math.log1p(y - math.log1p(y))
     for _ in range(8):
         f = u + math.log1p(u) - y
@@ -237,7 +230,7 @@ def _solve_plus_log1p(y: float) -> float:
         u -= step
         if abs(step) <= _STEP_STOP * u:
             break
-    return u
+    return eps * (u * u / (1.0 + u))
 
 
 def _log1p_excess(v: np.ndarray) -> np.ndarray:

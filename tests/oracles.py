@@ -5,8 +5,9 @@
 * the inverse of the baseline curve map r -> 2r + sqrt(2r);
 * the implicit bound's largest h2 by the Halley loop that steps every entry
   on every pass, and v - log1p(v) with both branches formed everywhere;
-* the mutual informations I(X;Y) and I(X;Y,Z) of an input law, and the
-  relay objective min{I(X;Y,Z), I(X;Y) + r} on a stack of input laws;
+* the mutual informations I(X;Y) and I(X;Y,Z) of an input law, the
+  relay objective min{I(X;Y,Z), I(X;Y) + r} on a stack of input laws, and
+  the divergence rows D(W_x || pW) of one input law;
 * a simplex grid, the k-ary symmetric channel, and I_inf by minimax over
   output laws;
 * the relay penalty C0 - c_alpha^{-1}(C0) from a 50-digit root (mpmath),
@@ -249,6 +250,15 @@ def relay_objective_rows(ps: np.ndarray, w: np.ndarray, r: float) -> np.ndarray:
     """min{I(X;Y,Z), I(X;Y) + r} for every input law in the rows of ps."""
     direct, joint = _mutual_info_rows(ps, w)
     return np.minimum(joint, direct + r)
+
+
+def divergence_rows(w: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """D(W_x || pW) in nats for every row x of the matrix w, at the 1-D input law p.
+
+    Each is sum_y W ln W less W ln(pW), with the products p @ W and W @ ln(pW)
+    of 1-D numpy vectors and an output of no mass held at 1e-300.
+    """
+    return _xlogx_sum(w) - w @ np.log(np.maximum(p @ w, 1e-300))
 
 
 def simplex_grid(k: int, steps: int) -> np.ndarray:

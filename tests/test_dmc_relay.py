@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    divergence_rows,
     grid_relay_bounds,
     i_inf_minimax_oracle,
     k_ary_symmetric,
@@ -474,8 +475,9 @@ class TestEndpointChannels:
 
 class TestStackedEvaluation:
     """A (B, k) stack of input laws gives in each row the (d, value) of its own
-    1-D evaluation bit for bit, and at an interior lam that evaluation is the
-    weighted sum lam*D2 + (1 - lam)*D1 of the two divergence rows."""
+    1-D evaluation bit for bit, and that evaluation is the weighted sum
+    lam*D2 + (1 - lam)*D1 of the two rows of `divergence_rows`, D1 alone at
+    lam = 0 and D2 alone at lam = 1."""
 
     @pytest.mark.parametrize("lam", [0.0, 0.37, 1.0])
     @pytest.mark.parametrize("batch", [1, 23])
@@ -489,7 +491,8 @@ class TestStackedEvaluation:
             d_own, value_own = solver._evaluate(lam, p)
             assert d_row.tobytes() == d_own.tobytes()
             assert value == value_own
-            d1, d2 = solver.divergences(p)
+            d1 = divergence_rows(channel.matrix, p)
+            d2 = divergence_rows(product_channel(channel).matrix, p)
             reference = {0.0: d1, 1.0: d2}.get(lam, lam * d2 + (1.0 - lam) * d1)
             assert d_own.tobytes() == reference.tobytes()
             assert value_own == p @ reference
@@ -563,6 +566,20 @@ class TestGoldenReports:
         )
         law = tuple(float(v).hex() for v in rep.argmax_input.probs)
         assert (fields, law) == self.EXPECTED[name]
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_bound_is_the_certificate_at_the_reported_law(self, name, monkeypatch):
+        # the certificate is formed from the divergence rows at the law reported
+        # with it, unless the cutset certificate is smaller
+        if name == "stalled":
+            monkeypatch.setattr(dmc_relay, "_BUDGET", 50)
+        channel, c0 = self.CASES[name]
+        rep = capacity_ub_cor2(channel, c0)
+        p = rep.argmax_input.probs
+        d1 = divergence_rows(channel.matrix, p)
+        d2 = divergence_rows(product_channel(channel).matrix, p)
+        expected = min(dmc_relay._certificate(d1, d2, rep.penalty), rep.cutset)
+        assert rep.cor2_bound.hex() == expected.hex()
 
 
 class TestSolverProperties:

@@ -573,6 +573,25 @@ class TestOuAction:
             check_ou_q0(lambda u: np.where(u > 0.0, high, low), 0.0, 0.5)
 
 
+class TestExpect:
+    """`_expect` sums each row of a stack as np.dot(weights, row) sums it, bit
+    for bit: rows of the 64-node rule and of the quantizer's 64k weights."""
+
+    @pytest.mark.parametrize("m", [64, 128, 131, 192, 256])
+    @pytest.mark.parametrize("rows", [1, 2, 37, 300])
+    def test_rows_equal_their_own_dot(self, m, rows):
+        rng = np.random.default_rng(1000 * m + rows)
+        weights = rng.random(m)
+        weights /= weights.sum()
+        values = rng.normal(size=(rows, m)) * 10.0 ** rng.integers(-5, 6, size=(rows, 1))
+        got = rhc_verify._expect(values, weights)
+        assert got.shape == (rows,)
+        assert _bits(got) == _bits([np.dot(weights, row) for row in values])
+        assert _bits(rhc_verify._expect(values.reshape(1, rows, m), weights)) == _bits([got])
+        one = rhc_verify._expect(values[0], weights)
+        assert one.shape == () and _bits([one]) == _bits(got[:1])
+
+
 class TestBorell:
     def test_zero_at_critical_time(self):
         for p, q in [(0.5, -0.5), (0.9, 0.1), (-0.2, -1.7)]:
@@ -842,6 +861,12 @@ class TestStacks:
         ]:
             with pytest.raises(DomainError, match="stacks of them of one depth"):
                 kernel(factors, np.ones(2), np.ones((2, 2)))
+
+    @each_timed_kernel
+    def test_rejects_a_time_array_for_one_semigroup(self, kernel):
+        for time in ([0.5], np.array([0.5])):
+            with pytest.raises(DimensionError, match=re.escape("time shape (1,) does not match")):
+                kernel((np.array([0.5, 0.5]),), time, np.full(2, 0.5))
 
     @each_timed_kernel
     def test_rejects_times_that_do_not_fit_the_stack(self, kernel):
@@ -1115,6 +1140,24 @@ class TestSuiteRegistry:
             SUITES[name](count, seed)
         assert SUITES[name](0, 1) == []
         assert SUITES[name](np.int64(0), np.uint32(7)) == []
+
+
+    @pytest.mark.parametrize("t_factor", [-1.0, -1, -1e-300, math.nan, "2", None, 1j])
+    def test_borell_rejects_a_bad_t_factor_before_the_first_draw(self, t_factor, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew an instance")
+
+        monkeypatch.setattr(rhc_verify, "_stream_states", no_draw)
+        message = f"t_factor must be a real number >= 0, got {t_factor!r}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            borell_suite(5, 1, t_factor=t_factor)
+
+    @pytest.mark.parametrize("t_factor", [0, 0.0, 2, np.float64(1.5), np.int64(3)])
+    def test_borell_takes_any_real_t_factor_at_least_zero(self, t_factor):
+        records = borell_suite(3, 1, t_factor=t_factor)
+        assert [r.instance["t"] for r in records] == [
+            t_factor * r.instance["critical"] for r in records
+        ]
 
 
 class TestStreams:

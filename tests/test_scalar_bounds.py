@@ -126,6 +126,13 @@ class TestGaussGapInverse:
         for h in LOG_GRID:
             assert abs(gauss_gap_inverse(gauss_gap_closed(h)) - h) <= 1e-9
 
+    def test_gauss_is_the_alpha_three_halves_case(self):
+        # c = c_{3/2}: both the bound and its inverse, bit for bit, across the rate range
+        rates = 10.0 ** np.random.default_rng(32).uniform(-300.0, 15.0, 100_000)
+        for x in [0.0, RATE_CAP, *rates.tolist()]:
+            assert gauss_gap_inverse(x) == bdd_gap_inverse(x, 1.5), x
+            assert gauss_gap_closed(x) == bdd_gap_closed(x, 1.5), x
+
 
 class TestImplicitBound:
     @pytest.mark.parametrize(
