@@ -56,6 +56,29 @@ def _sink(path: str | None):
     return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", newline="")
 
 
+# json.dumps's encoder, but one that raises on a non-finite float, which JSON cannot hold
+_STRICT_JSON = json.JSONEncoder(allow_nan=False)
+
+
+def _finite(value):
+    """value with each non-finite float, nested in dicts and lists too, as "inf", "-inf" or "nan"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    if isinstance(value, dict):
+        return {key: _finite(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_finite(v) for v in value]
+    return value
+
+
+def _json_line(payload: dict) -> str:
+    """payload as one line of strict JSON, non-finite floats as strings (see `_finite`)."""
+    try:
+        return _STRICT_JSON.encode(payload) + "\n"
+    except ValueError:
+        return _STRICT_JSON.encode(_finite(payload)) + "\n"
+
+
 def _write_text(path: str | None, text: str) -> None:
     with _sink(path) as out:
         out.write(text)
@@ -247,8 +270,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             out.writelines(
-                json.dumps({"suite": rec.suite, "index": rec.index, "instance": rec.instance,
-                            "margin": rec.margin, "pass": rec.passed}) + "\n"
+                _json_line({"suite": rec.suite, "index": rec.index, "instance": rec.instance,
+                            "margin": rec.margin, "pass": rec.passed})
                 for rec in batch
             )
             out.flush()

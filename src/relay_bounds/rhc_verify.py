@@ -23,7 +23,7 @@ instances along a new first axis, each row giving bit for bit what its own
 call gives; `lp_norm` takes a stack of tables with a (B,) array of indices.
 Every call checks what it is given: factors and channels by
 `scalar_bounds.require_law`, tables by `require_table`, and factors and time
-together by one private check.
+together by one private check, which takes ints and floats as times.
 
 `SUITES` names the seven randomized suites.  Each draws one instance per RNG
 stream, that of `np.random.default_rng((seed, index))`, as arrays and floats,
@@ -100,14 +100,8 @@ def _integers(values, name: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _checked(factors, time) -> tuple[tuple[np.ndarray, ...], np.ndarray | None]:
-    """The semigroup tensor_i [e^{-t} Id + (1-e^{-t}) P_i] as checked laws and time.
-
-    Either one law P_i per factor and a float time, or a stack of B semigroups
-    of one shape: a (B, k_i) array of laws per factor and a (B,) array of
-    times; the time comes back as an array of the stack's shape, () for one
-    semigroup, and a time of None is passed through, for kernels that take none.
-    """
+def _laws(factors) -> tuple[np.ndarray, ...]:
+    """Checked factor laws P_i: one law per factor, or (B, k_i) stacks of one depth B."""
     if len(factors) == 0:  # an (m, k) array is m factor laws, as tuple(array) is
         raise DomainError("semigroup needs at least one factor")
     if len(factors) > MAX_FACTORS:
@@ -122,9 +116,23 @@ def _checked(factors, time) -> tuple[tuple[np.ndarray, ...], np.ndarray | None]:
             f"factors must be vectors over 2..{_MAX_ALPHABET} symbols, or stacks of "
             f"them of one depth, got shapes {[d.shape for d in factors]}"
         )
-    if time is None:
-        return factors, None
-    t = np.array(time, dtype=float)
+    return factors
+
+
+def _checked(factors, time) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The semigroup tensor_i [e^{-t} Id + (1-e^{-t}) P_i] as checked laws and time.
+
+    Either one law P_i per factor and a float time, or a stack of B semigroups
+    of one shape: a (B, k_i) array of laws per factor and a (B,) array of
+    times; the time comes back as a float array of the stack's shape, () for
+    one semigroup.  A time must be real: ints and floats, not bools or strings.
+    """
+    factors = _laws(factors)
+    t = np.asarray(time)
+    if t.dtype.kind not in "iuf":
+        raise DomainError(f"time must be a real number, got {time!r}")
+    t = t.astype(float, copy=False)
+    stack = factors[0].shape[:-1]
     if t.shape != stack:
         raise DimensionError(f"time shape {t.shape} does not match the stack {stack}")
     if not (t >= 0.0).all():  # NaN fails too
@@ -173,11 +181,11 @@ def _smooth(factors, time, f) -> np.ndarray:
 
 def stationary_measure(factors) -> np.ndarray:
     """Product table of the stationary measure tensor_i P_i, one per stack row."""
-    return _product(_checked(factors, None)[0])
+    return _product(_laws(factors))
 
 
 def _product(factors) -> np.ndarray:
-    """`stationary_measure` of factors that `_checked` has returned."""
+    """`stationary_measure` of factors that `_laws` or `_checked` has returned."""
     stack, table = factors[0].shape[:-1], factors[0]
     for i, dist in enumerate(factors[1:], 1):
         table = table[..., None] * dist.reshape(stack + (1,) * i + (-1,))
@@ -194,6 +202,8 @@ def lp_norm(f: np.ndarray, measure: np.ndarray, p: float | np.ndarray) -> float 
     s = 1 and the norm is exp(E[x]).  A zero of f on the support gives 0 at
     p <= 0.  A (B,) array p makes f and measure stacks of B tables along a new
     first axis and gives a (B,) array, each row equal to its own call bit for bit.
+    Checks the tables, the measure's sum and the indices, then computes the
+    norms by the unchecked `_lp_norm`.
     """
     values = require_table(f, "f")
     q = require_table(measure, "measure")
@@ -210,7 +220,17 @@ def lp_norm(f: np.ndarray, measure: np.ndarray, p: float | np.ndarray) -> float 
     bad = ~(np.isfinite(rows) & (rows <= 1.0))
     if bad.any():
         raise DomainError(f"norm index must be finite and <= 1, got {float(rows[bad][0])!r}")
-    support = q > 0.0
+    out = _lp_norm(values, q, rows)
+    return out if index.ndim else float(out[0])
+
+
+def _lp_norm(values: np.ndarray, measure: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """`lp_norm` of (B, m) tables and measures at a (B,) array of indices, unchecked.
+
+    The caller has done the checks of `lp_norm`: finite nonnegative tables of
+    one shape, measures summing to 1 and finite indices <= 1.
+    """
+    support = measure > 0.0
     top = np.where(support, values, 0.0).max(axis=1)
     least = np.where(support, values, math.inf).min(axis=1)
     # below the least normal float p x would be subnormal; the p -> 0 limit holds there
@@ -221,13 +241,12 @@ def lp_norm(f: np.ndarray, measure: np.ndarray, p: float | np.ndarray) -> float 
         px = rows[:, None] * x
         # E[x], E[expm1(p x)], E[e^{p x}]: a (1, m) @ (m, 3) product per row, as in a lone call
         terms = np.stack((x, np.expm1(px), np.exp(px)), axis=2)
-        mean_x, mean_m1, mean_e = np.matmul(q[:, None, :], terms).reshape(-1, 3).T
+        mean_x, mean_m1, mean_e = np.matmul(measure[:, None, :], terms).reshape(-1, 3).T
         log_mean = np.where(mean_e >= 0.5, np.log1p(mean_m1), np.log(mean_e))
         exponent = np.where(limit, mean_x, log_mean / rows)
         # e^{L/p} in halves: alone it can leave the float range where s e^{L/p} does not
         half = np.exp(exponent / 2.0)
-        out = np.where(scale > 0.0, scale * half * half, 0.0)  # s = 0: a zero of f on the support
-    return out if index.ndim else float(out[0])
+        return np.where(scale > 0.0, scale * half * half, 0.0)  # s = 0: a zero of f on the support
 
 
 def mossel_critical_time(p: float, q: float) -> float:
@@ -263,9 +282,14 @@ def check_mossel(
         critical = mossel_critical_time(pb, qb)
         if t < critical:
             raise DomainError(f"time {t} is below the critical time {critical}")
-    mu = _product(factors)
     smoothed = _smooth(factors, time, f)
-    return lp_norm(smoothed, mu, q) - lp_norm(f, mu, p)
+    require_table(smoothed, "f")  # T_t f can round past the float range where f does not
+    # the checks of lp_norm hold: one shape, a product of laws, indices checked above
+    rows = math.prod(stack)
+    mu = _product(factors).reshape(rows, -1)
+    lhs = _lp_norm(smoothed.reshape(rows, -1), mu, q.reshape(-1))
+    out = lhs - _lp_norm(np.asarray(f, dtype=float).reshape(rows, -1), mu, p.reshape(-1))
+    return out if stack else float(out[0])
 
 
 def mossel_q0_margin(factors, time, f: np.ndarray) -> float | np.ndarray:
@@ -618,10 +642,16 @@ def _run(
 
 
 def _random_factors(rng, n=None) -> tuple[np.ndarray, ...]:
-    """n factors (1..3 drawn unless given), each a Dirichlet law over one drawn 2..4 symbols."""
+    """n factors (1..3 drawn unless given), each a Dirichlet law over one drawn 2..4 symbols.
+
+    The n laws are the rows of one `rng.dirichlet(np.ones(k), size=n)` call:
+    numpy draws the gammas of the rows in order and normalizes each row
+    alone, so they equal n separate calls bit for bit and leave the generator
+    where those calls leave it.
+    """
     n = int(rng.integers(1, 4)) if n is None else int(n)
     k = int(rng.integers(2, 5))
-    return tuple(rng.dirichlet(np.ones(k)) for _ in range(n))
+    return tuple(rng.dirichlet(np.ones(k), size=n))
 
 
 def _random_semigroup(rng, n=None, t=None, p=None, q=None):
@@ -631,10 +661,10 @@ def _random_semigroup(rng, n=None, t=None, p=None, q=None):
         if rng.random() < 0.1:
             p = q = float(rng.uniform(0.05, 0.95))  # Jensen baseline
         else:
-            draws = rng.uniform(-2.0, 1.0, size=2)
-            while abs(draws[0] - draws[1]) < 1e-6:
-                draws = rng.uniform(-2.0, 1.0, size=2)
-            p, q = float(draws.max()), float(draws.min())
+            a, b = rng.uniform(-2.0, 1.0, size=2).tolist()
+            while abs(a - b) < 1e-6:
+                a, b = rng.uniform(-2.0, 1.0, size=2).tolist()
+            p, q = max(a, b), min(a, b)
     critical = mossel_critical_time(p, q)
     if t is None:
         extra = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 2.0))
@@ -817,8 +847,7 @@ def semigroup_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
 
     def draw(rng):
         factors, _, f, _, _, _ = _random_semigroup(rng, p=0.5, q=0.5, t=0.0)
-        t1 = float(rng.uniform(0.0, 2.0))
-        t2 = float(rng.uniform(0.0, 2.0))
+        t1, t2 = rng.uniform(0.0, 2.0, size=2).tolist()
         return (*factors, f, t1, t2)
 
     def evaluate(*stacks):

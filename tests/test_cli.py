@@ -11,7 +11,7 @@ import pytest
 
 from oracles import k_ary_symmetric, write_channel_csv
 from relay_bounds import rhc_verify
-from relay_bounds.cli import build_parser, main, read_channel_csv
+from relay_bounds.cli import _json_line, build_parser, main, read_channel_csv
 from relay_bounds.dmc_relay import DiscreteChannel
 
 
@@ -473,6 +473,34 @@ class TestVerifyCommand:
         assert code == 0
         assert len(blob.decode().splitlines()) == 5
 
+    @pytest.mark.parametrize("t_factor", ["inf", "1"])
+    def test_every_line_is_strict_json(self, tmp_path, t_factor):
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        argv = ["verify", "--suite", "borell-exp", "--instances", "5", "--t-factor", t_factor]
+        code, blob = run_to_file(tmp_path, argv, "rep.jsonl")
+        assert code == 0
+        records = [json.loads(line, parse_constant=reject) for line in blob.decode().splitlines()]
+        assert len(records) == 5
+        for r in records:
+            # an infinite time is the string "inf"; a finite one stays a number
+            t = r["instance"]["t"]
+            assert t == "inf" if t_factor == "inf" else t == r["instance"]["critical"]
+            assert type(r["margin"]) is float and r["pass"] is True
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (math.inf, '"inf"'),
+            (-math.inf, '"-inf"'),
+            (math.nan, '"nan"'),
+            ({"a": [1.0, [math.inf, 2]], "b": -math.inf}, '{"a": [1.0, ["inf", 2]], "b": "-inf"}'),
+        ],
+    )
+    def test_non_finite_floats_are_written_as_strings(self, value, text):
+        assert _json_line({"x": value}) == '{"x": ' + text + '}\n'
+
     def test_large_negative_q_has_no_false_failures(self, tmp_path, capsys):
         argv = ["verify", "--suite", "mossel", "--p=0.5", "--q=-800", "--instances", "200"]
         code, blob = run_to_file(tmp_path, argv, "rep.jsonl")
@@ -666,6 +694,23 @@ class TestDeterminismAndRoundTrip:
         assert main(["verify"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == "2b14abac541cf99278878f21e87c1fac9b3a249cce4b7def49da23332c8faf2b"
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            (  # four factors per draw, a path the default run does not take
+                "verify --suite mossel --n 4 --instances 500 --seed 3",
+                "37f29eb85b3550593185603590e2f976ad36c6d275117d1503ff7da1f34b9b2c",
+            ),
+            (  # two 1,024-draw blocks and a partial third
+                "verify --suite semigroup --instances 2000 --seed 7",
+                "5b972599963e3dd6f692956159c01c19cef50df2fcf92e8ea55a0f33c4c1eb47",
+            ),
+        ],
+    )
+    def test_golden_verify_suite_stdout(self, capsys, argv, digest):
+        assert main(argv.split()) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     def test_golden_dmc_stdout(self, capsys, tmp_path):
         path = tmp_path / "chan3.csv"

@@ -101,6 +101,23 @@ class TestTypes:
             with pytest.raises(DomainError, match=re.escape(f"time must be >= 0, got {bad!r}")):
                 kernel((np.array([0.5, 0.5]),), bad, np.full(2, 0.5))
 
+    @each_timed_kernel
+    @pytest.mark.parametrize(
+        "bad, stack",
+        [("0.5", ()), (True, ()), (np.array([True, False]), (2,)), (None, ())],
+        ids=["str", "bool", "bool-array", "None"],
+    )
+    def test_semigroup_time_must_be_real(self, kernel, bad, stack):
+        factors, f = (np.full(stack + (2,), 0.5),), np.full(stack + (2,), 0.5)
+        with pytest.raises(DomainError, match=re.escape(f"time must be a real number, got {bad!r}")):
+            kernel(factors, bad, f)
+
+    @each_timed_kernel
+    def test_integer_times_act_as_their_floats(self, kernel):
+        f = np.array([0.25, 0.75])
+        for t in (1, np.int64(1), np.uint8(1)):
+            assert _bits(kernel(FAIR_COIN, t, f)) == _bits(kernel(FAIR_COIN, 1.0, f))
+
     def test_quadrature_constants(self):
         nodes, weights = rhc_verify._NODES, rhc_verify._WEIGHTS
         assert nodes.shape == weights.shape == (64,)
@@ -141,6 +158,54 @@ INVALID_CALLS = {
     "lp_norm shapes": (
         lambda: lp_norm(np.ones(3), np.full(2, 0.5), 0.5),
         DimensionError, "function shape (3,) != measure shape (2,)",
+    ),
+    "lp_norm index shape": (
+        lambda: lp_norm(np.ones((2, 2)), np.full((2, 2), 0.5), np.array([0.5, 0.5, 0.5])),
+        DimensionError, "indices of shape (3,) do not fit tables (2, 2)",
+    ),
+    "lp_norm measure sum": (
+        lambda: lp_norm(np.ones(2), np.array([0.5, 0.6]), 0.5),
+        DomainError, "measure must sum to 1",
+    ),
+    "lp_norm index above 1": (
+        lambda: lp_norm(np.ones(2), np.full(2, 0.5), 1.5),
+        DomainError, "norm index must be finite and <= 1, got 1.5",
+    ),
+    "lp_norm negative f": (
+        lambda: lp_norm(np.array([-1.0, 1.0]), np.full(2, 0.5), 0.5),
+        DomainError, "f must be a nonempty table of finite nonnegative entries",
+    ),
+    "lp_norm negative measure": (
+        lambda: lp_norm(np.ones(2), np.array([-0.5, 1.5]), 0.5),
+        DomainError, "measure must be a nonempty table of finite nonnegative entries",
+    ),
+    "check_mossel below the critical time": (
+        lambda: check_mossel(FAIR_COIN, 0.5, np.ones(2), 0.5, 0.0),
+        DomainError, f"time 0.5 is below the critical time {LN2!r}",
+    ),
+    "check_mossel p >= 1": (
+        lambda: check_mossel(FAIR_COIN, LN2, np.ones(2), 1.5, 0.5),
+        DomainError, "need finite q <= p < 1, got p=1.5, q=0.5",
+    ),
+    "check_mossel index shape": (
+        lambda: check_mossel(FAIR_COIN, LN2, np.ones(2), np.array([0.5, 0.5]), 0.5),
+        DimensionError, "expected a float or an array of shape (), got (2,)",
+    ),
+    "check_mossel table shape": (
+        lambda: check_mossel(FAIR_COIN, LN2, np.ones(3), 0.5, 0.5),
+        DimensionError, "table shape (3,) does not match (2,)",
+    ),
+    "check_mossel negative f": (
+        lambda: check_mossel(FAIR_COIN, LN2, np.array([-1.0, 1.0]), 0.5, 0.5),
+        DomainError, "table must be a nonempty table of finite nonnegative entries",
+    ),
+    # finite f whose smoothing rounds past the largest float
+    "check_mossel T_t f overflows": (
+        lambda: check_mossel(
+            (np.array([0.761919682243704, 0.23808031775629612]),), 2.1334286339692494,
+            np.full(2, np.finfo(float).max), 0.5, 0.5,
+        ),
+        DomainError, "f must be a nonempty table of finite nonnegative entries",
     ),
     "ou_apply t=-1": (
         lambda: ou_apply(np.exp, 0.0, 0.0, -1.0), DomainError, "time must be >= 0, got -1.0"
@@ -183,7 +248,7 @@ INVALID_CALLS = {
 
 @pytest.mark.parametrize("call, error, message", INVALID_CALLS.values(), ids=INVALID_CALLS.keys())
 def test_invalid_input_raises_its_message(call, error, message):
-    with pytest.raises(error, match=re.escape(message)):
+    with pytest.raises(error, match=re.escape(message)), np.errstate(over="ignore"):
         call()
 
 
@@ -1161,7 +1226,9 @@ class TestSuiteRegistry:
 
 
 class TestStreams:
-    """The streams `_run` draws from, against numpy's own seeding."""
+    """The streams `_run` draws from, against numpy's own seeding, and the
+    batched calls the suites draw and check with, against the calls they
+    replace."""
 
     @pytest.mark.parametrize(
         "seed",
@@ -1172,6 +1239,45 @@ class TestStreams:
         indices = [*range(1030), 99_999]
         expected = [np.random.default_rng((seed, i)).bit_generator.state for i in indices]
         assert rhc_verify._stream_states(seed, indices) == expected
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_dirichlet_rows_are_separate_draws(self, k, n):
+        for seed in range(20):
+            batch, single = np.random.default_rng(seed), np.random.default_rng(seed)
+            rows = batch.dirichlet(np.ones(k), size=n)
+            laws = [single.dirichlet(np.ones(k)) for _ in range(n)]
+            assert rows.shape == (n, k)
+            assert [_bits(r) for r in rows] == [_bits(d) for d in laws]
+            assert _bits(batch.random()) == _bits(single.random())
+
+    def test_two_uniforms_are_two_scalar_draws(self):
+        for seed in range(200):
+            batch, single = np.random.default_rng(seed), np.random.default_rng(seed)
+            pair = batch.uniform(0.0, 2.0, size=2).tolist()
+            assert pair == [single.uniform(0.0, 2.0), single.uniform(0.0, 2.0)]
+            assert all(type(x) is float for x in pair)
+            assert _bits(batch.random()) == _bits(single.random())
+
+    @pytest.mark.parametrize("shape", [(2,), (4, 3), (2, 3, 2), (2, 2, 2, 2)])
+    @pytest.mark.parametrize("stack", [(), (1,), (7,)])
+    def test_mossel_margin_is_the_difference_of_its_norms(self, shape, stack):
+        rng = np.random.default_rng(len(shape) * 10 + sum(stack))
+        rows = math.prod(stack)
+        factors = tuple(rng.dirichlet(np.ones(k), size=rows).reshape(stack + (k,)) for k in shape)
+        pairs = np.sort(rng.uniform(-3.0, 0.99, size=(rows, 2)), axis=1)
+        q, p = (pairs[:, i].reshape(stack) for i in (0, 1))
+        time = np.reshape([mossel_critical_time(hi, lo) * 1.2 for lo, hi in pairs], stack)
+        f = rng.random(stack + shape)
+        f[rng.random(f.shape) < 0.1] = 0.0
+        if not stack:
+            p, q, time = float(p), float(q), float(time)
+        got = check_mossel(factors, time, f, p, q)
+        checked = rhc_verify._checked(factors, time)
+        mu = rhc_verify._product(checked[0])
+        want = lp_norm(rhc_verify._smooth(*checked, f), mu, q) - lp_norm(f, mu, p)
+        assert type(got) is type(want)
+        assert _bits(got) == _bits(want)
 
 
 class TestQuadratureOrder:
