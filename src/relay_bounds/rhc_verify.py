@@ -7,8 +7,8 @@ quadrature, the inequalities that power the capacity bounds:
   ||T_t f||_q >= ||f||_p for q < p < 1 whenever t >= ln((1-q)/(1-p)),
   and the q=0 special case E[ln T_t f] >= (1 + 1/t) ln E[f] for f in [0,1]^n;
 * the Ornstein-Uhlenbeck action T_{x,t} f(y) = E[f(e^{-t}y + (1-e^{-t})x
-  + sqrt(1-e^{-2t}) V)] evaluated by one fixed 64-node Gauss-Hermite rule,
-  which the quantizer entropies use too, each sum by the one private
+  + sqrt(1-e^{-2t}) V)] evaluated by one fixed trapezoid rule (the quantizer
+  entropies use a 64-node Gauss-Hermite rule), each sum by the one private
   `_expect`; its exponential test functions have closed-form norms that
   exhibit the critical time t = 0.5*ln((1-q)/(1-p)) exactly;
 * the entropy-gap bounds themselves, via exact relay-instance enumeration
@@ -26,11 +26,12 @@ Every call checks what it is given: factors and channels by
 together by one private check, which takes ints and floats as times.
 
 `SUITES` names the seven randomized suites.  Each draws one instance per RNG
-stream, that of `np.random.default_rng((seed, index))`, as arrays and floats,
-so any failure can be replayed from its record.  `_run` seeds the streams of
-a block of indices in one pass and loads each into one generator before its
-draw; it stacks the draws of each shape, and from the fields and margins that
-a suite computes per stack it alone builds every record.
+stream, that of `Generator(Philox(key=key, counter=[0, 0, 0, index]))` with
+key = `SeedSequence(seed).generate_state(2, np.uint64)`, as arrays and
+floats, so any failure can be replayed from its record.  `_run` loads each
+counter into one generator before its draw; it stacks the draws of each
+shape, and from the fields and margins that a suite computes per stack it
+alone builds every record.
 """
 
 from __future__ import annotations
@@ -56,22 +57,18 @@ MAX_INSTANCES = 100_000
 # drawn arrays and their stacks hold; the default 1,000 fit in one block.
 _BLOCK = 1024
 
-# The constants of numpy's SeedSequence hash (`hashmix`, `mix`) and of the
-# PCG64 multiplier, which NEP 19 fixes across numpy versions.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-
-
-# The 64-node Gauss-Hermite rule, rescaled to integrate against N(0, 1): the
-# one rule of `ou_apply`, `check_ou_q0` and `gaussian_quantizer_gap`.  They
-# read these arrays when called, so a test can patch another rule in.
+# Two rules against N(0, 1), read when called, so a test can patch another in:
+# the 64-node Gauss-Hermite rule of `gaussian_quantizer_gap`, and the trapezoid
+# rule of `ou_apply` and `check_ou_q0`, step 0.25 over [-9, 9] with weights
+# phi(v) normalized to sum to 1, geometrically convergent in 1/step on their
+# analytic, Gaussian-decaying integrands (Trefethen and Weideman, 2014).
 _NODES, _WEIGHTS = np.polynomial.hermite.hermgauss(64)
 _NODES, _WEIGHTS = _NODES * math.sqrt(2.0), _WEIGHTS / _WEIGHTS.sum()
-_NODES.setflags(write=False)
-_WEIGHTS.setflags(write=False)
+_GRID = np.arange(-36, 37) * 0.25
+_GRID_WEIGHTS = np.exp(-0.5 * _GRID * _GRID)
+_GRID_WEIGHTS /= _GRID_WEIGHTS.sum()
+for _rule in (_NODES, _WEIGHTS, _GRID, _GRID_WEIGHTS):
+    _rule.setflags(write=False)
 
 
 def _expect(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -161,6 +158,15 @@ def _smooth(factors, time, f) -> np.ndarray:
     rows, shape = math.prod(stack), stack + tuple(d.shape[-1] for d in factors)
     if out.shape != shape:
         raise DimensionError(f"table shape {out.shape} does not match {shape}")
+    # T_t f lies within [min f, max f], but rounding can leave it by a few ulp, past
+    # the largest float: a row above 2^1023 is smoothed halved, clipped and doubled
+    table = out.reshape(rows, -1)
+    big = table.max(axis=1, keepdims=True) > 2.0**1023
+    if big.any():
+        half = np.where(big, 0.5 * table, table)
+        low, high = half.min(axis=1, keepdims=True), half.max(axis=1, keepdims=True)
+        smoothed = _smooth(factors, time, half.reshape(shape)).reshape(rows, -1)
+        return np.where(big, 2.0 * np.clip(smoothed, low, high), smoothed).reshape(shape)
     t = np.reshape(time, (rows, 1, 1, 1))  # one coefficient per row
     keep, mix = np.exp(-t), -np.expm1(-t)
     pre, post = 1, out.size // rows
@@ -283,7 +289,6 @@ def check_mossel(
         if t < critical:
             raise DomainError(f"time {t} is below the critical time {critical}")
     smoothed = _smooth(factors, time, f)
-    require_table(smoothed, "f")  # T_t f can round past the float range where f does not
     # the checks of lp_norm hold: one shape, a product of laws, indices checked above
     rows = math.prod(stack)
     mu = _product(factors).reshape(rows, -1)
@@ -327,42 +332,39 @@ def mossel_q0_margin(factors, time, f: np.ndarray) -> float | np.ndarray:
 
 
 def ou_apply(
-    f: Callable[[np.ndarray], np.ndarray],
-    x: float,
-    y: float | np.ndarray,
-    t: float,
+    f: Callable[[np.ndarray], np.ndarray], x: float, y: float | np.ndarray, t: float
 ) -> float | np.ndarray:
     """Quadrature value of T_{x,t} f(y) = E[f(e^{-t}y + (1-e^{-t})x + sd*V)].
 
-    f must act entrywise on a numpy array of points; sd = sqrt(1 - e^{-2t}).
-    A float y gives a float; an array gives an array of its shape, each entry
-    exactly as its float call gives it, since `_expect` sums each entry's
-    quadrature row by its own dot.
+    f must act entrywise on a numpy array of points; sd = sqrt(1 - e^{-2t});
+    V takes the trapezoid nodes `_GRID`.  A float y gives a float; an array
+    gives an array of its shape, each entry exactly as its float call gives
+    it, since `_expect` sums each entry's quadrature row by its own dot.
     """
     if t < 0.0 or math.isnan(t):
         raise DomainError(f"time must be >= 0, got {t!r}")
     mean = math.exp(-t) * np.asarray(y, dtype=float) + -math.expm1(-t) * x
     sd = math.sqrt(-math.expm1(-2.0 * t))
-    out = _expect(np.asarray(f(mean[..., None] + sd * _NODES), dtype=float), _WEIGHTS)
+    out = _expect(np.asarray(f(mean[..., None] + sd * _GRID), dtype=float), _GRID_WEIGHTS)
     return float(out) if out.ndim == 0 else out
 
 
 def check_ou_q0(f: Callable[[np.ndarray], np.ndarray], x: float, t: float) -> float:
     """Margin E[ln T_{x,t} f] - (1 + 1/(2t)) ln E[f] for f in [0,1], by quadrature.
 
-    Both expectations run against the stationary measure N(x, 1).
+    Both expectations run against the stationary measure N(x, 1), on x + `_GRID`.
     """
     if t <= 0.0:
         raise DomainError("the q=0 inequality needs t > 0")
-    ys = x + _NODES
+    ys = x + _GRID
     vals = np.asarray(f(ys), dtype=float)
-    mean = float(_expect(vals, _WEIGHTS))
+    mean = float(_expect(vals, _GRID_WEIGHTS))
     if not (np.all((vals >= 0.0) & (vals <= 1.0 + 1e-12)) and mean > 0.0):
         raise DomainError("f must map the quadrature nodes into [0, 1] with positive mass")
     smoothed = ou_apply(f, x, ys, t)
     if np.any(smoothed <= 0.0):
         raise DomainError("T_t f vanished at a quadrature node; use f with positive mass")
-    lhs = float(_expect(np.log(smoothed), _WEIGHTS))
+    lhs = float(_expect(np.log(smoothed), _GRID_WEIGHTS))
     return lhs - (1.0 + 0.5 / t) * math.log(min(mean, 1.0))
 
 
@@ -534,67 +536,6 @@ def _each(*columns: np.ndarray) -> zip:
     return zip(*(c.tolist() for c in columns))
 
 
-def _hash_constants(value: int, mult: int):
-    """The (before, after) uint32 constants of each step of numpy's `hashmix`."""
-    while True:
-        after = value * mult & _MASK32
-        yield np.uint32(value), np.uint32(after)
-        value = after
-
-
-def _hashmix(words: np.ndarray, constants) -> np.ndarray:
-    """numpy's SeedSequence `hashmix` of a uint32 column, at the next constants."""
-    before, after = next(constants)
-    words = (words ^ before) * after
-    return words ^ (words >> np.uint32(16))
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """numpy's SeedSequence `mix` of two uint32 columns."""
-    out = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-    return out ^ (out >> np.uint32(16))
-
-
-def _stream_states(seed: int, indices) -> list[dict]:
-    """`np.random.default_rng((seed, idx)).bit_generator.state` for each idx < 2**32.
-
-    default_rng seeds PCG64 through a SeedSequence: its entropy, the
-    little-endian uint32 words of seed and then of idx (0 is one word [0]),
-    is hashed into a pool of 4 words; each entropy word past the fourth is
-    mixed into every pool word; and the pool is expanded into 4 uint64 words,
-    the initial state and the stream of PCG64.  Here each word is a uint32
-    column with one entry per index, so a block is hashed in one pass, and
-    only the 128-bit seeding runs per index, in Python ints.
-    """
-    seed = int(seed)
-    size = (seed.bit_length() + 31) // 32 or 1
-    words = np.frombuffer(seed.to_bytes(4 * size, "little"), dtype="<u4")
-    index = np.asarray(indices, dtype=np.uint32)
-    entropy = [np.full(len(index), w, dtype=np.uint32) for w in words] + [index]
-    # a pool word with no entropy word of its own hashes 0
-    entropy += [np.zeros_like(index)] * (4 - len(entropy))
-    constants = _hash_constants(_INIT_A, _MULT_A)
-    pool = [_hashmix(e, constants) for e in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants))
-    for e in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hashmix(e, constants))
-    constants = _hash_constants(_INIT_B, _MULT_B)
-    out = np.stack([_hashmix(pool[i % 4], constants) for i in range(8)], axis=1)
-    states = []
-    for high, low, inc_high, inc_low in out.astype("<u4").view("<u8").tolist():
-        # pcg_setseq_128_srandom_r: two steps of state * MULT + inc around the
-        # addition of the initial state
-        inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
-        state = ((inc + (high << 64 | low)) * _PCG64_MULT + inc) & _MASK128
-        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
-
-
 def _run(
     suite: str,
     tol: float,
@@ -605,30 +546,36 @@ def _run(
 ) -> list[SuiteRecord]:
     """Records of the instances drawn from the streams (seed, index), in index order.
 
-    `draw(rng)` returns a tuple of arrays and floats, drawn from a generator
-    in the state of `np.random.default_rng((seed, index))`.  The draws of a
-    block of _BLOCK indices whose arrays have the same shapes are stacked
-    item by item, and `evaluate(*stacks)` returns (fields, margins): each
-    field, in record order, is a value the group shares or a (B, ...) array
-    or list of B rows, and `margins` a (B,) array or list.  A margin of at
-    least -tol passes.
+    `draw(rng)` returns a tuple of arrays and floats, drawn from one Philox
+    generator loaded with the index's counter and an empty buffer: the state
+    of `Philox(key=key, counter=[0, 0, 0, index])`.  The draws of a block of
+    _BLOCK indices whose arrays have the same shapes are stacked item by
+    item, and `evaluate(*stacks)` returns (fields, margins): each field, in
+    record order, is a value the group shares or a (B, ...) array or list of
+    B rows, and `margins` a (B,) array or list.  A margin of at least -tol
+    passes.
     """
     if not all(isinstance(v, numbers.Integral) and v >= 0 for v in (n_instances, seed)):
         raise DomainError(f"count and seed must be integers >= 0, got {n_instances!r}, {seed!r}")
     if n_instances > MAX_INSTANCES:
         raise DomainError(f"at most {MAX_INSTANCES} instances per suite, got {n_instances}")
     records = []
-    rng = np.random.Generator(np.random.PCG64())
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist()
+    rng = np.random.Generator(np.random.Philox(key=key))
     bits = rng.bit_generator
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    counter = state["state"]["counter"]
     for start in range(0, n_instances, _BLOCK):
         drawn = []
-        for state in _stream_states(seed, range(start, min(start + _BLOCK, n_instances))):
+        for index in range(start, min(start + _BLOCK, n_instances)):
+            counter[3] = index
             bits.state = state
             drawn.append(draw(rng))
         groups: dict = {}
         for i, items in enumerate(drawn):
-            key = tuple([x.shape for x in items if type(x) is np.ndarray])
-            groups.setdefault(key, []).append(i)
+            shapes = tuple([x.shape for x in items if type(x) is np.ndarray])
+            groups.setdefault(shapes, []).append(i)
         for members in groups.values():
             # np.array stacks a column of one shape in C, as np.stack would
             fields, margins = evaluate(*map(np.array, zip(*(drawn[i] for i in members))))

@@ -16,9 +16,10 @@
 * the dense matrix of a semi-simple semigroup on flattened tables;
 * the L^p norm of a table at 50 digits (mpmath);
 * the exact entropies (h1, h2) of a small relay code at 50 digits (mpmath);
-* the seven suites as per-instance loops, each instance drawn and checked by
-  one unstacked call, the way the suites ran before they evaluated per shape
-  group, and the relay code that `lemma4` draws from a stream;
+* the stream of each suite instance, built by numpy's Philox constructor; the
+  seven suites as per-instance loops, each instance drawn from its stream and
+  checked by one unstacked call, the way the suites ran before they evaluated
+  per shape group; and the relay code that `lemma4` draws from a stream;
 * a channel CSV writer, the inverse of `cli.read_channel_csv`.
 
 They import only public names from relay_bounds.
@@ -451,10 +452,17 @@ def relay_entropy_gap_mp(w, codebook, partition) -> tuple[float, float]:
         return float(h1 / n), float(h2 / n)
 
 
+def stream(seed: int, idx: int) -> np.random.Generator:
+    """The generator of suite instance idx at seed: Philox4x64 keyed by the
+    seed's SeedSequence, its counter's top word set to idx."""
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, idx]))
+
+
 def relay_code(seed: int, idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The channel, codebook and partition that `relay_oracle_suite` draws from
     the stream (seed, idx)."""
-    rng = np.random.default_rng((seed, idx))
+    rng = stream(seed, idx)
     if rng.random() < 0.5:
         w = k_ary_symmetric(2, float(rng.uniform(0.05, 0.45))).matrix
     else:
@@ -485,7 +493,7 @@ def borell_suite_per_instance(n_instances: int, seed: int, *, t_factor=1.0) -> l
     """`rhc_verify.borell_suite`, drawn and evaluated one instance at a time."""
     records = []
     for idx in range(n_instances):
-        rng = np.random.default_rng((seed, idx))
+        rng = stream(seed, idx)
         lam = float(rng.uniform(0.1, 2.0)) * (1.0 if rng.random() < 0.5 else -1.0)
         x = float(rng.uniform(-3.0, 3.0))
         q = float(rng.uniform(-2.0, 0.8))
@@ -502,7 +510,7 @@ def ou_q0_suite_per_instance(n_instances: int, seed: int) -> list[SuiteRecord]:
     """`rhc_verify.ou_q0_suite`, drawn and evaluated one instance at a time."""
     records = []
     for idx in range(n_instances):
-        rng = np.random.default_rng((seed, idx))
+        rng = stream(seed, idx)
         a = float(rng.uniform(0.3, 3.0))
         b = float(rng.uniform(-2.0, 2.0))
         floor = float(rng.uniform(0.0, 0.2))
@@ -524,7 +532,7 @@ def mossel_suite_per_instance(
     """`rhc_verify.mossel_suite`, drawn and evaluated one instance at a time."""
     records = []
     for idx in range(n_instances):
-        rng = np.random.default_rng((seed, idx))
+        rng = stream(seed, idx)
         n_factors = int(rng.integers(1, 4)) if n is None else n
         k = int(rng.integers(2, 5))
         factors = tuple(rng.dirichlet(np.ones(k)) for _ in range(n_factors))
@@ -561,7 +569,7 @@ def mossel_q0_suite_per_instance(n_instances: int, seed: int) -> list[SuiteRecor
     """`rhc_verify.mossel_q0_suite`, drawn and evaluated one instance at a time."""
     records = []
     for idx in range(n_instances):
-        rng = np.random.default_rng((seed, idx))
+        rng = stream(seed, idx)
         n, k = int(rng.integers(1, 4)), int(rng.integers(2, 5))
         factors = tuple(rng.dirichlet(np.ones(k)) for _ in range(n))
         t = float(rng.uniform(0.05, 3.0))
@@ -580,7 +588,7 @@ def semigroup_suite_per_instance(n_instances: int, seed: int) -> list[SuiteRecor
     """`rhc_verify.semigroup_suite`, drawn and evaluated one instance at a time."""
     records = []
     for idx in range(n_instances):
-        rng = np.random.default_rng((seed, idx))
+        rng = stream(seed, idx)
         n, k = int(rng.integers(1, 4)), int(rng.integers(2, 5))
         factors = tuple(rng.dirichlet(np.ones(k)) for _ in range(n))
         f = rng.random((k,) * n)
@@ -606,7 +614,7 @@ def quantizer_suite_per_instance(n_instances: int, seed: int) -> list[SuiteRecor
     """`rhc_verify.quantizer_oracle_suite`, drawn and evaluated one instance at a time."""
     records = []
     for idx in range(n_instances):
-        rng = np.random.default_rng((seed, idx))
+        rng = stream(seed, idx)
         k = int(rng.integers(2, 5))
         xs = np.sort(rng.uniform(-3.0, 3.0, size=k))
         while np.any(np.diff(xs) < 1e-3):
