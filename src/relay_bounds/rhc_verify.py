@@ -7,10 +7,10 @@ quadrature, the inequalities that power the capacity bounds:
   ||T_t f||_q >= ||f||_p for q < p < 1 whenever t >= ln((1-q)/(1-p)),
   and the q=0 special case E[ln T_t f] >= (1 + 1/t) ln E[f] for f in [0,1]^n;
 * the Ornstein-Uhlenbeck action T_{x,t} f(y) = E[f(e^{-t}y + (1-e^{-t})x
-  + sqrt(1-e^{-2t}) V)] evaluated by one fixed trapezoid rule (the quantizer
-  entropies use a 64-node Gauss-Hermite rule), each sum by the one private
-  `_expect`; its exponential test functions have closed-form norms that
-  exhibit the critical time t = 0.5*ln((1-q)/(1-p)) exactly;
+  + sqrt(1-e^{-2t}) V)] evaluated by the one fixed trapezoid rule that the
+  quantizer entropies use too, each sum by the one private `_expect`; its
+  exponential test functions have closed-form norms that exhibit the
+  critical time t = 0.5*ln((1-q)/(1-p)) exactly;
 * the entropy-gap bounds themselves, via exact relay-instance enumeration
   (discrete channels) and quantizer instances (Gaussian links at n = 1).
 
@@ -57,26 +57,28 @@ MAX_INSTANCES = 100_000
 # drawn arrays and their stacks hold; the default 1,000 fit in one block.
 _BLOCK = 1024
 
-# Two rules against N(0, 1), read when called, so a test can patch another in:
-# the 64-node Gauss-Hermite rule of `gaussian_quantizer_gap`, and the trapezoid
-# rule of `ou_apply` and `check_ou_q0`, step 0.25 over [-9, 9] with weights
-# phi(v) normalized to sum to 1, geometrically convergent in 1/step on their
-# analytic, Gaussian-decaying integrands (Trefethen and Weideman, 2014).
-_NODES, _WEIGHTS = np.polynomial.hermite.hermgauss(64)
-_NODES, _WEIGHTS = _NODES * math.sqrt(2.0), _WEIGHTS / _WEIGHTS.sum()
+# The one rule against N(0, 1), that of `ou_apply`, `check_ou_q0` and the quantizer,
+# read when called, so a test can patch another in: the trapezoid rule, step 0.25
+# over [-9, 9] with weights phi(v) normalized to sum to 1, geometrically convergent
+# in 1/step on their analytic, Gaussian-decaying integrands (Trefethen and Weideman).
 _GRID = np.arange(-36, 37) * 0.25
 _GRID_WEIGHTS = np.exp(-0.5 * _GRID * _GRID)
 _GRID_WEIGHTS /= _GRID_WEIGHTS.sum()
-for _rule in (_NODES, _WEIGHTS, _GRID, _GRID_WEIGHTS):
-    _rule.setflags(write=False)
+_GRID.setflags(write=False)
+_GRID_WEIGHTS.setflags(write=False)
 
 
-def _expect(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Each row of values (its last axis) summed against weights, as np.dot(weights, row)
-    sums it: numpy hands each (1, m) @ (m, 1) product to that BLAS dot, while a
-    matrix-vector product would use a kernel that may sum in another order."""
-    out = np.matmul(values.reshape(-1, 1, weights.size), weights[:, None])
+def _expect(values: np.ndarray) -> np.ndarray:
+    """Each row of values (its last axis) summed against `_GRID_WEIGHTS`, as
+    np.dot(_GRID_WEIGHTS, row) sums it: numpy hands each (1, m) @ (m, 1) product
+    to that BLAS dot, while a matrix-vector product may sum in another order."""
+    out = np.matmul(values.reshape(-1, 1, _GRID_WEIGHTS.size), _GRID_WEIGHTS[:, None])
     return out.reshape(values.shape[:-1])
+
+
+def _number(value, kind: type) -> bool:
+    """Whether value is an instance of the numbers ABC kind and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _integers(values, name: str) -> np.ndarray:
@@ -345,7 +347,7 @@ def ou_apply(
         raise DomainError(f"time must be >= 0, got {t!r}")
     mean = math.exp(-t) * np.asarray(y, dtype=float) + -math.expm1(-t) * x
     sd = math.sqrt(-math.expm1(-2.0 * t))
-    out = _expect(np.asarray(f(mean[..., None] + sd * _GRID), dtype=float), _GRID_WEIGHTS)
+    out = _expect(np.asarray(f(mean[..., None] + sd * _GRID), dtype=float))
     return float(out) if out.ndim == 0 else out
 
 
@@ -358,13 +360,13 @@ def check_ou_q0(f: Callable[[np.ndarray], np.ndarray], x: float, t: float) -> fl
         raise DomainError("the q=0 inequality needs t > 0")
     ys = x + _GRID
     vals = np.asarray(f(ys), dtype=float)
-    mean = float(_expect(vals, _GRID_WEIGHTS))
+    mean = float(_expect(vals))
     if not (np.all((vals >= 0.0) & (vals <= 1.0 + 1e-12)) and mean > 0.0):
         raise DomainError("f must map the quadrature nodes into [0, 1] with positive mass")
     smoothed = ou_apply(f, x, ys, t)
     if np.any(smoothed <= 0.0):
         raise DomainError("T_t f vanished at a quadrature node; use f with positive mass")
-    lhs = float(_expect(np.log(smoothed), _GRID_WEIGHTS))
+    lhs = float(_expect(np.log(smoothed)))
     return lhs - (1.0 + 0.5 / t) * math.log(min(mean, 1.0))
 
 
@@ -381,8 +383,7 @@ def check_borell_exponential(lam: float, x: float, p: float, q: float, t: float)
         raise DomainError(f"need q < p < 1, got p={p}, q={q}")
     if t < 0.0 or math.isnan(t):
         raise DomainError(f"time must be >= 0, got {t!r}")
-    shrink = math.exp(-2.0 * t)
-    lhs = lam * x + 0.5 * lam * lam * (-math.expm1(-2.0 * t) + q * shrink)
+    lhs = lam * x + 0.5 * lam * lam * (-math.expm1(-2.0 * t) + q * math.exp(-2.0 * t))
     rhs = lam * x + 0.5 * lam * lam * p
     return lhs - rhs
 
@@ -472,10 +473,10 @@ def gaussian_quantizer_gap(
     X is uniform on the constellation (noise variance 1, points pre-scaled),
     Z = X + N(0,1) is quantized by the sorted thresholds into I, and
     Y = X + N(0,1) independently.  h1 = H(I|X) comes from normal CDF
-    differences; h2 = H(I|Y) integrates the posterior entropy over Y by
-    quadrature.  A (B, k) constellation with (B, n) thresholds is a stack of
-    B quantizers and gives two (B,) arrays, each entry equal to its row's own
-    call bit for bit.
+    differences; h2 = H(I|Y) integrates the posterior entropy over Y = x_c + V
+    on the nodes x_c + `_GRID` of each point x_c.  A (B, k) constellation with
+    (B, n) thresholds is a stack of B quantizers and gives two (B,) arrays,
+    each entry equal to its row's own call bit for bit.
     """
     xs = np.asarray(constellation, dtype=float)
     taus = np.asarray(thresholds, dtype=float)
@@ -500,7 +501,7 @@ def gaussian_quantizer_gap(
     h1 = np.mean(-_xlogx_rows(cell_given_x), axis=-1)
 
     # h2: for Y = x_c + v, the posterior over inputs is a softmax of -(y-x)^2/2
-    ys = (xs[:, :, None] + _NODES).reshape(rows, -1)
+    ys = (xs[:, :, None] + _GRID).reshape(rows, -1)
     # in place, so that a stack holds few tables of k*m rows at once
     post = ys[:, :, None] - xs[:, None, :]
     post *= post
@@ -510,8 +511,8 @@ def gaussian_quantizer_gap(
     post /= post.sum(axis=-1, keepdims=True)
     cell_given_y = post @ cell_given_x
     del post
-    weights = (np.full((k, 1), 1.0 / k) * _WEIGHTS[None, :]).reshape(-1)
-    h2 = _expect(-_xlogx_rows(cell_given_y), weights)
+    # each point's expectation over its own nodes, then their mean over the k points
+    h2 = _expect(-_xlogx_rows(cell_given_y).reshape(rows, k, -1)).mean(axis=-1)
     return (h1, h2) if stacked else (float(h1[0]), float(h2[0]))
 
 
@@ -555,7 +556,7 @@ def _run(
     B rows, and `margins` a (B,) array or list.  A margin of at least -tol
     passes.
     """
-    if not all(isinstance(v, numbers.Integral) and v >= 0 for v in (n_instances, seed)):
+    if not all(_number(v, numbers.Integral) and v >= 0 for v in (n_instances, seed)):
         raise DomainError(f"count and seed must be integers >= 0, got {n_instances!r}, {seed!r}")
     if n_instances > MAX_INSTANCES:
         raise DomainError(f"at most {MAX_INSTANCES} instances per suite, got {n_instances}")
@@ -630,12 +631,12 @@ def _random_semigroup(rng, n=None, t=None, p=None, q=None):
 
 def check_mossel_keywords(*, n=None, t=None, p=None, q=None) -> None:
     """Raise DomainError for keywords that `mossel_suite` cannot run with."""
-    if n is not None and n not in range(1, MAX_FACTORS + 1):
+    if n is not None and not (_number(n, numbers.Real) and n in range(1, MAX_FACTORS + 1)):
         raise DomainError(f"n must lie in 1..{MAX_FACTORS}, got {n!r}")
     if (p is None) != (q is None):
         raise DomainError("p and q fix the norm indices together; give both or neither")
     critical = None if p is None else mossel_critical_time(p, q)
-    if not (t is None or t == "critical" or isinstance(t, numbers.Real)):
+    if not (t is None or t == "critical" or _number(t, numbers.Real)):
         raise DomainError(f"t must be None, 'critical' or a number, got {t!r}")
     if isinstance(t, numbers.Real) and critical is None:
         raise DomainError("a numeric t needs p and q: each pair has its own critical time")
@@ -698,7 +699,7 @@ def mossel_q0_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
 
 def borell_suite(n_instances: int, seed: int, *, t_factor: float = 1.0) -> list[SuiteRecord]:
     """Closed-form Borell margins for exponential functions at t_factor >= 0 times critical."""
-    if not (isinstance(t_factor, numbers.Real) and t_factor >= 0.0):  # NaN fails too
+    if not (_number(t_factor, numbers.Real) and t_factor >= 0.0):  # NaN fails too
         raise DomainError(f"t_factor must be a real number >= 0, got {t_factor!r}")
 
     def draw(rng):
@@ -767,16 +768,14 @@ def relay_oracle_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
 def quantizer_oracle_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
     """Gaussian quantizer margins against both scalar entropy-gap bounds."""
 
-    def draw(rng):
-        k = int(rng.integers(2, 5))
-        xs = np.sort(rng.uniform(-3.0, 3.0, size=k))
-        while (xs[1:] - xs[:-1] < 1e-3).any():
-            xs = np.sort(rng.uniform(-3.0, 3.0, size=k))
-        n_taus = int(rng.integers(1, 4))
-        taus = np.sort(rng.uniform(-3.0, 3.0, size=n_taus))
-        while (taus[1:] - taus[:-1] < 1e-3).any():
-            taus = np.sort(rng.uniform(-3.0, 3.0, size=n_taus))
-        return xs, taus
+    def apart(rng, size):  # size sorted uniforms on [-3, 3], redrawn until 1e-3 apart
+        points = np.sort(rng.uniform(-3.0, 3.0, size=size))
+        while (points[1:] - points[:-1] < 1e-3).any():
+            points = np.sort(rng.uniform(-3.0, 3.0, size=size))
+        return points
+
+    def draw(rng):  # the constellation's 2..4 points, then 1..3 thresholds
+        return apart(rng, int(rng.integers(2, 5))), apart(rng, int(rng.integers(1, 4)))
 
     def evaluate(xs, taus):
         h1, h2 = gaussian_quantizer_gap(xs, taus)

@@ -693,7 +693,7 @@ class TestDeterminismAndRoundTrip:
         monkeypatch.delenv("RELAY_BOUNDS_SEED", raising=False)
         assert main(["verify"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == "473fa1b6586f46b23566f46a23387c634ed9808befc1c785fe656c6ea5298d05"
+        assert digest == "63c73371ba7586f19c02b18161996a35d1bc5286a7e3ca2c35b917d5661fb525"
 
     @pytest.mark.parametrize(
         "argv,digest",

@@ -55,13 +55,6 @@ from relay_bounds.scalar_bounds import bdd_gap_closed, gauss_gap_closed, require
 FAIR_COIN, LN2 = (np.array([0.5, 0.5]),), math.log(2.0)
 
 
-def use_gauss_hermite(monkeypatch, order):
-    """Patch the order-node Gauss-Hermite rule, rescaled to N(0, 1), in for the quantizer's."""
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
-    monkeypatch.setattr(rhc_verify, "_NODES", nodes * math.sqrt(2.0))
-    monkeypatch.setattr(rhc_verify, "_WEIGHTS", weights / weights.sum())
-
-
 def trapezoid(step):
     """The trapezoid rule against N(0, 1) at this step over [-9, 9]: nodes, and
     weights phi(v) normalized to sum to 1."""
@@ -71,7 +64,7 @@ def trapezoid(step):
 
 
 def use_trapezoid(monkeypatch, step):
-    """Patch the trapezoid rule at this step in for the OU action's."""
+    """Patch the trapezoid rule at this step in for the module's one rule."""
     nodes, weights = trapezoid(step)
     monkeypatch.setattr(rhc_verify, "_GRID", nodes)
     monkeypatch.setattr(rhc_verify, "_GRID_WEIGHTS", weights)
@@ -134,12 +127,9 @@ class TestTypes:
         for t in (1, np.int64(1), np.uint8(1)):
             assert _bits(kernel(FAIR_COIN, t, f)) == _bits(kernel(FAIR_COIN, 1.0, f))
 
-    @pytest.mark.parametrize("nodes, weights, size", [
-        (rhc_verify._NODES, rhc_verify._WEIGHTS, 64),
-        (rhc_verify._GRID, rhc_verify._GRID_WEIGHTS, 73),
-    ], ids=["gauss-hermite", "trapezoid"])
-    def test_quadrature_constants(self, nodes, weights, size):
-        assert nodes.shape == weights.shape == (size,)
+    def test_quadrature_constants(self):
+        nodes, weights = rhc_verify._GRID, rhc_verify._GRID_WEIGHTS
+        assert nodes.shape == weights.shape == (73,)
         assert not nodes.flags.writeable and not weights.flags.writeable
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(weights >= 0.0)
@@ -599,6 +589,9 @@ class TestMossel:
             ({"n": 0}, "n must lie in 1..4, got 0"),
             ({"n": 5}, "n must lie in 1..4, got 5"),
             ({"n": 2.5}, "n must lie in 1..4"),
+            ({"n": True}, "n must lie in 1..4, got True"),
+            ({"n": np.True_}, "n must lie in 1..4, got np.True_"),
+            ({"t": True, "p": 0.5, "q": 0.5}, "t must be None, 'critical' or a number, got True"),
             ({"t": 0.5}, "a numeric t needs p and q"),
             ({"t": 0.5, "p": 0.5, "q": 0.0}, "below the critical time"),
             ({"t": math.nan, "p": 0.5, "q": 0.0}, "below the critical time"),
@@ -696,21 +689,24 @@ class TestOuAction:
 
 
 class TestExpect:
-    """`_expect` sums each row of a stack as np.dot(weights, row) sums it, bit
-    for bit: rows of the 64-node rule and of the quantizer's 64k weights."""
+    """`_expect` sums each row of a stack as np.dot(_GRID_WEIGHTS, row) sums
+    it, bit for bit: rows of the grid the suites run (73 nodes) and of its
+    halved step (145 nodes)."""
 
-    @pytest.mark.parametrize("m", [64, 128, 131, 192, 256])
+    @pytest.mark.parametrize("m", [73, 145])
     @pytest.mark.parametrize("rows", [1, 2, 37, 300])
-    def test_rows_equal_their_own_dot(self, m, rows):
+    def test_rows_equal_their_own_dot(self, m, rows, monkeypatch):
+        if m != 73:
+            use_trapezoid(monkeypatch, 0.125)
+        weights = rhc_verify._GRID_WEIGHTS
+        assert weights.size == m
         rng = np.random.default_rng(1000 * m + rows)
-        weights = rng.random(m)
-        weights /= weights.sum()
         values = rng.normal(size=(rows, m)) * 10.0 ** rng.integers(-5, 6, size=(rows, 1))
-        got = rhc_verify._expect(values, weights)
+        got = rhc_verify._expect(values)
         assert got.shape == (rows,)
         assert _bits(got) == _bits([np.dot(weights, row) for row in values])
-        assert _bits(rhc_verify._expect(values.reshape(1, rows, m), weights)) == _bits([got])
-        one = rhc_verify._expect(values[0], weights)
+        assert _bits(rhc_verify._expect(values.reshape(1, rows, m))) == _bits([got])
+        one = rhc_verify._expect(values[0])
         assert one.shape == () and _bits([one]) == _bits(got[:1])
 
 
@@ -876,7 +872,7 @@ class TestQuantizerGap:
 
     def test_quadrature_convergence(self, monkeypatch):
         coarse = gaussian_quantizer_gap([-1.0, 0.5, 2.0], [-0.3, 1.0])
-        use_gauss_hermite(monkeypatch, 128)
+        use_trapezoid(monkeypatch, 0.125)
         fine = gaussian_quantizer_gap([-1.0, 0.5, 2.0], [-0.3, 1.0])
         assert abs(coarse[1] - fine[1]) <= 1e-9
 
@@ -1249,7 +1245,9 @@ class TestSuiteRegistry:
 
     @pytest.mark.parametrize("name", list(SUITES))
     @pytest.mark.parametrize(
-        "count, seed", [(-3, 1), (5, -1), (2.5, 1), (5, 1.0), ("5", 1), (5, None), (5, (1, 2))]
+        "count, seed",
+        [(-3, 1), (5, -1), (2.5, 1), (5, 1.0), ("5", 1), (5, None), (5, (1, 2)), (True, 1),
+         (5, False)],
     )
     def test_rejects_a_bad_count_or_seed_before_the_first_draw(
         self, name, count, seed, monkeypatch
@@ -1266,7 +1264,7 @@ class TestSuiteRegistry:
         assert SUITES[name](np.int64(0), np.uint32(7)) == []
 
 
-    @pytest.mark.parametrize("t_factor", [-1.0, -1, -1e-300, math.nan, "2", None, 1j])
+    @pytest.mark.parametrize("t_factor", [-1.0, -1, -1e-300, math.nan, "2", None, 1j, True])
     def test_borell_rejects_a_bad_t_factor_before_the_first_draw(self, t_factor, monkeypatch):
         def no_draw(*args):
             raise AssertionError("seeded the streams")
@@ -1370,26 +1368,23 @@ class TestStreams:
 
 
 class TestQuadratureOrder:
-    """The suites' margins against a finer rule, at 1,000 instances and seed 12345.
+    """The suites' margins on the halved step of the one trapezoid rule, at
+    1,000 instances and seed 12345.
 
-    Against a 200-node Gauss-Hermite rule, the quantizer's 64-node rule moves
-    h2 by up to 7.7e-6 (index 567), above that suite's 1e-6 tolerance.
-    Halving the step of the OU trapezoid rule moves ou-q0 margins by up to
-    3.3e-11 (index 951), within that suite's 1e-9 tolerance.  No pass flag
-    changes: the smallest margins are 2.7e-5 (quantizer) and 3.8e-4 (ou-q0).
+    Halving the step (145 nodes for 73) moves quantizer h2 by up to 5.3e-8
+    and its margins by up to 2.5e-8 (index 363), and ou-q0 margins by up to
+    3.3e-11 (index 951), each within its suite's tolerance (1e-6 and 1e-9).
+    No pass flag changes: the smallest margins are 2.7e-5 (quantizer) and
+    3.8e-4 (ou-q0).
     """
 
     @pytest.mark.parametrize(
-        "suite, finer, moves",
-        [
-            (quantizer_oracle_suite, lambda patch: use_gauss_hermite(patch, 200), 1e-5),
-            (ou_q0_suite, lambda patch: use_trapezoid(patch, 0.125), 1e-9),
-        ],
+        "suite, moves", [(quantizer_oracle_suite, 1e-7), (ou_q0_suite, 1e-9)],
         ids=["quantizer", "ou-q0"],
     )
-    def test_a_finer_rule_keeps_every_pass_flag(self, suite, finer, moves, monkeypatch):
+    def test_a_finer_rule_keeps_every_pass_flag(self, suite, moves, monkeypatch):
         coarse = suite(1000, 12345)
-        finer(monkeypatch)
+        use_trapezoid(monkeypatch, 0.125)
         fine = suite(1000, 12345)
         assert [r.passed for r in fine] == [r.passed for r in coarse]
         assert all(r.passed for r in coarse)
@@ -1406,6 +1401,9 @@ class TestMutations:
     Each bound c becomes h + s (c(h) - h), patched where the suite reads it.
     At 1,000 instances and seed 12345, s = 0.1 gives 32 lemma4 failures and
     414 quantizer failures, s = 0.15 gives 8 and 116, s = 0.2 gives 0 and 0.
+    borell-exp fails once its critical time is shrunk to (1 - s) times itself:
+    s = 1e-2 and 1e-6 fail all 1,000 instances, 1e-9 fails 994, 1e-12 fails
+    55, and the smallest shrink that fails one is about 5.5e-13.
     """
 
     @pytest.mark.parametrize(
@@ -1417,6 +1415,15 @@ class TestMutations:
         exact = getattr(rhc_verify, bound)
         monkeypatch.setattr(rhc_verify, bound, lambda h, *args: h + 0.1 * (exact(h, *args) - h))
         assert not all(r.passed for r in suite(1000, 12345))
+
+    @pytest.mark.parametrize("shrink, failures", [(1e-2, 1000), (1e-9, 1)])
+    def test_a_shrunk_borell_critical_time_fails(self, shrink, failures, monkeypatch):
+        assert all(r.passed for r in borell_suite(1000, 12345))
+        exact = rhc_verify.borell_critical_time
+        monkeypatch.setattr(
+            rhc_verify, "borell_critical_time", lambda p, q: (1.0 - shrink) * exact(p, q)
+        )
+        assert sum(not r.passed for r in borell_suite(1000, 12345)) >= failures
 
 
 @settings(max_examples=40, deadline=None)
