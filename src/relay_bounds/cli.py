@@ -84,9 +84,15 @@ def _write_text(path: str | None, text: str) -> None:
         out.write(text)
 
 
+def _csv_text(columns, rows) -> str:
+    """A header line and one line per row; floats in shortest round-trip form."""
+    lines = [columns, *([_fmt(v) if isinstance(v, float) else str(v) for v in row] for row in rows)]
+    return "".join(",".join(line) + "\n" for line in lines)
+
+
 def _report_text(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload) + "\n"
+        return _json_line(payload)
     flat: dict[str, object] = {}
     for key, value in payload.items():
         if isinstance(value, (list, tuple)):
@@ -94,22 +100,15 @@ def _report_text(payload: dict, fmt: str) -> str:
                 flat[f"{key}_{i}"] = v
         else:
             flat[key] = value
-    header = ",".join(flat)
-    cells = ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in flat.values())
-    return header + "\n" + cells + "\n"
+    return _csv_text(list(flat), [flat.values()])
 
 
 def _table_text(table: CurveTable, fmt: str, scale: float) -> str:
+    rows = [[value * scale for value in row] for row in table.rows]
     if fmt == "json":
-        rows = [
-            {name: value * scale for name, value in zip(table.columns, row)}
-            for row in table.rows
-        ]
-        return json.dumps({"columns": list(table.columns), "rows": rows}) + "\n"
-    lines = [",".join(table.columns)]
-    for row in table.rows:
-        lines.append(",".join(_fmt(value * scale) for value in row))
-    return "\n".join(lines) + "\n"
+        named = [dict(zip(table.columns, row)) for row in rows]
+        return _json_line({"columns": list(table.columns), "rows": named})
+    return _csv_text(table.columns, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -126,8 +126,7 @@ def product_channel(w: DiscreteChannel) -> DiscreteChannel:
 # Dual Blahut-Arimoto solver
 # ---------------------------------------------------------------------------
 
-GAP_TOL = 1e-10  # a report is certified when certificate - objective <= GAP_TOL
-_INNER_TOL = 1e-11  # stopping gap of the weighted problem at one multiplier
+GAP_TOL = 1e-10  # a report is certified, and a weighted solve stops, at this gap
 _MAX_STEP = 4.0  # cap on the Blahut-Arimoto step; larger ones mostly overshoot
 # The 23 shortenings of a refused Newton step before it gives way: 2^-1 ... 2^-23
 _SHORTENINGS = np.ldexp(1.0, -np.arange(1, 24))
@@ -303,11 +302,11 @@ class _DualSolver:
         one-at-a-time evaluations bit for bit, and the first that raises the
         value is taken.  Blahut-Arimoto alone crawls when rows nearly coincide
         or an optimal input has little mass; Newton alone can settle on a
-        wrong face.  max_x d_x bounds the weighted maximum, which gives the
-        stopping gap.
+        wrong face.  max_x d_x bounds the weighted maximum; the walk stops
+        once it is within GAP_TOL of the value, the gap reports certify to.
         """
         x, step = self._state(lam, p), 1.0
-        while self.steps_left > 0 and x.gap > _INNER_TOL:
+        while self.steps_left > 0 and x.gap > GAP_TOL:
             self.steps_left -= 1
             best = self._state(lam, _law(x.p * np.exp(step * (x.d - x.top))))
             newton = self._newton_point(lam, x)

@@ -331,15 +331,15 @@ class TestRegressionChannels:
 
 
 class TestStalledSolver:
-    """Near-duplicate rows stall the solver at lam = 0 (a gap near 7e-11), so
-    the bracket search gets no budget; a budget of 50 steps shows it fast."""
+    """On a budget of 50 steps the solver cannot finish seed 3's draw 41 (it
+    stops at a gap of 3.07e-3), so the report stays uncertified: it is still
+    an upper value with its gap stated, and the CLI exits 0."""
 
-    ROWS = [[1 - 1e-13, 1e-13], [1 - 8e-12, 8e-12], [1.0, 0.0], [0.04, 0.96], [0.0, 1.0]]
-    C0 = 0.32628245749178686
+    CHANNEL, C0 = random_law_channel(3, 41)
 
     def test_report_stays_below_its_cutset(self, monkeypatch):
         monkeypatch.setattr(dmc_relay, "_BUDGET", 50)
-        w = DiscreteChannel(np.array(self.ROWS))
+        w = self.CHANNEL
         rep = capacity_ub_cor2(w, self.C0)
         assert rep.cutset >= relay_objective(rep.argmax_input.probs, w, self.C0)
         assert not rep.certified
@@ -349,13 +349,32 @@ class TestStalledSolver:
     def test_cli_exits_0(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(dmc_relay, "_BUDGET", 50)
         path = str(tmp_path / "stalled.csv")
-        w = DiscreteChannel(np.array(self.ROWS))
+        w = self.CHANNEL
         write_channel_csv(path, w)
         assert cli.main(["dmc", "--channel", path, "--c0", repr(self.C0)]) == 0
         payload = json.loads(capsys.readouterr().out)
         law = np.array(payload["argmax_input"])
         assert payload["cutset"] >= relay_objective(law, w, self.C0)
         assert payload["certified"] is False
+
+
+class TestNearDuplicateRows:
+    """Rows 0-2 differ by under 1e-11, so the weighted solves level off near
+    GAP_TOL: the lam = 1 walk dips under it only after 8,909 steps.  Each solve
+    stops at GAP_TOL, the gap the report is certified against, and the full
+    budget brings the bound to 0.70567484549 (a stopping gap of 1e-11 leaves
+    the lam = 0 solve at 7.2e-11 for all 20,000 steps, and the report falls
+    back on the cutset, 0.95628 at a gap of 0.263).  The walk reaches GAP_TOL
+    by chance, so the test asks for the value and a gap of 1e-9, not for
+    `certified`."""
+
+    ROWS = [[1 - 1e-13, 1e-13], [1 - 8e-12, 8e-12], [1.0, 0.0], [0.04, 0.96], [0.0, 1.0]]
+    C0 = 0.32628245749178686
+
+    def test_full_budget_reaches_the_maximum(self):
+        rep = capacity_ub_cor2(DiscreteChannel(np.array(self.ROWS)), self.C0)
+        assert abs(rep.cor2_bound - 0.70567484549) <= 1e-9
+        assert rep.suboptimality_gap <= 1e-9
 
 
 class TestCutsetDmc:
@@ -505,14 +524,15 @@ class TestGoldenReports:
     Recorded with numpy 2.4 and its bundled OpenBLAS on x86-64; a BLAS that
     sums in another order may move the last bits.  draw50 is the 5x2 channel
     with the heaviest line search of the benchmark's law (123 solver steps);
-    the stalled channel runs on a budget of 50 steps and stays uncertified."""
+    the stalled channel (TestStalledSolver's 6x2 draw) runs on a budget of 50
+    steps and stays uncertified."""
 
     CASES = {
         "bsc": (DiscreteChannel(np.array([[0.89, 0.11], [0.11, 0.89]])), 0.3),
         "cli3": (CLI_CHANNEL, 0.2),
         "16x16": (CHANNEL_16, 0.5),
         "draw50": random_law_channel(1, 50),
-        "stalled": (DiscreteChannel(np.array(TestStalledSolver.ROWS)), TestStalledSolver.C0),
+        "stalled": (TestStalledSolver.CHANNEL, TestStalledSolver.C0),
     }
     FIELDS = ("alpha", "penalty", "cutset", "cor2_bound", "suboptimality_gap", "certified")
     EXPECTED = {
@@ -547,11 +567,11 @@ class TestGoldenReports:
             ),
         ),
         "stalled": (
-            ("0x1.0000000000000p+1", "0x1.34ed4119c53d2p-2", "0x1.e99d7f830845ap-1",
-             "0x1.e99d7f830845ap-1", "0x1.0d729f26bd0cap-2", False),
+            ("0x1.eed8da082cf3ap+0", "0x1.36908a22d8592p-1", "0x1.49a7ccbc446bcp-1",
+             "0x1.49a7ccbc446bcp-1", "0x1.928a246a3d300p-9", False),
             (
-                "0x1.55aa356d655dbp-3", "0x1.54ab952242dc7p-3", "0x1.55aa356fc6d17p-3",
-                "0x1.79ca10caf5e8ap-67", "0x1.00000000243d2p-1",
+                "0x1.b84308085e775p-67", "0x1.b84308085e775p-67", "0x1.c651d428e4434p-7",
+                "0x1.fa1d07a15673bp-2", "0x1.f7b069bd626a5p-2", "0x1.b84308085e775p-67",
             ),
         ),
     }
@@ -594,6 +614,21 @@ class TestSolverProperties:
         rep = capacity_ub_cor2(DiscreteChannel(np.tile(rows[0], (len(rows), 1))), c0)
         assert abs(rep.cor2_bound) <= dmc_relay._ROUNDING
         assert abs(rep.cutset) <= dmc_relay._ROUNDING
+
+    @settings(max_examples=75, deadline=None)
+    @given(st.data())
+    def test_bound_is_nondecreasing_in_c0(self, data):
+        # The maximum is nondecreasing in C0, since the penalty is.  The
+        # objective at a reported law, cor2_bound less its gap, is a lower
+        # value of the maximum at its C0, and cor2_bound an upper value at its own.
+        rows, c0 = benchmark_law_channel(data)
+        more = data.draw(st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3), label="c0s")
+        w = DiscreteChannel(rows)
+        reports = [capacity_ub_cor2(w, rate) for rate in sorted([c0, *more])]
+        for i, low in enumerate(reports):
+            for high in reports[i + 1:]:
+                floor = low.cor2_bound - low.suboptimality_gap - dmc_relay._ROUNDING
+                assert high.cor2_bound >= floor, (low, high)
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())

@@ -1403,7 +1403,12 @@ class TestMutations:
     414 quantizer failures, s = 0.15 gives 8 and 116, s = 0.2 gives 0 and 0.
     borell-exp fails once its critical time is shrunk to (1 - s) times itself:
     s = 1e-2 and 1e-6 fail all 1,000 instances, 1e-9 fails 994, 1e-12 fails
-    55, and the smallest shrink that fails one is about 5.5e-13.
+    55, and the smallest shrink that fails one is about 5.5e-13.  mossel,
+    mossel-q0 and ou-q0 fail once their smoothing runs at (1 - s) times its
+    time: s = 0.3 fails none of the three, s = 0.5 fails 6 mossel instances
+    and s = 0.9 fails 659, 15 and 13.  The smallest shrinks that fail one are
+    about 0.48, 0.84 and 0.86.  A uniform time scale keeps the semigroup law
+    T_s T_t = T_(s+t), so it is no mutation of the semigroup suite.
     """
 
     @pytest.mark.parametrize(
@@ -1424,6 +1429,27 @@ class TestMutations:
             rhc_verify, "borell_critical_time", lambda p, q: (1.0 - shrink) * exact(p, q)
         )
         assert sum(not r.passed for r in borell_suite(1000, 12345)) >= failures
+
+    @pytest.mark.parametrize(
+        "suite, kernel, at",
+        [
+            (mossel_suite, "_smooth", 1),
+            (mossel_q0_suite, "_smooth", 1),
+            (ou_q0_suite, "ou_apply", 3),
+        ],
+    )
+    def test_a_shrunk_smoothing_time_fails(self, suite, kernel, at, monkeypatch):
+        # the kernel's time is its positional argument `at`; s = 0.9
+        assert all(r.passed for r in suite(1000, 12345))
+        exact = getattr(rhc_verify, kernel)
+
+        def shrunk(*args):
+            args = list(args)
+            args[at] = (1.0 - 0.9) * args[at]
+            return exact(*args)
+
+        monkeypatch.setattr(rhc_verify, kernel, shrunk)
+        assert not all(r.passed for r in suite(1000, 12345))
 
 
 @settings(max_examples=40, deadline=None)
