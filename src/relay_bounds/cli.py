@@ -104,7 +104,7 @@ def _report_text(payload: dict, fmt: str) -> str:
 
 
 def _table_text(table: CurveTable, fmt: str, scale: float) -> str:
-    rows = [[value * scale for value in row] for row in table.rows]
+    rows = (table.rows * scale).tolist()  # the same IEEE product per value as a float row
     if fmt == "json":
         named = [dict(zip(table.columns, row)) for row in rows]
         return _json_line({"columns": list(table.columns), "rows": named})

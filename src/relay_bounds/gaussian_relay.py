@@ -73,12 +73,16 @@ class GaussianBoundReport:
         return min(self.cutset, self.lemma2_bound, self.lemma3_bound, self.relaxed_baseline)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # the array field compares and hashes by identity
 class CurveTable:
-    """Column-labelled numeric table produced by the curve emitters."""
+    """Column-labelled table produced by the curve emitters.
+
+    `rows` is one read-only (n_points, len(columns)) float64 array; the CLI
+    prints its values byte for byte as it would print the same Python floats.
+    """
 
     columns: tuple[str, ...]
-    rows: tuple[tuple[float, ...], ...]
+    rows: np.ndarray
 
 
 def _require_positive(value: float, name: str) -> None:
@@ -94,7 +98,7 @@ def _bounds(snr: float, c0: np.ndarray) -> tuple[float, np.ndarray]:
     """
     direct = 0.5 * math.log1p(snr)
     relay = direct + c0
-    # one float call per C0: gauss_gap_inverse has no array form yet
+    # one float call per C0: perfbench's tracer test pins one span per row (ROADMAP 1b, 4)
     lemma2 = relay - np.array([gauss_gap_inverse(c) for c in c0.tolist()])
     sums = np.stack((relay, lemma2, direct + lemma3_gap(c0), relay - relaxed_gap_inverse(c0)))
     return 0.5 * math.log1p(2.0 * snr), sums
@@ -117,7 +121,9 @@ def _grid(top: float, name: str, n_points: int) -> np.ndarray:
 
 
 def _table(columns: tuple[str, ...], *values: np.ndarray) -> CurveTable:
-    return CurveTable(columns=columns, rows=tuple(zip(*(v.tolist() for v in values))))
+    rows = np.stack(values, axis=1)
+    rows.setflags(write=False)
+    return CurveTable(columns=columns, rows=rows)
 
 
 def emit_fig1_curves(h1_max: float, n_points: int) -> CurveTable:
@@ -145,12 +151,6 @@ def emit_fig2_curves(snr: float, c0_max: float, n_points: int) -> CurveTable:
     cut, sums = _bounds(snr, c0)
     bounds = np.minimum(cut, sums)
     s = 2.0 * c0 / (1.0 + np.sqrt(1.0 + 4.0 * c0))  # 2r + sqrt(2r) = c0 at r = s^2/2
-    return _table(
-        ("c0", "cutset", "relaxed", "lemma2", "lemma3", "lemma3_unclipped"),
-        c0,
-        bounds[0],
-        sums[0] - 0.5 * s * s,  # the unclipped cutset sum less r
-        bounds[1],
-        bounds[2],
-        sums[2],
-    )
+    relaxed = sums[0] - 0.5 * s * s  # the unclipped cutset sum less r
+    columns = ("c0", "cutset", "relaxed", "lemma2", "lemma3", "lemma3_unclipped")
+    return _table(columns, c0, bounds[0], relaxed, bounds[1], bounds[2], sums[2])

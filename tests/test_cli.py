@@ -682,6 +682,14 @@ class TestDeterminismAndRoundTrip:
                 "gaussian --snr 0.5 --c0 0.1",
                 "aed9b73db724d485a06cf96abe7796b281e66c297c65e14da5c6f7464a693051",
             ),
+            (  # the json writer and the bits scale, which the csv tables above do not take
+                "curves --figure 2 --snr 3 --c0-max 2 --points 97 --format json --bits",
+                "e29f41b033751118adcec95dcc486365a500fc4afbca3d4421f9055470a64bbd",
+            ),
+            (
+                "curves --figure 1 --h1-max 2.7 --points 300 --bits",
+                "94b9773d67662c2a84d883d9ca456ba6be6ad640afe57e897ebc89657218f01e",
+            ),
         ],
     )
     def test_golden_stdout(self, capsys, argv, digest):

@@ -193,7 +193,9 @@ class TestFig1Curves:
     def test_structure_and_endpoints(self):
         tbl = emit_fig1_curves(3.0, 4)
         assert tbl.columns == ("h1", "h2_relaxed", "h2_lemma3")
-        assert tbl.rows[0] == (0.0, 0.0, 0.0)
+        assert tbl.rows.dtype == np.float64 and tbl.rows.shape == (4, 3)
+        assert not tbl.rows.flags.writeable
+        assert tuple(tbl.rows[0].tolist()) == (0.0, 0.0, 0.0)
         assert tbl.rows[-1][0] == 3.0
         assert tbl.rows[-1][1] == pytest.approx(6.0 + math.sqrt(6.0), abs=1e-12)
 
@@ -210,8 +212,10 @@ class TestFig1Curves:
     @pytest.mark.parametrize("h1_max,n", [(3.0, 512), (2.5, 97)])
     def test_lemma3_column_equals_float_calls(self, h1_max, n):
         tbl = emit_fig1_curves(h1_max, n)
-        for h1, _, thick in tbl.rows:
-            assert type(thick) is float and thick == lemma3_h2max(h1)
+        assert tbl.rows.dtype == np.float64 and tbl.rows.shape == (n, 3)
+        assert not tbl.rows.flags.writeable
+        for h1, _, thick in tbl.rows.tolist():
+            assert thick == lemma3_h2max(h1)
 
     def test_relaxed_column_matches_per_point_formula(self):
         for i, (h1, thin, _) in enumerate(emit_fig1_curves(3.0, 512).rows):
@@ -231,6 +235,22 @@ class TestFig1Curves:
             emit_fig1_curves(3.0, MAX_POINTS + 1)
         with pytest.raises(DomainError, match=re.escape(message)):
             emit_fig2_curves(0.5, 0.27, MAX_POINTS + 1)
+
+
+class TestCurveTable:
+    def test_rows_are_one_read_only_float_array(self):
+        for emit in (lambda: emit_fig1_curves(3.0, 97), lambda: emit_fig2_curves(0.5, 0.27, 97)):
+            tbl = emit()
+            assert tbl.rows.dtype == np.float64 and tbl.rows.shape == (97, len(tbl.columns))
+            with pytest.raises(ValueError, match="read-only"):
+                tbl.rows[0, 0] = 1.0
+            # eq=False: the array field compares and hashes by identity
+            other = emit()
+            assert (tbl == other) is False and tbl != other
+            assert tbl == tbl
+            assert len({tbl}) == 1 and len({tbl, other}) == 2
+        h1, _, thick = emit_fig1_curves(3.0, 97).rows.T
+        assert thick.tobytes() == lemma3_h2max(h1).tobytes()
 
 
 class TestFig2Curves:
@@ -269,10 +289,12 @@ class TestFig2Curves:
     @pytest.mark.parametrize("snr,c0_max,n", [(0.5, 0.27, 512), (0.4, 0.3, 512), (3.0, 2.0, 65)])
     def test_columns_match_per_point_formulas(self, snr, c0_max, n):
         direct = 0.5 * math.log1p(snr)
-        for i, row in enumerate(emit_fig2_curves(snr, c0_max, n).rows):
+        tbl = emit_fig2_curves(snr, c0_max, n)
+        assert tbl.rows.dtype == np.float64 and tbl.rows.shape == (n, 6)
+        assert not tbl.rows.flags.writeable
+        for i, row in enumerate(tbl.rows.tolist()):
             c0 = row[0]
             assert c0 == c0_max * i / (n - 1)
-            assert all(type(value) is float for value in row)
             rep = report(params(snr, c0))
             assert (row[1], row[4]) == (rep.cutset, rep.lemma3_bound)
             assert within_ulps(row[2], direct + c0 - baseline_curve_inverse(c0), 2)

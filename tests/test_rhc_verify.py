@@ -1408,7 +1408,10 @@ class TestMutations:
     time: s = 0.3 fails none of the three, s = 0.5 fails 6 mossel instances
     and s = 0.9 fails 659, 15 and 13.  The smallest shrinks that fail one are
     about 0.48, 0.84 and 0.86.  A uniform time scale keeps the semigroup law
-    T_s T_t = T_(s+t), so it is no mutation of the semigroup suite.
+    T_s T_t = T_(s+t), so it is no mutation of the semigroup suite; smoothing
+    at time ** (1 - s) breaks the law: s = 0.5 down to 1e-6 fails 995
+    instances, 1e-8 fails 994, 1e-10 fails 959 and 1e-12 none, and the
+    smallest s that fails one is about 3.9e-12.
     """
 
     @pytest.mark.parametrize(
@@ -1450,6 +1453,15 @@ class TestMutations:
 
         monkeypatch.setattr(rhc_verify, kernel, shrunk)
         assert not all(r.passed for r in suite(1000, 12345))
+
+    @pytest.mark.parametrize("s, failures", [(1e-6, 995), (1e-10, 1)])
+    def test_a_non_additive_time_fails(self, s, failures, monkeypatch):
+        assert all(r.passed for r in semigroup_suite(1000, 12345))
+        exact = rhc_verify._smooth
+        monkeypatch.setattr(
+            rhc_verify, "_smooth", lambda factors, time, f: exact(factors, time ** (1.0 - s), f)
+        )
+        assert sum(not r.passed for r in semigroup_suite(1000, 12345)) >= failures
 
 
 @settings(max_examples=40, deadline=None)
