@@ -104,13 +104,28 @@ def alpha_of_channel(w: DiscreteChannel) -> float:
 
 
 def _xlogx_rows(m: np.ndarray) -> np.ndarray:
-    """Sums of W*ln(W) along the last axis, with the 0*ln(0) = 0 convention."""
+    """Sums of W*ln(W) along the last axis, with the 0*ln(0) = 0 convention;
+    a row of fewer than 8 entries is summed column by column (`_row_sums`)."""
     terms = np.maximum(m, _TINY)
     with np.errstate(divide="ignore", invalid="ignore"):
         np.log(terms, out=terms)  # in place: a stack of tables needs one buffer
         terms *= m
     terms[~(m > 0.0)] = 0.0  # NaN entries too
-    return terms.sum(axis=-1)
+    return _row_sums(terms)
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """np.ascontiguousarray(a).sum(axis=-1), bit for bit: numpy adds a row of
+    fewer than 8 entries left to right (longer ones in blocks of 8), so such
+    rows are summed as column adds in that order, one vector add per column
+    in place of a reduction per row."""
+    width = a.shape[-1]
+    if not 0 < width < 8:
+        return np.ascontiguousarray(a).sum(axis=-1)
+    total = a[..., 0].copy()
+    for j in range(1, width):
+        total += a[..., j]
+    return total
 
 
 def product_channel(w: DiscreteChannel) -> DiscreteChannel:

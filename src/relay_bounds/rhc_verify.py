@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dmc_relay import _xlogx_rows
+from .dmc_relay import _row_sums, _xlogx_rows
 from .errors import DimensionError, DomainError
 from .scalar_bounds import bdd_gap_closed, gauss_gap_closed, require_law, require_table
 
@@ -476,7 +476,10 @@ def gaussian_quantizer_gap(
     differences; h2 = H(I|Y) integrates the posterior entropy over Y = x_c + V
     on the nodes x_c + `_GRID` of each point x_c.  A (B, k) constellation with
     (B, n) thresholds is a stack of B quantizers and gives two (B,) arrays,
-    each entry equal to its row's own call bit for bit.
+    each entry equal to its row's own call bit for bit.  The posterior is
+    formed input-first, and each node's normalizer and each entropy row of
+    fewer than 8 cells is summed column by column, first to last, the order
+    in which numpy sums such a row: the bits of one `sum` per row.
     """
     xs = np.asarray(constellation, dtype=float)
     taus = np.asarray(thresholds, dtype=float)
@@ -500,16 +503,18 @@ def gaussian_quantizer_gap(
     cell_given_x = np.clip(cdf[..., 1:] - cdf[..., :-1], 0.0, 1.0)
     h1 = np.mean(-_xlogx_rows(cell_given_x), axis=-1)
 
-    # h2: for Y = x_c + v, the posterior over inputs is a softmax of -(y-x)^2/2
-    ys = (xs[:, :, None] + _GRID).reshape(rows, -1)
-    # in place, so that a stack holds few tables of k*m rows at once
-    post = ys[:, :, None] - xs[:, None, :]
+    # h2: for Y = x_c + v, the posterior over inputs is a softmax of -(y-x)^2/2,
+    # (rows, k, k*m) input-first: a step over the k inputs is one vector op
+    ys = (xs[:, :, None] + _GRID).reshape(rows, 1, -1)
+    # in place, so that a stack holds few tables of k*m nodes at once
+    post = ys - xs[:, :, None]
     post *= post
     post *= -0.5
-    post -= post.max(axis=-1, keepdims=True)
+    post -= post.max(axis=1, keepdims=True)
     np.exp(post, out=post)
-    post /= post.sum(axis=-1, keepdims=True)
-    cell_given_y = post @ cell_given_x
+    post /= _row_sums(post.transpose(0, 2, 1))[:, None, :]
+    # back to C order (rows, k*m, k): BLAS products round by memory order
+    cell_given_y = np.ascontiguousarray(post.transpose(0, 2, 1)) @ cell_given_x
     del post
     # each point's expectation over its own nodes, then their mean over the k points
     h2 = _expect(-_xlogx_rows(cell_given_y).reshape(rows, k, -1)).mean(axis=-1)
@@ -750,7 +755,8 @@ def relay_oracle_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
             w = w / w.sum(axis=1, keepdims=True)
         n = int(rng.integers(1, 4))
         m = int(rng.integers(1, 5))
-        book = np.array([rng.integers(0, len(w), size=n) for _ in range(m)])
+        # one call: numpy draws the m rows in order, as m calls of size n would
+        book = rng.integers(0, len(w), size=(m, n))
         n_z = w.shape[1] ** n
         cells = int(rng.integers(1, min(_MAX_MESSAGES, n_z) + 1))
         return w, book, rng.integers(0, cells, size=n_z)
@@ -769,10 +775,12 @@ def quantizer_oracle_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
     """Gaussian quantizer margins against both scalar entropy-gap bounds."""
 
     def apart(rng, size):  # size sorted uniforms on [-3, 3], redrawn until 1e-3 apart
-        points = np.sort(rng.uniform(-3.0, 3.0, size=size))
-        while (points[1:] - points[:-1] < 1e-3).any():
-            points = np.sort(rng.uniform(-3.0, 3.0, size=size))
-        return points
+        while True:
+            points = rng.uniform(-3.0, 3.0, size=size)
+            points.sort()
+            p = points.tolist()  # the same IEEE differences as on the array
+            if all(b - a >= 1e-3 for a, b in zip(p, p[1:])):
+                return points
 
     def draw(rng):  # the constellation's 2..4 points, then 1..3 thresholds
         return apart(rng, int(rng.integers(2, 5))), apart(rng, int(rng.integers(1, 4)))

@@ -16,6 +16,8 @@
 * the dense matrix of a semi-simple semigroup on flattened tables;
 * the L^p norm of a table at 50 digits (mpmath);
 * the exact entropies (h1, h2) of a small relay code at 50 digits (mpmath);
+* the Gaussian quantizer's (h1, h2) with its posterior reduced one row per
+  node, the order the library's column sweeps must reproduce bit for bit;
 * the stream of each suite instance, built by numpy's Philox constructor; the
   seven suites as per-instance loops, each instance drawn from its stream and
   checked by one unstacked call, the way the suites ran before they evaluated
@@ -213,8 +215,9 @@ def _minimize_unimodal(f, t0: float = 1e-6) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _xlogx_sum(m: np.ndarray) -> np.ndarray:
-    """Sums of m*ln(m) along the last axis with the 0*ln(0) = 0 convention."""
+def xlogx_sum(m: np.ndarray) -> np.ndarray:
+    """Sums of m*ln(m) along the last axis with the 0*ln(0) = 0 convention,
+    NaN entries counted as 0, by one `sum(axis=-1)`."""
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(m > 0.0, m * np.log(np.maximum(m, 1e-300)), 0.0)
     return terms.sum(axis=-1)
@@ -228,7 +231,7 @@ def mutual_info(p: InputDistribution, w: DiscreteChannel) -> float:
             f"input distribution has {probs.shape[0]} entries, channel expects {w.n_inputs}"
         )
     q = probs @ w.matrix
-    value = float(probs @ _xlogx_sum(w.matrix)) - float(_xlogx_sum(q))
+    value = float(probs @ xlogx_sum(w.matrix)) - float(xlogx_sum(q))
     return max(value, 0.0)  # clamp -0.0 / rounding at independence
 
 
@@ -242,7 +245,7 @@ def _mutual_info_rows(ps: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.nda
     H(output) - H(output | X), with the product channel formed here."""
 
     def mi(m):
-        return ps @ _xlogx_sum(m) - _xlogx_sum(ps @ m)
+        return ps @ xlogx_sum(m) - xlogx_sum(ps @ m)
 
     return mi(w), mi(np.einsum("xy,xz->xyz", w, w).reshape(w.shape[0], -1))
 
@@ -259,7 +262,7 @@ def divergence_rows(w: np.ndarray, p: np.ndarray) -> np.ndarray:
     Each is sum_y W ln W less W ln(pW), with the products p @ W and W @ ln(pW)
     of 1-D numpy vectors and an output of no mass held at 1e-300.
     """
-    return _xlogx_sum(w) - w @ np.log(np.maximum(p @ w, 1e-300))
+    return xlogx_sum(w) - w @ np.log(np.maximum(p @ w, 1e-300))
 
 
 def simplex_grid(k: int, steps: int) -> np.ndarray:
@@ -452,6 +455,30 @@ def relay_entropy_gap_mp(w, codebook, partition) -> tuple[float, float]:
         return float(h1 / n), float(h2 / n)
 
 
+def quantizer_gap_broadcast(xs, taus, nodes, weights) -> tuple[np.ndarray, np.ndarray]:
+    """`rhc_verify.gaussian_quantizer_gap` of a (B, k) stack of constellations
+    with (B, n) thresholds on the quadrature rule (nodes, weights), its
+    posterior formed one row per node: one `max` and one `sum` reduction over
+    each row's k inputs, and one `sum` over each entropy row's cells."""
+    rows, k = xs.shape
+    if taus.shape[-1] == 0:
+        return np.zeros(rows), np.zeros(rows)
+    edges = np.concatenate((np.full((rows, 1), -math.inf), taus, np.full((rows, 1), math.inf)), 1)
+    z = -(edges[:, None, :] - xs[:, :, None]) / math.sqrt(2.0)
+    cdf = 0.5 * np.reshape([math.erfc(v) for v in z.ravel().tolist()], z.shape)
+    cell_given_x = np.clip(cdf[..., 1:] - cdf[..., :-1], 0.0, 1.0)
+    h1 = np.mean(-xlogx_sum(cell_given_x), axis=-1)
+    ys = (xs[:, :, None] + nodes).reshape(rows, -1)
+    diff = ys[:, :, None] - xs[:, None, :]
+    post = -0.5 * (diff * diff)
+    post = np.exp(post - post.max(axis=-1, keepdims=True))
+    post = post / post.sum(axis=-1, keepdims=True)
+    terms = -xlogx_sum(post @ cell_given_x).reshape(-1, 1, len(nodes))
+    # each node row against the weights as one BLAS dot, as `rhc_verify._expect`
+    h2 = np.matmul(terms, weights[:, None]).reshape(rows, k).mean(axis=-1)
+    return h1, h2
+
+
 def stream(seed: int, idx: int) -> np.random.Generator:
     """The generator of suite instance idx at seed: Philox4x64 keyed by the
     seed's SeedSequence, its counter's top word set to idx."""
@@ -469,6 +496,7 @@ def relay_code(seed: int, idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         rows = rng.dirichlet(np.ones(3), size=2)
         w = DiscreteChannel(rows / rows.sum(axis=1, keepdims=True)).matrix
     n, m = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    # one codeword per call: the suite draws the m of them in one call
     book = np.array([rng.integers(0, 2, size=n) for _ in range(m)])
     n_z = w.shape[1] ** n
     cells = int(rng.integers(1, min(8, n_z) + 1))

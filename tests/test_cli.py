@@ -714,6 +714,14 @@ class TestDeterminismAndRoundTrip:
                 "verify --suite semigroup --instances 2000 --seed 7",
                 "5e51c1172f2027b39cd96ef08cc2f056e6dd5e5a616e10182fbe97fd05247f97",
             ),
+            (  # three blocks of the quantizer; seed 7 holds its smallest margin, 2.2e-7
+                "verify --suite quantizer --instances 3000 --seed 7",
+                "7e10fa1b6146d1b444864bd6602036e3bfccf688158eb6354cacb26c6a4219ce",
+            ),
+            (  # five lemma4 blocks, every (channel, n, messages) group
+                "verify --suite lemma4 --instances 5000 --seed 7",
+                "65eba1cade52bc144c6f8d16a58d7554780ffd433d31c6bdac4714b48f5dcdbf",
+            ),
         ],
     )
     def test_golden_verify_suite_stdout(self, capsys, argv, digest):

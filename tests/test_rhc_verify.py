@@ -17,15 +17,17 @@ from oracles import (
     mossel_q0_suite_per_instance,
     mossel_suite_per_instance,
     ou_q0_suite_per_instance,
+    quantizer_gap_broadcast,
     quantizer_suite_per_instance,
     relay_code,
     relay_entropy_gap_mp,
     semigroup_suite_per_instance,
     semisimple_dense,
     stream,
+    xlogx_sum,
 )
 from relay_bounds import rhc_verify
-from relay_bounds.dmc_relay import DiscreteChannel, InputDistribution
+from relay_bounds.dmc_relay import DiscreteChannel, InputDistribution, _xlogx_rows
 from relay_bounds.errors import DimensionError, DomainError
 from relay_bounds.rhc_verify import (
     SUITES,
@@ -1338,6 +1340,19 @@ class TestStreams:
             assert [_bits(r) for r in rows] == [_bits(d) for d in laws]
             assert _bits(batch.random()) == _bits(single.random())
 
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("m", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_codebook_is_one_integers_call(self, k, m, n):
+        # lemma4's (m, n) codebook against the m one-codeword calls it replaced
+        for seed in range(20):
+            batch, single = stream(seed, k * m * n), stream(seed, k * m * n)
+            book = batch.integers(0, k, size=(m, n))
+            words = [single.integers(0, k, size=n) for _ in range(m)]
+            assert book.shape == (m, n) and book.dtype == words[0].dtype
+            assert book.tolist() == [w.tolist() for w in words]
+            assert _bits(batch.random()) == _bits(single.random())
+
     def test_two_uniforms_are_two_scalar_draws(self):
         for seed in range(200):
             batch, single = stream(seed, 0), stream(seed, 0)
@@ -1393,6 +1408,47 @@ class TestQuadratureOrder:
         if suite is quantizer_oracle_suite:
             h2 = [abs(a.instance["h2"] - b.instance["h2"]) for a, b in zip(coarse, fine)]
             assert max(h2) <= moves
+
+
+class TestReductionOrder:
+    """The column sweeps against the one-reduction-per-row forms they replace.
+
+    numpy sums a contiguous row of fewer than 8 entries left to right, so the
+    quantizer's input-first posterior and `_xlogx_rows` must give the bits of
+    the one-reduction-per-row forms in `oracles`.  That holds on a numpy only
+    if it sums in that order, so CI runs this class on the oldest numpy that
+    pyproject.toml allows too.
+    """
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 9])
+    @pytest.mark.parametrize("n_taus", range(4))
+    def test_quantizer_equals_the_broadcast_posterior(self, k, n_taus):
+        rng = np.random.default_rng(10 * k + n_taus)
+        xs = np.sort(rng.uniform(-3.0, 3.0, size=(17, k)), axis=1)
+        xs[::3] = rng.uniform(-3.0, 3.0, size=(6, 1)) + 1e-3 * np.arange(k)  # 1e-3 apart
+        taus = np.sort(rng.uniform(-3.0, 3.0, size=(17, n_taus)), axis=1)
+        # thresholds 9 to 40 out leave outer cells of mass down to 1e-300 and below, or 0
+        sides = rng.choice([-1.0, 1.0], size=(6, n_taus))
+        taus[1::3] = np.sort(sides * rng.uniform(9.0, 40.0, size=(6, n_taus)), axis=1)
+        taus[2] = np.linspace(-40.0, 40.0, n_taus)
+        rule = (rhc_verify._GRID, rhc_verify._GRID_WEIGHTS)
+        h1, h2 = gaussian_quantizer_gap(xs, taus)
+        want = quantizer_gap_broadcast(xs, taus, *rule)
+        assert _bits(h1) == _bits(want[0]) and _bits(h2) == _bits(want[1])
+        for b in range(17):  # each row as a stack of one
+            row = (xs[b : b + 1], taus[b : b + 1])
+            assert _bits(gaussian_quantizer_gap(*row)) == _bits(quantizer_gap_broadcast(*row, *rule))
+
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_entropy_rows_equal_one_sum_per_row(self, width):
+        rng = np.random.default_rng(width)
+        m = rng.random((3, 40, width)) ** 4
+        m[rng.random(m.shape) < 0.2] = 0.0
+        m[rng.random(m.shape) < 0.05] = math.nan
+        m[0, 0] = 1e-310  # below the log's floor of 1e-300
+        got = _xlogx_rows(m)
+        assert got.shape == (3, 40)
+        assert _bits(got) == _bits(xlogx_sum(m))
 
 
 class TestMutations:
