@@ -497,9 +497,10 @@ def gaussian_quantizer_gap(
 
     xs, taus = xs.reshape(-1, xs.shape[-1]), taus.reshape(-1, taus.shape[-1])
     rows, k = xs.shape
-    edges = np.concatenate((np.full((rows, 1), -math.inf), taus, np.full((rows, 1), math.inf)), 1)
-    # P(I = i | X = x) via Phi differences, columns are quantizer cells
-    cdf = 0.5 * _erfc(-(edges[:, None, :] - xs[:, :, None]) / math.sqrt(2.0)).astype(float)
+    # P(I = i | X = x) via Phi differences, columns are quantizer cells; Phi is
+    # exactly 0 and 1 at the outer edges -inf and inf
+    inner = 0.5 * _erfc(-(taus[:, None, :] - xs[:, :, None]) / math.sqrt(2.0)).astype(float)
+    cdf = np.concatenate((np.zeros((rows, k, 1)), inner, np.ones((rows, k, 1))), axis=2)
     cell_given_x = np.clip(cdf[..., 1:] - cdf[..., :-1], 0.0, 1.0)
     h1 = np.mean(-_xlogx_rows(cell_given_x), axis=-1)
 
