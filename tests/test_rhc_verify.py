@@ -1451,6 +1451,110 @@ class TestReductionOrder:
         assert _bits(got) == _bits(xlogx_sum(m))
 
 
+# One instance per suite, drawn at seed 12345 by the per-index generators that
+# the suites used before they drew by rows: of the first 1,000, the one that
+# the suite's mutant below fails by the most.  The cases on them do not
+# depend on the draws, so a change of stream cannot weaken them.
+FIXED_INSTANCES = {
+    "lemma4": {  # index 172: a BSC, four one-symbol codewords, two cells
+        "channel": [[0.8899019289128351, 0.11009807108716481],
+                    [0.11009807108716481, 0.8899019289128351]],
+        "codebook": [[0], [0], [1], [1]],
+        "partition": [1, 0],
+    },
+    "quantizer": {  # index 562
+        "constellation": [-2.2958302616213917, -0.2591516949358028, 1.6219466051962277],
+        "thresholds": [-1.1445602394707954, -0.057569666783636286, 0.7434593723339118],
+    },
+    "borell-exp": {  # index 401, at its critical time
+        "lam": 1.9207674156650243, "x": -1.479000389414744,
+        "p": -0.44723097433446957, "q": -1.8722623516546906,
+    },
+    "mossel": {  # index 150, at its critical time
+        "law": [0.08344078973017512, 0.13686236001281601, 0.23925706462734128,
+                0.5404397856296675],
+        "f": [0.0, 1.5756787462411823, 0.5369638556262433, 1.7073863721908171],
+        "p": 0.5160863722664919, "q": -1.733622107878534, "t": 1.7314763525320338,
+    },
+    "mossel-q0": {  # index 763
+        "law": [0.6807050010821849, 0.15739100889994964, 0.1619039900178655],
+        "f": [0.0, 0.9738665691595506, 0.8572807931348942],
+        "t": 1.607790856403304,
+    },
+    "ou-q0": {  # index 190
+        "slope": 2.418568117671751, "shift": 1.3122458462497986,
+        "floor": 0.00442980985026662, "x": -0.0660331265238181, "t": 1.461818110909763,
+    },
+    "semigroup": {  # index 158
+        "law": [0.008398603495966763, 0.9916013965040332],
+        "f": [0.3436862695318395, 1.4921403766711037],
+        "t1": 0.6383075448576407, "t2": 0.8722379604100767,
+    },
+}
+
+
+def fixed_margin(name):
+    """The margin that suite `name` gives its fixed instance, each kernel and
+    bound read from rhc_verify when called, so that a patched mutant acts."""
+    inst = {k: np.array(v) if isinstance(v, list) else v for k, v in FIXED_INSTANCES[name].items()}
+    if name == "lemma4":
+        w = inst["channel"]
+        h1, h2 = rhc_verify.brute_force_entropy_gap(w, inst["codebook"], inst["partition"])
+        return rhc_verify.bdd_gap_closed(h1, float(w.max(axis=0).sum())) - h2
+    if name == "quantizer":
+        h1, h2 = rhc_verify.gaussian_quantizer_gap(inst["constellation"], inst["thresholds"])
+        return min(rhc_verify.gauss_gap_closed(h1) - h2, 0.5 * math.log1p(2.0 * h2) - (h2 - h1))
+    if name == "borell-exp":
+        p, q = inst["p"], inst["q"]
+        t = rhc_verify.borell_critical_time(p, q)
+        return rhc_verify.check_borell_exponential(inst["lam"], inst["x"], p, q, t)
+    if name == "mossel":
+        return rhc_verify.check_mossel((inst["law"],), inst["t"], inst["f"], inst["p"], inst["q"])
+    if name == "mossel-q0":
+        return rhc_verify.mossel_q0_margin((inst["law"],), inst["t"], inst["f"])
+    if name == "ou-q0":
+        a, b, c = inst["slope"], inst["shift"], inst["floor"]
+        return rhc_verify.check_ou_q0(
+            lambda u: c + (1.0 - c) / (1.0 + np.exp(-a * (u - b))), inst["x"], inst["t"]
+        )
+    factors, f, t1, t2 = (inst["law"],), inst["f"], inst["t1"], inst["t2"]
+    two_step = apply_semisimple(factors, t1, apply_semisimple(factors, t2, f))
+    one_step = apply_semisimple(factors, t1 + t2, f)
+    mu = stationary_measure(factors)
+    dev_law = np.abs(two_step - one_step).max()
+    dev_stat = abs((mu * one_step).sum() - (mu * f).sum())
+    dev_unit = np.abs(apply_semisimple(factors, t1, np.ones(f.shape)) - 1.0).max()
+    return -max(dev_law, dev_stat, dev_unit, -one_step.min())
+
+
+def shrunk_time(at, s):
+    """A kernel that runs at (1 - s) times the time in its positional argument `at`."""
+
+    def mutant(exact):
+        def shrunk(*args):
+            args = list(args)
+            args[at] = (1.0 - s) * args[at]
+            return exact(*args)
+
+        return shrunk
+
+    return mutant
+
+
+# Each suite's tolerance, and the mutant of the test below on the name it patches
+FIXED_MUTANTS = {
+    "lemma4": (1e-9, "bdd_gap_closed", lambda exact: lambda h, a: h + 0.1 * (exact(h, a) - h)),
+    "quantizer": (1e-6, "gauss_gap_closed", lambda exact: lambda h: h + 0.1 * (exact(h) - h)),
+    "borell-exp": (
+        1e-12, "borell_critical_time", lambda exact: lambda p, q: (1.0 - 1e-9) * exact(p, q)
+    ),
+    "mossel": (1e-12, "_smooth", shrunk_time(1, 0.9)),
+    "mossel-q0": (1e-12, "_smooth", shrunk_time(1, 0.9)),
+    "ou-q0": (1e-9, "ou_apply", shrunk_time(3, 0.9)),
+    "semigroup": (1e-12, "_smooth", lambda exact: lambda fa, t, f: exact(fa, t ** (1.0 - 1e-10), f)),
+}
+
+
 class TestMutations:
     """A suite must fail once the bound it checks is shrunk toward h.
 
@@ -1509,6 +1613,13 @@ class TestMutations:
 
         monkeypatch.setattr(rhc_verify, kernel, shrunk)
         assert not all(r.passed for r in suite(1000, 12345))
+
+    @pytest.mark.parametrize("suite", list(FIXED_MUTANTS))
+    def test_a_fixed_instance_fails_its_mutant(self, suite, monkeypatch):
+        tol, name, mutant = FIXED_MUTANTS[suite]
+        assert fixed_margin(suite) >= -tol
+        monkeypatch.setattr(rhc_verify, name, mutant(getattr(rhc_verify, name)))
+        assert fixed_margin(suite) < -tol
 
     @pytest.mark.parametrize("s, failures", [(1e-6, 995), (1e-10, 1)])
     def test_a_non_additive_time_fails(self, s, failures, monkeypatch):
