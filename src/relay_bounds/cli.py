@@ -23,10 +23,14 @@ import numpy as np
 from . import dmc_relay, gaussian_relay, rhc_verify
 from .errors import BoundsError, DomainError
 from .gaussian_relay import CurveTable, GaussianRelayParams
+from .scalar_bounds import bdd_gap_closed, gauss_gap_closed
 
 DEFAULT_SEED = 12345
 SEED_ENV_VAR = "RELAY_BOUNDS_SEED"
 _LN2 = math.log(2.0)
+# The bound c(h1) that an entropy-gap suite checks h2 against, from a record
+_GAP_BOUNDS = {"lemma4": lambda i: bdd_gap_closed(i["h1"], i["alpha"]),
+               "quantizer": lambda i: gauss_gap_closed(i["h1"])}
 
 
 def _fmt(x: float) -> str:
@@ -263,9 +267,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
             elapsed = time.perf_counter() - start
             worst = min(batch, key=lambda r: r.margin)
             failed = sum(not r.passed for r in batch)
+            tight = ""
+            if name in _GAP_BOUNDS:  # the largest (h2 - h1)/(c(h1) - h1), where c(h1) > h1
+                ratios = [(i["h2"] - i["h1"]) / (c - i["h1"]) for i in (r.instance for r in batch)
+                          if (c := _GAP_BOUNDS[name](i)) > i["h1"]]
+                tight = f", tightness {max(ratios, default=math.nan)!r}"
             print(
-                f"{name}: {len(batch)} instances, {failed} failures, "
-                f"min margin {worst.margin!r} at index {worst.index}, {elapsed:.3f} s",
+                f"{name}: {len(batch)} instances, {failed} failures, min margin "
+                f"{worst.margin!r} at index {worst.index}{tight}, {elapsed:.3f} s",
                 file=sys.stderr,
             )
             out.writelines(

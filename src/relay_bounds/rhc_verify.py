@@ -25,13 +25,14 @@ Every call checks what it is given: factors and channels by
 `scalar_bounds.require_law`, tables by `require_table`, and factors and time
 together by one private check, which takes ints and floats as times.
 
-`SUITES` names the seven randomized suites.  Each draws one instance per RNG
-stream, that of `Generator(Philox(key=key, counter=[0, 0, 0, index]))` with
-key = `SeedSequence(seed).generate_state(2, np.uint64)`, as arrays and
-floats, so any failure can be replayed from its record.  `_run` loads each
-counter into one generator before its draw; it stacks the draws of each
-shape, and from the fields and margins that a suite computes per stack it
-alone builds every record.
+`SUITES` names the seven randomized suites.  Each draws instance `index` as
+an array transform of its row of K uniforms, those of
+`Generator(Philox(key=key, counter=[index*K/4, 0, 0, 0])).random(K)` with
+key = `SeedSequence(seed).generate_state(2, np.uint64)` and a width K that
+the suite fixes, so any failure can be replayed from its record.  `_run`
+draws a block of rows in one call, groups them by the shapes their leading
+columns fix, and from the fields and margins that a suite computes per
+group it alone builds every record.
 """
 
 from __future__ import annotations
@@ -523,7 +524,7 @@ def gaussian_quantizer_gap(
 
 
 # ---------------------------------------------------------------------------
-# Randomized suites (one RNG stream per instance)
+# Randomized suites (one row of uniforms per instance)
 # ---------------------------------------------------------------------------
 
 
@@ -548,44 +549,40 @@ def _run(
     tol: float,
     n_instances: int,
     seed: int,
-    draw: Callable[[np.random.Generator], tuple],
+    width: int,
+    shape: tuple[tuple[int, int], ...],
+    draw: Callable[..., tuple],
     evaluate: Callable[..., tuple[dict, list | np.ndarray]],
 ) -> list[SuiteRecord]:
-    """Records of the instances drawn from the streams (seed, index), in index order.
+    """Records of the instances drawn from the rows of uniforms of seed, in index order.
 
-    `draw(rng)` returns a tuple of arrays and floats, drawn from one Philox
-    generator loaded with the index's counter and an empty buffer: the state
-    of `Philox(key=key, counter=[0, 0, 0, index])`.  The draws of a block of
-    _BLOCK indices whose arrays have the same shapes are stacked item by
-    item, and `evaluate(*stacks)` returns (fields, margins): each field, in
-    record order, is a value the group shares or a (B, ...) array or list of
-    B rows, and `margins` a (B,) array or list.  A margin of at least -tol
-    passes.
+    Row i of the (n_instances, width) uniforms of `Generator(Philox(key=key))`
+    is `Generator(Philox(key=key, counter=[i*width/4, 0, 0, 0])).random(width)`,
+    as Philox gives four words per counter step and width is a multiple of 4;
+    each block of _BLOCK rows is one `random((B, width))` call.  Column j holds
+    the integer low + floor(count*u) of shape[j] = (low, count).  The rows
+    whose integers agree form a group: `draw(rows, *integers)` transforms its
+    (B, width) rows into stacks, and `evaluate(*stacks)` returns (fields,
+    margins), each field in record order a value the group shares or a (B, ...)
+    array or list of B rows, and margins a (B,) array or list.  A margin of at
+    least -tol passes.
     """
     if not all(_number(v, numbers.Integral) and v >= 0 for v in (n_instances, seed)):
         raise DomainError(f"count and seed must be integers >= 0, got {n_instances!r}, {seed!r}")
     if n_instances > MAX_INSTANCES:
         raise DomainError(f"at most {MAX_INSTANCES} instances per suite, got {n_instances}")
     records = []
-    key = np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist()
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    bits = rng.bit_generator
-    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    counter = state["state"]["counter"]
+    low, count = np.array(shape, dtype=int).reshape(-1, 2).T
     for start in range(0, n_instances, _BLOCK):
-        drawn = []
-        for index in range(start, min(start + _BLOCK, n_instances)):
-            counter[3] = index
-            bits.state = state
-            drawn.append(draw(rng))
+        u = rng.random((min(_BLOCK, n_instances - start), width))
         groups: dict = {}
-        for i, items in enumerate(drawn):
-            shapes = tuple([x.shape for x in items if type(x) is np.ndarray])
-            groups.setdefault(shapes, []).append(i)
-        for members in groups.values():
-            # np.array stacks a column of one shape in C, as np.stack would
-            fields, margins = evaluate(*map(np.array, zip(*(drawn[i] for i in members))))
+        for i, ints in enumerate(((u[:, : len(low)] * count).astype(int) + low).tolist()):
+            groups.setdefault(tuple(ints), []).append(i)
+        drawn = [None] * len(u)
+        for ints, members in groups.items():
+            fields, margins = evaluate(*draw(u[members], *ints))
             margins, *columns = (v.tolist() if type(v) is np.ndarray else v if type(v) is list
                                  else [v] * len(members) for v in (margins, *fields.values()))
             instances = [dict(zip(fields, values)) for values in zip(*columns)]
@@ -595,44 +592,36 @@ def _run(
     return records
 
 
-def _random_factors(rng, n=None) -> tuple[np.ndarray, ...]:
-    """n factors (1..3 drawn unless given), each a Dirichlet law over one drawn 2..4 symbols.
-
-    The n laws are the rows of one `rng.dirichlet(np.ones(k), size=n)` call:
-    numpy draws the gammas of the rows in order and normalizes each row
-    alone, so they equal n separate calls bit for bit and leave the generator
-    where those calls leave it.
-    """
-    n = int(rng.integers(1, 4)) if n is None else int(n)
-    k = int(rng.integers(2, 5))
-    return tuple(rng.dirichlet(np.ones(k), size=n))
+def _uniform(u: np.ndarray, low, high) -> np.ndarray:
+    """Uniforms u on [0, 1) mapped onto [low, high), by a multiply and an add."""
+    return low + (high - low) * u
 
 
-def _random_semigroup(rng, n=None, t=None, p=None, q=None):
-    """One mossel draw: factor laws, time, table, p, q and the critical time, unchecked."""
-    factors = _random_factors(rng, n)
-    if p is None:
-        if rng.random() < 0.1:
-            p = q = float(rng.uniform(0.05, 0.95))  # Jensen baseline
-        else:
-            a, b = rng.uniform(-2.0, 1.0, size=2).tolist()
-            while abs(a - b) < 1e-6:
-                a, b = rng.uniform(-2.0, 1.0, size=2).tolist()
-            p, q = max(a, b), min(a, b)
-    critical = mossel_critical_time(p, q)
-    if t is None:
-        extra = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 2.0))
-        # 20% of draws sit exactly at the critical time (0 for the p = q baseline)
-        t = critical * (1.0 + extra) if critical > 0.0 else extra
-    elif t == "critical":
-        t = critical
-    shape = tuple(len(d) for d in factors)
-    vals = rng.random(shape)
-    if rng.random() < 0.25:
-        vals = np.where(rng.random(shape) < 0.3, 0.0, vals)
-    if rng.random() < 0.25:
-        vals = vals * float(rng.uniform(0.5, 2.0))
-    return factors, float(t), vals, float(p), float(q), critical
+def _spaced(u: np.ndarray, low: float, high: float, gap: float) -> np.ndarray:
+    """The (B, k) uniforms u as k sorted points per row in [low, high], each
+    at least gap above the last.  They are sorted on [low, high - (k-1) gap]
+    and the j-th is moved up by j gap: a map with unit Jacobian, so the law
+    is that of uniforms redrawn until they lie gap apart (Devroye 1986)."""
+    k = u.shape[1]
+    return np.sort(_uniform(u, low, high - (k - 1) * gap), axis=1) + gap * np.arange(k)
+
+
+def _dirichlet(u: np.ndarray, k: int) -> np.ndarray:
+    """Dirichlet(1) laws over k symbols from (B, n*k) uniforms: a (B, n, k)
+    array of -log1p(-u), exponential variables, normalized per law."""
+    e = -np.log1p(-u.reshape(len(u), -1, k))
+    return e / e.sum(axis=2, keepdims=True)
+
+
+def _factors_and_table(u, n: int, k: int, zeroed: np.ndarray, scale: np.ndarray):
+    """n Dirichlet(1) laws over k symbols from the first n*k columns of u, and a
+    (k,)*n table of the next k**n uniforms times `scale`; the k**n after those
+    set each entry to 0 with probability 0.3 in the rows where `zeroed` holds."""
+    size, shape, rows = k**n, (len(u),) + (k,) * n, (-1,) + (1,) * n
+    laws = _dirichlet(u[:, : n * k], k).transpose(1, 0, 2).copy()
+    f = u[:, n * k : n * k + size].reshape(shape) * scale.reshape(rows)
+    zero = zeroed.reshape(rows) & (u[:, n * k + size : n * k + 2 * size].reshape(shape) < 0.3)
+    return tuple(laws), np.where(zero, 0.0, f)
 
 
 def check_mossel_keywords(*, n=None, t=None, p=None, q=None) -> None:
@@ -668,8 +657,24 @@ def mossel_suite(
     """
     check_mossel_keywords(n=n, t=t, p=p, q=q)
 
-    def draw(rng):
-        factors, time, f, pp, qq, critical = _random_semigroup(rng, n=n, t=t, p=p, q=q)
+    # columns: n, k, the Jensen baseline's coin and index, the pair q < p, the
+    # time's coin and extra, the zeros' coin, the scale's coin and value, then
+    # the factor laws, the table and its zeros: 539 at n = MAX_FACTORS, k = 4
+    def draw(u, n_factors, k):
+        if p is None:  # 10% Jensen baselines p = q, else p - q >= 1e-6
+            jensen, same = u[:, 2] < 0.1, _uniform(u[:, 3], 0.05, 0.95)
+            pair = _spaced(u[:, 4:6], -2.0, 1.0, 1e-6)
+            pp, qq = np.where(jensen, same, pair[:, 1]), np.where(jensen, same, pair[:, 0])
+        else:
+            pp, qq = np.full(len(u), float(p)), np.full(len(u), float(q))
+        critical = np.array([mossel_critical_time(a, b) for a, b in _each(pp, qq)])
+        if t is None:  # 20% of draws sit exactly at the critical time (0 for p = q)
+            extra = np.where(u[:, 6] < 0.2, 0.0, _uniform(u[:, 7], 0.0, 2.0))
+            time = np.where(critical > 0.0, critical * (1.0 + extra), extra)
+        else:
+            time = critical if t == "critical" else np.full(len(u), float(t))
+        scale = np.where(u[:, 9] < 0.25, _uniform(u[:, 10], 0.5, 2.0), 1.0)
+        factors, f = _factors_and_table(u[:, 11:], n_factors, k, u[:, 8] < 0.25, scale)
         return (*factors, f, pp, qq, time, critical)
 
     def evaluate(*stacks):
@@ -678,29 +683,25 @@ def mossel_suite(
         fields = {"n": len(factors), "alphabet": f.shape[1], "p": pp, "q": qq, "t": time}
         return {**fields, "critical": critical}, margins
 
-    return _run("mossel", 1e-12, n_instances, seed, draw, evaluate)
+    shape = ((1, 3) if n is None else (n, 1), (2, 3))
+    return _run("mossel", 1e-12, n_instances, seed, 540, shape, draw, evaluate)
 
 
 def mossel_q0_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
     """q = 0 specialization margins E[ln T_t f] - (1 + 1/t) ln E[f] on [0,1] tables."""
 
-    def draw(rng):
-        factors = _random_factors(rng)
-        t = float(rng.uniform(0.05, 3.0))
-        shape = tuple(len(d) for d in factors)
-        vals = rng.random(shape)
-        if rng.random() < 0.3:
-            vals = np.where(rng.random(shape) < 0.3, 0.0, vals)
-        if not vals.any():
-            vals[(0,) * len(factors)] = 0.5
-        return (*factors, vals, t)
+    # columns: n, k, t, the zeros' coin, then the factor laws, the table and its zeros
+    def draw(u, n, k):
+        factors, f = _factors_and_table(u[:, 4:], n, k, u[:, 3] < 0.3, np.ones(len(u)))
+        f[(~f.reshape(len(f), -1).any(axis=1),) + (0,) * n] = 0.5  # no all-zero table
+        return (*factors, f, _uniform(u[:, 2], 0.05, 3.0))
 
     def evaluate(*stacks):
         *factors, f, t = stacks
         margins = mossel_q0_margin(factors, t, f)
         return {"n": len(factors), "alphabet": f.shape[1], "t": t}, margins
 
-    return _run("mossel-q0", 1e-12, n_instances, seed, draw, evaluate)
+    return _run("mossel-q0", 1e-12, n_instances, seed, 144, ((1, 3), (2, 3)), draw, evaluate)
 
 
 def borell_suite(n_instances: int, seed: int, *, t_factor: float = 1.0) -> list[SuiteRecord]:
@@ -708,31 +709,26 @@ def borell_suite(n_instances: int, seed: int, *, t_factor: float = 1.0) -> list[
     if not (_number(t_factor, numbers.Real) and t_factor >= 0.0):  # NaN fails too
         raise DomainError(f"t_factor must be a real number >= 0, got {t_factor!r}")
 
-    def draw(rng):
-        lam = float(rng.uniform(0.1, 2.0)) * (1.0 if rng.random() < 0.5 else -1.0)
-        x = float(rng.uniform(-3.0, 3.0))
-        q = float(rng.uniform(-2.0, 0.8))
-        p = float(rng.uniform(q + 0.05, min(q + 2.0, 0.999)))
-        critical = borell_critical_time(p, q)
-        return lam, x, p, q, t_factor * critical, critical
+    def draw(u):  # columns: the sign of lam, |lam|, x, q, p
+        lam = _uniform(u[:, 1], 0.1, 2.0) * np.where(u[:, 0] < 0.5, 1.0, -1.0)
+        q = _uniform(u[:, 3], -2.0, 0.8)
+        p = _uniform(u[:, 4], q + 0.05, np.minimum(q + 2.0, 0.999))
+        critical = np.array([borell_critical_time(a, b) for a, b in _each(p, q)])
+        return lam, _uniform(u[:, 2], -3.0, 3.0), p, q, t_factor * critical, critical
 
     def evaluate(lam, x, p, q, t, critical):
         fields = {"lam": lam, "x": x, "p": p, "q": q, "t": t, "critical": critical}
         return fields, [check_borell_exponential(*row) for row in _each(lam, x, p, q, t)]
 
-    return _run("borell-exp", 1e-12, n_instances, seed, draw, evaluate)
+    return _run("borell-exp", 1e-12, n_instances, seed, 8, (), draw, evaluate)
 
 
 def ou_q0_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
     """Quadrature margins for the OU q = 0 inequality on squashed test functions."""
 
-    def draw(rng):
-        a = float(rng.uniform(0.3, 3.0))
-        b = float(rng.uniform(-2.0, 2.0))
-        floor = float(rng.uniform(0.0, 0.2))
-        x = float(rng.uniform(-2.0, 2.0))
-        t = float(rng.uniform(0.05, 2.5))
-        return a, b, floor, x, t
+    def draw(u):  # columns: slope, shift, floor, x, t
+        low, high = np.array([0.3, -2.0, 0.0, -2.0, 0.05]), np.array([3.0, 2.0, 0.2, 2.0, 2.5])
+        return tuple(_uniform(u[:, :5], low, high).T)
 
     def evaluate(slope, shift, floor, x, t):
         def margin(a, b, c, x0, t0):
@@ -741,26 +737,24 @@ def ou_q0_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
         fields = {"x": x, "t": t, "slope": slope, "shift": shift, "floor": floor}
         return fields, [margin(*row) for row in _each(slope, shift, floor, x, t)]
 
-    return _run("ou-q0", 1e-9, n_instances, seed, draw, evaluate)
+    return _run("ou-q0", 1e-9, n_instances, seed, 8, (), draw, evaluate)
 
 
 def relay_oracle_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
     """End-to-end check h2 <= c_alpha(h1) on exactly enumerated relay instances."""
 
-    def draw(rng):
-        if rng.random() < 0.5:
-            crossover = float(rng.uniform(0.05, 0.45))
-            w = np.array([[1.0 - crossover, crossover], [crossover, 1.0 - crossover]])
+    # columns: the channel's outputs (2, a BSC, or 3), n, m, the BSC crossover,
+    # the 2x3 channel's laws, the m*n codeword symbols, the cell count, the cells
+    def draw(u, ny, n, m):
+        if ny == 2:
+            c = _uniform(u[:, 3], 0.05, 0.45)
+            w = np.stack((1.0 - c, c, c, 1.0 - c), axis=1).reshape(-1, 2, 2)
         else:
-            w = rng.dirichlet(np.ones(3), size=2)
-            w = w / w.sum(axis=1, keepdims=True)
-        n = int(rng.integers(1, 4))
-        m = int(rng.integers(1, 5))
-        # one call: numpy draws the m rows in order, as m calls of size n would
-        book = rng.integers(0, len(w), size=(m, n))
-        n_z = w.shape[1] ** n
-        cells = int(rng.integers(1, min(_MAX_MESSAGES, n_z) + 1))
-        return w, book, rng.integers(0, cells, size=n_z)
+            w = _dirichlet(u[:, 4:10], 3)
+        book = (u[:, 10 : 10 + m * n] * 2).astype(int).reshape(-1, m, n)
+        n_z = ny**n
+        cells = (u[:, 22] * min(_MAX_MESSAGES, n_z)).astype(int) + 1
+        return w, book, (u[:, 23 : 23 + n_z] * cells[:, None]).astype(int)
 
     def evaluate(w, book, part):
         h1, h2 = brute_force_entropy_gap(w, book, part)
@@ -769,22 +763,15 @@ def relay_oracle_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
                   "n": book.shape[2], "alpha": alpha, "h1": h1, "h2": h2}
         return fields, [bdd_gap_closed(a, b) - c for a, b, c in _each(h1, alpha, h2)]
 
-    return _run("lemma4", 1e-9, n_instances, seed, draw, evaluate)
+    return _run("lemma4", 1e-9, n_instances, seed, 52, ((2, 2), (1, 3), (1, 4)), draw, evaluate)
 
 
 def quantizer_oracle_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
     """Gaussian quantizer margins against both scalar entropy-gap bounds."""
 
-    def apart(rng, size):  # size sorted uniforms on [-3, 3], redrawn until 1e-3 apart
-        while True:
-            points = rng.uniform(-3.0, 3.0, size=size)
-            points.sort()
-            p = points.tolist()  # the same IEEE differences as on the array
-            if all(b - a >= 1e-3 for a, b in zip(p, p[1:])):
-                return points
-
-    def draw(rng):  # the constellation's 2..4 points, then 1..3 thresholds
-        return apart(rng, int(rng.integers(2, 5))), apart(rng, int(rng.integers(1, 4)))
+    def draw(u, k, n_taus):  # columns: k, n_taus, then the points and thresholds, 1e-3 apart
+        points = _spaced(u[:, 2 : 2 + k], -3.0, 3.0, 1e-3)
+        return points, _spaced(u[:, 6 : 6 + n_taus], -3.0, 3.0, 1e-3)
 
     def evaluate(xs, taus):
         h1, h2 = gaussian_quantizer_gap(xs, taus)
@@ -794,16 +781,18 @@ def quantizer_oracle_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
                   "margin_gap": gap, "margin_log": log}
         return fields, list(map(min, gap, log))
 
-    return _run("quantizer", 1e-6, n_instances, seed, draw, evaluate)
+    return _run("quantizer", 1e-6, n_instances, seed, 12, ((2, 3), (1, 3)), draw, evaluate)
 
 
 def semigroup_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
     """Structural margins: semigroup law, stationarity, unitality, positivity."""
 
-    def draw(rng):
-        factors, _, f, _, _, _ = _random_semigroup(rng, p=0.5, q=0.5, t=0.0)
-        t1, t2 = rng.uniform(0.0, 2.0, size=2).tolist()
-        return (*factors, f, t1, t2)
+    # columns: n, k, the zeros' coin, the scale's coin and value, t1, t2, then
+    # the factor laws, the table and its zeros
+    def draw(u, n, k):
+        scale = np.where(u[:, 3] < 0.25, _uniform(u[:, 4], 0.5, 2.0), 1.0)
+        factors, f = _factors_and_table(u[:, 7:], n, k, u[:, 2] < 0.25, scale)
+        return (*factors, f, _uniform(u[:, 5], 0.0, 2.0), _uniform(u[:, 6], 0.0, 2.0))
 
     def evaluate(*stacks):
         *factors, f, t1, t2 = stacks
@@ -824,7 +813,7 @@ def semigroup_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
         margins = [-max(row) for row in _each(dev_law, dev_stat, dev_unit, -one_step.min(axis=1))]
         return {"n": len(factors), "alphabet": f.shape[1], "t1": t1, "t2": t2}, margins
 
-    return _run("semigroup", 1e-12, n_instances, seed, draw, evaluate)
+    return _run("semigroup", 1e-12, n_instances, seed, 148, ((1, 3), (2, 3)), draw, evaluate)
 
 
 # Every suite by its `relay-bounds verify --suite` name, in the order

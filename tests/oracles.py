@@ -18,10 +18,11 @@
 * the exact entropies (h1, h2) of a small relay code at 50 digits (mpmath);
 * the Gaussian quantizer's (h1, h2) with its posterior reduced one row per
   node, the order the library's column sweeps must reproduce bit for bit;
-* the stream of each suite instance, built by numpy's Philox constructor; the
-  seven suites as per-instance loops, each instance drawn from its stream and
-  checked by one unstacked call, the way the suites ran before they evaluated
-  per shape group; and the relay code that `lemma4` draws from a stream;
+* the row of uniforms of each suite instance, built by numpy's Philox
+  constructor at the row's counter; the seven suites as per-instance loops,
+  each instance transformed from its row by scalar code and checked by one
+  unstacked call, the way the suites ran before they drew by blocks and
+  evaluated per shape group; and the relay code that `lemma4` draws from a row;
 * a channel CSV writer, the inverse of `cli.read_channel_csv`.
 
 They import only public names from relay_bounds.
@@ -479,28 +480,55 @@ def quantizer_gap_broadcast(xs, taus, nodes, weights) -> tuple[np.ndarray, np.nd
     return h1, h2
 
 
-def stream(seed: int, idx: int) -> np.random.Generator:
-    """The generator of suite instance idx at seed: Philox4x64 keyed by the
-    seed's SeedSequence, its counter's top word set to idx."""
+def stream_row(seed: int, idx: int, width: int) -> list[float]:
+    """The width uniforms of suite instance idx at seed, as floats: Philox4x64
+    keyed by the seed's SeedSequence, its counter's low word at idx*width/4."""
     key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, idx]))
+    counter = [idx * width // 4, 0, 0, 0]
+    return np.random.Generator(np.random.Philox(key=key, counter=counter)).random(width).tolist()
+
+
+def _uniform(u: float, low: float, high: float) -> float:
+    return low + (high - low) * u
+
+
+def _spaced(us, low: float, high: float, gap: float) -> np.ndarray:
+    """The uniforms us as sorted points gap apart: sorted on [low, high - (k-1) gap],
+    the j-th then moved up by j gap."""
+    top = high - (len(us) - 1) * gap
+    return np.array([x + j * gap for j, x in enumerate(sorted(_uniform(u, low, top) for u in us))])
+
+
+def _law(us) -> np.ndarray:
+    """A Dirichlet(1) law: the exponentials -log1p(-u) over their sum."""
+    e = -np.log1p(-np.array(us))
+    return e / e.sum()
+
+
+def _factors_and_table(us, n: int, k: int, zeroed: bool, scale: float):
+    """n laws over k symbols, then a (k,)*n table of uniforms times scale, each entry
+    set to 0 where the uniform at its place in the next k**n is below 0.3, if zeroed."""
+    laws = tuple(_law(us[i * k : (i + 1) * k]) for i in range(n))
+    size, shape = k**n, (k,) * n
+    f = np.array(us[n * k : n * k + size]).reshape(shape) * scale
+    if zeroed:
+        f = np.where(np.array(us[n * k + size : n * k + 2 * size]).reshape(shape) < 0.3, 0.0, f)
+    return laws, f
 
 
 def relay_code(seed: int, idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The channel, codebook and partition that `relay_oracle_suite` draws from
-    the stream (seed, idx)."""
-    rng = stream(seed, idx)
-    if rng.random() < 0.5:
-        w = k_ary_symmetric(2, float(rng.uniform(0.05, 0.45))).matrix
+    the row (seed, idx)."""
+    u = stream_row(seed, idx, 52)
+    ny, n, m = 2 + int(2 * u[0]), 1 + int(3 * u[1]), 1 + int(4 * u[2])
+    if ny == 2:
+        w = k_ary_symmetric(2, _uniform(u[3], 0.05, 0.45)).matrix
     else:
-        rows = rng.dirichlet(np.ones(3), size=2)
-        w = DiscreteChannel(rows / rows.sum(axis=1, keepdims=True)).matrix
-    n, m = int(rng.integers(1, 4)), int(rng.integers(1, 5))
-    # one codeword per call: the suite draws the m of them in one call
-    book = np.array([rng.integers(0, 2, size=n) for _ in range(m)])
-    n_z = w.shape[1] ** n
-    cells = int(rng.integers(1, min(8, n_z) + 1))
-    return w, book, rng.integers(0, cells, size=n_z)
+        w = np.array([_law(u[4:7]), _law(u[7:10])])
+    book = np.array([[int(2 * x) for x in u[10 + j * n : 10 + (j + 1) * n]] for j in range(m)])
+    n_z = ny**n
+    cells = 1 + int(u[22] * min(8, n_z))
+    return w, book, np.array([int(x * cells) for x in u[23 : 23 + n_z]])
 
 
 def lemma4_suite_per_instance(n_instances: int, seed: int) -> list[SuiteRecord]:
@@ -521,11 +549,11 @@ def borell_suite_per_instance(n_instances: int, seed: int, *, t_factor=1.0) -> l
     """`rhc_verify.borell_suite`, drawn and evaluated one instance at a time."""
     records = []
     for idx in range(n_instances):
-        rng = stream(seed, idx)
-        lam = float(rng.uniform(0.1, 2.0)) * (1.0 if rng.random() < 0.5 else -1.0)
-        x = float(rng.uniform(-3.0, 3.0))
-        q = float(rng.uniform(-2.0, 0.8))
-        p = float(rng.uniform(q + 0.05, min(q + 2.0, 0.999)))
+        u = stream_row(seed, idx, 8)
+        lam = _uniform(u[1], 0.1, 2.0) * (1.0 if u[0] < 0.5 else -1.0)
+        x = _uniform(u[2], -3.0, 3.0)
+        q = _uniform(u[3], -2.0, 0.8)
+        p = _uniform(u[4], q + 0.05, min(q + 2.0, 0.999))
         critical = borell_critical_time(p, q)
         t = t_factor * critical
         margin = check_borell_exponential(lam, x, p, q, t)
@@ -538,16 +566,13 @@ def ou_q0_suite_per_instance(n_instances: int, seed: int) -> list[SuiteRecord]:
     """`rhc_verify.ou_q0_suite`, drawn and evaluated one instance at a time."""
     records = []
     for idx in range(n_instances):
-        rng = stream(seed, idx)
-        a = float(rng.uniform(0.3, 3.0))
-        b = float(rng.uniform(-2.0, 2.0))
-        floor = float(rng.uniform(0.0, 0.2))
+        u = stream_row(seed, idx, 8)
+        a, b, floor = _uniform(u[0], 0.3, 3.0), _uniform(u[1], -2.0, 2.0), _uniform(u[2], 0.0, 0.2)
 
-        def f(u, a=a, b=b, floor=floor):
-            return floor + (1.0 - floor) / (1.0 + np.exp(-a * (u - b)))
+        def f(v, a=a, b=b, floor=floor):
+            return floor + (1.0 - floor) / (1.0 + np.exp(-a * (v - b)))
 
-        x = float(rng.uniform(-2.0, 2.0))
-        t = float(rng.uniform(0.05, 2.5))
+        x, t = _uniform(u[3], -2.0, 2.0), _uniform(u[4], 0.05, 2.5)
         margin = check_ou_q0(f, x, t)
         instance = {"x": x, "t": t, "slope": a, "shift": b, "floor": floor}
         records.append(SuiteRecord("ou-q0", idx, instance, margin, margin >= -1e-9))
@@ -560,32 +585,25 @@ def mossel_suite_per_instance(
     """`rhc_verify.mossel_suite`, drawn and evaluated one instance at a time."""
     records = []
     for idx in range(n_instances):
-        rng = stream(seed, idx)
-        n_factors = int(rng.integers(1, 4)) if n is None else n
-        k = int(rng.integers(2, 5))
-        factors = tuple(rng.dirichlet(np.ones(k)) for _ in range(n_factors))
+        u = stream_row(seed, idx, 540)
+        n_factors = 1 + int(3 * u[0]) if n is None else n
+        k = 2 + int(3 * u[1])
         pp, qq = p, q
         if p is None:
-            if rng.random() < 0.1:
-                pp = qq = float(rng.uniform(0.05, 0.95))
+            if u[2] < 0.1:
+                pp = qq = _uniform(u[3], 0.05, 0.95)
             else:
-                draws = rng.uniform(-2.0, 1.0, size=2)
-                while abs(draws[0] - draws[1]) < 1e-6:
-                    draws = rng.uniform(-2.0, 1.0, size=2)
-                pp, qq = float(draws.max()), float(draws.min())
+                qq, pp = _spaced(u[4:6], -2.0, 1.0, 1e-6).tolist()
         critical = mossel_critical_time(pp, qq)
         time = t
         if t is None:
-            extra = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 2.0))
+            extra = 0.0 if u[6] < 0.2 else _uniform(u[7], 0.0, 2.0)
             time = critical * (1.0 + extra) if critical > 0.0 else extra
         elif t == "critical":
             time = critical
-        time, shape = float(time), (k,) * n_factors
-        f = rng.random(shape)
-        if rng.random() < 0.25:
-            f = np.where(rng.random(shape) < 0.3, 0.0, f)
-        if rng.random() < 0.25:
-            f = f * float(rng.uniform(0.5, 2.0))
+        scale = _uniform(u[10], 0.5, 2.0) if u[9] < 0.25 else 1.0
+        factors, f = _factors_and_table(u[11:], n_factors, k, u[8] < 0.25, scale)
+        time = float(time)
         margin = check_mossel(factors, time, f, pp, qq)
         instance = {"n": n_factors, "alphabet": k, "p": float(pp), "q": float(qq),
                     "t": time, "critical": critical}
@@ -597,15 +615,12 @@ def mossel_q0_suite_per_instance(n_instances: int, seed: int) -> list[SuiteRecor
     """`rhc_verify.mossel_q0_suite`, drawn and evaluated one instance at a time."""
     records = []
     for idx in range(n_instances):
-        rng = stream(seed, idx)
-        n, k = int(rng.integers(1, 4)), int(rng.integers(2, 5))
-        factors = tuple(rng.dirichlet(np.ones(k)) for _ in range(n))
-        t = float(rng.uniform(0.05, 3.0))
-        f = rng.random((k,) * n)
-        if rng.random() < 0.3:
-            f = np.where(rng.random(f.shape) < 0.3, 0.0, f)
+        u = stream_row(seed, idx, 144)
+        n, k = 1 + int(3 * u[0]), 2 + int(3 * u[1])
+        factors, f = _factors_and_table(u[4:], n, k, u[3] < 0.3, 1.0)
         if not f.any():
             f[(0,) * n] = 0.5
+        t = _uniform(u[2], 0.05, 3.0)
         margin = mossel_q0_margin(factors, t, f)
         instance = {"n": n, "alphabet": k, "t": t}
         records.append(SuiteRecord("mossel-q0", idx, instance, margin, margin >= -1e-12))
@@ -616,16 +631,11 @@ def semigroup_suite_per_instance(n_instances: int, seed: int) -> list[SuiteRecor
     """`rhc_verify.semigroup_suite`, drawn and evaluated one instance at a time."""
     records = []
     for idx in range(n_instances):
-        rng = stream(seed, idx)
-        n, k = int(rng.integers(1, 4)), int(rng.integers(2, 5))
-        factors = tuple(rng.dirichlet(np.ones(k)) for _ in range(n))
-        f = rng.random((k,) * n)
-        if rng.random() < 0.25:
-            f = np.where(rng.random(f.shape) < 0.3, 0.0, f)
-        if rng.random() < 0.25:
-            f = f * float(rng.uniform(0.5, 2.0))
-        t1 = float(rng.uniform(0.0, 2.0))
-        t2 = float(rng.uniform(0.0, 2.0))
+        u = stream_row(seed, idx, 148)
+        n, k = 1 + int(3 * u[0]), 2 + int(3 * u[1])
+        scale = _uniform(u[4], 0.5, 2.0) if u[3] < 0.25 else 1.0
+        factors, f = _factors_and_table(u[7:], n, k, u[2] < 0.25, scale)
+        t1, t2 = _uniform(u[5], 0.0, 2.0), _uniform(u[6], 0.0, 2.0)
         mu = stationary_measure(factors)
         two_step = apply_semisimple(factors, t1, apply_semisimple(factors, t2, f))
         one_step = apply_semisimple(factors, t1 + t2, f)
@@ -642,15 +652,10 @@ def quantizer_suite_per_instance(n_instances: int, seed: int) -> list[SuiteRecor
     """`rhc_verify.quantizer_oracle_suite`, drawn and evaluated one instance at a time."""
     records = []
     for idx in range(n_instances):
-        rng = stream(seed, idx)
-        k = int(rng.integers(2, 5))
-        xs = np.sort(rng.uniform(-3.0, 3.0, size=k))
-        while np.any(np.diff(xs) < 1e-3):
-            xs = np.sort(rng.uniform(-3.0, 3.0, size=k))
-        n_taus = int(rng.integers(1, 4))
-        taus = np.sort(rng.uniform(-3.0, 3.0, size=n_taus))
-        while np.any(np.diff(taus) < 1e-3):
-            taus = np.sort(rng.uniform(-3.0, 3.0, size=n_taus))
+        u = stream_row(seed, idx, 12)
+        k, n_taus = 2 + int(3 * u[0]), 1 + int(3 * u[1])
+        xs = _spaced(u[2 : 2 + k], -3.0, 3.0, 1e-3)
+        taus = _spaced(u[6 : 6 + n_taus], -3.0, 3.0, 1e-3)
         h1, h2 = gaussian_quantizer_gap(xs, taus)
         margin_gap = gauss_gap_closed(h1) - h2
         margin_log = 0.5 * math.log1p(2.0 * h2) - (h2 - h1)

@@ -13,6 +13,7 @@ from oracles import k_ary_symmetric, write_channel_csv
 from relay_bounds import rhc_verify
 from relay_bounds.cli import _json_line, build_parser, main, read_channel_csv
 from relay_bounds.dmc_relay import DiscreteChannel
+from relay_bounds.scalar_bounds import bdd_gap_closed, gauss_gap_closed
 
 
 @pytest.fixture
@@ -552,8 +553,8 @@ class TestVerifyCommand:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == len(rhc_verify.SUITES) + 1
         pattern = re.compile(
-            r"(\S+): (\d+) instances, (\d+) failures, min margin (\S+) at index (\d+), "
-            r"\d+\.\d{3} s"
+            r"(\S+): (\d+) instances, (\d+) failures, min margin (\S+) at index (\d+)"
+            r"(?:, tightness (\S+))?, \d+\.\d{3} s"
         )
         for name, line in zip(rhc_verify.SUITES, lines):
             got = pattern.fullmatch(line)
@@ -565,7 +566,27 @@ class TestVerifyCommand:
             assert int(got.group(3)) == sum(not r["pass"] for r in mine)
             assert float(got.group(4)) == worst["margin"]
             assert int(got.group(5)) == worst["index"]
+            # the entropy-gap suites alone give their largest (h2 - h1)/(c(h1) - h1)
+            assert (got.group(6) is None) == (name not in ("lemma4", "quantizer"))
         assert lines[-1] == f"{len(records)} instances, 0 failures"
+
+    @pytest.mark.parametrize("name", ["lemma4", "quantizer"])
+    @pytest.mark.parametrize("seed", [1, 7, 12345])
+    def test_summary_gives_the_largest_tightness(self, tmp_path, capsys, name, seed):
+        argv = ["verify", "--suite", name, "--instances", "300", "--seed", str(seed)]
+        code, blob = run_to_file(tmp_path, argv, "rep.jsonl")
+        assert code == 0
+        ratios = []
+        for line in blob.decode().splitlines():
+            inst = json.loads(line)["instance"]
+            h1, h2 = inst["h1"], inst["h2"]
+            c = bdd_gap_closed(h1, inst["alpha"]) if name == "lemma4" else gauss_gap_closed(h1)
+            if c > h1:  # h1 = 0 gives c = h1 = h2 = 0, no ratio
+                ratios.append((h2 - h1) / (c - h1))
+        line = capsys.readouterr().err.splitlines()[0]
+        got = re.search(r", tightness (\S+), ", line)
+        assert got is not None and float(got.group(1)) == max(ratios), line
+        assert 0.0 < max(ratios) <= 1.0  # h2 <= c(h1) holds
 
     def test_summary_counts_failures(self, tmp_path, capsys):
         argv = ["verify", "--suite", "borell-exp", "--instances", "10", "--t-factor", "0.9"]
@@ -701,26 +722,26 @@ class TestDeterminismAndRoundTrip:
         monkeypatch.delenv("RELAY_BOUNDS_SEED", raising=False)
         assert main(["verify"]) == 0
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-        assert digest == "63c73371ba7586f19c02b18161996a35d1bc5286a7e3ca2c35b917d5661fb525"
+        assert digest == "9874c7b24f0a45bfeb850fc601745ef737db0eb8ae7b931ad735e6e1271f6854"
 
     @pytest.mark.parametrize(
         "argv,digest",
         [
             (  # four factors per draw, a path the default run does not take
                 "verify --suite mossel --n 4 --instances 500 --seed 3",
-                "8b14ecba65b5fda430df1a20f916174f2df926d344edf4543c18657ccf616974",
+                "31f5fb58ea631d8dd0738aeb5f49497ad27caca7f6a071874b5a9c1e66708570",
             ),
             (  # two 1,024-draw blocks and a partial third
                 "verify --suite semigroup --instances 2000 --seed 7",
-                "5e51c1172f2027b39cd96ef08cc2f056e6dd5e5a616e10182fbe97fd05247f97",
+                "b574277916dd6b27363cafeedb7c45d6eb6ff4c7efb612186e6e151f6b434a92",
             ),
-            (  # three blocks of the quantizer; seed 7 holds its smallest margin, 2.2e-7
+            (  # three blocks of the quantizer; its smallest margin is 4.2e-6
                 "verify --suite quantizer --instances 3000 --seed 7",
-                "7e10fa1b6146d1b444864bd6602036e3bfccf688158eb6354cacb26c6a4219ce",
+                "fc8d3368e6dc11c7796805ee1f01b56beb9905828f88ceaa13aad7f113d50a10",
             ),
             (  # five lemma4 blocks, every (channel, n, messages) group
                 "verify --suite lemma4 --instances 5000 --seed 7",
-                "65eba1cade52bc144c6f8d16a58d7554780ffd433d31c6bdac4714b48f5dcdbf",
+                "14a2fa231ac7e193b3181dc875afd5e3c2cf763cab743a104e4ce1c2f3c71619",
             ),
         ],
     )

@@ -23,7 +23,7 @@ from oracles import (
     relay_entropy_gap_mp,
     semigroup_suite_per_instance,
     semisimple_dense,
-    stream,
+    stream_row,
     xlogx_sum,
 )
 from relay_bounds import rhc_verify
@@ -603,17 +603,17 @@ class TestMossel:
     )
     def test_bad_keywords_raise_before_any_draw(self, monkeypatch, kwargs, message):
         def no_draw(*args, **kw):
-            raise AssertionError("mossel_suite drew an instance")
+            raise AssertionError("mossel_suite keyed its streams")
 
-        monkeypatch.setattr(rhc_verify, "_random_semigroup", no_draw)
+        monkeypatch.setattr(np.random, "SeedSequence", no_draw)
         with pytest.raises(DomainError, match=re.escape(message)):
             mossel_suite(3, 1, **kwargs)
 
     def test_instances_above_the_cap_raise_before_any_draw(self, monkeypatch):
         def no_draw(*args, **kw):
-            raise AssertionError("mossel_suite drew an instance")
+            raise AssertionError("mossel_suite keyed its streams")
 
-        monkeypatch.setattr(rhc_verify, "_random_semigroup", no_draw)
+        monkeypatch.setattr(np.random, "SeedSequence", no_draw)
         cap = rhc_verify.MAX_INSTANCES
         assert cap == 100_000
         with pytest.raises(DomainError, match=f"at most {cap} instances per suite, got {cap + 1}"):
@@ -1164,11 +1164,11 @@ class TestStacks:
         with pytest.raises(DomainError, match="as deep as the constellation"):
             gaussian_quantizer_gap(xs, np.array([0.0]))
 
+    @pytest.mark.parametrize("suite", PER_INSTANCE, ids=lambda suite: suite.__name__)
     @pytest.mark.parametrize("n", [1, 7, 200])
     @pytest.mark.parametrize("seed", range(5))
-    def test_suites_match_their_per_instance_loops(self, n, seed):
-        for suite, loop in PER_INSTANCE.items():
-            assert repr(suite(n, seed)) == repr(loop(n, seed)), suite.__name__
+    def test_suites_match_their_per_instance_loops(self, suite, n, seed):
+        assert repr(suite(n, seed)) == repr(PER_INSTANCE[suite](n, seed))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -1285,9 +1285,8 @@ class TestSuiteRegistry:
 
 
 class TestStreams:
-    """The streams `_run` draws from, against numpy's Philox constructor, and
-    the batched calls the suites draw and check with, against the calls they
-    replace, on the suites' generator."""
+    """The rows of uniforms `_run` draws, against numpy's Philox constructor
+    at each row's counter, and a margin against the norms it is made of."""
 
     @pytest.mark.parametrize(
         "seed",
@@ -1295,71 +1294,34 @@ class TestStreams:
         ids=repr,
     )
     def test_draws_are_those_of_the_philox_constructor(self, seed, monkeypatch):
-        def draw(rng):
-            # a 32-bit draw (half of a word) and two words, three of a Philox
-            # block's four: a half word and a word are left for the next load to clear
-            return int(rng.integers(1, 4)), rng.random(2)
+        def draw(rows, bit):
+            assert ((rows[:, 0] * 2).astype(int) == bit).all()
+            return (rows,)
 
-        def evaluate(ks, us):
-            return {"k": ks, "u": us}, np.zeros(len(ks))
+        def evaluate(rows):
+            return {"u": rows}, np.zeros(len(rows))
 
-        def record(rng):
-            k, u = draw(rng)
-            return {"k": k, "u": u.tolist()}
-
-        records = rhc_verify._run("streams", 0.0, 1030, seed, draw, evaluate)
-        assert [r.instance for r in records] == [record(stream(seed, i)) for i in range(1030)]
+        # two blocks, and two groups by the first column's bit, at widths 4 and 12
+        for width in (4, 12):
+            records = rhc_verify._run("streams", 0.0, 1030, seed, width, ((0, 2),), draw, evaluate)
+            want = [stream_row(seed, i, width) for i in range(1030)]
+            assert [r.index for r in records] == list(range(1030))
+            assert [r.instance["u"] for r in records] == want
 
         class Drawn(Exception):
             pass
 
-        indices = iter(range(100_000))
+        def last(rows):  # ends the run at its one group, before any record is built
+            raise Drawn(rows[-1].tolist())
 
-        def last(rng):  # ends the run at its last draw, before any record is built
-            if next(indices) == 99_999:
-                raise Drawn(record(rng))
-            return ()
-
-        monkeypatch.setattr(rhc_verify, "_BLOCK", 100_000)  # one block: no evaluation
+        monkeypatch.setattr(rhc_verify, "_BLOCK", 100_000)  # one block, one group
         with pytest.raises(Drawn) as drawn:
-            rhc_verify._run("streams", 0.0, 100_000, seed, last, evaluate)
-        assert drawn.value.args[0] == record(stream(seed, 99_999))
+            rhc_verify._run("streams", 0.0, 100_000, seed, 8, (), lambda rows: (rows,), last)
+        assert drawn.value.args[0] == stream_row(seed, 99_999, 8)
 
     @pytest.mark.parametrize("name", list(SUITES))
     def test_a_record_does_not_depend_on_the_instance_count(self, name):
         assert repr(SUITES[name](2000, 3)[1500]) == repr(SUITES[name](1501, 3)[1500])
-
-    @pytest.mark.parametrize("k", range(2, 7))
-    @pytest.mark.parametrize("n", range(1, 5))
-    def test_dirichlet_rows_are_separate_draws(self, k, n):
-        for seed in range(20):
-            batch, single = stream(seed, k * n), stream(seed, k * n)
-            rows = batch.dirichlet(np.ones(k), size=n)
-            laws = [single.dirichlet(np.ones(k)) for _ in range(n)]
-            assert rows.shape == (n, k)
-            assert [_bits(r) for r in rows] == [_bits(d) for d in laws]
-            assert _bits(batch.random()) == _bits(single.random())
-
-    @pytest.mark.parametrize("k", [2, 3])
-    @pytest.mark.parametrize("m", range(1, 5))
-    @pytest.mark.parametrize("n", range(1, 4))
-    def test_codebook_is_one_integers_call(self, k, m, n):
-        # lemma4's (m, n) codebook against the m one-codeword calls it replaced
-        for seed in range(20):
-            batch, single = stream(seed, k * m * n), stream(seed, k * m * n)
-            book = batch.integers(0, k, size=(m, n))
-            words = [single.integers(0, k, size=n) for _ in range(m)]
-            assert book.shape == (m, n) and book.dtype == words[0].dtype
-            assert book.tolist() == [w.tolist() for w in words]
-            assert _bits(batch.random()) == _bits(single.random())
-
-    def test_two_uniforms_are_two_scalar_draws(self):
-        for seed in range(200):
-            batch, single = stream(seed, 0), stream(seed, 0)
-            pair = batch.uniform(0.0, 2.0, size=2).tolist()
-            assert pair == [single.uniform(0.0, 2.0), single.uniform(0.0, 2.0)]
-            assert all(type(x) is float for x in pair)
-            assert _bits(batch.random()) == _bits(single.random())
 
     @pytest.mark.parametrize("shape", [(2,), (4, 3), (2, 3, 2), (2, 2, 2, 2)])
     @pytest.mark.parametrize("stack", [(), (1,), (7,)])
@@ -1382,15 +1344,63 @@ class TestStreams:
         assert _bits(got) == _bits(want)
 
 
+class TestTransforms:
+    """The maps from uniforms on [0, 1) to the suites' draws."""
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    @pytest.mark.parametrize(
+        "low, high, gap", [(-3.0, 3.0, 1e-3), (-2.0, 1.0, 1e-6), (0.0, 1.0, 0.2)]
+    )
+    def test_spaced_points_lie_apart_within_their_interval(self, k, low, high, gap):
+        u = np.random.default_rng(k).random((10_000, k))
+        u[0], u[1] = 0.0, np.nextafter(1.0, 0.0)  # both ends of [0, 1)
+        x = rhc_verify._spaced(u, low, high, gap)
+        assert (x[:, 0] >= low).all() and (x[:, -1] <= high).all()
+        # gap apart, to the rounding of one subtraction and one add near high
+        assert (np.diff(x, axis=1) >= gap - 4.0 * np.spacing(high - low)).all()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_spaced_points_follow_the_rejection_law(self, k):
+        rng, n, gap = np.random.default_rng(10 + k), 20_000, 0.2
+        mapped = rhc_verify._spaced(rng.random((n, k)), 0.0, 1.0, gap)
+        pool = np.sort(rng.random((20 * n, k)), axis=1)
+        kept = pool[(np.diff(pool, axis=1) >= gap).all(axis=1)][:n]
+        assert len(kept) == n
+        for j in range(k):  # each order statistic: two-sample Kolmogorov-Smirnov, level 1e-4
+            both = np.sort(np.concatenate((mapped[:, j], kept[:, j])))
+            ecdf = [np.searchsorted(np.sort(a[:, j]), both, side="right") / n
+                    for a in (mapped, kept)]
+            assert np.abs(ecdf[0] - ecdf[1]).max() < 2.23 * math.sqrt(2.0 / n)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_dirichlet_laws_are_flat(self, k):
+        n = 20_000
+        laws = rhc_verify._dirichlet(np.random.default_rng(k).random((n, 2 * k)), k)
+        assert laws.shape == (n, 2, k) and (laws >= 0.0).all()
+        assert np.abs(laws.sum(axis=2) - 1.0).max() <= 1e-15
+        # each coordinate of a flat Dirichlet law is Beta(1, k - 1), of CDF
+        # 1 - (1 - x)^(k - 1): one-sample Kolmogorov-Smirnov, level 1e-4
+        x = np.sort(laws.reshape(-1, k)[:, k - 1])
+        cdf, steps = 1.0 - (1.0 - x) ** (k - 1), np.arange(len(x) + 1) / len(x)
+        distance = max(np.abs(cdf - steps[1:]).max(), np.abs(cdf - steps[:-1]).max())
+        assert distance < 2.23 / math.sqrt(len(x))
+
+    def test_the_largest_uniform_stays_inside(self):
+        top = np.nextafter(1.0, 0.0)  # the largest double that `random` returns
+        # an integer column stays below its count, and mossel's p below 1
+        assert [int(top * count) for count in range(1, 9)] == list(range(8))
+        assert rhc_verify._spaced(np.full((1, 2), top), -2.0, 1.0, 1e-6)[0, 1] < 1.0
+
+
 class TestQuadratureOrder:
     """The suites' margins on the halved step of the one trapezoid rule, at
     1,000 instances and seed 12345.
 
-    Halving the step (145 nodes for 73) moves quantizer h2 by up to 5.3e-8
-    and its margins by up to 2.5e-8 (index 363), and ou-q0 margins by up to
-    3.3e-11 (index 951), each within its suite's tolerance (1e-6 and 1e-9).
-    No pass flag changes: the smallest margins are 2.7e-5 (quantizer) and
-    3.8e-4 (ou-q0).
+    Halving the step (145 nodes for 73) moves quantizer h2 by up to 3.6e-8
+    and its margins by up to 2.0e-8 (index 56), and ou-q0 margins by up to
+    8.5e-11 (index 234), each within its suite's tolerance (1e-6 and 1e-9).
+    No pass flag changes: the smallest margins are 3.6e-6 (quantizer) and
+    1.5e-3 (ou-q0).
     """
 
     @pytest.mark.parametrize(
@@ -1559,19 +1569,19 @@ class TestMutations:
     """A suite must fail once the bound it checks is shrunk toward h.
 
     Each bound c becomes h + s (c(h) - h), patched where the suite reads it.
-    At 1,000 instances and seed 12345, s = 0.1 gives 32 lemma4 failures and
-    414 quantizer failures, s = 0.15 gives 8 and 116, s = 0.2 gives 0 and 0.
+    At 1,000 instances and seed 12345, s = 0.1 gives 43 lemma4 failures and
+    415 quantizer failures, s = 0.15 gives 10 and 113, s = 0.2 gives 0 and 0.
     borell-exp fails once its critical time is shrunk to (1 - s) times itself:
-    s = 1e-2 and 1e-6 fail all 1,000 instances, 1e-9 fails 994, 1e-12 fails
-    55, and the smallest shrink that fails one is about 5.5e-13.  mossel,
+    s = 1e-2 and 1e-6 fail all 1,000 instances, 1e-9 fails 993, 1e-12 fails
+    58, and the smallest shrink that fails one is about 4.9e-13.  mossel,
     mossel-q0 and ou-q0 fail once their smoothing runs at (1 - s) times its
-    time: s = 0.3 fails none of the three, s = 0.5 fails 6 mossel instances
-    and s = 0.9 fails 659, 15 and 13.  The smallest shrinks that fail one are
-    about 0.48, 0.84 and 0.86.  A uniform time scale keeps the semigroup law
+    time: s = 0.3 fails none of the three, s = 0.5 fails 2 mossel instances
+    and s = 0.9 fails 664, 24 and 22.  The smallest shrinks that fail one are
+    about 0.47, 0.85 and 0.83.  A uniform time scale keeps the semigroup law
     T_s T_t = T_(s+t), so it is no mutation of the semigroup suite; smoothing
-    at time ** (1 - s) breaks the law: s = 0.5 down to 1e-6 fails 995
-    instances, 1e-8 fails 994, 1e-10 fails 959 and 1e-12 none, and the
-    smallest s that fails one is about 3.9e-12.
+    at time ** (1 - s) breaks the law: s = 0.5 down to 1e-8 fails 998
+    instances, 1e-10 fails 936 and 1e-12 none, and the smallest s that fails
+    one is about 3.3e-12.  Each suite's fixed instance fails the same mutant.
     """
 
     @pytest.mark.parametrize(
