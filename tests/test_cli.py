@@ -588,6 +588,13 @@ class TestVerifyCommand:
         assert got is not None and float(got.group(1)) == max(ratios), line
         assert 0.0 < max(ratios) <= 1.0  # h2 <= c(h1) holds
 
+    def test_summary_tightness_is_nan_without_a_gap(self, tmp_path, capsys):
+        # instance 0 at seed 7 has h1 = 0, so c(h1) = h1 and it gives no ratio
+        argv = ["verify", "--suite", "lemma4", "--instances", "1", "--seed", "7"]
+        code, blob = run_to_file(tmp_path, argv, "rep.jsonl")
+        assert code == 0 and json.loads(blob)["instance"]["h1"] == 0.0
+        assert ", tightness nan, " in capsys.readouterr().err.splitlines()[0]
+
     def test_summary_counts_failures(self, tmp_path, capsys):
         argv = ["verify", "--suite", "borell-exp", "--instances", "10", "--t-factor", "0.9"]
         code, _ = run_to_file(tmp_path, argv, "rep.jsonl")
