@@ -1614,14 +1614,7 @@ class TestMutations:
     def test_a_shrunk_smoothing_time_fails(self, suite, kernel, at, monkeypatch):
         # the kernel's time is its positional argument `at`; s = 0.9
         assert all(r.passed for r in suite(1000, 12345))
-        exact = getattr(rhc_verify, kernel)
-
-        def shrunk(*args):
-            args = list(args)
-            args[at] = (1.0 - 0.9) * args[at]
-            return exact(*args)
-
-        monkeypatch.setattr(rhc_verify, kernel, shrunk)
+        monkeypatch.setattr(rhc_verify, kernel, shrunk_time(at, 0.9)(getattr(rhc_verify, kernel)))
         assert not all(r.passed for r in suite(1000, 12345))
 
     @pytest.mark.parametrize("suite", list(FIXED_MUTANTS))
