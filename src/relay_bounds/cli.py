@@ -23,14 +23,10 @@ import numpy as np
 from . import dmc_relay, gaussian_relay, rhc_verify
 from .errors import BoundsError, DomainError
 from .gaussian_relay import CurveTable, GaussianRelayParams
-from .scalar_bounds import bdd_gap_closed, gauss_gap_closed
 
 DEFAULT_SEED = 12345
 SEED_ENV_VAR = "RELAY_BOUNDS_SEED"
 _LN2 = math.log(2.0)
-# The bound c(h1) that an entropy-gap suite checks h2 against, from a record
-_GAP_BOUNDS = {"lemma4": lambda i: bdd_gap_closed(i["h1"], i["alpha"]),
-               "quantizer": lambda i: gauss_gap_closed(i["h1"])}
 
 
 def _fmt(x: float) -> str:
@@ -268,9 +264,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             worst = min(batch, key=lambda r: r.margin)
             failed = sum(not r.passed for r in batch)
             tight = ""
-            if name in _GAP_BOUNDS:  # the largest (h2 - h1)/(c(h1) - h1), where c(h1) > h1
-                ratios = [(i["h2"] - i["h1"]) / (c - i["h1"]) for i in (r.instance for r in batch)
-                          if (c := _GAP_BOUNDS[name](i)) > i["h1"]]
+            if "h2" in batch[0].instance:  # an entropy-gap suite: largest (h2 - h1)/(c(h1) - h1)
+                # c(h1) - h2 is a record's margin_gap where it has one, else its margin
+                spans = [(r.instance["h2"] - r.instance["h1"],
+                          r.instance.get("margin_gap", r.margin)) for r in batch]
+                ratios = [d / (d + gap) for d, gap in spans if d + gap > 0.0]
                 tight = f", tightness {max(ratios, default=math.nan)!r}"
             print(
                 f"{name}: {len(batch)} instances, {failed} failures, min margin "

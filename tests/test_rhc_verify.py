@@ -1319,6 +1319,17 @@ class TestStreams:
             rhc_verify._run("streams", 0.0, 100_000, seed, 8, (), lambda rows: (rows,), last)
         assert drawn.value.args[0] == stream_row(seed, 99_999, 8)
 
+    def test_two_uniforms_are_two_scalar_draws(self):
+        for seed in range(200):
+            key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+            batch, single = (np.random.Generator(np.random.Philox(key=key)) for _ in range(2))
+            pair = batch.uniform(0.0, 2.0, size=2).tolist()
+            assert pair == [single.uniform(0.0, 2.0), single.uniform(0.0, 2.0)]
+            assert all(type(x) is float for x in pair)
+            assert _bits(batch.random()) == _bits(single.random())
+            # and the row form's low + (high - low) u of instance 0's row
+            assert pair == [0.0 + 2.0 * u for u in stream_row(seed, 0, 4)[:2]]
+
     @pytest.mark.parametrize("name", list(SUITES))
     def test_a_record_does_not_depend_on_the_instance_count(self, name):
         assert repr(SUITES[name](2000, 3)[1500]) == repr(SUITES[name](1501, 3)[1500])
