@@ -213,8 +213,9 @@ def _time_flag(raw: str) -> float | str:
 def _suite_kwargs(args: argparse.Namespace, names: list[str]) -> dict[str, dict]:
     """Suite keyword arguments from the verify flags, by suite name.
 
-    A flag that no selected suite reads is an error, and so is a set of mossel
-    flags that `rhc_verify.check_mossel_keywords` rejects.
+    A flag that no selected suite reads is an error, and so is a keyword that
+    a selected suite rejects: each runs its own checks in a call at zero
+    instances, through `SUITES` so that a wrapper on the module sees no call.
     """
     readers = (
         ("--n", args.n, {"mossel"}),
@@ -228,15 +229,12 @@ def _suite_kwargs(args: argparse.Namespace, names: list[str]) -> dict[str, dict]
             raise DomainError(f"{flag} is read only by --suite {' or '.join(sorted(suites))}")
     if args.t == "critical" and args.t_factor is not None:
         raise DomainError("--t critical puts borell-exp at its critical time; drop --t-factor")
-    # checked here, not left to borell-exp: that suite runs third under --suite all
-    if args.t_factor is not None and not args.t_factor >= 0.0:
-        raise DomainError(f"--t-factor must be at least 0, got {args.t_factor!r}")
     kwargs = {
         "mossel": {"n": args.n, "t": args.t, "p": args.p, "q": args.q},
         "borell-exp": {"t_factor": 1.0 if args.t_factor is None else args.t_factor},
     }
-    if "mossel" in names:
-        rhc_verify.check_mossel_keywords(**kwargs["mossel"])
+    for name in names:
+        rhc_verify.SUITES[name](0, 0, **kwargs.get(name, {}))
     return kwargs
 
 

@@ -30,9 +30,9 @@ an array transform of its row of K uniforms, those of
 `Generator(Philox(key=key, counter=[index*K/4, 0, 0, 0])).random(K)` with
 key = `SeedSequence(seed).generate_state(2, np.uint64)` and a width K that
 the suite fixes, so any failure can be replayed from its record.  `_run`
-draws a block of rows in one call, groups them by the shapes their leading
-columns fix, and from the fields and margins that a suite computes per
-group it alone builds every record.
+draws a block of rows in one call and groups them by the shapes their leading
+columns fix; a suite is one function of a group's rows, which returns their
+fields and margins, and from those `_run` alone builds every record.
 """
 
 from __future__ import annotations
@@ -551,8 +551,7 @@ def _run(
     seed: int,
     width: int,
     shape: tuple[tuple[int, int], ...],
-    draw: Callable[..., tuple],
-    evaluate: Callable[..., tuple[dict, list | np.ndarray]],
+    group: Callable[..., tuple[dict, list | np.ndarray]],
 ) -> list[SuiteRecord]:
     """Records of the instances drawn from the rows of uniforms of seed, in index order.
 
@@ -561,11 +560,10 @@ def _run(
     as Philox gives four words per counter step and width is a multiple of 4;
     each block of _BLOCK rows is one `random((B, width))` call.  Column j holds
     the integer low + floor(count*u) of shape[j] = (low, count).  The rows
-    whose integers agree form a group: `draw(rows, *integers)` transforms its
-    (B, width) rows into stacks, and `evaluate(*stacks)` returns (fields,
-    margins), each field in record order a value the group shares or a (B, ...)
-    array or list of B rows, and margins a (B,) array or list.  A margin of at
-    least -tol passes.
+    whose integers agree form a group, and `group(rows, *integers)` returns
+    (fields, margins) for its (B, width) rows: each field in record order a
+    value the group shares or a (B, ...) array or list of B rows, and margins a
+    (B,) array or list.  A margin of at least -tol passes.
     """
     if not all(_number(v, numbers.Integral) and v >= 0 for v in (n_instances, seed)):
         raise DomainError(f"count and seed must be integers >= 0, got {n_instances!r}, {seed!r}")
@@ -582,7 +580,7 @@ def _run(
             groups.setdefault(tuple(ints), []).append(i)
         drawn = [None] * len(u)
         for ints, members in groups.items():
-            fields, margins = evaluate(*draw(u[members], *ints))
+            fields, margins = group(u[members], *ints)
             margins, *columns = (v.tolist() if type(v) is np.ndarray else v if type(v) is list
                                  else [v] * len(members) for v in (margins, *fields.values()))
             instances = [dict(zip(fields, values)) for values in zip(*columns)]
@@ -624,21 +622,6 @@ def _factors_and_table(u, n: int, k: int, zeroed: np.ndarray, scale: np.ndarray)
     return tuple(laws), np.where(zero, 0.0, f)
 
 
-def check_mossel_keywords(*, n=None, t=None, p=None, q=None) -> None:
-    """Raise DomainError for keywords that `mossel_suite` cannot run with."""
-    if n is not None and not (_number(n, numbers.Real) and n in range(1, MAX_FACTORS + 1)):
-        raise DomainError(f"n must lie in 1..{MAX_FACTORS}, got {n!r}")
-    if (p is None) != (q is None):
-        raise DomainError("p and q fix the norm indices together; give both or neither")
-    critical = None if p is None else mossel_critical_time(p, q)
-    if not (t is None or t == "critical" or _number(t, numbers.Real)):
-        raise DomainError(f"t must be None, 'critical' or a number, got {t!r}")
-    if isinstance(t, numbers.Real) and critical is None:
-        raise DomainError("a numeric t needs p and q: each pair has its own critical time")
-    if isinstance(t, numbers.Real) and not t >= critical:
-        raise DomainError(f"t={t!r} is below the critical time ln((1-q)/(1-p)) = {critical!r}")
-
-
 def mossel_suite(
     n_instances: int,
     seed: int,
@@ -655,12 +638,22 @@ def mossel_suite(
     critical time ln((1-q)/(1-p)); a numeric t needs p and q and may not lie
     below that time.  Bad keywords raise DomainError before the first draw.
     """
-    check_mossel_keywords(n=n, t=t, p=p, q=q)
+    if n is not None and not (_number(n, numbers.Real) and n in range(1, MAX_FACTORS + 1)):
+        raise DomainError(f"n must lie in 1..{MAX_FACTORS}, got {n!r}")
+    if (p is None) != (q is None):
+        raise DomainError("p and q fix the norm indices together; give both or neither")
+    critical = None if p is None else mossel_critical_time(p, q)
+    if not (t is None or t == "critical" or _number(t, numbers.Real)):
+        raise DomainError(f"t must be None, 'critical' or a number, got {t!r}")
+    if isinstance(t, numbers.Real) and critical is None:
+        raise DomainError("a numeric t needs p and q: each pair has its own critical time")
+    if isinstance(t, numbers.Real) and not t >= critical:
+        raise DomainError(f"t={t!r} is below the critical time ln((1-q)/(1-p)) = {critical!r}")
 
     # columns: n, k, the Jensen baseline's coin and index, the pair q < p, the
     # time's coin and extra, the zeros' coin, the scale's coin and value, then
     # the factor laws, the table and its zeros: 539 at n = MAX_FACTORS, k = 4
-    def draw(u, n_factors, k):
+    def group(u, n_factors, k):
         if p is None:  # 10% Jensen baselines p = q, else p - q >= 1e-6
             jensen, same = u[:, 2] < 0.1, _uniform(u[:, 3], 0.05, 0.95)
             pair = _spaced(u[:, 4:6], -2.0, 1.0, 1e-6)
@@ -675,33 +668,24 @@ def mossel_suite(
             time = critical if t == "critical" else np.full(len(u), float(t))
         scale = np.where(u[:, 9] < 0.25, _uniform(u[:, 10], 0.5, 2.0), 1.0)
         factors, f = _factors_and_table(u[:, 11:], n_factors, k, u[:, 8] < 0.25, scale)
-        return (*factors, f, pp, qq, time, critical)
-
-    def evaluate(*stacks):
-        *factors, f, pp, qq, time, critical = stacks
-        margins = check_mossel(factors, time, f, pp, qq)
-        fields = {"n": len(factors), "alphabet": f.shape[1], "p": pp, "q": qq, "t": time}
-        return {**fields, "critical": critical}, margins
+        fields = {"n": n_factors, "alphabet": k, "p": pp, "q": qq, "t": time, "critical": critical}
+        return fields, check_mossel(factors, time, f, pp, qq)
 
     shape = ((1, 3) if n is None else (n, 1), (2, 3))
-    return _run("mossel", 1e-12, n_instances, seed, 540, shape, draw, evaluate)
+    return _run("mossel", 1e-12, n_instances, seed, 540, shape, group)
 
 
 def mossel_q0_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
     """q = 0 specialization margins E[ln T_t f] - (1 + 1/t) ln E[f] on [0,1] tables."""
 
     # columns: n, k, t, the zeros' coin, then the factor laws, the table and its zeros
-    def draw(u, n, k):
+    def group(u, n, k):
         factors, f = _factors_and_table(u[:, 4:], n, k, u[:, 3] < 0.3, np.ones(len(u)))
         f[(~f.reshape(len(f), -1).any(axis=1),) + (0,) * n] = 0.5  # no all-zero table
-        return (*factors, f, _uniform(u[:, 2], 0.05, 3.0))
+        t = _uniform(u[:, 2], 0.05, 3.0)
+        return {"n": n, "alphabet": k, "t": t}, mossel_q0_margin(factors, t, f)
 
-    def evaluate(*stacks):
-        *factors, f, t = stacks
-        margins = mossel_q0_margin(factors, t, f)
-        return {"n": len(factors), "alphabet": f.shape[1], "t": t}, margins
-
-    return _run("mossel-q0", 1e-12, n_instances, seed, 144, ((1, 3), (2, 3)), draw, evaluate)
+    return _run("mossel-q0", 1e-12, n_instances, seed, 144, ((1, 3), (2, 3)), group)
 
 
 def borell_suite(n_instances: int, seed: int, *, t_factor: float = 1.0) -> list[SuiteRecord]:
@@ -709,35 +693,32 @@ def borell_suite(n_instances: int, seed: int, *, t_factor: float = 1.0) -> list[
     if not (_number(t_factor, numbers.Real) and t_factor >= 0.0):  # NaN fails too
         raise DomainError(f"t_factor must be a real number >= 0, got {t_factor!r}")
 
-    def draw(u):  # columns: the sign of lam, |lam|, x, q, p
+    def group(u):  # columns: the sign of lam, |lam|, x, q, p
         lam = _uniform(u[:, 1], 0.1, 2.0) * np.where(u[:, 0] < 0.5, 1.0, -1.0)
-        q = _uniform(u[:, 3], -2.0, 0.8)
+        x, q = _uniform(u[:, 2], -3.0, 3.0), _uniform(u[:, 3], -2.0, 0.8)
         p = _uniform(u[:, 4], q + 0.05, np.minimum(q + 2.0, 0.999))
         critical = np.array([borell_critical_time(a, b) for a, b in _each(p, q)])
-        return lam, _uniform(u[:, 2], -3.0, 3.0), p, q, t_factor * critical, critical
-
-    def evaluate(lam, x, p, q, t, critical):
+        t = t_factor * critical
         fields = {"lam": lam, "x": x, "p": p, "q": q, "t": t, "critical": critical}
         return fields, [check_borell_exponential(*row) for row in _each(lam, x, p, q, t)]
 
-    return _run("borell-exp", 1e-12, n_instances, seed, 8, (), draw, evaluate)
+    return _run("borell-exp", 1e-12, n_instances, seed, 8, (), group)
 
 
 def ou_q0_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
     """Quadrature margins for the OU q = 0 inequality on squashed test functions."""
 
-    def draw(u):  # columns: slope, shift, floor, x, t
+    def group(u):  # columns: slope, shift, floor, x, t
         low, high = np.array([0.3, -2.0, 0.0, -2.0, 0.05]), np.array([3.0, 2.0, 0.2, 2.0, 2.5])
-        return tuple(_uniform(u[:, :5], low, high).T)
+        slope, shift, floor, x, t = _uniform(u[:, :5], low, high).T
 
-    def evaluate(slope, shift, floor, x, t):
         def margin(a, b, c, x0, t0):
-            return check_ou_q0(lambda u: c + (1.0 - c) / (1.0 + np.exp(-a * (u - b))), x0, t0)
+            return check_ou_q0(lambda v: c + (1.0 - c) / (1.0 + np.exp(-a * (v - b))), x0, t0)
 
         fields = {"x": x, "t": t, "slope": slope, "shift": shift, "floor": floor}
         return fields, [margin(*row) for row in _each(slope, shift, floor, x, t)]
 
-    return _run("ou-q0", 1e-9, n_instances, seed, 8, (), draw, evaluate)
+    return _run("ou-q0", 1e-9, n_instances, seed, 8, (), group)
 
 
 def relay_oracle_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
@@ -745,7 +726,7 @@ def relay_oracle_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
 
     # columns: the channel's outputs (2, a BSC, or 3), n, m, the BSC crossover,
     # the 2x3 channel's laws, the m*n codeword symbols, the cell count, the cells
-    def draw(u, ny, n, m):
+    def group(u, ny, n, m):
         if ny == 2:
             c = _uniform(u[:, 3], 0.05, 0.45)
             w = np.stack((1.0 - c, c, c, 1.0 - c), axis=1).reshape(-1, 2, 2)
@@ -754,26 +735,22 @@ def relay_oracle_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
         book = (u[:, 10 : 10 + m * n] * 2).astype(int).reshape(-1, m, n)
         n_z = ny**n
         cells = (u[:, 22] * min(_MAX_MESSAGES, n_z)).astype(int) + 1
-        return w, book, (u[:, 23 : 23 + n_z] * cells[:, None]).astype(int)
-
-    def evaluate(w, book, part):
+        part = (u[:, 23 : 23 + n_z] * cells[:, None]).astype(int)
         h1, h2 = brute_force_entropy_gap(w, book, part)
         alpha = w.max(axis=1).sum(axis=1)  # alpha_of_channel of each row
         fields = {"channel": w, "codebook": book, "cells": part.max(axis=1) + 1,
-                  "n": book.shape[2], "alpha": alpha, "h1": h1, "h2": h2}
+                  "n": n, "alpha": alpha, "h1": h1, "h2": h2}
         return fields, [bdd_gap_closed(a, b) - c for a, b, c in _each(h1, alpha, h2)]
 
-    return _run("lemma4", 1e-9, n_instances, seed, 52, ((2, 2), (1, 3), (1, 4)), draw, evaluate)
+    return _run("lemma4", 1e-9, n_instances, seed, 52, ((2, 2), (1, 3), (1, 4)), group)
 
 
 def quantizer_oracle_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
     """Gaussian quantizer margins against both scalar entropy-gap bounds."""
 
-    def draw(u, k, n_taus):  # columns: k, n_taus, then the points and thresholds, 1e-3 apart
-        points = _spaced(u[:, 2 : 2 + k], -3.0, 3.0, 1e-3)
-        return points, _spaced(u[:, 6 : 6 + n_taus], -3.0, 3.0, 1e-3)
-
-    def evaluate(xs, taus):
+    def group(u, k, n_taus):  # columns: k, n_taus, then the points and thresholds, 1e-3 apart
+        xs = _spaced(u[:, 2 : 2 + k], -3.0, 3.0, 1e-3)
+        taus = _spaced(u[:, 6 : 6 + n_taus], -3.0, 3.0, 1e-3)
         h1, h2 = gaussian_quantizer_gap(xs, taus)
         gap = [gauss_gap_closed(a) - b for a, b in _each(h1, h2)]
         log = [0.5 * math.log1p(2.0 * b) - (b - a) for a, b in _each(h1, h2)]
@@ -781,7 +758,7 @@ def quantizer_oracle_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
                   "margin_gap": gap, "margin_log": log}
         return fields, list(map(min, gap, log))
 
-    return _run("quantizer", 1e-6, n_instances, seed, 12, ((2, 3), (1, 3)), draw, evaluate)
+    return _run("quantizer", 1e-6, n_instances, seed, 12, ((2, 3), (1, 3)), group)
 
 
 def semigroup_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
@@ -789,13 +766,10 @@ def semigroup_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
 
     # columns: n, k, the zeros' coin, the scale's coin and value, t1, t2, then
     # the factor laws, the table and its zeros
-    def draw(u, n, k):
+    def group(u, n, k):
         scale = np.where(u[:, 3] < 0.25, _uniform(u[:, 4], 0.5, 2.0), 1.0)
         factors, f = _factors_and_table(u[:, 7:], n, k, u[:, 2] < 0.25, scale)
-        return (*factors, f, _uniform(u[:, 5], 0.0, 2.0), _uniform(u[:, 6], 0.0, 2.0))
-
-    def evaluate(*stacks):
-        *factors, f, t1, t2 = stacks
+        t1, t2 = _uniform(u[:, 5], 0.0, 2.0), _uniform(u[:, 6], 0.0, 2.0)
         # the public kernel checks the drawn laws once; the other smoothings
         # run on the same arrays through its body, as the margins' do
         unit = apply_semisimple(factors, t1, np.ones(f.shape))
@@ -811,9 +785,9 @@ def semigroup_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
         dev_unit = np.abs(unit - 1.0).max(axis=1)
         # Python's max, not np.maximum: it keeps the first of tied zeros, -0.0 included
         margins = [-max(row) for row in _each(dev_law, dev_stat, dev_unit, -one_step.min(axis=1))]
-        return {"n": len(factors), "alphabet": f.shape[1], "t1": t1, "t2": t2}, margins
+        return {"n": n, "alphabet": k, "t1": t1, "t2": t2}, margins
 
-    return _run("semigroup", 1e-12, n_instances, seed, 148, ((1, 3), (2, 3)), draw, evaluate)
+    return _run("semigroup", 1e-12, n_instances, seed, 148, ((1, 3), (2, 3)), group)
 
 
 # Every suite by its `relay-bounds verify --suite` name, in the order

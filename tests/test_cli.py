@@ -451,9 +451,9 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--t-factor", "-1"], "--t-factor must be at least 0, got -1.0"),
-            (["--t-factor", "nan"], "--t-factor must be at least 0, got nan"),
-            (["--suite", "borell-exp", "--t-factor", "-1"], "--t-factor must be at least 0"),
+            (["--t-factor", "-1"], "t_factor must be a real number >= 0, got -1.0"),
+            (["--t-factor", "nan"], "t_factor must be a real number >= 0, got nan"),
+            (["--suite", "borell-exp", "--t-factor", "-1"], "t_factor must be a real number >= 0"),
             (["--p=0.5", "--q=-inf"], "need finite q <= p < 1, got p=0.5, q=-inf"),
             (["--p", "0.5"], "p and q fix the norm indices together"),
         ],

@@ -1294,16 +1294,13 @@ class TestStreams:
         ids=repr,
     )
     def test_draws_are_those_of_the_philox_constructor(self, seed, monkeypatch):
-        def draw(rows, bit):
+        def group(rows, bit):
             assert ((rows[:, 0] * 2).astype(int) == bit).all()
-            return (rows,)
-
-        def evaluate(rows):
             return {"u": rows}, np.zeros(len(rows))
 
         # two blocks, and two groups by the first column's bit, at widths 4 and 12
         for width in (4, 12):
-            records = rhc_verify._run("streams", 0.0, 1030, seed, width, ((0, 2),), draw, evaluate)
+            records = rhc_verify._run("streams", 0.0, 1030, seed, width, ((0, 2),), group)
             want = [stream_row(seed, i, width) for i in range(1030)]
             assert [r.index for r in records] == list(range(1030))
             assert [r.instance["u"] for r in records] == want
@@ -1316,7 +1313,7 @@ class TestStreams:
 
         monkeypatch.setattr(rhc_verify, "_BLOCK", 100_000)  # one block, one group
         with pytest.raises(Drawn) as drawn:
-            rhc_verify._run("streams", 0.0, 100_000, seed, 8, (), lambda rows: (rows,), last)
+            rhc_verify._run("streams", 0.0, 100_000, seed, 8, (), last)
         assert drawn.value.args[0] == stream_row(seed, 99_999, 8)
 
     def test_two_uniforms_are_two_scalar_draws(self):
