@@ -238,6 +238,12 @@ class TestMutualInfoProduct:
             p = InputDistribution(rng.dirichlet(np.ones(2)))
             assert mutual_info_product(p, w) >= mutual_info(p, w) - 1e-12
 
+    def test_product_of_rows_off_one_by_rounding_is_a_law(self):
+        # each row sums to 1 + 9e-13, within LAW_TOL, but its square sums to
+        # 1 + 1.8e-12, beyond it: W x W is renormalized before it is checked
+        w = DiscreteChannel(CLI_CHANNEL.matrix + [9e-13, 0.0, 0.0])
+        assert capacity_ub_cor2(w, 0.2).certified
+
 
 class TestSimplexMachinery:
     def test_grid_counts(self):
@@ -324,7 +330,8 @@ class TestRegressionChannels:
         w, c0 = random_law_channel(seed, draw)
         rep = capacity_ub_cor2(w, c0)
         assert rep.certified
-        assert rep.suboptimality_gap <= 1e-9
+        # the documented GAP_TOL as a literal, so that a looser constant fails here
+        assert rep.suboptimality_gap <= 1e-10
         laws = np.random.default_rng(seed).dirichlet(np.ones(w.n_inputs), size=2000)
         assert rep.cor2_bound >= relay_objective_rows(laws, w.matrix, rep.penalty).max()
         assert rep.cutset >= relay_objective_rows(laws, w.matrix, c0).max()
@@ -333,7 +340,8 @@ class TestRegressionChannels:
 class TestStalledSolver:
     """On a budget of 50 steps the solver cannot finish seed 3's draw 41 (it
     stops at a gap of 3.07e-3), so the report stays uncertified: it is still
-    an upper value with its gap stated, and the CLI exits 0."""
+    an upper value with its gap stated, and the CLI exits 0.  On 10 steps seed
+    4's draw 53 stalls with its cor2 certificate above the cutset one."""
 
     CHANNEL, C0 = random_law_channel(3, 41)
 
@@ -356,6 +364,18 @@ class TestStalledSolver:
         law = np.array(payload["argmax_input"])
         assert payload["cutset"] >= relay_objective(law, w, self.C0)
         assert payload["certified"] is False
+
+    def test_a_stalled_bound_is_capped_at_its_cutset(self, monkeypatch):
+        # at 10 steps the cor2 certificate of seed 4's 4x4 draw 53 sits 1.2e-3
+        # above the cutset one, which bounds the cor2 objective too
+        monkeypatch.setattr(dmc_relay, "_BUDGET", 10)
+        w, c0 = random_law_channel(4, 53)
+        rep = capacity_ub_cor2(w, c0)
+        assert rep.cor2_bound == rep.cutset
+        assert rep.cor2_bound == pytest.approx(0.6431373740840252, rel=0.0, abs=1e-12)
+        assert not rep.certified
+        laws = np.random.default_rng(4).dirichlet(np.ones(w.n_inputs), size=2000)
+        assert rep.cor2_bound >= relay_objective_rows(laws, w.matrix, rep.penalty).max()
 
 
 class TestNearDuplicateRows:
