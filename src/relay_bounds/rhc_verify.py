@@ -17,13 +17,14 @@ quadrature, the inequalities that power the capacity bounds:
 A semigroup is plain data: a tuple of factor laws P_i and a time t, which
 `apply_semisimple(factors, time, f)`, `stationary_measure(factors)`,
 `check_mossel(factors, time, f, p, q)` and `mossel_q0_margin(factors, time,
-f)` take as they are; function tables are plain float arrays.  These kernels
-and `gaussian_quantizer_gap` take one instance or a stack of B same-shape
-instances along a new first axis, each row giving bit for bit what its own
-call gives; `lp_norm` takes a stack of tables with a (B,) array of indices.
-Every call checks what it is given: factors and channels by
-`scalar_bounds.require_law`, tables by `require_table`, and factors and time
-together by one private check, which takes ints and floats as times.
+f)` take as they are; function tables are plain float arrays.  These kernels,
+`ou_apply`, `check_ou_q0` and `gaussian_quantizer_gap` take one instance or a
+stack of B same-shape instances along a new first axis, each row giving bit
+for bit what its own call gives; `lp_norm` takes a stack of tables with a (B,)
+array of indices.  Every call checks what it is given: factors and channels
+by `scalar_bounds.require_law`, tables by `require_table`, and every time and
+Gaussian point by one private rule, which takes ints and floats, not bools or
+strings.
 
 `SUITES` names the seven randomized suites.  Each draws instance `index` as
 an array transform of its row of K uniforms, those of
@@ -39,8 +40,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -67,6 +67,14 @@ _GRID_WEIGHTS = np.exp(-0.5 * _GRID * _GRID)
 _GRID_WEIGHTS /= _GRID_WEIGHTS.sum()
 _GRID.setflags(write=False)
 _GRID_WEIGHTS.setflags(write=False)
+# The bytes of one pass of the OU integrand, a (rows, points, m) float array: a
+# sixth of a 2 MB per-core L2, so that its argument, f's values and their
+# temporaries stay in the cache.  That is 8 rows of m x m at m = 73 and 2 at
+# m = 145; a whole 55-row stack at m = 73 (2.3 MB) ran 10% slower than 8 rows
+# and took 2 MB more memory.  A pass is cut across rows, so that each of f's
+# per-row parameters is one value over m x m points: numpy broadcasts it far
+# faster over long rows.
+_PASS_BYTES = (2 << 20) // 6
 
 
 def _expect(values: np.ndarray) -> np.ndarray:
@@ -75,6 +83,14 @@ def _expect(values: np.ndarray) -> np.ndarray:
     to that BLAS dot, while a matrix-vector product may sum in another order."""
     out = np.matmul(values.reshape(-1, 1, _GRID_WEIGHTS.size), _GRID_WEIGHTS[:, None])
     return out.reshape(values.shape[:-1])
+
+
+def _reals(value, name: str) -> np.ndarray:
+    """value as a float array, if it holds ints or floats; a bool or a string raises DomainError."""
+    x = np.asarray(value)
+    if x.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    return x.astype(float, copy=False)
 
 
 def _number(value, kind: type) -> bool:
@@ -128,10 +144,7 @@ def _checked(factors, time) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     one semigroup.  A time must be real: ints and floats, not bools or strings.
     """
     factors = _laws(factors)
-    t = np.asarray(time)
-    if t.dtype.kind not in "iuf":
-        raise DomainError(f"time must be a real number, got {time!r}")
-    t = t.astype(float, copy=False)
+    t = _reals(time, "time")
     stack = factors[0].shape[:-1]
     if t.shape != stack:
         raise DimensionError(f"time shape {t.shape} does not match the stack {stack}")
@@ -334,41 +347,91 @@ def mossel_q0_margin(factors, time, f: np.ndarray) -> float | np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _ou_rows(x, t, params) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Finite points x, real times t and f's parameters as (B,) float arrays;
+    floats are a stack of one."""
+    xs, ts = _reals(x, "x"), _reals(t, "time")
+    ps = [np.asarray(p, dtype=float) for p in params]
+    if ts.ndim > 1 or ts.size == 0 or any(a.shape != ts.shape for a in [xs, *ps]):
+        raise DimensionError(f"x, t and f's parameters must be floats or nonempty (B,) "
+                             f"arrays, got shapes {[np.shape(a) for a in (x, t, *params)]}")
+    if not np.isfinite(xs).all():
+        raise DomainError(f"x must be finite, got {x!r}")
+    return xs.reshape(-1), ts.reshape(-1), [a.reshape(-1) for a in ps]
+
+
 def ou_apply(
-    f: Callable[[np.ndarray], np.ndarray], x: float, y: float | np.ndarray, t: float
+    f: Callable[..., np.ndarray],
+    x: float | np.ndarray,
+    y: float | np.ndarray,
+    t: float | np.ndarray,
+    *params: float | np.ndarray,
 ) -> float | np.ndarray:
     """Quadrature value of T_{x,t} f(y) = E[f(e^{-t}y + (1-e^{-t})x + sd*V)].
 
-    f must act entrywise on a numpy array of points; sd = sqrt(1 - e^{-2t});
-    V takes the trapezoid nodes `_GRID`.  A float y gives a float; an array
-    gives an array of its shape, each entry exactly as its float call gives
-    it, since `_expect` sums each entry's quadrature row by its own dot.
+    f(points, *params) must act entrywise on a numpy array of points, which
+    it may overwrite and return; sd = sqrt(1 - e^{-2t}); V takes the
+    trapezoid nodes `_GRID`.  A float y gives a float; an array gives an
+    array of its shape, each entry exactly as its float call gives it, since
+    `_expect` sums each entry's quadrature row by its own dot.  (B,) arrays
+    x, t and params are a stack of B actions on a (B, ...) array y, each row
+    equal to its own float call bit for bit.  f gets the points of a few rows
+    at a time, one (rows, ...) buffer of at most `_PASS_BYTES`, with each
+    parameter as a (rows, 1, ...) array of those rows' values.
     """
-    if t < 0.0 or math.isnan(t):
+    xs, ts, ps = _ou_rows(x, t, params)
+    if not (ts >= 0.0).all():  # NaN fails too
         raise DomainError(f"time must be >= 0, got {t!r}")
-    mean = math.exp(-t) * np.asarray(y, dtype=float) + -math.expm1(-t) * x
-    sd = math.sqrt(-math.expm1(-2.0 * t))
-    out = _expect(np.asarray(f(mean[..., None] + sd * _GRID), dtype=float))
-    return float(out) if out.ndim == 0 else out
+    y = np.asarray(y, dtype=float)
+    if np.ndim(t) and y.shape[:1] != ts.shape:
+        raise DimensionError(f"points of shape {y.shape} do not fit the stack {ts.shape}")
+    times = ts.tolist()  # each row's scalars by `math`, as its float call forms them
+    keep = np.array([[math.exp(-s)] for s in times])
+    mix = np.array([[-math.expm1(-s)] for s in times])
+    sd = np.array([[math.sqrt(-math.expm1(-2.0 * s))] for s in times])
+    points = y.reshape(len(times), -1)
+    mean = keep * points + mix * xs[:, None]
+    spread = sd * _GRID
+    (size, n), m = points.shape, _GRID.size
+    step = max(1, _PASS_BYTES // (8 * n * m))  # rows in a pass
+    args = np.empty((min(step, size), n, m))
+    ps = [a.reshape(-1, 1, 1) for a in ps]
+    out = np.empty((size, n))
+    for r in range(0, size, step):
+        arg = args[: min(step, size - r)]
+        np.add(mean[r : r + step, :, None], spread[r : r + step, None, :], out=arg)
+        values = f(arg, *(a[r : r + step] for a in ps))
+        out[r : r + step] = _expect(np.asarray(values, dtype=float))
+    return out.reshape(y.shape) if y.ndim else float(out[0, 0])
 
 
-def check_ou_q0(f: Callable[[np.ndarray], np.ndarray], x: float, t: float) -> float:
+def check_ou_q0(
+    f: Callable[..., np.ndarray],
+    x: float | np.ndarray,
+    t: float | np.ndarray,
+    *params: float | np.ndarray,
+) -> float | np.ndarray:
     """Margin E[ln T_{x,t} f] - (1 + 1/(2t)) ln E[f] for f in [0,1], by quadrature.
 
     Both expectations run against the stationary measure N(x, 1), on x + `_GRID`.
+    f(points, *params) is as in `ou_apply`: (B,) arrays x, t and params are
+    a stack of B margins, a (B,) array, each equal to its own float call bit
+    for bit.  The smoothing is one `ou_apply` call.
     """
-    if t <= 0.0:
+    xs, ts, ps = _ou_rows(x, t, params)
+    if not (ts > 0.0).all():
         raise DomainError("the q=0 inequality needs t > 0")
-    ys = x + _GRID
-    vals = np.asarray(f(ys), dtype=float)
-    mean = float(_expect(vals))
-    if not (np.all((vals >= 0.0) & (vals <= 1.0 + 1e-12)) and mean > 0.0):
+    ys = xs[:, None] + _GRID
+    vals = np.asarray(f(ys.copy(), *(a[:, None] for a in ps)), dtype=float)
+    mean = _expect(vals)
+    if not (np.all((vals >= 0.0) & (vals <= 1.0 + 1e-12)) and (mean > 0.0).all()):
         raise DomainError("f must map the quadrature nodes into [0, 1] with positive mass")
-    smoothed = ou_apply(f, x, ys, t)
+    smoothed = ou_apply(f, xs, ys, ts, *ps)
     if np.any(smoothed <= 0.0):
         raise DomainError("T_t f vanished at a quadrature node; use f with positive mass")
-    lhs = float(_expect(np.log(smoothed)))
-    return lhs - (1.0 + 0.5 / t) * math.log(min(mean, 1.0))
+    log_mean = np.array([math.log(min(v, 1.0)) for v in mean.tolist()])
+    out = _expect(np.log(smoothed)) - (1.0 + 0.5 / ts) * log_mean
+    return out if np.ndim(t) else float(out[0])
 
 
 def check_borell_exponential(lam: float, x: float, p: float, q: float, t: float) -> float:
@@ -382,8 +445,12 @@ def check_borell_exponential(lam: float, x: float, p: float, q: float, t: float)
     """
     if not (q < p < 1.0):
         raise DomainError(f"need q < p < 1, got p={p}, q={q}")
-    if t < 0.0 or math.isnan(t):
+    if type(t) is not float:  # the suite's times are floats: the rule of `_reals` for the rest
+        _reals(t, "time")
+    if not t >= 0.0:  # NaN fails too
         raise DomainError(f"time must be >= 0, got {t!r}")
+    if not (math.isfinite(lam) and math.isfinite(x)):
+        raise DomainError(f"lam and x must be finite, got lam={lam!r}, x={x!r}")
     lhs = lam * x + 0.5 * lam * lam * (-math.expm1(-2.0 * t) + q * math.exp(-2.0 * t))
     rhs = lam * x + 0.5 * lam * lam * p
     return lhs - rhs
@@ -528,8 +595,7 @@ def gaussian_quantizer_gap(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuiteRecord:
+class SuiteRecord(NamedTuple):
     """One verified instance: descriptor, margin, and pass flag."""
 
     suite: str
@@ -705,18 +771,26 @@ def borell_suite(n_instances: int, seed: int, *, t_factor: float = 1.0) -> list[
     return _run("borell-exp", 1e-12, n_instances, seed, 8, (), group)
 
 
+def _squashed(v: np.ndarray, slope, shift, floor) -> np.ndarray:
+    """floor + (1 - floor) / (1 + e^{-slope (v - shift)}), the ou-q0 test
+    function, evaluated in place: v is overwritten and returned."""
+    v -= shift
+    v *= -slope
+    np.exp(v, out=v)
+    v += 1.0
+    np.divide(1.0 - floor, v, out=v)
+    v += floor
+    return v
+
+
 def ou_q0_suite(n_instances: int, seed: int) -> list[SuiteRecord]:
     """Quadrature margins for the OU q = 0 inequality on squashed test functions."""
 
     def group(u):  # columns: slope, shift, floor, x, t
         low, high = np.array([0.3, -2.0, 0.0, -2.0, 0.05]), np.array([3.0, 2.0, 0.2, 2.0, 2.5])
         slope, shift, floor, x, t = _uniform(u[:, :5], low, high).T
-
-        def margin(a, b, c, x0, t0):
-            return check_ou_q0(lambda v: c + (1.0 - c) / (1.0 + np.exp(-a * (v - b))), x0, t0)
-
         fields = {"x": x, "t": t, "slope": slope, "shift": shift, "floor": floor}
-        return fields, [margin(*row) for row in _each(slope, shift, floor, x, t)]
+        return fields, check_ou_q0(_squashed, x, t, slope, shift, floor)
 
     return _run("ou-q0", 1e-9, n_instances, seed, 8, (), group)
 

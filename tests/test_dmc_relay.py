@@ -378,6 +378,33 @@ class TestStalledSolver:
         assert rep.cor2_bound >= relay_objective_rows(laws, w.matrix, rep.penalty).max()
 
 
+class TestSolverSteps:
+    """A bound on the solver's total steps over the channel set of perfbench's
+    `dmc-bounds`: draws 0-59 of the random-law channel at seed 1, the
+    BSC(0.11) at C0 0.3 and a 16x16 channel at C0 0.5.  They take 777 steps,
+    and 892 with `_ROUNDING` at 1e-12 (every report still certified), so the
+    test catches a slower solver that the reports alone do not show.  The
+    bound has headroom, since BLAS and numpy versions may move a step."""
+
+    def test_total_steps_stay_bounded(self, monkeypatch):
+        solvers = []
+
+        class Counted(dmc_relay._DualSolver):
+            def __init__(self, w):
+                super().__init__(w)
+                solvers.append(self)
+
+        monkeypatch.setattr(dmc_relay, "_DualSolver", Counted)
+        channels = [random_law_channel(1, draw) for draw in range(60)] + [
+            (k_ary_symmetric(2, 0.11), 0.3),
+            (DiscreteChannel(np.random.default_rng(16).dirichlet(np.ones(16), size=16)), 0.5),
+        ]
+        for w, c0 in channels:  # one solver each, at the penalty and at C0
+            assert capacity_ub_cor2(w, c0).certified
+        assert len(solvers) == 62
+        assert sum(dmc_relay._BUDGET - s.steps_left for s in solvers) <= 850
+
+
 class TestNearDuplicateRows:
     """Rows 0-2 differ by under 1e-11, so the weighted solves level off near
     GAP_TOL: the lam = 1 walk dips under it only after 8,909 steps.  Each solve

@@ -222,6 +222,36 @@ INVALID_CALLS = {
     "ou_apply t=nan": (
         lambda: ou_apply(np.exp, 0.0, 0.0, math.nan), DomainError, "time must be >= 0, got nan"
     ),
+    "ou_apply t=True": (
+        lambda: ou_apply(np.exp, 0.0, 0.0, True),
+        DomainError, "time must be a real number, got True",
+    ),
+    "ou_apply x=nan": (
+        lambda: ou_apply(np.exp, math.nan, 0.0, 1.0), DomainError, "x must be finite, got nan"
+    ),
+    "ou_apply stacked t<0": (
+        lambda: ou_apply(np.exp, np.zeros(2), np.zeros(2), np.array([0.5, -1.0])),
+        DomainError, "time must be >= 0, got array([ 0.5, -1. ])",
+    ),
+    "ou_apply stack shapes": (
+        lambda: ou_apply(np.exp, np.zeros(2), np.zeros(3), np.ones(2)),
+        DimensionError, "points of shape (3,) do not fit the stack (2,)",
+    ),
+    "check_ou_q0 t='1'": (
+        lambda: check_ou_q0(np.cos, 0.0, "1"), DomainError, "time must be a real number, got '1'"
+    ),
+    "check_ou_q0 stacked bool t": (
+        lambda: check_ou_q0(np.cos, np.zeros(2), np.array([True, True])),
+        DomainError, "time must be a real number, got array([ True,  True])",
+    ),
+    "check_ou_q0 x=inf": (
+        lambda: check_ou_q0(np.cos, math.inf, 1.0), DomainError, "x must be finite, got inf"
+    ),
+    "check_ou_q0 x and t shapes": (
+        lambda: check_ou_q0(np.cos, np.zeros(2), 1.0),
+        DimensionError, "x, t and f's parameters must be floats or nonempty (B,) arrays, "
+        "got shapes [(2,), ()]",
+    ),
     "borell q=p": (
         lambda: check_borell_exponential(1.0, 0.0, 0.5, 0.5, 1.0),
         DomainError, "need q < p < 1, got p=0.5, q=0.5",
@@ -233,6 +263,22 @@ INVALID_CALLS = {
     "borell t<0": (
         lambda: check_borell_exponential(1.0, 0.0, 0.5, -0.5, -0.1),
         DomainError, "time must be >= 0, got -0.1",
+    ),
+    "borell t=True": (
+        lambda: check_borell_exponential(1.0, 0.0, 0.5, 0.0, True),
+        DomainError, "time must be a real number, got True",
+    ),
+    "borell t='1'": (
+        lambda: check_borell_exponential(1.0, 0.0, 0.5, 0.0, "1"),
+        DomainError, "time must be a real number, got '1'",
+    ),
+    "borell x=nan": (
+        lambda: check_borell_exponential(1.0, math.nan, 0.5, 0.0, 1.0),
+        DomainError, "lam and x must be finite, got lam=1.0, x=nan",
+    ),
+    "borell lam=inf": (
+        lambda: check_borell_exponential(math.inf, 0.0, 0.5, 0.0, 1.0),
+        DomainError, "lam and x must be finite, got lam=inf, x=0.0",
     ),
     "borell critical q=p": (
         lambda: borell_critical_time(0.5, 0.5), DomainError, "need q < p < 1, got p=0.5, q=0.5"
@@ -678,6 +724,34 @@ class TestOuAction:
         for idx in np.ndindex(ys.shape):
             mean = math.exp(-t) * float(ys[idx]) + -math.expm1(-t) * x
             assert got[idx] == np.dot(weights, f(mean + sd * nodes))
+
+    @pytest.mark.parametrize("m", [73, 145])
+    @pytest.mark.parametrize("rows", [1, 2, 8, 9, 55])
+    def test_stack_rows_equal_their_float_calls(self, rows, m, monkeypatch):
+        # a pass holds 8 rows at m = 73 and 2 at m = 145, so 9 and 55 rows,
+        # and every stack of more than 2 at m = 145, take several passes
+        if m != 73:
+            use_trapezoid(monkeypatch, 0.125)
+        assert rhc_verify._GRID.size == m
+        rng = np.random.default_rng(100 * m + rows)
+        low, high = np.array([0.3, -2.0, 0.0, -2.0, 0.05]), np.array([3.0, 2.0, 0.2, 2.0, 2.5])
+        slope, shift, floor, x, t = rng.uniform(low, high, size=(rows, 5)).T
+
+        def f(v, a, b, c):
+            return c + (1.0 - c) / (1.0 + np.exp(-a * (v - b)))
+
+        def row(r):
+            return lambda v: f(v, slope[r], shift[r], floor[r])
+
+        margins = check_ou_q0(f, x, t, slope, shift, floor)
+        assert margins.shape == (rows,)
+        alone = [check_ou_q0(row(r), float(x[r]), float(t[r])) for r in range(rows)]
+        assert _bits(margins) == _bits(alone)
+        ys = rng.uniform(-4.0, 4.0, size=(rows, 3, 40))
+        smoothed = ou_apply(f, x, ys, t, slope, shift, floor)
+        assert smoothed.shape == ys.shape
+        alone = [ou_apply(row(r), float(x[r]), ys[r], float(t[r])) for r in range(rows)]
+        assert _bits(smoothed) == _bits(alone)
 
     def test_ou_q0_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
@@ -1226,11 +1300,16 @@ class TestStacks:
         groups = {(len(r.instance["channel"][0]), r.instance["n"], len(r.instance["codebook"]))
                   for r in records}
         assert calls == ["brute_force_entropy_gap"] * len(groups) and len(groups) == 24
-        # borell-exp and ou-q0 evaluate row by row, through none of these kernels
+        # borell-exp evaluates row by row, through none of these kernels
         calls.clear()
         borell_suite(300, 4)
-        ou_q0_suite(300, 4)
         assert calls == []
+        # ou-q0 draws no shape, so each block is one stack, smoothed by one ou_apply call
+        monkeypatch.setattr(rhc_verify, "ou_apply", counting(rhc_verify.ou_apply))
+        for n, blocks in ((300, 1), (2100, 3)):
+            calls.clear()
+            ou_q0_suite(n, 4)
+            assert calls == ["ou_apply"] * blocks
 
 
 class TestSuiteRegistry:
