@@ -390,6 +390,8 @@ def ou_apply(
     mix = np.array([[-math.expm1(-s)] for s in times])
     sd = np.array([[math.sqrt(-math.expm1(-2.0 * s))] for s in times])
     points = y.reshape(len(times), -1)
+    if points.size == 0:
+        return np.empty(y.shape)
     mean = keep * points + mix * xs[:, None]
     spread = sd * _GRID
     (size, n), m = points.shape, _GRID.size
@@ -445,8 +447,8 @@ def check_borell_exponential(lam: float, x: float, p: float, q: float, t: float)
     """
     if not (q < p < 1.0):
         raise DomainError(f"need q < p < 1, got p={p}, q={q}")
-    if type(t) is not float:  # the suite's times are floats: the rule of `_reals` for the rest
-        _reals(t, "time")
+    if not _number(t, numbers.Real):
+        raise DomainError(f"time must be a real number, got {t!r}")
     if not t >= 0.0:  # NaN fails too
         raise DomainError(f"time must be >= 0, got {t!r}")
     if not (math.isfinite(lam) and math.isfinite(x)):

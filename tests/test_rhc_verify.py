@@ -707,6 +707,14 @@ class TestOuAction:
             assert np.asarray(got)[idx] == ou_apply(f, 0.4, float(ys[idx]), 0.8)
         assert type(ou_apply(f, 0.4, 0.5, 0.8)) is float
 
+    @pytest.mark.parametrize(
+        "t, shape", [(0.8, (0,)), (0.8, (0, 3)), (np.array([0.8, 0.3]), (2, 0))]
+    )
+    def test_empty_y_gives_empty_array(self, t, shape):
+        x = np.zeros(np.shape(t)) if np.ndim(t) else 0.4
+        got = ou_apply(lambda u: u * u, x, np.empty(shape), t)
+        assert isinstance(got, np.ndarray) and got.shape == shape
+
     @pytest.mark.parametrize("size", [73, 145])
     def test_matches_one_dot_per_point(self, size, monkeypatch):
         if size != 73:
