@@ -229,10 +229,9 @@ def _suite_kwargs(args: argparse.Namespace, names: list[str]) -> dict[str, dict]
             raise DomainError(f"{flag} is read only by --suite {' or '.join(sorted(suites))}")
     if args.t == "critical" and args.t_factor is not None:
         raise DomainError("--t critical puts borell-exp at its critical time; drop --t-factor")
-    kwargs = {
-        "mossel": {"n": args.n, "t": args.t, "p": args.p, "q": args.q},
-        "borell-exp": {"t_factor": 1.0 if args.t_factor is None else args.t_factor},
-    }
+    flags = {"mossel": {"n": args.n, "t": args.t, "p": args.p, "q": args.q},
+             "borell-exp": {"t_factor": args.t_factor}}  # each default lives in its suite
+    kwargs = {name: {k: v for k, v in kw.items() if v is not None} for name, kw in flags.items()}
     for name in names:
         rhc_verify.SUITES[name](0, 0, **kwargs.get(name, {}))
     return kwargs

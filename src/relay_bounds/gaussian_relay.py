@@ -32,6 +32,7 @@ from .scalar_bounds import (
     lemma3_h2max,
     relaxed_gap_inverse,
     require_rate,
+    require_real,
 )
 
 MAX_POINTS = 100_000  # grid points of a curve table; memory grows linearly with the count
@@ -86,7 +87,7 @@ class CurveTable:
 
 
 def _require_positive(value: float, name: str) -> None:
-    if not (math.isfinite(value) and value > 0.0):
+    if not (math.isfinite(require_real(value, name)) and value > 0.0):
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
 
 

@@ -22,9 +22,9 @@ f)` take as they are; function tables are plain float arrays.  These kernels,
 stack of B same-shape instances along a new first axis, each row giving bit
 for bit what its own call gives; `lp_norm` takes a stack of tables with a (B,)
 array of indices.  Every call checks what it is given: factors and channels
-by `scalar_bounds.require_law`, tables by `require_table`, and every time and
-Gaussian point by one private rule, which takes ints and floats, not bools or
-strings.
+by `scalar_bounds.require_law`, tables by `require_table`, and every number
+(time, point, norm index) by the package's one rule, `require_real(s)`, which
+takes ints and floats, not bools or strings.
 
 `SUITES` names the seven randomized suites.  Each draws instance `index` as
 an array transform of its row of K uniforms, those of
@@ -46,7 +46,8 @@ import numpy as np
 
 from .dmc_relay import _row_sums, _xlogx_rows
 from .errors import DimensionError, DomainError
-from .scalar_bounds import bdd_gap_closed, gauss_gap_closed, require_law, require_table
+from .scalar_bounds import (bdd_gap_closed, gauss_gap_closed, require_law, require_real,
+                            require_reals, require_table)
 
 MAX_FACTORS = 4  # tensor factors of a semigroup (the `verify --n` range)
 _MAX_ALPHABET = 6
@@ -83,14 +84,6 @@ def _expect(values: np.ndarray) -> np.ndarray:
     to that BLAS dot, while a matrix-vector product may sum in another order."""
     out = np.matmul(values.reshape(-1, 1, _GRID_WEIGHTS.size), _GRID_WEIGHTS[:, None])
     return out.reshape(values.shape[:-1])
-
-
-def _reals(value, name: str) -> np.ndarray:
-    """value as a float array, if it holds ints or floats; a bool or a string raises DomainError."""
-    x = np.asarray(value)
-    if x.dtype.kind not in "iuf":
-        raise DomainError(f"{name} must be a real number, got {value!r}")
-    return x.astype(float, copy=False)
 
 
 def _number(value, kind: type) -> bool:
@@ -141,10 +134,10 @@ def _checked(factors, time) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     Either one law P_i per factor and a float time, or a stack of B semigroups
     of one shape: a (B, k_i) array of laws per factor and a (B,) array of
     times; the time comes back as a float array of the stack's shape, () for
-    one semigroup.  A time must be real: ints and floats, not bools or strings.
+    one semigroup.
     """
     factors = _laws(factors)
-    t = _reals(time, "time")
+    t = require_reals(time, "time")
     stack = factors[0].shape[:-1]
     if t.shape != stack:
         raise DimensionError(f"time shape {t.shape} does not match the stack {stack}")
@@ -231,7 +224,7 @@ def lp_norm(f: np.ndarray, measure: np.ndarray, p: float | np.ndarray) -> float 
     q = require_table(measure, "measure")
     if values.shape != q.shape:
         raise DimensionError(f"function shape {values.shape} != measure shape {q.shape}")
-    index = np.asarray(p, dtype=float)
+    index = require_reals(p, "p")
     if index.ndim > 1 or index.ndim == 1 and (values.ndim < 2 or values.shape[:1] != index.shape):
         raise DimensionError(f"indices of shape {index.shape} do not fit tables {values.shape}")
     rows = index.reshape(-1)
@@ -273,37 +266,31 @@ def _lp_norm(values: np.ndarray, measure: np.ndarray, rows: np.ndarray) -> np.nd
 
 def mossel_critical_time(p: float, q: float) -> float:
     """Critical semigroup time ln((1-q)/(1-p)) for finite norm indices q <= p < 1."""
+    p, q = require_real(p, "p"), require_real(q, "q")
     if not -math.inf < q <= p < 1.0:
         raise DomainError(f"need finite q <= p < 1, got p={p}, q={q}")
     return math.log((1.0 - q) / (1.0 - p))
 
 
-def _per_row(x: float | np.ndarray, stack: tuple[int, ...]) -> np.ndarray:
-    """A float or (B,) array as a (B,) array for a stack of B."""
-    x = np.asarray(x, dtype=float)
-    if x.shape not in ((), stack):
-        raise DimensionError(f"expected a float or an array of shape {stack}, got {x.shape}")
-    return np.broadcast_to(x, stack)
-
-
 def check_mossel(
     factors, time, f: np.ndarray, p: float | np.ndarray, q: float | np.ndarray
 ) -> float | np.ndarray:
-    """Margin ||T_t f||_q - ||f||_p for the semi-simple semigroup at time t.
+    """Margin ||T_t f||_q - ||f||_p for the semi-simple semigroup at any time t >= 0.
 
-    Requires q <= p < 1 and t >= ln((1-q)/(1-p)); the reverse
-    hypercontractivity estimate makes the margin nonnegative (p = q is the
-    Jensen baseline with critical time 0).  For a stack of B semigroups, f is
-    a (B, k_1, ..., k_n) table stack, p and q are floats or (B,) arrays, and
-    the margins are a (B,) array, each equal to its row's own call bit for bit.
+    Requires finite q <= p < 1; from t = ln((1-q)/(1-p)) on, reverse
+    hypercontractivity makes the margin nonnegative (p = q is the Jensen
+    baseline, critical time 0).  For a stack of B semigroups, f is a (B, k_1,
+    ..., k_n) table stack, p and q are (B,) arrays, and the margins are a (B,)
+    array, each equal to its row's own call bit for bit.
     """
     factors, time = _checked(factors, time)
     stack = factors[0].shape[:-1]
-    p, q = _per_row(p, stack), _per_row(q, stack)
-    for pb, qb, t in zip(*(np.reshape(x, -1).tolist() for x in (p, q, time))):
-        critical = mossel_critical_time(pb, qb)
-        if t < critical:
-            raise DomainError(f"time {t} is below the critical time {critical}")
+    p, q = require_reals(p, "p"), require_reals(q, "q")
+    if p.shape != stack or q.shape != stack:
+        raise DimensionError(f"p and q of shapes {p.shape}, {q.shape} do not fit the stack {stack}")
+    bad = ~((-math.inf < q) & (q <= p) & (p < 1.0))  # NaN fails too
+    if bad.any():
+        mossel_critical_time(p[bad][0], q[bad][0])  # raises its message for the first such row
     smoothed = _smooth(factors, time, f)
     # the checks of lp_norm hold: one shape, a product of laws, indices checked above
     rows = math.prod(stack)
@@ -350,7 +337,7 @@ def mossel_q0_margin(factors, time, f: np.ndarray) -> float | np.ndarray:
 def _ou_rows(x, t, params) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Finite points x, real times t and f's parameters as (B,) float arrays;
     floats are a stack of one."""
-    xs, ts = _reals(x, "x"), _reals(t, "time")
+    xs, ts = require_reals(x, "x"), require_reals(t, "time")
     ps = [np.asarray(p, dtype=float) for p in params]
     if ts.ndim > 1 or ts.size == 0 or any(a.shape != ts.shape for a in [xs, *ps]):
         raise DimensionError(f"x, t and f's parameters must be floats or nonempty (B,) "
@@ -382,7 +369,7 @@ def ou_apply(
     xs, ts, ps = _ou_rows(x, t, params)
     if not (ts >= 0.0).all():  # NaN fails too
         raise DomainError(f"time must be >= 0, got {t!r}")
-    y = np.asarray(y, dtype=float)
+    y = require_reals(y, "y")
     if np.ndim(t) and y.shape[:1] != ts.shape:
         raise DimensionError(f"points of shape {y.shape} do not fit the stack {ts.shape}")
     times = ts.tolist()  # each row's scalars by `math`, as its float call forms them
@@ -445,10 +432,12 @@ def check_borell_exponential(lam: float, x: float, p: float, q: float, t: float)
     so the margin is lam^2*((1-e^{-2t}) + q*e^{-2t} - p)/2, which is zero
     exactly at the critical time t = 0.5*ln((1-q)/(1-p)) and increasing in t.
     """
-    if not (q < p < 1.0):
-        raise DomainError(f"need q < p < 1, got p={p}, q={q}")
-    if not _number(t, numbers.Real):
-        raise DomainError(f"time must be a real number, got {t!r}")
+    # floats are real and skip the calls: 0.37 us a call, not 1.7 (timeit, 2 CPUs);
+    # a benchmark borell_suite call makes 300
+    if not type(lam) is type(x) is type(p) is type(q) is type(t) is float:
+        lam, x, p, q, t = map(require_real, (lam, x, p, q, t), ("lam", "x", "p", "q", "time"))
+    if not -math.inf < q < p < 1.0:
+        raise DomainError(f"need finite q < p < 1, got p={p}, q={q}")
     if not t >= 0.0:  # NaN fails too
         raise DomainError(f"time must be >= 0, got {t!r}")
     if not (math.isfinite(lam) and math.isfinite(x)):
@@ -459,9 +448,10 @@ def check_borell_exponential(lam: float, x: float, p: float, q: float, t: float)
 
 
 def borell_critical_time(p: float, q: float) -> float:
-    """Critical OU time 0.5*ln((1-q)/(1-p)) for norm indices q < p < 1."""
-    if not (q < p < 1.0):
-        raise DomainError(f"need q < p < 1, got p={p}, q={q}")
+    """Critical OU time 0.5*ln((1-q)/(1-p)) for finite norm indices q < p < 1."""
+    p, q = require_real(p, "p"), require_real(q, "q")
+    if not -math.inf < q < p < 1.0:
+        raise DomainError(f"need finite q < p < 1, got p={p}, q={q}")
     return 0.5 * math.log((1.0 - q) / (1.0 - p))
 
 
@@ -551,8 +541,8 @@ def gaussian_quantizer_gap(
     fewer than 8 cells is summed column by column, first to last, the order
     in which numpy sums such a row: the bits of one `sum` per row.
     """
-    xs = np.asarray(constellation, dtype=float)
-    taus = np.asarray(thresholds, dtype=float)
+    xs = require_reals(constellation, "constellation")
+    taus = require_reals(thresholds, "thresholds")
     if xs.ndim not in (1, 2) or xs.shape[-1] < 1 or not np.all(np.isfinite(xs)):
         raise DomainError("constellation must be a nonempty finite vector, or a stack of them")
     if taus.shape[:-1] != xs.shape[:-1] or taus.ndim != xs.ndim or not np.all(np.isfinite(taus)):

@@ -26,8 +26,8 @@ accurate in relative terms at every rate.  `lemma3_gap`, `relaxed_gap_inverse`
 and `lemma3_h2max` take a float or an array: a float gives a float, an array
 an array of its shape whose entries equal the float calls, and an entry that
 is NaN, negative or above RATE_CAP is rejected as a float would be.  The
-require_* functions check the inputs of every layer: rates, density ratios,
-probability laws and nonnegative tables.  Everything here is a pure function;
+require_* functions check the inputs of every layer: real numbers, rates,
+density ratios, probability laws and nonnegative tables.  Everything here is a pure function;
 there is no shared mutable state.
 """
 
@@ -52,9 +52,25 @@ LAW_TOL = 1e-12
 _STEP_STOP = 1e-6
 
 
+def require_real(value, name: str) -> float:
+    """value as a float if it is an int or a float, Python's or numpy's; else DomainError."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        return float(value)
+    raise DomainError(f"{name} must be a real number, got {value!r}")
+
+
+def require_reals(values, name: str) -> np.ndarray:
+    """values as a float array, if they hold ints or floats; else DomainError."""
+    x = np.asarray(values)
+    if x.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be a real number, got {values!r}")
+    return x.astype(float, copy=False)
+
+
 def require_rate(value: float, name: str = "h") -> float:
     """Validate a nonnegative, finite entropy rate in nats."""
-    x = float(value)
+    # a float is real and skips the call: 85 ns, not 190 (timeit, 2 CPUs), 512 per fig2 table
+    x = value if type(value) is float else require_real(value, name)
     if math.isnan(x) or math.isinf(x):
         raise DomainError(f"{name} must be finite, got {value!r}")
     if x < 0.0:
@@ -66,7 +82,7 @@ def require_rate(value: float, name: str = "h") -> float:
 
 def _rates(values, name: str) -> np.ndarray:
     """The values as a float array, each entry checked as `require_rate` checks a float."""
-    x = np.asarray(values, dtype=float)
+    x = require_reals(values, name)
     bad = ~((x >= 0.0) & (x <= RATE_CAP))  # NaN fails both comparisons
     if bad.any():
         require_rate(x[bad].flat[0], name)
@@ -80,7 +96,7 @@ def _like(x: np.ndarray) -> float | np.ndarray:
 
 def require_alpha(value: float, name: str = "alpha") -> float:
     """Validate a peak density ratio (must be >= 1)."""
-    a = float(value)
+    a = value if type(value) is float else require_real(value, name)  # as in require_rate
     if math.isnan(a) or math.isinf(a):
         raise DomainError(f"{name} must be finite, got {value!r}")
     if a < 1.0:

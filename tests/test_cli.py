@@ -1,6 +1,7 @@
 """CLI tests: flags, exit codes, deterministic output, CSV round trips."""
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -447,6 +448,29 @@ class TestVerifyCommand:
                   "--output", str(tmp_path / "r")])
         assert exc.value.code == 2
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "flags, kwargs",
+        [
+            ([], {}),
+            (["--t", "critical"], {}),
+            (["--t-factor", "0.9"], {"t_factor": 0.9}),
+        ],
+    )
+    def test_borell_exp_gets_only_the_flags_given(self, monkeypatch, tmp_path, flags, kwargs):
+        calls, borell_suite = [], rhc_verify.borell_suite
+
+        @functools.wraps(borell_suite)  # cli reaches the suite by its module attribute's name
+        def suite(n_instances, seed, **kw):
+            calls.append(kw)
+            return borell_suite(n_instances, seed, **kw)
+
+        monkeypatch.setattr(rhc_verify, "borell_suite", suite)
+        monkeypatch.setitem(rhc_verify.SUITES, "borell-exp", suite)
+        out = str(tmp_path / "r")
+        main(["verify", "--suite", "borell-exp", *flags, "--instances", "3", "--output", out])
+        # the flag check at zero instances, then the run
+        assert calls == [kwargs, kwargs]
 
     @pytest.mark.parametrize(
         "flags, message",

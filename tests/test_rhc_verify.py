@@ -89,7 +89,10 @@ def table_shape(factors):
 SEMIGROUP_KERNELS = {
     "apply_semisimple": apply_semisimple,
     "stationary_measure": lambda factors, time, f: stationary_measure(factors),
-    "check_mossel": lambda factors, time, f: check_mossel(factors, time, f, 0.5, 0.5),
+    # p and q take the time's shape, a stack's (B,) or one semigroup's ()
+    "check_mossel": lambda factors, time, f: check_mossel(
+        factors, time, f, *np.full((2, *np.shape(time)), 0.5)
+    ),
     "mossel_q0_margin": mossel_q0_margin,
 }
 TIMED_KERNELS = {k: v for k, v in SEMIGROUP_KERNELS.items() if k != "stationary_measure"}
@@ -196,17 +199,31 @@ INVALID_CALLS = {
         lambda: lp_norm(np.ones(2), np.array([-0.5, 1.5]), 0.5),
         DomainError, "measure must be a nonempty table of finite nonnegative entries",
     ),
-    "check_mossel below the critical time": (
-        lambda: check_mossel(FAIR_COIN, 0.5, np.ones(2), 0.5, 0.0),
-        DomainError, f"time 0.5 is below the critical time {LN2!r}",
-    ),
     "check_mossel p >= 1": (
         lambda: check_mossel(FAIR_COIN, LN2, np.ones(2), 1.5, 0.5),
         DomainError, "need finite q <= p < 1, got p=1.5, q=0.5",
     ),
+    "check_mossel q=-inf": (
+        lambda: check_mossel(FAIR_COIN, LN2, np.ones(2), 0.5, -math.inf),
+        DomainError, "need finite q <= p < 1, got p=0.5, q=-inf",
+    ),
+    "check_mossel stacked q>p": (
+        lambda: check_mossel((np.full((2, 2), 0.5),), np.ones(2), np.ones((2, 2)),
+                             np.array([0.5, 0.1]), np.array([0.2, 0.2])),
+        DomainError, "need finite q <= p < 1, got p=0.1, q=0.2",
+    ),
     "check_mossel index shape": (
         lambda: check_mossel(FAIR_COIN, LN2, np.ones(2), np.array([0.5, 0.5]), 0.5),
-        DimensionError, "expected a float or an array of shape (), got (2,)",
+        DimensionError, "p and q of shapes (2,), () do not fit the stack ()",
+    ),
+    "check_mossel float p on a stack": (
+        lambda: check_mossel((np.full((2, 2), 0.5),), np.ones(2), np.ones((2, 2)),
+                             0.5, np.array([0.2, 0.2])),
+        DimensionError, "p and q of shapes (), (2,) do not fit the stack (2,)",
+    ),
+    "check_mossel p='0.5'": (
+        lambda: check_mossel(FAIR_COIN, LN2, np.ones(2), "0.5", 0.5),
+        DomainError, "p must be a real number, got '0.5'",
     ),
     "check_mossel table shape": (
         lambda: check_mossel(FAIR_COIN, LN2, np.ones(3), 0.5, 0.5),
@@ -254,11 +271,15 @@ INVALID_CALLS = {
     ),
     "borell q=p": (
         lambda: check_borell_exponential(1.0, 0.0, 0.5, 0.5, 1.0),
-        DomainError, "need q < p < 1, got p=0.5, q=0.5",
+        DomainError, "need finite q < p < 1, got p=0.5, q=0.5",
     ),
     "borell q>p": (
         lambda: check_borell_exponential(1.0, 0.0, 0.2, 0.7, 1.0),
-        DomainError, "need q < p < 1, got p=0.2, q=0.7",
+        DomainError, "need finite q < p < 1, got p=0.2, q=0.7",
+    ),
+    "borell q=-inf": (
+        lambda: check_borell_exponential(1.0, 0.0, 0.5, -math.inf, 1.0),
+        DomainError, "need finite q < p < 1, got p=0.5, q=-inf",
     ),
     "borell t<0": (
         lambda: check_borell_exponential(1.0, 0.0, 0.5, -0.5, -0.1),
@@ -281,10 +302,16 @@ INVALID_CALLS = {
         DomainError, "lam and x must be finite, got lam=inf, x=0.0",
     ),
     "borell critical q=p": (
-        lambda: borell_critical_time(0.5, 0.5), DomainError, "need q < p < 1, got p=0.5, q=0.5"
+        lambda: borell_critical_time(0.5, 0.5),
+        DomainError, "need finite q < p < 1, got p=0.5, q=0.5",
     ),
     "borell critical q>p": (
-        lambda: borell_critical_time(0.2, 0.7), DomainError, "need q < p < 1, got p=0.2, q=0.7"
+        lambda: borell_critical_time(0.2, 0.7),
+        DomainError, "need finite q < p < 1, got p=0.2, q=0.7",
+    ),
+    "borell critical q=-inf": (
+        lambda: borell_critical_time(0.5, -math.inf),
+        DomainError, "need finite q < p < 1, got p=0.5, q=-inf",
     ),
     "quantizer empty": (
         lambda: gaussian_quantizer_gap([], []),
@@ -525,15 +552,38 @@ class TestLpNorm:
             if rng.random() < 0.25:
                 f = f * rng.uniform(0.5, 2.0)
             got, want = lp_norm(f, mu.reshape(shape), p), lp_norm_mp(f, mu, p)
-            support = f.ravel()[mu > 0.0]
-            s = support.max() if p > 0.0 else support.min() if p < 0.0 else 1.0
-            # One rounding in L moves the norm s * exp(L / p) by |L / p| =
-            # |ln(norm / s)| roundings; a zero of f at a small p > 0 makes that
-            # large (about 600 at p = 1e-3).  Below the least normal float a
-            # float holds fewer digits.
-            spread = abs(float(mpmath.log(want / s))) if want > 0 else 0.0
-            allowed = 4e-15 * max(1.0, spread / 4.0) * max(want, sys.float_info.min)
-            assert abs(mpmath.mpf(got) - want) <= allowed, (seed, got, want)
+            assert abs(mpmath.mpf(got) - want) <= self.allowed(f, mu, p, want), (seed, got, want)
+
+    @staticmethod
+    def allowed(f, mu, p, want):
+        """The error that roundings in L allow the norm s * exp(L / p), at 50 digits."""
+        import mpmath
+
+        support = np.ravel(f)[np.ravel(mu) > 0.0]
+        s = support.max() if p > 0.0 else support.min() if p < 0.0 else 1.0
+        # One rounding in L moves the norm s * exp(L / p) by |L / p| =
+        # |ln(norm / s)| roundings; a zero of f at a small p > 0 makes that
+        # large (about 600 at p = 1e-3).  Below the least normal float a
+        # float holds fewer digits.
+        spread = abs(float(mpmath.log(want / s))) if want > 0 else 0.0
+        return 4e-15 * max(1.0, spread / 4.0) * max(want, sys.float_info.min)
+
+    @pytest.mark.parametrize(
+        "f, mu, p",
+        [
+            ([1.0, 8.209335075557471e-47], [0.4248435021331622, 0.5751564978668376], 2e-3),
+            ([1.0, 1.3582667252834792e79, 2.756639375472433e45],
+             [0.048917867351201655, 0.2330922113263629, 0.7179899213224356], -1e-3),
+        ],
+    )
+    def test_moment_just_below_one(self, f, mu, p):
+        # E[e^{p x}] is 0.89 here, and |L / p| is 58 and 117: ln of the mean
+        # loses digits to its rounding near 1, which L = log1p(E[expm1(p x)]) keeps
+        mpmath = pytest.importorskip("mpmath")
+        want = lp_norm_mp(f, mu, p)
+        assert abs(mpmath.mpf(lp_norm(np.array(f), np.array(mu), p)) - want) <= self.allowed(
+            f, mu, p, want
+        )
 
     def test_rejects_bad_measure(self):
         with pytest.raises(DomainError):
@@ -555,10 +605,20 @@ class TestMossel:
 
     def test_precondition_violation(self):
         f = np.ones(2)
-        with pytest.raises(DomainError):
-            check_mossel(FAIR_COIN, 0.01, f, 0.5, -0.5)  # below critical time
-        with pytest.raises(DomainError):
-            check_mossel(FAIR_COIN, LN2, f, 1.5, 0.5)  # p >= 1
+        for p, q in [(1.5, 0.5), (0.5, 0.7), (0.5, -math.inf), (math.nan, 0.0), (0.5, math.nan)]:
+            with pytest.raises(DomainError, match=re.escape("need finite q <= p < 1")):
+                check_mossel(FAIR_COIN, LN2, f, p, q)
+
+    def test_margin_below_the_critical_time_is_reported(self):
+        # ln 2 is the critical time of (p, q) = (0.5, 0); at t = 0.3 the margin is negative
+        f = np.array([1.0, 2.0])
+        got = check_mossel(FAIR_COIN, 0.3, f, 0.5, 0.0)
+        mu = stationary_measure(FAIR_COIN)
+        want = lp_norm(apply_semisimple(FAIR_COIN, 0.3, f), mu, 0.0) - lp_norm(f, mu, 0.5)
+        assert got == pytest.approx(-0.0035604, abs=5e-8)
+        assert _bits(got) == _bits(want)
+        # at time 0 the margin is ||f||_0 - ||f||_{1/2} < 0, the norms' monotonicity in p
+        assert check_mossel(FAIR_COIN, 0.0, f, 0.5, 0.0) < 0.0
 
     def test_random_suite_margins(self):
         records = mossel_suite(800, 20240811)
@@ -823,6 +883,20 @@ class TestBorell:
 
 
 BSC = k_ary_symmetric(2, 0.2).matrix
+
+
+class TestEntropyTerms:
+    """`_xlogx_rows`, the W ln W row sums of both entropy oracles and of `dmc_relay`."""
+
+    @pytest.mark.parametrize("tiny", [1e-40, 1e-200, 1e-300])
+    def test_each_entry_takes_its_own_log(self, tiny):
+        # 1 ln 1 is an exact 0, so the row sum is the tiny entry's own term
+        got = _xlogx_rows(np.array([[1.0, tiny], [tiny, 1.0]]))
+        assert got == pytest.approx(np.full(2, tiny * math.log(tiny)), rel=1e-15, abs=0.0)
+
+    def test_entries_that_are_not_positive_count_zero(self):
+        rows = np.array([[0.5, 0.5, 0.0], [math.nan, 0.5, 0.5], [-1e-20, 0.5, 0.5]])
+        assert _xlogx_rows(rows) == pytest.approx(np.full(3, math.log(0.5)), rel=1e-15)
 
 
 class TestBruteForceGap:
@@ -1115,12 +1189,19 @@ class TestStacks:
                 norms = lp_norm(table, mu, index)
                 for b in range(len(pairs)):
                     assert _bits(norms[b]) == _bits(lp_norm(table[b], mu[b], float(index[b])))
-        # one float index for the whole stack, and the q = 0 margin
+        # one index pair over the whole stack, and the q = 0 margin
         for a, b in [(0.5, -1.0), (0.5, -800.0), (0.0, -0.5)]:
-            got = check_mossel(factors, np.full(len(pairs), 10.0), f, a, b)
+            got = check_mossel(factors, np.full(len(pairs), 10.0), f, *np.full((2, len(pairs)), [[a], [b]]))
             assert [_bits(x) for x in got] == [
                 _bits(check_mossel(row, 10.0, f[i], a, b)) for i, row in enumerate(rows)
             ]
+        # every other row far below its critical time, the rest above it
+        below = [t * (0.05 if b % 2 else 1.0) for b, t in enumerate(times)]
+        got = check_mossel(factors, np.array(below), f, p, q)
+        # rows 3, 7 and 9 fall below 0; row 1 has a zero of f and row 5 is the Jensen baseline
+        assert (got[[3, 7, 9]] < 0.0).all() and (got[::2] >= -1e-12).all()
+        for b, row in enumerate(rows):
+            assert _bits(got[b]) == _bits(check_mossel(row, below[b], f[b], pairs[b][0], pairs[b][1]))
         ones = np.where(f > 0.3, 1.0, f)
         got = mossel_q0_margin(factors, np.abs(times) + 0.1, ones)
         for b, row in enumerate(rows):
@@ -1203,12 +1284,14 @@ class TestStacks:
     def test_margin_stacks_check_every_row(self):
         factors, _ = _stacked_factors(np.random.default_rng(1), (2,), 2)
         times, f = np.array([0.5, 1.0]), np.full((2, 2), 0.5)
-        with pytest.raises(DomainError, match="below the critical time"):
-            check_mossel(factors, times, f, 0.5, np.array([0.2, -5.0]))
-        with pytest.raises(DomainError, match="need finite q <= p < 1"):
-            check_mossel(factors, times, f, np.array([0.5, 0.1]), 0.2)
-        with pytest.raises(DimensionError):
-            check_mossel(factors, times, f, np.array([0.5, 0.5, 0.5]), 0.2)
+        for p, q in [([0.5, 0.1], [0.2, 0.2]), ([0.5, 0.5], [0.2, -math.inf]),
+                     ([0.5, math.nan], [0.2, 0.2]), ([0.5, 1.0], [0.2, 0.2])]:
+            with pytest.raises(DomainError, match=re.escape(f"got p={p[1]}, q={q[1]}")):
+                check_mossel(factors, times, f, np.array(p), np.array(q))
+        for p, q in [(np.full(3, 0.5), np.full(2, 0.2)), (0.5, np.full(2, 0.2)),
+                     (np.full(2, 0.5), 0.2), (np.full((2, 1), 0.5), np.full(2, 0.2))]:
+            with pytest.raises(DimensionError, match="do not fit the stack"):
+                check_mossel(factors, times, f, p, q)
         with pytest.raises(DomainError, match="f taking values in"):
             mossel_q0_margin(factors, times, np.array([[0.5, 0.5], [0.5, 1.5]]))
         with pytest.raises(DomainError, match="positive mass"):

@@ -1,6 +1,7 @@
 """Tests for the entropy-gap bound functions and their inverses."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from oracles import (
     lemma3_h2max_all_entries,
     log1p_excess_where,
 )
-from relay_bounds.dmc_relay import DiscreteChannel, InputDistribution
+from relay_bounds import gaussian_relay, rhc_verify
+from relay_bounds.dmc_relay import DiscreteChannel, InputDistribution, capacity_ub_cor2
 from relay_bounds.errors import DomainError
 from relay_bounds.rhc_verify import stationary_measure
 from relay_bounds.scalar_bounds import (
@@ -29,6 +31,8 @@ from relay_bounds.scalar_bounds import (
     relaxed_gap_inverse,
     require_alpha,
     require_law,
+    require_real,
+    require_reals,
     require_table,
 )
 
@@ -436,3 +440,113 @@ class TestLawAndTableChecks:
         for bad in (-1e-300, math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError):
                 require_table(np.array([1.0, bad]))
+
+
+BSC = DiscreteChannel(np.array([[0.9, 0.1], [0.1, 0.9]]))
+
+# Calls whose number is not an int or a float: (call, message naming the parameter)
+NOT_REAL = {
+    "c(True)": (lambda: gauss_gap_closed(True), "h must be a real number, got True"),
+    "c('0.5')": (lambda: gauss_gap_closed("0.5"), "h must be a real number, got '0.5'"),
+    "c('abc')": (lambda: gauss_gap_closed("abc"), "h must be a real number, got 'abc'"),
+    "c(None)": (lambda: gauss_gap_closed(None), "h must be a real number, got None"),
+    "c^-1([0.5])": (lambda: gauss_gap_inverse([0.5]), "c0 must be a real number, got [0.5]"),
+    "lemma3_h2max('0.5')": (lambda: lemma3_h2max("0.5"), "h1 must be a real number, got '0.5'"),
+    "lemma3_gap bools": (
+        lambda: lemma3_gap(np.array([True])), "h2 must be a real number, got array([ True])"
+    ),
+    "relaxed inverse None": (lambda: relaxed_gap_inverse(None), "c0 must be a real number"),
+    "c_alpha alpha=True": (lambda: bdd_gap_closed(0.5, True), "alpha must be a real number, got True"),
+    "c_alpha^-1 alpha=np.True_": (
+        lambda: bdd_gap_inverse(0.5, np.True_), f"alpha must be a real number, got {np.True_!r}"
+    ),
+    "cor2 c0=True": (lambda: capacity_ub_cor2(BSC, True), "c0 must be a real number, got True"),
+    "cor2 alpha_override='2'": (
+        lambda: capacity_ub_cor2(BSC, 0.1, alpha_override="2"),
+        "alpha_override must be a real number, got '2'",
+    ),
+    "gaussian power='1'": (
+        lambda: gaussian_relay.GaussianRelayParams("1", 1, 0.1),
+        "power must be a real number, got '1'",
+    ),
+    "gaussian relay_rate='0.1'": (
+        lambda: gaussian_relay.GaussianRelayParams(1, 1, "0.1"),
+        "relay_rate must be a real number, got '0.1'",
+    ),
+    "fig2 snr=True": (
+        lambda: gaussian_relay.emit_fig2_curves(True, 0.3, 8), "snr must be a real number, got True"
+    ),
+    "borell lam=True": (
+        lambda: rhc_verify.check_borell_exponential(True, 0, 0.5, 0, 1),
+        "lam must be a real number, got True",
+    ),
+    "borell p='0.5'": (
+        lambda: rhc_verify.check_borell_exponential(1.0, 0.0, "0.5", 0.0, 1.0),
+        "p must be a real number, got '0.5'",
+    ),
+    "borell critical q=None": (
+        lambda: rhc_verify.borell_critical_time(0.5, None), "q must be a real number, got None"
+    ),
+    "mossel critical p='0.5'": (
+        lambda: rhc_verify.mossel_critical_time("0.5", 0.0), "p must be a real number, got '0.5'"
+    ),
+    "lp_norm p=True": (
+        lambda: rhc_verify.lp_norm(np.ones(2), np.full(2, 0.5), True),
+        "p must be a real number, got True",
+    ),
+    "ou_apply y='0'": (
+        lambda: rhc_verify.ou_apply(np.exp, 0.0, "0", 1.0), "y must be a real number, got '0'"
+    ),
+    "quantizer thresholds of bools": (
+        lambda: rhc_verify.gaussian_quantizer_gap([0.0, 1.0], [True]),
+        "thresholds must be a real number, got [True]",
+    ),
+}
+
+# Calls on ints and floats, each a function of the arguments that the test varies
+REAL_CALLS = {
+    "c": (gauss_gap_closed, (2,)),
+    "c^-1": (gauss_gap_inverse, (2,)),
+    "c_alpha": (bdd_gap_closed, (1, 3)),
+    "c_alpha^-1": (bdd_gap_inverse, (1, 3)),
+    "lemma3_h2max": (lemma3_h2max, (3,)),
+    "relaxed inverse": (relaxed_gap_inverse, (3,)),
+    "gaussian report": (
+        lambda *a: gaussian_relay.report(gaussian_relay.GaussianRelayParams(*a)).best, (2, 1, 1)
+    ),
+    "borell": (rhc_verify.check_borell_exponential, (1, 0, 0, -1, 1)),
+    "borell critical": (rhc_verify.borell_critical_time, (0, -2)),
+    "mossel critical": (rhc_verify.mossel_critical_time, (0, -2)),
+}
+
+
+class TestRealNumberRule:
+    """One rule for a number: an int or a float, Python's or numpy's; never a bool,
+    a string or None.  Every other value raises DomainError naming its parameter."""
+
+    @pytest.mark.parametrize("call, message", NOT_REAL.values(), ids=NOT_REAL.keys())
+    def test_other_values_raise_domain_error(self, call, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            call()
+
+    @pytest.mark.parametrize("kind", [np.float64, np.float32, np.int64, np.int16, int])
+    @pytest.mark.parametrize("fn, args", REAL_CALLS.values(), ids=REAL_CALLS.keys())
+    def test_numpy_and_python_numbers_give_their_float_calls(self, fn, args, kind):
+        typed = [kind(a) for a in args]
+        assert_same_bits(fn(*typed), fn(*map(float, typed)))
+
+    def test_the_scalar_and_array_forms(self):
+        for value in (1, 2.5, np.int32(-3), np.float16(0.5), np.float64(math.nan)):
+            got = require_real(value, "v")
+            assert type(got) is float
+            assert_same_bits(got, float(value))
+            assert_same_bits(require_reals(value, "v"), float(value))
+        for bad in (True, np.False_, "1", None, 1j, [1.0], np.array(1.0)):
+            with pytest.raises(DomainError, match=re.escape(f"v must be a real number, got {bad!r}")):
+                require_real(bad, "v")
+        table = np.arange(6.0).reshape(2, 3)
+        assert require_reals(table, "v") is table
+        assert require_reals([1, 2], "v").dtype == np.float64
+        for bad in ([True, False], ["1"], None, [1j]):
+            with pytest.raises(DomainError, match="v must be a real number"):
+                require_reals(bad, "v")
