@@ -46,7 +46,7 @@ import numpy as np
 
 from .dmc_relay import _row_sums, _xlogx_rows
 from .errors import DimensionError, DomainError
-from .scalar_bounds import (bdd_gap_closed, gauss_gap_closed, require_law, require_real,
+from .scalar_bounds import (_number, bdd_gap_closed, gauss_gap_closed, require_law, require_real,
                             require_reals, require_table)
 
 MAX_FACTORS = 4  # tensor factors of a semigroup (the `verify --n` range)
@@ -84,11 +84,6 @@ def _expect(values: np.ndarray) -> np.ndarray:
     to that BLAS dot, while a matrix-vector product may sum in another order."""
     out = np.matmul(values.reshape(-1, 1, _GRID_WEIGHTS.size), _GRID_WEIGHTS[:, None])
     return out.reshape(values.shape[:-1])
-
-
-def _number(value, kind: type) -> bool:
-    """Whether value is an instance of the numbers ABC kind and not a bool."""
-    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def _integers(values, name: str) -> np.ndarray:

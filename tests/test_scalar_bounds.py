@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -521,32 +522,37 @@ REAL_CALLS = {
 
 
 class TestRealNumberRule:
-    """One rule for a number: an int or a float, Python's or numpy's; never a bool,
-    a string or None.  Every other value raises DomainError naming its parameter."""
+    """One rule for a number: an int or a float, Python's or numpy's, or any other
+    numbers.Real, given as itself or as a 0-d array; never a bool, a string or None.
+    Every other value raises DomainError naming its parameter, in both forms."""
 
     @pytest.mark.parametrize("call, message", NOT_REAL.values(), ids=NOT_REAL.keys())
     def test_other_values_raise_domain_error(self, call, message):
         with pytest.raises(DomainError, match=re.escape(message)):
             call()
 
-    @pytest.mark.parametrize("kind", [np.float64, np.float32, np.int64, np.int16, int])
+    @pytest.mark.parametrize(
+        "kind", [np.float64, np.float32, np.int64, np.int16, int, Fraction, np.array],
+        ids=["float64", "float32", "int64", "int16", "int", "Fraction", "0-d array"],
+    )
     @pytest.mark.parametrize("fn, args", REAL_CALLS.values(), ids=REAL_CALLS.keys())
     def test_numpy_and_python_numbers_give_their_float_calls(self, fn, args, kind):
         typed = [kind(a) for a in args]
         assert_same_bits(fn(*typed), fn(*map(float, typed)))
 
     def test_the_scalar_and_array_forms(self):
-        for value in (1, 2.5, np.int32(-3), np.float16(0.5), np.float64(math.nan)):
+        for value in (1, 2.5, np.int32(-3), np.float16(0.5), np.float64(math.nan), Fraction(1, 3),
+                      np.array(1.0), np.array(-3), 2**64):
             got = require_real(value, "v")
             assert type(got) is float
             assert_same_bits(got, float(value))
             assert_same_bits(require_reals(value, "v"), float(value))
-        for bad in (True, np.False_, "1", None, 1j, [1.0], np.array(1.0)):
+        for bad in (True, np.False_, "1", None, 1j, [1.0], np.array(True), np.array(Fraction(1, 3))):
             with pytest.raises(DomainError, match=re.escape(f"v must be a real number, got {bad!r}")):
                 require_real(bad, "v")
         table = np.arange(6.0).reshape(2, 3)
         assert require_reals(table, "v") is table
         assert require_reals([1, 2], "v").dtype == np.float64
-        for bad in ([True, False], ["1"], None, [1j]):
+        for bad in ([True, False], ["1"], None, [1j], np.array(True), [Fraction(1, 3)]):
             with pytest.raises(DomainError, match="v must be a real number"):
                 require_reals(bad, "v")
