@@ -182,13 +182,21 @@ def _law(p: np.ndarray) -> np.ndarray:
     return p / p.sum()
 
 
-def _illinois(fn, f_a: float, f_b: float, max_iter: int) -> float:
-    """Root of fn on [0, 1] by false position with Illinois halving.
+def _stepped(p: np.ndarray, face: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """The law p plus a KKT solution's step (its last entry is the multiplier)
+    on the face inputs, clipped at 0."""
+    p = p.copy()
+    p[face] = np.maximum(p[face] + step[:-1], 0.0)
+    return _law(p)
 
-    Needs fn(0) = f_a < 0 <= f_b = fn(1).  Stops after max_iter steps, at a
+
+def _illinois(fn, a: float, f_a: float, b: float, f_b: float, max_iter: int) -> float:
+    """Root of fn on [a, b] by false position with Illinois halving.
+
+    Needs fn(a) = f_a < 0 <= f_b = fn(b).  Stops after max_iter steps, at a
     root, when the bracket collapses or when fn returns None.
     """
-    a, b, side, t = 0.0, 1.0, 0, 0.0
+    side, t = 0, a
     for _ in range(max_iter):
         t = (a * f_b - b * f_a) / (f_b - f_a)
         f = fn(t)
@@ -203,6 +211,15 @@ def _illinois(fn, f_a: float, f_b: float, max_iter: int) -> float:
             f_a *= 0.5 if side > 0 else 1.0
             side = 1
     return t
+
+
+class _Point(NamedTuple):
+    """An input law p with its divergence rows d1 = D(W_x || pW) and d2, the
+    same for W x W: p.d2 is I(X;Y,Z) at p, and p.d1 is I(X;Y)."""
+
+    p: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
 
 
 class _State(NamedTuple):
@@ -234,8 +251,11 @@ class _DualSolver:
     the outer function is I(X;Y,Z) - I(X;Y) - penalty at the inner maximizer,
     so a bracket on its sign localizes the optimal multiplier, and the witness
     is the mixture of the two bracketing maximizers on which both cuts agree.
-    The maximizers at lam = 0 and 1 do not depend on the penalty, so one
-    solver serves the bound and its cutset analogue.  Each weighted sum forms
+    The inner maximizer at a given lam does not depend on the penalty, so one
+    solver serves the bound and its cutset analogue: it keeps every maximizer
+    it finds, keyed by lam, with its divergence rows, and a solve starts its
+    bracket from the tightest pair of them whose slopes straddle 0, which
+    saves the cutset solve most of its interior solves.  Each weighted sum forms
     only its terms of nonzero weight, the joint one first: the endpoint
     solves never read the idle channel, and an interior lam gives the bits of
     lam*D2 + (1 - lam)*D1.
@@ -247,7 +267,7 @@ class _DualSolver:
         self.rowh1 = _xlogx_rows(self.w1)
         self.rowh2 = _xlogx_rows(self.w2)
         self.steps_left = _BUDGET
-        self._endpoints: dict[float, np.ndarray] = {}
+        self._maximizers: dict[float, _Point] = {}
 
     def _terms(self, lam: float) -> list[tuple[float, np.ndarray, np.ndarray]]:
         """(weight, channel, row sums of W ln W) of each cut with a nonzero
@@ -286,13 +306,22 @@ class _DualSolver:
         i = raised[0]
         return _State(trials[i], d[i], float(values[i]), float(d[i].max()))
 
-    def _newton_point(self, lam: float, x: _State) -> np.ndarray:
+    def _newton_point(self, lam: float, x: _State) -> _State:
         """Newton maximizer of the weighted value on the face of near-optimal inputs.
 
         Inputs whose divergence trails the value by more than the gap leave
         the face.  The quadratic model is solved under sum(p) = 1 by least
         squares, since its Hessian -sum_i lam_i W_i diag(1/q_i) W_i^T is
-        singular once the face has more inputs than independent rows.
+        singular once the face has more inputs than independent rows.  The
+        least-norm step then has no part along the null directions, which keep
+        every output law and so the model, and on which the value is linear
+        with slope d.v: Blahut-Arimoto alone crawls along them.  So when lstsq
+        reports a rank below n + 1, the law also moves up a null direction
+        until a face input reaches 0 (a ratio test); that input leaves the
+        face, and the step is solved again, until the face has full rank (an
+        optimal law needs at most rank + 1 inputs; Gallager 1968, section 4.5).
+        The better of that point and the least-norm one is returned: where rows
+        nearly coincide, the ratio test can drop an input the step would raise.
         """
         face = x.d > x.value - x.gap
         at = self._state(lam, _law(np.where(face, x.p, 0.0)))
@@ -302,10 +331,25 @@ class _DualSolver:
         for weight, w, _ in self._terms(lam):
             on_face = w[face]
             kkt[:n, :n] += weight * (on_face / np.maximum(at.p @ w, _TINY)) @ on_face.T
-        step = np.linalg.lstsq(kkt, np.append(at.d[face], 0.0), rcond=None)[0][:n]
-        p = at.p.copy()
-        p[face] = np.maximum(p[face] + step, 0.0)
-        return _law(p)
+        rhs = np.append(at.d[face], 0.0)
+        step, _, rank, _ = np.linalg.lstsq(kkt, rhs, rcond=None)
+        least_norm = self._state(lam, _stepped(at.p, face, step))
+        if rank == n + 1:
+            return least_norm
+        p, face = at.p.copy(), np.flatnonzero(face)
+        while rank < face.size + 1:
+            v = np.linalg.svd(kkt)[2][-1, :-1]
+            v = v if rhs[:-1] @ v >= 0.0 else -v
+            out = np.flatnonzero(v < 0.0)  # nonempty: v sums to 0 and has norm near 1
+            ratios = p[face[out]] / -v[out]
+            i = ratios.argmin()
+            p[face] += ratios[i] * v
+            p[face[out[i]]] = 0.0
+            keep = np.arange(face.size + 1) != out[i]
+            face, rhs, kkt = face[keep[:-1]], rhs[keep], kkt[keep][:, keep]
+            step, _, rank, _ = np.linalg.lstsq(kkt, rhs, rcond=None)
+        reduced = self._state(lam, _stepped(p, face, step))
+        return reduced if reduced.improves(least_norm) else least_norm
 
     def weighted_argmax(self, lam: float, p: np.ndarray) -> np.ndarray:
         """Maximize lam*I(X;Y,Z) + (1 - lam)*I(X;Y) from the input law p.
@@ -324,12 +368,11 @@ class _DualSolver:
         while self.steps_left > 0 and x.gap > GAP_TOL:
             self.steps_left -= 1
             best = self._state(lam, _law(x.p * np.exp(step * (x.d - x.top))))
-            newton = self._newton_point(lam, x)
-            trial = self._state(lam, newton)
+            trial = self._newton_point(lam, x)
             # the full step may narrow the gap instead of raising the value,
             # which is all it can do at the end; a shortened one must raise it
             if not (trial.value > x.value or trial.improves(x)):
-                trial = self._shortened_step(lam, x, newton)
+                trial = self._shortened_step(lam, x, trial.p)
             if trial is not None and trial.improves(best):
                 best = trial
             if best.value < x.value and step > 1.0:
@@ -338,39 +381,52 @@ class _DualSolver:
             x, step = best, min(2.0 * step, _MAX_STEP)
         return x.p
 
-    def _endpoint(self, lam: float) -> np.ndarray:
-        if lam not in self._endpoints:
-            k = self.w1.shape[0]
-            self._endpoints[lam] = self.weighted_argmax(lam, np.full(k, 1.0 / k))
-        return self._endpoints[lam]
+    def _point(self, p: np.ndarray) -> _Point:
+        """p with the divergence rows of both cuts."""
+        return _Point(p, _divergence(self.w1, self.rowh1, p), _divergence(self.w2, self.rowh2, p))
+
+    def _maximizer(self, lam: float, start: np.ndarray) -> _Point:
+        """The weighted maximizer at lam, solved from start once per solver."""
+        if lam not in self._maximizers:
+            self._maximizers[lam] = self._point(self.weighted_argmax(lam, start))
+        return self._maximizers[lam]
 
     def solve(self, penalty: float) -> tuple[float, float, np.ndarray]:
         """(certificate, objective, input law) of the witness with the smallest gap."""
         best = (math.inf, 0.0, np.empty(0))
 
-        def consider(p: np.ndarray) -> float:
+        def consider(x: _Point) -> float:
             nonlocal best
-            d1 = _divergence(self.w1, self.rowh1, p)
-            d2 = _divergence(self.w2, self.rowh2, p)
-            joint, direct = float(p @ d2), float(p @ d1) + penalty
-            cert = _certificate(d1, d2, penalty)
+            joint, direct = float(x.p @ x.d2), float(x.p @ x.d1) + penalty
+            cert = _certificate(x.d1, x.d2, penalty)
             if cert - min(joint, direct) < best[0] - best[1]:
-                best = (cert, min(joint, direct), p)
+                best = (cert, min(joint, direct), x.p)
             return joint - direct
 
-        lo = self._endpoint(0.0)
-        s_lo = consider(lo)
-        if s_lo >= 0.0:  # the direct cut binds alone at the I(X;Y) maximizer
-            return best
-        hi = self._endpoint(1.0)
-        s_hi = consider(hi)
-        if s_hi <= 0.0:  # the joint cut binds alone at the I(X;Y,Z) maximizer
-            return best
-        bracket = {False: (lo, s_lo), True: (hi, s_hi)}
+        k = self.w1.shape[0]
+        uniform = np.full(k, 1.0 / k)
+        if consider(self._maximizer(0.0, uniform)) >= 0.0:
+            return best  # the direct cut binds alone at the I(X;Y) maximizer
+        if consider(self._maximizer(1.0, uniform)) <= 0.0:
+            return best  # the joint cut binds alone at the I(X;Y,Z) maximizer
+        # the tightest bracket among the maximizers found so far, for this
+        # penalty or an earlier one; its slopes are the bits consider returns
+        slopes = {
+            lam: float(x.p @ x.d2) - (float(x.p @ x.d1) + penalty) for lam, x in self._maximizers.items()
+        }
+        a = max(lam for lam, s in slopes.items() if s < 0.0)
+        b = min(lam for lam, s in slopes.items() if s >= 0.0 and lam > a)
+        lo, hi = self._maximizers[a], self._maximizers[b]
+        for lam, x in ((a, lo), (b, hi)):
+            if 0.0 < lam < 1.0:  # the ends 0 and 1 were considered above
+                consider(x)
+        bracket = {False: (lo.p, slopes[a]), True: (hi.p, slopes[b])}
 
         def kink_mixture() -> np.ndarray:
             (lo, s_lo), (hi, s_hi) = bracket[False], bracket[True]
-            t = _illinois(lambda t: consider((1.0 - t) * lo + t * hi), s_lo, s_hi, 60)
+            t = _illinois(
+                lambda t: consider(self._point((1.0 - t) * lo + t * hi)), 0.0, s_lo, 1.0, s_hi, 60
+            )
             return (1.0 - t) * lo + t * hi
 
         mix = kink_mixture()
@@ -379,13 +435,13 @@ class _DualSolver:
             nonlocal mix
             if best[0] - best[1] <= GAP_TOL or self.steps_left <= 0:
                 return None
-            p = self.weighted_argmax(lam, mix)
-            s = consider(p)
-            bracket[s >= 0.0] = (p, s)
+            x = self._maximizer(lam, mix)
+            s = consider(x)
+            bracket[s >= 0.0] = (x.p, s)
             mix = kink_mixture()
             return s
 
-        _illinois(slope_at, s_lo, s_hi, _BUDGET)
+        _illinois(slope_at, a, slopes[a], b, slopes[b], _BUDGET)
         return best
 
 

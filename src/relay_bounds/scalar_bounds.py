@@ -64,16 +64,26 @@ def _number(value, kind) -> bool:
 
 def require_real(value, name: str) -> float:
     """value as a float if it is a numbers.Real but not a bool (an int or a float, Python's
-    or numpy's, or a Fraction) or a 0-d int or float array; else DomainError."""
+    or numpy's, or a Fraction) or a 0-d int or float array; else DomainError, also for an
+    int or a Fraction past the float range."""
     if _number(value, _REAL) or (
         isinstance(value, np.ndarray) and value.shape == () and value.dtype.kind in "iuf"
     ):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise DomainError(f"{name} exceeds the float range") from None
     raise DomainError(f"{name} must be a real number, got {value!r}")
 
 
 def require_reals(values, name: str) -> np.ndarray:
-    """values as a float array if they hold ints or floats, or are one real number; else DomainError."""
+    """values as a float array if they hold ints or floats, or are one real number; a list
+    or tuple is taken entry by entry, so a bool in it is refused as a bool alone is; else
+    DomainError."""
+    if isinstance(values, (list, tuple)):
+        for value in values:
+            require_reals(value, name)
+        return np.array(values, dtype=float)
     x = np.asarray(values)
     if x.dtype.kind not in "iuf":  # a Fraction, or an int past 64 bits, has object dtype
         x = np.asarray(require_real(values, name))

@@ -81,6 +81,20 @@ def assert_symmetric_closed_form(rep, w: DiscreteChannel, c0: float) -> None:
     assert abs(rep.penalty - penalty) <= 1e-13 + 1.6e-15 * c0, (rep.penalty, penalty)
 
 
+def counted_solvers(monkeypatch) -> list:
+    """The list that every `_DualSolver` made from now on in the test joins,
+    so that a test can read the steps each one took."""
+    solvers = []
+
+    class Counted(dmc_relay._DualSolver):
+        def __init__(self, w):
+            super().__init__(w)
+            solvers.append(self)
+
+    monkeypatch.setattr(dmc_relay, "_DualSolver", Counted)
+    return solvers
+
+
 # How far the maximum over simplex_grid(2, 2000) may sit below the true one,
 # on the 2-input channels of TestCutsetDmc (7.0e-8 at most there)
 GRID_ALLOWANCE = 1e-6
@@ -338,15 +352,17 @@ class TestRegressionChannels:
 
 
 class TestStalledSolver:
-    """On a budget of 50 steps the solver cannot finish seed 3's draw 41 (it
-    stops at a gap of 3.07e-3), so the report stays uncertified: it is still
-    an upper value with its gap stated, and the CLI exits 0.  On 10 steps seed
-    4's draw 53 stalls with its cor2 certificate above the cutset one."""
+    """On a budget of 5 steps the solver cannot finish seed 3's draw 41 (it
+    stops at a gap of 3.2e-4; it certifies within 10), so the report stays
+    uncertified: it is still an upper value with its gap stated, and the CLI
+    exits 0.  On 10 steps seed 4's draw 53 stalls with its cor2 certificate
+    above the cutset one."""
 
     CHANNEL, C0 = random_law_channel(3, 41)
+    BUDGET = 5
 
     def test_report_stays_below_its_cutset(self, monkeypatch):
-        monkeypatch.setattr(dmc_relay, "_BUDGET", 50)
+        monkeypatch.setattr(dmc_relay, "_BUDGET", self.BUDGET)
         w = self.CHANNEL
         rep = capacity_ub_cor2(w, self.C0)
         assert rep.cutset >= relay_objective(rep.argmax_input.probs, w, self.C0)
@@ -355,7 +371,7 @@ class TestStalledSolver:
         assert rep.suboptimality_gap == pytest.approx(rep.cor2_bound - value, abs=1e-12)
 
     def test_cli_exits_0(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setattr(dmc_relay, "_BUDGET", 50)
+        monkeypatch.setattr(dmc_relay, "_BUDGET", self.BUDGET)
         path = str(tmp_path / "stalled.csv")
         w = self.CHANNEL
         write_channel_csv(path, w)
@@ -381,20 +397,13 @@ class TestStalledSolver:
 class TestSolverSteps:
     """A bound on the solver's total steps over the channel set of perfbench's
     `dmc-bounds`: draws 0-59 of the random-law channel at seed 1, the
-    BSC(0.11) at C0 0.3 and a 16x16 channel at C0 0.5.  They take 777 steps,
-    and 892 with `_ROUNDING` at 1e-12 (every report still certified), so the
+    BSC(0.11) at C0 0.3 and a 16x16 channel at C0 0.5.  They take 594 steps,
+    and 719 with `_ROUNDING` at 1e-12 (every report still certified), so the
     test catches a slower solver that the reports alone do not show.  The
     bound has headroom, since BLAS and numpy versions may move a step."""
 
     def test_total_steps_stay_bounded(self, monkeypatch):
-        solvers = []
-
-        class Counted(dmc_relay._DualSolver):
-            def __init__(self, w):
-                super().__init__(w)
-                solvers.append(self)
-
-        monkeypatch.setattr(dmc_relay, "_DualSolver", Counted)
+        solvers = counted_solvers(monkeypatch)
         channels = [random_law_channel(1, draw) for draw in range(60)] + [
             (k_ary_symmetric(2, 0.11), 0.3),
             (DiscreteChannel(np.random.default_rng(16).dirichlet(np.ones(16), size=16)), 0.5),
@@ -402,26 +411,34 @@ class TestSolverSteps:
         for w, c0 in channels:  # one solver each, at the penalty and at C0
             assert capacity_ub_cor2(w, c0).certified
         assert len(solvers) == 62
-        assert sum(dmc_relay._BUDGET - s.steps_left for s in solvers) <= 850
+        assert sum(dmc_relay._BUDGET - s.steps_left for s in solvers) <= 650
+
+    def test_a_degenerate_face_is_left_in_a_few_steps(self):
+        # draw 50 has five inputs on two outputs: at lam = 1 the face's
+        # Hessian has rank 3, and the least-norm Newton step alone took 118
+        # steps along its null directions; the null-direction step takes 5
+        w = random_law_channel(1, 50)[0]
+        solver = dmc_relay._DualSolver(w)
+        solver.weighted_argmax(1.0, uniform(w.n_inputs).probs)
+        assert dmc_relay._BUDGET - solver.steps_left <= 10
 
 
 class TestNearDuplicateRows:
-    """Rows 0-2 differ by under 1e-11, so the weighted solves level off near
-    GAP_TOL: the lam = 1 walk dips under it only after 8,909 steps.  Each solve
-    stops at GAP_TOL, the gap the report is certified against, and the full
-    budget brings the bound to 0.70567484549 (a stopping gap of 1e-11 leaves
-    the lam = 0 solve at 7.2e-11 for all 20,000 steps, and the report falls
-    back on the cutset, 0.95628 at a gap of 0.263).  The walk reaches GAP_TOL
-    by chance, so the test asks for the value and a gap of 1e-9, not for
-    `certified`."""
+    """Rows 0-2 differ by under 1e-11, so the Newton face's Hessian is
+    singular to rounding, and the least-norm step has no part along the
+    directions that move mass among those rows.  Without the null-direction
+    step the lam = 1 walk crawled along them and dipped under GAP_TOL only
+    after 8,909 steps, by chance; with it the report certifies in 6."""
 
     ROWS = [[1 - 1e-13, 1e-13], [1 - 8e-12, 8e-12], [1.0, 0.0], [0.04, 0.96], [0.0, 1.0]]
     C0 = 0.32628245749178686
 
-    def test_full_budget_reaches_the_maximum(self):
+    def test_full_budget_reaches_the_maximum(self, monkeypatch):
+        solvers = counted_solvers(monkeypatch)
         rep = capacity_ub_cor2(DiscreteChannel(np.array(self.ROWS)), self.C0)
-        assert abs(rep.cor2_bound - 0.70567484549) <= 1e-9
-        assert rep.suboptimality_gap <= 1e-9
+        assert rep.certified
+        assert abs(rep.cor2_bound - 0.70567484549) <= dmc_relay.GAP_TOL
+        assert dmc_relay._BUDGET - solvers[0].steps_left <= 50
 
 
 class TestCutsetDmc:
@@ -532,11 +549,12 @@ class TestEndpointChannels:
         "channel", [CLI_CHANNEL, random_law_channel(1, 50)[0]], ids=["cli3", "draw50"]
     )
     def test_idle_channel_is_never_read(self, lam, idle, channel):
-        clean = dmc_relay._DualSolver(channel)._endpoint(lam)
+        start = uniform(channel.n_inputs).probs
+        clean = dmc_relay._DualSolver(channel).weighted_argmax(lam, start)
         poisoned = dmc_relay._DualSolver(channel)
         for name in idle:
             setattr(poisoned, name, np.full_like(getattr(poisoned, name), np.nan))
-        assert poisoned._endpoint(lam).tobytes() == clean.tobytes()
+        assert poisoned.weighted_argmax(lam, start).tobytes() == clean.tobytes()
 
 
 class TestStackedEvaluation:
@@ -570,9 +588,10 @@ class TestGoldenReports:
     them: the endpoint terms and the stacked line search must not move a bit.
     Recorded with numpy 2.4 and its bundled OpenBLAS on x86-64; a BLAS that
     sums in another order may move the last bits.  draw50 is the 5x2 channel
-    with the heaviest line search of the benchmark's law (123 solver steps);
-    the stalled channel (TestStalledSolver's 6x2 draw) runs on a budget of 50
-    steps and stays uncertified."""
+    whose faces hold more inputs than the Hessian has rank, so its solves take
+    the null-direction step (9 solver steps; the least-norm Newton step alone
+    took 123); the stalled channel (TestStalledSolver's 6x2 draw) runs on
+    TestStalledSolver.BUDGET steps and stays uncertified."""
 
     CASES = {
         "bsc": (DiscreteChannel(np.array([[0.89, 0.11], [0.11, 0.89]])), 0.3),
@@ -606,19 +625,19 @@ class TestGoldenReports:
             ),
         ),
         "draw50": (
-            ("0x1.eee7fcf97bcf6p+0", "0x1.87bd80c399e19p-3", "0x1.4a3cb01652079p-1",
-             "0x1.4a3cb01652048p-1", "0x1.cd00000000000p-45", True),
+            ("0x1.eee7fcf97bcf6p+0", "0x1.87bd80c399e19p-3", "0x1.4a3cb01651e7cp-1",
+             "0x1.4a3cb01651e7cp-1", "0x1.0000000000000p-52", True),
             (
-                "0x1.7509e7575b9f6p-6", "0x1.f7d6133a960dep-2", "0x1.79ca10c924222p-67",
-                "0x1.79ca10c924222p-67", "0x1.f0d94e4ff4383p-2",
+                "0x1.7509e75763a9ep-6", "0x1.f7d6133a95de0p-2", "0x1.79ca10c924222p-67",
+                "0x1.79ca10c924222p-67", "0x1.f0d94e4ff3e75p-2",
             ),
         ),
         "stalled": (
-            ("0x1.eed8da082cf3ap+0", "0x1.36908a22d8592p-1", "0x1.49a7ccbc446bcp-1",
-             "0x1.49a7ccbc446bcp-1", "0x1.928a246a3d300p-9", False),
+            ("0x1.eed8da082cf3ap+0", "0x1.36908a22d8592p-1", "0x1.4840c231527d8p-1",
+             "0x1.4840c231527d8p-1", "0x1.516289aa3b800p-12", False),
             (
-                "0x1.b84308085e775p-67", "0x1.b84308085e775p-67", "0x1.c651d428e4434p-7",
-                "0x1.fa1d07a15673bp-2", "0x1.f7b069bd626a5p-2", "0x1.b84308085e775p-67",
+                "0x1.79ca10c924223p-67", "0x1.79ca10c924223p-67", "0x1.7058225cbe458p-7",
+                "0x1.fc54930b32738p-2", "0x1.f828abe1e79a8p-2", "0x1.79ca10c924223p-67",
             ),
         ),
     }
@@ -626,7 +645,7 @@ class TestGoldenReports:
     @pytest.mark.parametrize("name", list(CASES))
     def test_report_is_bit_identical(self, name, monkeypatch):
         if name == "stalled":
-            monkeypatch.setattr(dmc_relay, "_BUDGET", 50)
+            monkeypatch.setattr(dmc_relay, "_BUDGET", TestStalledSolver.BUDGET)
         rep = capacity_ub_cor2(*self.CASES[name])
         fields = tuple(
             getattr(rep, f) if f == "certified" else getattr(rep, f).hex() for f in self.FIELDS
@@ -639,7 +658,7 @@ class TestGoldenReports:
         # the certificate is formed from the divergence rows at the law reported
         # with it, unless the cutset certificate is smaller
         if name == "stalled":
-            monkeypatch.setattr(dmc_relay, "_BUDGET", 50)
+            monkeypatch.setattr(dmc_relay, "_BUDGET", TestStalledSolver.BUDGET)
         channel, c0 = self.CASES[name]
         rep = capacity_ub_cor2(channel, c0)
         p = rep.argmax_input.probs

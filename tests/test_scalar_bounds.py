@@ -453,6 +453,14 @@ NOT_REAL = {
     "c(None)": (lambda: gauss_gap_closed(None), "h must be a real number, got None"),
     "c^-1([0.5])": (lambda: gauss_gap_inverse([0.5]), "c0 must be a real number, got [0.5]"),
     "lemma3_h2max('0.5')": (lambda: lemma3_h2max("0.5"), "h1 must be a real number, got '0.5'"),
+    "lemma3_h2max([True, 0.5])": (
+        lambda: lemma3_h2max([True, 0.5]), "h1 must be a real number, got True"
+    ),
+    "lemma3_h2max((0.5, [True]))": (
+        lambda: lemma3_h2max((0.5, [True])), "h1 must be a real number, got True"
+    ),
+    "c(10**400)": (lambda: gauss_gap_closed(10**400), "h exceeds the float range"),
+    "lemma3_h2max([-10**400])": (lambda: lemma3_h2max([-(10**400)]), "h1 exceeds the float range"),
     "lemma3_gap bools": (
         lambda: lemma3_gap(np.array([True])), "h2 must be a real number, got array([ True])"
     ),
@@ -500,7 +508,7 @@ NOT_REAL = {
     ),
     "quantizer thresholds of bools": (
         lambda: rhc_verify.gaussian_quantizer_gap([0.0, 1.0], [True]),
-        "thresholds must be a real number, got [True]",
+        "thresholds must be a real number, got True",
     ),
 }
 
@@ -553,6 +561,16 @@ class TestRealNumberRule:
         table = np.arange(6.0).reshape(2, 3)
         assert require_reals(table, "v") is table
         assert require_reals([1, 2], "v").dtype == np.float64
-        for bad in ([True, False], ["1"], None, [1j], np.array(True), [Fraction(1, 3)]):
+        # a list or tuple is taken entry by entry, by the rule for one number
+        assert_same_bits(require_reals([Fraction(1, 3), 2**64], "v"), np.array([1 / 3, 2.0**64]))
+        assert_same_bits(require_reals(([1, 2.5], (3, 4)), "v"), np.array([[1.0, 2.5], [3.0, 4.0]]))
+        bad_values = ([True, False], [0.5, True], ["1"], None, [1j], np.array(True), [[0.5], [np.True_]])
+        for bad in bad_values:
             with pytest.raises(DomainError, match="v must be a real number"):
                 require_reals(bad, "v")
+
+    @pytest.mark.parametrize("value", [2**64, [2**64], (0.5, 2**64)], ids=["alone", "list", "tuple"])
+    def test_an_int_past_the_rate_cap_reads_the_same_alone_and_in_a_list(self, value):
+        message = "h1=1.8446744073709552e+19 exceeds the supported range"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            lemma3_h2max(value)
