@@ -340,7 +340,11 @@ class _DualSolver:
         while rank < face.size + 1:
             v = np.linalg.svd(kkt)[2][-1, :-1]
             v = v if rhs[:-1] @ v >= 0.0 else -v
-            out = np.flatnonzero(v < 0.0)  # nonempty: v sums to 0 and has norm near 1
+            # a null vector sums to 0 (the last KKT row), so it has an entry below 0; v
+            # has none when lstsq's rank cut met a badly scaled matrix, not a singular one
+            out = np.flatnonzero(v < 0.0)
+            if not out.size:
+                return least_norm
             ratios = p[face[out]] / -v[out]
             i = ratios.argmin()
             p[face] += ratios[i] * v

@@ -441,6 +441,31 @@ class TestNearDuplicateRows:
         assert dmc_relay._BUDGET - solvers[0].steps_left <= 50
 
 
+class TestBadlyScaledChannel:
+    """Outputs of mass near 1e-16 put 1/q terms near 1e16 into the Newton KKT
+    matrix, so lstsq's relative rank cut calls it rank-deficient though it is
+    only badly scaled.  Its last right singular vector is then no null
+    direction (it had no entry below 0, and the ratio test raised ValueError
+    on an empty argmin); the least-norm step is taken instead.  0.8095290673649684
+    is the report of the solver before the null-direction step."""
+
+    ROWS = np.array([[1.0, 1.0, 1.0], [1e-16, 1e-16, 1.0], [1e-16, 1.0, 1e-16]])
+    CHANNEL = DiscreteChannel(ROWS / ROWS.sum(axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("c0", [0.1, 0.5, 1.0])
+    def test_certified_report_and_cli_exit_0(self, c0, tmp_path, capsys):
+        rep = capacity_ub_cor2(self.CHANNEL, c0)
+        assert rep.certified
+        if c0 == 0.1:
+            assert rep.cor2_bound == 0.8095290673649684
+        path = str(tmp_path / "scaled.csv")
+        write_channel_csv(path, self.CHANNEL)
+        assert cli.main(["dmc", "--channel", path, "--c0", repr(c0)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["certified"] is True
+        assert payload["cor2_bound"] == rep.cor2_bound
+
+
 class TestCutsetDmc:
     """The report's cutset field, max_p min{I(X;Y,Z), I(X;Y) + C0}, against
     closed forms and grid maxima the solver does not compute."""
