@@ -294,17 +294,10 @@ class _DualSolver:
         d, value = self._evaluate(lam, p)
         return _State(p, d, float(value), float(d.max()))
 
-    def _shortened_step(self, lam: float, x: _State, newton: np.ndarray) -> _State | None:
-        """The first law (1 - t)*p + t*newton, t = 2^-1 ... 2^-23, that raises
-        the value, or None; all of them are evaluated in one stacked pass."""
-        t = _SHORTENINGS[:, None]
-        trials = (1.0 - t) * x.p + t * newton
-        d, values = self._evaluate(lam, trials)
-        raised = np.flatnonzero(values > x.value)
-        if not raised.size:
-            return None
-        i = raised[0]
-        return _State(trials[i], d[i], float(values[i]), float(d[i].max()))
+    def _states(self, lam: float, laws: np.ndarray) -> list[_State]:
+        """The _State of each row of a (B, k) stack, in one evaluation."""
+        d, values = self._evaluate(lam, laws)
+        return [_State(*row) for row in zip(laws, d, values.tolist(), d.max(axis=1).tolist())]
 
     def _newton_point(self, lam: float, x: _State) -> _State:
         """Newton maximizer of the weighted value on the face of near-optimal inputs.
@@ -358,30 +351,38 @@ class _DualSolver:
     def weighted_argmax(self, lam: float, p: np.ndarray) -> np.ndarray:
         """Maximize lam*I(X;Y,Z) + (1 - lam)*I(X;Y) from the input law p.
 
-        Each iteration keeps the better of a Blahut-Arimoto step
-        p <- p*exp(s*d)/Z, which never lowers the value at s = 1, and a Newton
-        step.  The full Newton step is tried first; if it is refused, its 23
-        halvings toward p are evaluated as one stack, whose rows equal their
-        one-at-a-time evaluations bit for bit, and the first that raises the
-        value is taken.  Blahut-Arimoto alone crawls when rows nearly coincide
-        or an optimal input has little mass; Newton alone can settle on a
-        wrong face.  max_x d_x bounds the weighted maximum; the walk stops
-        once it is within GAP_TOL of the value, the gap reports certify to.
+        Each iteration tries the full Newton step first.  Where it is accepted
+        and at least halves the gap, Newton is converging and the step is taken
+        as it is.  Otherwise a Blahut-Arimoto step p <- p*exp(s*d)/Z, which
+        never lowers the value at s = 1, is evaluated too, with the 23 halvings
+        of a refused Newton step toward p in the same stack (its rows equal
+        their one-at-a-time evaluations bit for bit); the better of it and the
+        accepted Newton step, or the first halving that raises the value, is
+        kept.  Blahut-Arimoto alone crawls when rows nearly coincide or an
+        optimal input has little mass; Newton alone can settle on a wrong face,
+        and without the halving test it creeps along one.  max_x d_x bounds the
+        weighted maximum; the walk stops once it is within GAP_TOL of the
+        value, the gap reports certify to.
         """
         x, step = self._state(lam, p), 1.0
         while self.steps_left > 0 and x.gap > GAP_TOL:
             self.steps_left -= 1
-            best = self._state(lam, _law(x.p * np.exp(step * (x.d - x.top))))
-            trial = self._newton_point(lam, x)
+            best = self._newton_point(lam, x)
             # the full step may narrow the gap instead of raising the value,
             # which is all it can do at the end; a shortened one must raise it
-            if not (trial.value > x.value or trial.improves(x)):
-                trial = self._shortened_step(lam, x, trial.p)
-            if trial is not None and trial.improves(best):
-                best = trial
-            if best.value < x.value and step > 1.0:
-                step = 1.0
-                continue
+            accepted = best.value > x.value or best.improves(x)
+            if not (accepted and best.gap <= 0.5 * x.gap):
+                ba = _law(x.p * np.exp(step * (x.d - x.top)))
+                if accepted:
+                    ba = self._state(lam, ba)
+                else:  # the refused step's halvings go into the same stack
+                    t = _SHORTENINGS[:, None]
+                    ba, *shortened = self._states(lam, np.vstack((ba, (1.0 - t) * x.p + t * best.p)))
+                    best = next((s for s in shortened if s.value > x.value), ba)
+                best = best if best.improves(ba) else ba
+                if best.value < x.value and step > 1.0:
+                    step = 1.0
+                    continue
             x, step = best, min(2.0 * step, _MAX_STEP)
         return x.p
 

@@ -78,12 +78,15 @@ def require_real(value, name: str) -> float:
 
 def require_reals(values, name: str) -> np.ndarray:
     """values as a float array if they hold ints or floats, or are one real number; a list
-    or tuple is taken entry by entry, so a bool in it is refused as a bool alone is; else
-    DomainError."""
+    or tuple is taken entry by entry, so a bool in it is refused as a bool alone is, and
+    must nest to one length per axis; else DomainError."""
     if isinstance(values, (list, tuple)):
         for value in values:
             require_reals(value, name)
-        return np.array(values, dtype=float)
+        try:
+            return np.array(values, dtype=float)
+        except ValueError:  # the entries are real, so only a ragged nesting is left
+            raise DomainError(f"{name} must nest to one length per axis, got {values!r}") from None
     x = np.asarray(values)
     if x.dtype.kind not in "iuf":  # a Fraction, or an int past 64 bits, has object dtype
         x = np.asarray(require_real(values, name))

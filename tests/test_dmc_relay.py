@@ -83,13 +83,19 @@ def assert_symmetric_closed_form(rep, w: DiscreteChannel, c0: float) -> None:
 
 def counted_solvers(monkeypatch) -> list:
     """The list that every `_DualSolver` made from now on in the test joins,
-    so that a test can read the steps each one took."""
+    so that a test can read the steps each one took and its `evaluations`,
+    the number of its `_evaluate` calls."""
     solvers = []
 
     class Counted(dmc_relay._DualSolver):
         def __init__(self, w):
             super().__init__(w)
+            self.evaluations = 0
             solvers.append(self)
+
+        def _evaluate(self, lam, p):
+            self.evaluations += 1
+            return super()._evaluate(lam, p)
 
     monkeypatch.setattr(dmc_relay, "_DualSolver", Counted)
     return solvers
@@ -395,23 +401,43 @@ class TestStalledSolver:
 
 
 class TestSolverSteps:
-    """A bound on the solver's total steps over the channel set of perfbench's
-    `dmc-bounds`: draws 0-59 of the random-law channel at seed 1, the
-    BSC(0.11) at C0 0.3 and a 16x16 channel at C0 0.5.  They take 594 steps,
-    and 719 with `_ROUNDING` at 1e-12 (every report still certified), so the
-    test catches a slower solver that the reports alone do not show.  The
-    bound has headroom, since BLAS and numpy versions may move a step."""
+    """Bounds on the solver's total steps and `_evaluate` calls over the channel
+    set of perfbench's `dmc-bounds`: draws 0-59 of the random-law channel at
+    seed 1, the BSC(0.11) at C0 0.3 and a 16x16 channel at C0 0.5.  They take
+    579 steps and 1,504 evaluations.  With `_ROUNDING` at 1e-12 they take 703
+    steps (every report still certified), and with a Blahut-Arimoto trial on
+    every step 1,949 evaluations (2,108 with it outside the stack of the
+    halvings), so the tests catch a slower solver that the reports alone do
+    not show.  Both bounds are the measured total times 650/594, the headroom
+    the step bound had at 594 steps, since BLAS and numpy versions may move a
+    step."""
 
-    def test_total_steps_stay_bounded(self, monkeypatch):
+    CHANNELS = [random_law_channel(1, draw) for draw in range(60)] + [
+        (k_ary_symmetric(2, 0.11), 0.3),
+        (DiscreteChannel(np.random.default_rng(16).dirichlet(np.ones(16), size=16)), 0.5),
+    ]
+
+    def solved(self, monkeypatch) -> list:
         solvers = counted_solvers(monkeypatch)
-        channels = [random_law_channel(1, draw) for draw in range(60)] + [
-            (k_ary_symmetric(2, 0.11), 0.3),
-            (DiscreteChannel(np.random.default_rng(16).dirichlet(np.ones(16), size=16)), 0.5),
-        ]
-        for w, c0 in channels:  # one solver each, at the penalty and at C0
+        for w, c0 in self.CHANNELS:  # one solver each, at the penalty and at C0
             assert capacity_ub_cor2(w, c0).certified
         assert len(solvers) == 62
-        assert sum(dmc_relay._BUDGET - s.steps_left for s in solvers) <= 650
+        return solvers
+
+    def test_total_steps_stay_bounded(self, monkeypatch):
+        solvers = self.solved(monkeypatch)
+        assert sum(dmc_relay._BUDGET - s.steps_left for s in solvers) <= 634
+
+    def test_total_evaluations_stay_bounded(self, monkeypatch):
+        assert sum(s.evaluations for s in self.solved(monkeypatch)) <= 1646
+
+    def test_a_converging_newton_step_is_taken_alone(self, monkeypatch):
+        # a full Newton step that is accepted and at least halves the gap is
+        # taken with no Blahut-Arimoto trial; without the halving test the
+        # 6x6 draw 25 creeps along a wrong face and takes 37 steps, not 8
+        solvers = counted_solvers(monkeypatch)
+        assert capacity_ub_cor2(*random_law_channel(1, 25)).certified
+        assert dmc_relay._BUDGET - solvers[0].steps_left <= 10
 
     def test_a_degenerate_face_is_left_in_a_few_steps(self):
         # draw 50 has five inputs on two outputs: at lam = 1 the face's

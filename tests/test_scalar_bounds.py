@@ -569,6 +569,12 @@ class TestRealNumberRule:
             with pytest.raises(DomainError, match="v must be a real number"):
                 require_reals(bad, "v")
 
+    @pytest.mark.parametrize("values", [[[0.5], 0.5], ([0.5], [0.5, 1.0]), [[[0.5]], [0.5]]])
+    def test_a_ragged_list_raises_domain_error_naming_its_parameter(self, values):
+        message = f"h1 must nest to one length per axis, got {values!r}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            lemma3_h2max(values)
+
     @pytest.mark.parametrize("value", [2**64, [2**64], (0.5, 2**64)], ids=["alone", "list", "tuple"])
     def test_an_int_past_the_rate_cap_reads_the_same_alone_and_in_a_list(self, value):
         message = "h1=1.8446744073709552e+19 exceeds the supported range"
