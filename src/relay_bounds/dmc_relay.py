@@ -184,9 +184,9 @@ def _law(p: np.ndarray) -> np.ndarray:
 
 def _stepped(p: np.ndarray, face: np.ndarray, step: np.ndarray) -> np.ndarray:
     """The law p plus a KKT solution's step (its last entry is the multiplier)
-    on the face inputs, clipped at 0."""
+    on the face inputs; _law clips what falls below its floor."""
     p = p.copy()
-    p[face] = np.maximum(p[face] + step[:-1], 0.0)
+    p[face] += step[:-1]
     return _law(p)
 
 
@@ -294,11 +294,6 @@ class _DualSolver:
         d, value = self._evaluate(lam, p)
         return _State(p, d, float(value), float(d.max()))
 
-    def _states(self, lam: float, laws: np.ndarray) -> list[_State]:
-        """The _State of each row of a (B, k) stack, in one evaluation."""
-        d, values = self._evaluate(lam, laws)
-        return [_State(*row) for row in zip(laws, d, values.tolist(), d.max(axis=1).tolist())]
-
     def _newton_point(self, lam: float, x: _State) -> _State:
         """Newton maximizer of the weighted value on the face of near-optimal inputs.
 
@@ -317,14 +312,15 @@ class _DualSolver:
         nearly coincide, the ratio test can drop an input the step would raise.
         """
         face = x.d > x.value - x.gap
-        at = self._state(lam, _law(np.where(face, x.p, 0.0)))
-        n = int(face.sum())
+        at = _law(np.where(face, x.p, 0.0))  # x itself, bit for bit, needs no evaluation
+        at = x if (at == x.p).all() else self._state(lam, at)
+        n = np.count_nonzero(face)
         kkt = np.zeros((n + 1, n + 1))
         kkt[n, :n] = kkt[:n, n] = 1.0
         for weight, w, _ in self._terms(lam):
             on_face = w[face]
             kkt[:n, :n] += weight * (on_face / np.maximum(at.p @ w, _TINY)) @ on_face.T
-        rhs = np.append(at.d[face], 0.0)
+        rhs = np.concatenate((at.d[face], [0.0]))
         step, _, rank, _ = np.linalg.lstsq(kkt, rhs, rcond=None)
         least_norm = self._state(lam, _stepped(at.p, face, step))
         if rank == n + 1:
@@ -377,8 +373,11 @@ class _DualSolver:
                     ba = self._state(lam, ba)
                 else:  # the refused step's halvings go into the same stack
                     t = _SHORTENINGS[:, None]
-                    ba, *shortened = self._states(lam, np.vstack((ba, (1.0 - t) * x.p + t * best.p)))
-                    best = next((s for s in shortened if s.value > x.value), ba)
+                    trials = np.vstack((ba, (1.0 - t) * x.p + t * best.p))
+                    d, values = self._evaluate(lam, trials)
+                    raised = np.flatnonzero(values[1:] > x.value)  # the first to raise the value
+                    i = raised[0] + 1 if raised.size else 0
+                    ba, best = (_State(trials[j], d[j], float(values[j]), float(d[j].max())) for j in (0, i))
                 best = best if best.improves(ba) else ba
                 if best.value < x.value and step > 1.0:
                     step = 1.0
