@@ -375,9 +375,9 @@ class _DualSolver:
                     t = _SHORTENINGS[:, None]
                     trials = np.vstack((ba, (1.0 - t) * x.p + t * best.p))
                     d, values = self._evaluate(lam, trials)
-                    raised = np.flatnonzero(values[1:] > x.value)  # the first to raise the value
-                    i = raised[0] + 1 if raised.size else 0
-                    ba, best = (_State(trials[j], d[j], float(values[j]), float(d[j].max())) for j in (0, i))
+                    raised = np.flatnonzero(values[1:] > x.value) + 1  # halvings raising the value
+                    ba, best = (_State(trials[j], d[j], float(values[j]), float(d[j].max()))
+                                for j in (0, raised[0] if raised.size else 0))
                 best = best if best.improves(ba) else ba
                 if best.value < x.value and step > 1.0:
                     step = 1.0
