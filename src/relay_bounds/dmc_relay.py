@@ -312,7 +312,7 @@ class _DualSolver:
         nearly coincide, the ratio test can drop an input the step would raise.
         """
         face = x.d > x.value - x.gap
-        at = _law(np.where(face, x.p, 0.0))  # x itself, bit for bit, needs no evaluation
+        at = _law(np.where(face, x.p, 0.0))  # equal to x.p bit for bit: reuse x
         at = x if (at == x.p).all() else self._state(lam, at)
         n = np.count_nonzero(face)
         kkt = np.zeros((n + 1, n + 1))
