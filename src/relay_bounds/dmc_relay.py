@@ -251,11 +251,9 @@ class _DualSolver:
     the outer function is I(X;Y,Z) - I(X;Y) - penalty at the inner maximizer,
     so a bracket on its sign localizes the optimal multiplier, and the witness
     is the mixture of the two bracketing maximizers on which both cuts agree.
-    The inner maximizer at a given lam does not depend on the penalty, so one
-    solver serves the bound and its cutset analogue: it keeps every maximizer
-    it finds, keyed by lam, with its divergence rows, and a solve starts its
-    bracket from the tightest pair of them whose slopes straddle 0, which
-    saves the cutset solve most of its interior solves.  Each weighted sum forms
+    Each solve brackets lam by its maximizers at lam = 0 and 1.  An inner
+    maximizer does not depend on the penalty, so one solver keeps those it
+    finds, keyed by lam, for the bound and its cutset analogue.  Each weighted sum forms
     only its terms of nonzero weight, the joint one first: the endpoint
     solves never read the idle channel, and an interior lam gives the bits of
     lam*D2 + (1 - lam)*D1.
@@ -409,22 +407,15 @@ class _DualSolver:
 
         k = self.w1.shape[0]
         uniform = np.full(k, 1.0 / k)
-        if consider(self._maximizer(0.0, uniform)) >= 0.0:
+        lo = self._maximizer(0.0, uniform)
+        s_lo = consider(lo)
+        if s_lo >= 0.0:
             return best  # the direct cut binds alone at the I(X;Y) maximizer
-        if consider(self._maximizer(1.0, uniform)) <= 0.0:
+        hi = self._maximizer(1.0, uniform)
+        s_hi = consider(hi)
+        if s_hi <= 0.0:
             return best  # the joint cut binds alone at the I(X;Y,Z) maximizer
-        # the tightest bracket among the maximizers found so far, for this
-        # penalty or an earlier one; its slopes are the bits consider returns
-        slopes = {
-            lam: float(x.p @ x.d2) - (float(x.p @ x.d1) + penalty) for lam, x in self._maximizers.items()
-        }
-        a = max(lam for lam, s in slopes.items() if s < 0.0)
-        b = min(lam for lam, s in slopes.items() if s >= 0.0 and lam > a)
-        lo, hi = self._maximizers[a], self._maximizers[b]
-        for lam, x in ((a, lo), (b, hi)):
-            if 0.0 < lam < 1.0:  # the ends 0 and 1 were considered above
-                consider(x)
-        bracket = {False: (lo.p, slopes[a]), True: (hi.p, slopes[b])}
+        bracket = {False: (lo.p, s_lo), True: (hi.p, s_hi)}
 
         def kink_mixture() -> np.ndarray:
             (lo, s_lo), (hi, s_hi) = bracket[False], bracket[True]
@@ -445,7 +436,7 @@ class _DualSolver:
             mix = kink_mixture()
             return s
 
-        _illinois(slope_at, a, slopes[a], b, slopes[b], _BUDGET)
+        _illinois(slope_at, 0.0, s_lo, 1.0, s_hi, _BUDGET)
         return best
 
 

@@ -83,19 +83,25 @@ def assert_symmetric_closed_form(rep, w: DiscreteChannel, c0: float) -> None:
 
 def counted_solvers(monkeypatch) -> list:
     """The list that every `_DualSolver` made from now on in the test joins,
-    so that a test can read the steps each one took and its `evaluations`,
-    the number of its `_evaluate` calls."""
+    so that a test can read the steps each one took, its `evaluations`, the
+    number of its `_evaluate` calls, and `lams`, the lam of each of its
+    `weighted_argmax` calls in order."""
     solvers = []
 
     class Counted(dmc_relay._DualSolver):
         def __init__(self, w):
             super().__init__(w)
             self.evaluations = 0
+            self.lams = []
             solvers.append(self)
 
         def _evaluate(self, lam, p):
             self.evaluations += 1
             return super()._evaluate(lam, p)
+
+        def weighted_argmax(self, lam, p):
+            self.lams.append(lam)
+            return super().weighted_argmax(lam, p)
 
     monkeypatch.setattr(dmc_relay, "_DualSolver", Counted)
     return solvers
@@ -404,13 +410,14 @@ class TestSolverSteps:
     """Bounds on the solver's total steps and `_evaluate` calls over the channel
     set of perfbench's `dmc-bounds`: draws 0-59 of the random-law channel at
     seed 1, the BSC(0.11) at C0 0.3 and a 16x16 channel at C0 0.5.  They take
-    579 steps and 1,278 evaluations.  With `_ROUNDING` at 1e-12 they take 703
+    598 steps and 1,312 evaluations.  With `_ROUNDING` at 1e-12 they take 722
     steps (every report still certified); with a Blahut-Arimoto trial on
-    every step 1,716 evaluations, and with the face law evaluated even where
-    it is the current law 1,504, so the tests catch a slower solver that the
-    reports alone do not show.  Both bounds are the measured total times
-    650/594, the headroom the step bound had at 594 steps, since BLAS and
-    numpy versions may move a step."""
+    every step 1,765 evaluations, and with the face law evaluated even where
+    it is the current law 1,551, so the tests catch a slower solver that the
+    reports alone do not show.  Both bounds are the totals of an earlier
+    solver (579 steps and 1,278 evaluations) times 650/594, the headroom the
+    step bound had at 594 steps, since BLAS and numpy versions may move a
+    step."""
 
     CHANNELS = [random_law_channel(1, draw) for draw in range(60)] + [
         (k_ary_symmetric(2, 0.11), 0.3),
@@ -447,6 +454,38 @@ class TestSolverSteps:
         solver = dmc_relay._DualSolver(w)
         solver.weighted_argmax(1.0, uniform(w.n_inputs).probs)
         assert dmc_relay._BUDGET - solver.steps_left <= 10
+
+
+class TestStepRetry:
+    """A Blahut-Arimoto step longer than 1 that lowers the value is retried at
+    step 1, which never lowers it.  This 7x6 channel with Dirichlet(0.05)
+    rows certifies in 21 steps; without the retry the lam = 0 walk keeps
+    overshooting, spends the whole budget and ends uncertified at a gap of
+    0.49.  The rows are written out, since Dirichlet draws at small
+    concentrations may differ between numpy versions."""
+
+    ROWS = [
+        [2.7947970223683958e-08, 0.010671344090129374, 2.361766914973393e-10,
+         0.00047086176275550165, 9.746418282592957e-11, 0.9888577658655041],
+        [1.6338605325329304e-12, 3.3220896546495775e-26, 1.6301040317224715e-07,
+         1.2977208193327595e-05, 7.534397899669576e-07, 0.9999861063399796],
+        [4.582311091711319e-21, 0.640587555087585, 0.09834531888223227,
+         1.033318078425804e-31, 0.00019754014209360528, 0.26086958588808906],
+        [0.07250683676643173, 0.8958700047719457, 2.626017192251706e-07,
+         0.000721928593817053, 0.001610445283651816, 0.02929052198243448],
+        [0.0019463846853714235, 3.146482198041718e-16, 0.9105694076260277,
+         0.0873601219433572, 1.1836526486223235e-17, 0.00012408574524337338],
+        [3.13503504523848e-09, 0.005198331585000245, 0.0011739873781714386,
+         0.31559613830550065, 0.6780314581580906, 8.143820189819598e-08],
+        [0.07363897411890691, 0.00023832182679263834, 2.839717888480031e-16,
+         7.32860530349907e-15, 0.9261226960170893, 8.037203432195507e-09],
+    ]
+    C0 = 0.45332697040960546
+
+    def test_an_overshooting_step_is_retried(self, monkeypatch):
+        solvers = counted_solvers(monkeypatch)
+        assert capacity_ub_cor2(DiscreteChannel(np.array(self.ROWS)), self.C0).certified
+        assert dmc_relay._BUDGET - solvers[0].steps_left <= 50
 
 
 class TestNearDuplicateRows:
@@ -606,6 +645,22 @@ class TestEndpointChannels:
         for name in idle:
             setattr(poisoned, name, np.full_like(getattr(poisoned, name), np.nan))
         assert poisoned.weighted_argmax(lam, start).tobytes() == clean.tobytes()
+
+
+class TestEndpointMaximizers:
+    """The maximizers at lam = 0 and 1 do not depend on the penalty, so the
+    solver keeps them: one `capacity_ub_cor2` call solves each endpoint once,
+    and the cutset solve reads both from the bound's solve.  On these two
+    channels both solves reach lam = 1."""
+
+    @pytest.mark.parametrize(
+        "channel,c0", [(CLI_CHANNEL, 0.2), random_law_channel(1, 50)], ids=["cli3", "draw50"]
+    )
+    def test_each_endpoint_is_solved_once(self, channel, c0, monkeypatch):
+        solvers = counted_solvers(monkeypatch)
+        capacity_ub_cor2(channel, c0)
+        assert solvers[0].lams.count(0.0) == 1
+        assert solvers[0].lams.count(1.0) == 1
 
 
 class TestStackedEvaluation:
